@@ -1,0 +1,243 @@
+"""Seeded Monte Carlo experiment runner.
+
+One trial draws a single channel shared by every requested method, so the
+per-method curves differ only through the receivers, never the noise of
+the draw. Per-trial RNG streams are derived from (master_seed, trial
+index), which makes aggregates independent of execution order and lets a
+J or M sweep reuse identical channels across sweep values.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+from dataclasses import dataclass, replace
+
+from .channel import ChannelRealization, RngState, capacity, derive_trial_rng, sample_channel
+from .errors import InvalidInputError, NotInvertibleModPError
+from .fieldrec import MessageBlock, PrimeField, combine_messages, recover_messages
+from .ifcore import mmse_rates, zf_rates
+from .select import METHOD_EXHAUSTIVE, METHOD_FALLBACK, METHOD_SDM, design_if
+from .sdm import SearchConfig
+
+METHODS = ("if-sdm", "if-exhaustive", "mmse", "zf", "capacity")
+SWEEPS = ("snr", "lines_j", "bound_m")
+
+DEFAULT_PRIME = 257
+_RECOVERY_MSG_LEN = 4
+
+AGGREGATE_COLUMNS = (
+    "method", "sweep_param", "sweep_value", "snr_db", "avg_rate_min", "avg_rate_sum",
+    "avg_rate_min_success_only", "success_prob", "trials", "master_seed",
+)
+RECORD_COLUMNS = (
+    "trial", "method", "snr_db", "rate_min", "rate_sum", "success", "fallback",
+    "modp_invertible",
+)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    l: int
+    snr_db_grid: tuple[float, ...]
+    trials: int
+    bound_m: int
+    lines_j: int
+    master_seed: int
+    methods: tuple[str, ...] = ("if-sdm", "mmse", "zf", "capacity")
+    prime_p: int | None = DEFAULT_PRIME
+
+    def __post_init__(self):
+        object.__setattr__(self, "snr_db_grid", tuple(float(s) for s in self.snr_db_grid))
+        object.__setattr__(self, "methods", tuple(self.methods))
+        if self.l < 2:
+            raise InvalidInputError("l must be >= 2")
+        if not self.snr_db_grid:
+            raise InvalidInputError("snr_db_grid must be nonempty")
+        if self.trials < 1:
+            raise InvalidInputError("trials must be >= 1")
+        if self.bound_m < 1:
+            raise InvalidInputError("bound_m must be >= 1")
+        if not 1 <= self.lines_j <= self.l - 1:
+            raise InvalidInputError(f"lines_j must be in [1, {self.l - 1}]")
+        if self.master_seed < 0:
+            raise InvalidInputError("master_seed must be a nonnegative 64-bit value")
+        if not self.methods:
+            raise InvalidInputError("methods must be nonempty")
+        for method in self.methods:
+            if method not in METHODS:
+                raise InvalidInputError(f"unknown method {method!r}")
+        if self.prime_p is not None:
+            PrimeField(self.prime_p)
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    trial_index: int
+    snr_db: float
+    method: str
+    rate_min: float
+    rate_sum: float
+    success: bool
+    fallback: bool
+    modp_invertible: bool | None = None
+    channel_hash: str = ""
+
+
+@dataclass(frozen=True)
+class Aggregate:
+    method: str
+    sweep_param: str
+    sweep_value: float | int
+    snr_db: float
+    avg_rate_min: float
+    avg_rate_sum: float
+    avg_rate_min_success_only: float
+    success_prob: float
+    trials: int
+    master_seed: int
+
+
+def _recovery_check(a, field: PrimeField, rng: RngState) -> bool:
+    """One random message round trip through A over F_p. Returns whether A
+    was invertible mod p; a failed round trip of an invertible matrix is a
+    bug and raises."""
+    l = a.shape[0]
+    w = MessageBlock(rows=tuple(
+        tuple(rng.next_u64() % field.p for _ in range(_RECOVERY_MSG_LEN)) for _ in range(l)
+    ))
+    try:
+        recovered = recover_messages(a, combine_messages(a, w, field), field)
+    except NotInvertibleModPError:
+        return False
+    if recovered.rows != w.rows:
+        raise RuntimeError("finite-field round trip mismatch for an invertible matrix")
+    return True
+
+
+def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int) -> list[TrialRecord]:
+    """Evaluate every configured method on one shared channel draw."""
+    rng = derive_trial_rng(cfg.master_seed, trial_index)
+    h = sample_channel(rng, cfg.l)
+    ch = ChannelRealization(h=h, power=10.0 ** (snr_db / 10.0))
+    chash = hashlib.sha256(h.tobytes()).hexdigest()[:16]
+    field = PrimeField(cfg.prime_p) if cfg.prime_p is not None else None
+
+    records = []
+    for method in cfg.methods:
+        if method in ("if-sdm", "if-exhaustive"):
+            tag = METHOD_SDM if method == "if-sdm" else METHOD_EXHAUSTIVE
+            design = design_if(ch, SearchConfig(cfg.bound_m, cfg.lines_j), tag)
+            modp = _recovery_check(design.a, field, rng) if field is not None else None
+            records.append(TrialRecord(
+                trial_index, snr_db, method, design.report.total, design.report.sum_form,
+                design.success, design.method == METHOD_FALLBACK, modp, chash,
+            ))
+        elif method == "mmse":
+            rep = mmse_rates(ch)
+            records.append(TrialRecord(
+                trial_index, snr_db, method, rep.total, rep.sum_form, True, False, None, chash,
+            ))
+        elif method == "zf":
+            rep = zf_rates(ch)
+            records.append(TrialRecord(
+                trial_index, snr_db, method, rep.total, rep.sum_form,
+                not rep.singular, False, None, chash,
+            ))
+        else:  # capacity
+            c = capacity(ch)
+            records.append(TrialRecord(
+                trial_index, snr_db, method, c, c, True, False, None, chash,
+            ))
+    return records
+
+
+def _aggregate(records: list[TrialRecord], cfg: ExperimentConfig, sweep: str,
+               value, snr_db: float, method: str) -> Aggregate:
+    n = len(records)
+    successes = [r for r in records if r.success]
+    return Aggregate(
+        method=method,
+        sweep_param=sweep,
+        sweep_value=value,
+        snr_db=snr_db,
+        avg_rate_min=sum(r.rate_min for r in records) / n,
+        avg_rate_sum=sum(r.rate_sum for r in records) / n,
+        avg_rate_min_success_only=(
+            sum(r.rate_min for r in successes) / len(successes) if successes else 0.0
+        ),
+        success_prob=len(successes) / n,
+        trials=n,
+        master_seed=cfg.master_seed,
+    )
+
+
+def run_sweep(cfg: ExperimentConfig, sweep: str, values) -> list[Aggregate]:
+    """Aggregate `cfg.trials` trials per (sweep value, SNR point, method).
+
+    Per-trial seeds depend only on the trial index, so every sweep value
+    sees identical channels. Output is ordered by (method, value, snr).
+    """
+    if sweep not in SWEEPS:
+        raise InvalidInputError(f"unknown sweep {sweep!r}")
+    values = list(values)
+    if not values:
+        raise InvalidInputError("sweep values must be nonempty")
+
+    cells: list[dict[str, Aggregate]] = []
+    for value in values:
+        if sweep == "snr":
+            sub = cfg
+            snr_points = (float(value),)
+        elif sweep == "lines_j":
+            sub = replace(cfg, lines_j=int(value))
+            snr_points = cfg.snr_db_grid
+        else:
+            sub = replace(cfg, bound_m=int(value))
+            snr_points = cfg.snr_db_grid
+        for snr in snr_points:
+            by_method = {m: [] for m in cfg.methods}
+            for t in range(cfg.trials):
+                for rec in run_trial(sub, snr, t):
+                    by_method[rec.method].append(rec)
+            cells.append({
+                m: _aggregate(by_method[m], cfg, sweep, value, snr, m) for m in cfg.methods
+            })
+
+    return [cell[m] for m in cfg.methods for cell in cells]
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        # repr of a plain float is the shortest round-trip form; the cast
+        # also strips numpy scalar types
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(rows, path) -> None:
+    """Write aggregates or trial records with a stable schema; identical
+    inputs produce byte-identical files."""
+    rows = list(rows)
+    is_records = bool(rows) and isinstance(rows[0], TrialRecord)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if is_records:
+            writer.writerow(RECORD_COLUMNS)
+            for r in rows:
+                writer.writerow([_fmt(v) for v in (
+                    r.trial_index, r.method, r.snr_db, r.rate_min, r.rate_sum,
+                    r.success, r.fallback, r.modp_invertible,
+                )])
+        else:
+            writer.writerow(AGGREGATE_COLUMNS)
+            for a in rows:
+                writer.writerow([_fmt(v) for v in (
+                    a.method, a.sweep_param, a.sweep_value, a.snr_db, a.avg_rate_min,
+                    a.avg_rate_sum, a.avg_rate_min_success_only, a.success_prob,
+                    a.trials, a.master_seed,
+                )])

@@ -1,0 +1,118 @@
+"""Rate machinery for the integer-forcing receiver and its linear baselines.
+
+The central object is the quadratic form Q = I - H^T (H H^T + I/P)^-1 H,
+which equals (I + P H^T H)^-1 and fixes the rate of every coefficient
+vector a through a^T Q a. ZF and MMSE totals are reported with the same
+min-form convention as the IF objective so comparisons stay apples to
+apples; a sum-form is exposed alongside for reporting.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .channel import ChannelRealization
+from .errors import InvalidInputError, SingularMatrixError
+from .linalg import solve_inverse
+
+
+@dataclass(frozen=True)
+class QForm:
+    """Symmetric quadratic form tied to the channel it came from."""
+
+    q: np.ndarray
+    power: float
+    channel: ChannelRealization
+
+
+@dataclass(frozen=True)
+class RateReport:
+    """Per-stream rates (raw, may be negative) and the clamped total.
+
+    ``total`` is the min-form L * min_m R_m clamped at zero; ``sum_form``
+    adds the individually clamped per-stream rates instead.
+    """
+
+    per_stream: tuple[float, ...]
+    total: float
+    singular: bool = False
+
+    @property
+    def sum_form(self) -> float:
+        return sum(max(0.0, r) for r in self.per_stream)
+
+
+def _noise_whitener(ch: ChannelRealization) -> np.ndarray:
+    # (H H^T + I/P)^-1; positive definite for any P > 0
+    l = ch.l
+    return solve_inverse(ch.h @ ch.h.T + np.eye(l) / ch.power)
+
+
+def compute_q(ch: ChannelRealization) -> QForm:
+    """Quadratic form I - H^T (H H^T + I/P)^-1 H, symmetrized after the fact."""
+    q = np.eye(ch.l) - ch.h.T @ _noise_whitener(ch) @ ch.h
+    q = 0.5 * (q + q.T)
+    return QForm(q=q, power=ch.power, channel=ch)
+
+
+def optimal_projection(a, ch: ChannelRealization) -> np.ndarray:
+    """Rate-maximizing projection B = A H^T (H H^T + I/P)^-1 for fixed A."""
+    a_arr = np.asarray(a, dtype=float)
+    if a_arr.shape != (ch.l, ch.l):
+        raise InvalidInputError(f"coefficient matrix must be {ch.l}x{ch.l}, got {a_arr.shape}")
+    return a_arr @ ch.h.T @ _noise_whitener(ch)
+
+
+def rate_from_ab(a_m, b_m, ch: ChannelRealization) -> float:
+    """Rate (1/2) log2(P / (||b||^2 + P ||H^T b - a||^2)) of one (a, b) pair."""
+    a = np.asarray(a_m, dtype=float)
+    b = np.asarray(b_m, dtype=float)
+    if a.shape != (ch.l,) or b.shape != (ch.l,):
+        raise InvalidInputError("a_m and b_m must both have length L")
+    resid = ch.h.T @ b - a
+    den = float(b @ b) + ch.power * float(resid @ resid)
+    if den == 0.0:
+        raise InvalidInputError("zero denominator: a_m and b_m are both zero")
+    return 0.5 * math.log2(ch.power / den)
+
+
+def rate_from_q(a_m, q: QForm) -> float:
+    """Rate (1/2) log2(1 / (a^T Q a)) with the optimal projection baked in."""
+    a = np.asarray(a_m, dtype=float)
+    l = q.q.shape[0]
+    if a.shape != (l,):
+        raise InvalidInputError(f"a_m must have length {l}")
+    if not a.any():
+        raise InvalidInputError("a_m must be nonzero")
+    return -0.5 * math.log2(float(a @ q.q @ a))
+
+
+def total_rate(per_stream) -> RateReport:
+    """Min-form total max(0, L * min_m R_m); per-stream values kept raw."""
+    rates = tuple(float(r) for r in per_stream)
+    if not rates:
+        raise InvalidInputError("per-stream rate list is empty")
+    return RateReport(per_stream=rates, total=max(0.0, len(rates) * min(rates)))
+
+
+def zf_rates(ch: ChannelRealization) -> RateReport:
+    """Zero-forcing rates; the interference residual is exactly zero, so
+    R_m = (1/2) log2(P / ||b_m||^2). Singular H^T H is flagged, not inverted."""
+    l = ch.l
+    try:
+        b = solve_inverse(ch.h.T @ ch.h) @ ch.h.T
+    except SingularMatrixError:
+        return RateReport(per_stream=(0.0,) * l, total=0.0, singular=True)
+    per = tuple(0.5 * math.log2(ch.power / float(b[m] @ b[m])) for m in range(l))
+    return total_rate(per)
+
+
+def mmse_rates(ch: ChannelRealization) -> RateReport:
+    """MMSE rates R_m = (1/2) log2(1 / Q_mm): the identity-coefficient
+    design under the optimal projection."""
+    q = compute_q(ch).q
+    per = tuple(-0.5 * math.log2(float(q[m, m])) for m in range(ch.l))
+    return total_rate(per)
