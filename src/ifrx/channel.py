@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,13 +73,20 @@ def sample_channel(rng: RngState, l: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Real channel matrix plus transmit power (noise variance is 1)."""
+    """Real channel matrix plus transmit power (noise variance is 1).
+
+    ``h`` is a read-only copy of the input, so quantities derived from it
+    can be kept in ``memo`` for the life of the realization.
+    """
 
     h: np.ndarray
     power: float
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h", as_square_matrix(self.h, "h"))
+        h = as_square_matrix(self.h, "h")
+        h.setflags(write=False)
+        object.__setattr__(self, "h", h)
         object.__setattr__(self, "power", float(self.power))
         if not self.power > 0:
             raise InvalidInputError("power must be positive")

@@ -46,9 +46,15 @@ class RateReport:
 
 
 def _noise_whitener(ch: ChannelRealization) -> np.ndarray:
-    # (H H^T + I/P)^-1; positive definite for any P > 0
-    l = ch.l
-    return solve_inverse(ch.h @ ch.h.T + np.eye(l) / ch.power)
+    """(H H^T + I/P)^-1, positive definite for any P > 0. Computed once per
+    channel and kept read-only; ``ch.h`` is read-only too, so it cannot go
+    stale."""
+    w = ch.memo.get("whitener")
+    if w is None:
+        w = solve_inverse(ch.h @ ch.h.T + np.eye(ch.l) / ch.power)
+        w.setflags(write=False)
+        ch.memo["whitener"] = w
+    return w
 
 
 def compute_q(ch: ChannelRealization) -> QForm:

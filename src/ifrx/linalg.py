@@ -1,9 +1,9 @@
 """Dense real linear algebra and exact integer rank testing.
 
 Everything here is sized for the small matrices this package handles
-(L <= 32): a cyclic Jacobi eigensolver for symmetric matrices, Gaussian
-elimination with partial pivoting for inverses and determinants, and
-fraction-free (Bareiss) elimination for integer rank decisions that must
+(L <= 32): a LAPACK symmetric eigensolver with canonical signs, Gaussian
+elimination with partial pivoting for inverses and determinants, and an
+exact fraction-free integer echelon form for rank decisions that must
 not depend on floating-point thresholds.
 """
 
@@ -20,8 +20,7 @@ from .errors import ConvergenceError, InvalidInputError, SingularMatrixError
 # An integer coefficient vector; hashable so candidate sets can dedupe.
 IntVector = tuple[int, ...]
 
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
+SYMMETRY_RTOL = 1e-12
 PIVOT_RTOL = 1e-12
 
 
@@ -47,61 +46,25 @@ class EigenBasis:
     vectors: np.ndarray
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def sym_eigen(q) -> EigenBasis:
+    """Eigendecompose a symmetric matrix with LAPACK (``np.linalg.eigh``).
 
-
-def sym_eigen(q, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenBasis:
-    """Eigendecompose a symmetric matrix with cyclic Jacobi rotations.
-
-    Sweeps rotate every (p, r) pair in row order until the off-diagonal
-    Frobenius norm drops below ``tol`` relative to ||q||_F. Deterministic:
-    the same input always yields the same basis.
+    The input must be symmetric within ``SYMMETRY_RTOL`` relative to
+    ||q||_F; its symmetric part is decomposed, and LAPACK returns the
+    eigenvalues in ascending order. Deterministic: the same input always
+    yields the same basis.
     """
     a = as_square_matrix(q, "q")
-    n = a.shape[0]
     norm = float(np.linalg.norm(a))
-    if float(np.linalg.norm(a - a.T)) > tol * norm:
+    if float(np.linalg.norm(a - a.T)) > SYMMETRY_RTOL * norm:
         raise InvalidInputError("q is not symmetric within tolerance")
-    a = 0.5 * (a + a.T)
-    v = np.eye(n)
-    skip = 1e-20 * max(norm, 1.0)
-
-    sweeps = 0
-    while _offdiag_norm(a) > tol * norm:
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(f"Jacobi did not converge within {max_sweeps} sweeps")
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                if abs(apr) <= skip:
-                    continue
-                theta = 0.5 * (a[r, r] - a[p, p]) / apr
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_r = a[:, p].copy(), a[:, r].copy()
-                a[:, p] = c * col_p - s * col_r
-                a[:, r] = s * col_p + c * col_r
-                row_p, row_r = a[p, :].copy(), a[r, :].copy()
-                a[p, :] = c * row_p - s * row_r
-                a[r, :] = s * row_p + c * row_r
-                a[p, r] = 0.0
-                a[r, p] = 0.0
-                vec_p, vec_r = v[:, p].copy(), v[:, r].copy()
-                v[:, p] = c * vec_p - s * vec_r
-                v[:, r] = s * vec_p + c * vec_r
-        sweeps += 1
-
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
-    for j in range(n):
-        k = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[k, j] < 0:
-            vectors[:, j] = -vectors[:, j]
+    try:
+        values, vectors = np.linalg.eigh(0.5 * (a + a.T))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh did not converge: {exc}") from exc
+    # sign rule: largest-|coord| entry positive, argmax takes the lowest index on ties
+    peak = np.abs(vectors).argmax(axis=0)
+    vectors *= np.where(vectors[peak, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
     return EigenBasis(values=values, vectors=vectors)
 
 
@@ -120,9 +83,12 @@ def solve_inverse(m) -> np.ndarray:
         if piv != col:
             aug[[col, piv]] = aug[[piv, col]]
         aug[col] /= aug[col, col]
-        for r in range(n):
-            if r != col and aug[r, col] != 0.0:
-                aug[r] -= aug[r, col] * aug[col]
+        # eliminate the column from every other row with a nonzero entry
+        # there; skipping zero factors keeps signed zeros as a row loop would
+        factors = aug[:, col].copy()
+        factors[col] = 0.0
+        rows = factors != 0.0
+        aug[rows] -= np.outer(factors[rows], aug[col])
     return aug[:, n:]
 
 
@@ -145,37 +111,41 @@ def det(m) -> float:
     return sign * result
 
 
-def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free)."""
-    n = len(rows)
-    m = [[int(x) for x in row] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+class IntEchelon:
+    """Exact row echelon form of integer rows, grown one row at a time.
+
+    Each kept row is stored reduced against the rows kept before it, with
+    a pivot column where every later kept row is zero. A new row is
+    eliminated fraction-free (``v <- r[p] * v - v[p] * r``) against the
+    kept rows in order; it is independent of them iff the residual is
+    nonzero. Unbounded Python integers keep every decision exact.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self._rows: list[tuple[int, list[int]]] = []
+
+    def add(self, row: Sequence[int]) -> bool:
+        """Keep ``row`` and return True iff it is independent of the kept rows."""
+        v = [int(c) for c in row]
+        if len(v) != self.width:
+            raise InvalidInputError(f"row of length {len(v)} in an echelon of width {self.width}")
+        for p, r in self._rows:
+            if v[p]:
+                rp, vp = r[p], v[p]
+                v = [rp * x - vp * y for x, y in zip(v, r)]
+        pivot = next((k for k, c in enumerate(v) if c), None)
+        if pivot is None:
+            return False
+        g = math.gcd(*v)
+        self._rows.append((pivot, [c // g for c in v]))
+        return True
 
 
 def int_rank_independent(vectors: Iterable[Sequence[int]]) -> bool:
-    """Exact linear-independence test for integer vectors.
-
-    Forms the Gramian of the row set and checks its determinant with
-    Bareiss elimination in unbounded integer arithmetic, so the answer
-    never hinges on a floating-point threshold.
-    """
+    """Exact linear-independence test for integer vectors, by
+    fraction-free elimination in unbounded integer arithmetic, so the
+    answer never hinges on a floating-point threshold."""
     vecs = [tuple(int(c) for c in v) for v in vectors]
     if not vecs:
         raise InvalidInputError("vector list is empty")
@@ -184,6 +154,5 @@ def int_rank_independent(vectors: Iterable[Sequence[int]]) -> bool:
         raise InvalidInputError("vectors have mismatched lengths")
     if len(vecs) > length:
         raise InvalidInputError(f"{len(vecs)} vectors of length {length} can never be independent")
-    k = len(vecs)
-    gram = [[sum(vecs[i][t] * vecs[j][t] for t in range(length)) for j in range(k)] for i in range(k)]
-    return _bareiss_det(gram) != 0
+    echelon = IntEchelon(length)
+    return all(echelon.add(v) for v in vecs)

@@ -71,15 +71,12 @@ def jump_points(g1, gi, m: int) -> list[float]:
     gi = np.asarray(gi, dtype=float)
     if g1.ndim != 1 or g1.shape != gi.shape:
         raise InvalidInputError("g1 and gi must be 1-D vectors of equal length")
-    grid = midpoint_grid(m)
-    rhos: list[float] = []
-    for k in range(gi.shape[0]):
-        if abs(gi[k]) < COORD_EPS:
-            continue
-        rhos.extend((mj - g1[k]) / gi[k] for mj in grid)
-    if not rhos:
+    active = ~(np.abs(gi) < COORD_EPS)
+    if not active.any():
         raise DegenerateDirectionError("every coordinate of the direction is below threshold")
-    rhos.sort()
+    grid = np.array(midpoint_grid(m))
+    # coordinate-major like a loop over k, so the stable sort keeps its ties
+    rhos = np.sort(((grid - g1[active, None]) / gi[active, None]).ravel(), kind="stable").tolist()
     merged = [rhos[0]]
     for rho in rhos[1:]:
         if rho - merged[-1] > RHO_MERGE_TOL:
@@ -96,15 +93,11 @@ def line_candidates(g1, gi, m: int) -> list[IntVector]:
     one search line, in interval order (duplicates kept)."""
     g1 = np.asarray(g1, dtype=float)
     gi = np.asarray(gi, dtype=float)
-    rhos = jump_points(g1, gi, m)
-    points: list[IntVector] = []
-    for j in range(len(rhos) - 1):
-        rho = 0.5 * (rhos[j] + rhos[j + 1])
-        cand = _round_half_away(g1 + rho * gi).astype(int)
-        if int(np.max(np.abs(cand))) > m or not cand.any():
-            continue
-        points.append(tuple(int(c) for c in cand))
-    return points
+    rhos = np.array(jump_points(g1, gi, m))
+    mids = 0.5 * (rhos[:-1] + rhos[1:])
+    cands = _round_half_away(g1 + mids[:, None] * gi).astype(np.int64)
+    keep = (np.abs(cands).max(axis=1) <= m) & cands.any(axis=1)
+    return list(map(tuple, cands[keep].tolist()))
 
 
 def candidate_set(q: QForm, cfg: SearchConfig) -> CandidateSet:
@@ -120,8 +113,9 @@ def candidate_set(q: QForm, cfg: SearchConfig) -> CandidateSet:
         gi = basis.vectors[:, i - 1]
         collected.extend(canonical_sign(p) for p in line_candidates(g1, gi, cfg.bound_m))
     vectors = tuple(dict.fromkeys(collected))
-    for vec in vectors:
-        assert any(vec), "zero vector escaped the filter"
-        assert max(abs(c) for c in vec) <= cfg.bound_m, "candidate escaped the bound"
-        assert next(c for c in vec if c != 0) > 0, "candidate not sign-canonical"
+    arr = np.array(vectors, dtype=np.int64).reshape(len(vectors), l)
+    # the first nonzero coordinate of each row: positive, so no row is zero
+    lead = arr[np.arange(len(arr)), (arr != 0).argmax(axis=1)]
+    if np.any(lead <= 0) or np.any(np.abs(arr) > cfg.bound_m):
+        raise RuntimeError("candidate set holds a zero, out-of-box or non-canonical vector")
     return CandidateSet(vectors=vectors, config=cfg)

@@ -19,7 +19,9 @@ import numpy as np
 from .channel import ChannelRealization
 from .errors import InstanceTooLargeError, InvalidInputError
 from .ifcore import QForm, RateReport, compute_q, optimal_projection, rate_from_q, total_rate
-from .linalg import IntVector, int_rank_independent
+# int_rank_independent stays bound here although greedy no longer calls it:
+# benchmarks/spans.py wraps this binding, and a zero count beats a missing one
+from .linalg import IntEchelon, IntVector, int_rank_independent  # noqa: F401
 from .sdm import CandidateSet, SearchConfig, candidate_set
 
 METHOD_SDM = "sdm"
@@ -59,14 +61,14 @@ def greedy_full_rank(sorted_vectors: Sequence) -> list[IntVector] | None:
     """Earliest exactly-independent L rows of an f-sorted candidate list,
     or None when the list cannot reach full rank."""
     chosen: list[IntVector] = []
-    l = 0
+    echelon = None
     for row in sorted_vectors:
-        vec = tuple(int(c) for c in row)
-        if not chosen:
-            l = len(vec)
-        if int_rank_independent(chosen + [vec]):
+        vec = tuple(map(int, row))
+        if echelon is None:
+            echelon = IntEchelon(len(vec))
+        if echelon.add(vec):
             chosen.append(vec)
-            if len(chosen) == l:
+            if len(chosen) == echelon.width:
                 return chosen
     return None
 

@@ -127,6 +127,15 @@ def test_channel_realization_validation():
         ChannelRealization(h=np.ones((2, 3)), power=1.0)
 
 
+def test_channel_realization_h_is_read_only_copy():
+    src = np.eye(2)
+    ch = ChannelRealization(h=src, power=1.0)
+    with pytest.raises(ValueError):
+        ch.h[0, 0] = 5.0
+    src[0, 0] = 5.0  # the caller's array stays writable and is not shared
+    assert ch.h[0, 0] == 1.0
+
+
 def test_parse_matrix_text():
     text = "# channel\n\n1 2\n3 4\n"
     assert np.array_equal(parse_matrix_text(text), [[1.0, 2.0], [3.0, 4.0]])

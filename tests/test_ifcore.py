@@ -23,6 +23,27 @@ def test_compute_q_identity_channel():
     assert np.allclose(q.q, 0.5 * np.eye(2), atol=1e-12)
 
 
+def test_noise_whitener_computed_once_per_channel(monkeypatch):
+    import ifrx.ifcore
+
+    calls = []
+    inner = ifrx.ifcore.solve_inverse
+    monkeypatch.setattr(ifrx.ifcore, "solve_inverse", lambda m: calls.append(1) or inner(m))
+    ch = random_channel(np.random.RandomState(4), 4, 100.0)
+    q = compute_q(ch)
+    mmse_rates(ch)
+    b = optimal_projection(np.eye(4), ch)
+    assert len(calls) == 1
+    assert np.array_equal(compute_q(ch).q, q.q)
+    w = np.linalg.inv(ch.h @ ch.h.T + np.eye(4) / ch.power)
+    assert np.allclose(b, ch.h.T @ w, atol=1e-12)
+    with pytest.raises(ValueError):
+        ch.memo["whitener"][0, 0] = 0.0
+    # a new realization of the same matrix computes its own
+    compute_q(ChannelRealization(h=ch.h, power=1.0))
+    assert len(calls) == 2
+
+
 def test_compute_q_zero_channel():
     q = compute_q(ChannelRealization(h=np.zeros((3, 3)), power=10.0))
     assert np.allclose(q.q, np.eye(3), atol=1e-12)

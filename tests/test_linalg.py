@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
 from ifrx.errors import ConvergenceError, InvalidInputError, SingularMatrixError
-from ifrx.linalg import det, int_rank_independent, solve_inverse, sym_eigen
+from ifrx.ifcore import compute_q
+from ifrx.linalg import PIVOT_RTOL, det, int_rank_independent, solve_inverse, sym_eigen
 
 
 def random_symmetric(rng, n):
@@ -157,9 +159,77 @@ def test_int_rank_matches_rational_oracle_randomly():
         assert int_rank_independent(vecs) == rational_independent(vecs)
 
 
-def test_sym_eigen_convergence_cap():
-    # a 1-sweep budget cannot diagonalize a generic 6x6
-    rng = np.random.RandomState(3)
-    q = random_symmetric(rng, 6)
+def test_sym_eigen_maps_lapack_failure_to_convergence_error(monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
     with pytest.raises(ConvergenceError):
-        sym_eigen(q, max_sweeps=0)
+        sym_eigen(np.eye(3))
+
+
+def test_sym_eigen_on_100db_q():
+    # 16 of these 40 forms made the earlier Jacobi solver exhaust its sweeps
+    for t in range(40):
+        h = sample_channel(derive_trial_rng(2024, t), 4)
+        q = compute_q(ChannelRealization(h=h, power=1e10)).q
+        basis = sym_eigen(q)
+        norm = np.linalg.norm(q)
+        assert np.all(np.diff(basis.values) >= 0)
+        resid = q @ basis.vectors - basis.vectors * basis.values
+        assert np.linalg.norm(resid) <= 1e-12 * norm
+        assert np.max(np.abs(basis.vectors.T @ basis.vectors - np.eye(4))) <= 1e-12
+        peak = np.abs(basis.vectors).argmax(axis=0)
+        assert np.all(basis.vectors[peak, np.arange(4)] > 0)
+
+
+def reference_solve_inverse(m):
+    """Row-loop Gauss-Jordan, the form solve_inverse must match bit for bit."""
+    a = np.array(m, dtype=float)
+    n = a.shape[0]
+    scale = float(np.max(np.abs(a)))
+    if scale == 0.0:
+        raise SingularMatrixError("matrix is zero")
+    aug = np.hstack([a, np.eye(n)])
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(aug[col:, col])))
+        if abs(aug[piv, col]) < PIVOT_RTOL * scale:
+            raise SingularMatrixError(f"pivot below threshold at column {col}")
+        if piv != col:
+            aug[[col, piv]] = aug[[piv, col]]
+        aug[col] /= aug[col, col]
+        for r in range(n):
+            if r != col and aug[r, col] != 0.0:
+                aug[r] -= aug[r, col] * aug[col]
+    return aug[:, n:]
+
+
+def inverse_outcome(fn, m):
+    try:
+        return fn(m).tobytes()
+    except SingularMatrixError as exc:
+        return str(exc)
+
+
+def test_solve_inverse_bit_identical_to_row_loop():
+    rng = np.random.RandomState(41)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        cases.append(rng.standard_normal((n, n)))
+        # sparse integer matrices: exact zeros exercise the skipped rows
+        cases.append(rng.randint(-2, 3, size=(n, n)) * (rng.rand(n, n) < 0.4))
+    for n in range(2, 13):
+        cases.append(1.0 / (np.arange(n)[:, None] + np.arange(n)[None, :] + 1.0))  # Hilbert
+        u = rng.standard_normal((n, n))
+        cases.append(u @ np.diag(np.logspace(0, -11, n)) @ u.T)  # just above the pivot floor
+        cases.append(u @ np.diag(np.logspace(0, -14, n)) @ u.T)  # below it
+        low = rng.standard_normal((n, n - 1))
+        cases.append(low @ rng.standard_normal((n - 1, n)))  # rank n-1
+    cases.append(np.zeros((3, 3)))
+    singular = 0
+    for m in cases:
+        got = inverse_outcome(solve_inverse, m)
+        assert got == inverse_outcome(reference_solve_inverse, m)
+        singular += isinstance(got, str)
+    assert 0 < singular < len(cases)

@@ -151,6 +151,64 @@ def test_candidate_set_invariants_and_inclusion():
             assert len(omega.vectors) == len(vectors)
 
 
+def reference_jump_points(g1, gi, m):
+    """Scalar per-coordinate loop, the form jump_points must match exactly."""
+    rhos = []
+    for k in range(gi.shape[0]):
+        if abs(gi[k]) < 1e-12:
+            continue
+        rhos.extend((mj - g1[k]) / gi[k] for mj in midpoint_grid(m))
+    rhos.sort()
+    merged = [rhos[0]]
+    for rho in rhos[1:]:
+        if rho - merged[-1] > 1e-12:
+            merged.append(rho)
+    return merged
+
+
+def reference_line_candidates(g1, gi, m):
+    """Scalar per-midpoint loop, the form line_candidates must match exactly."""
+    rhos = reference_jump_points(g1, gi, m)
+    points = []
+    for j in range(len(rhos) - 1):
+        x = g1 + 0.5 * (rhos[j] + rhos[j + 1]) * gi
+        cand = np.trunc(x + np.copysign(0.5, x)).astype(int)
+        if int(np.max(np.abs(cand))) > m or not cand.any():
+            continue
+        points.append(tuple(int(c) for c in cand))
+    return points
+
+
+def test_line_candidates_bit_identical_to_scalar_loop():
+    rng = np.random.RandomState(58)
+    lines = []
+    for _ in range(60):
+        l = int(rng.choice([2, 3, 4, 8]))
+        ch = ChannelRealization(h=rng.standard_normal((l, l)), power=10.0 ** rng.uniform(0, 4))
+        vecs = sym_eigen(compute_q(ch).q).vectors
+        lines += [(vecs[:, 0], vecs[:, i]) for i in range(1, l)]
+        # off-lattice starts, sparse directions and far-away lines
+        gi = rng.standard_normal(l) * (rng.rand(l) < 0.6)
+        gi[rng.randint(l)] = 1.0
+        lines.append((rng.uniform(-3, 3, l), gi))
+        lines.append((np.round(rng.uniform(-2, 2, l)) + 0.5, rng.standard_normal(l)))
+    lines.append((np.array([0.3, 5.0]), np.array([1.0, 0.0])))
+    for g1, gi in lines:
+        for m in (1, 2, 3):
+            assert jump_points(g1, gi, m) == reference_jump_points(g1, gi, m)
+            assert line_candidates(g1, gi, m) == reference_line_candidates(g1, gi, m)
+
+
+@pytest.mark.parametrize("bad", [(0, 0), (3, 0), (1, -3)])
+def test_candidate_set_checks_its_invariants(monkeypatch, bad):
+    # a zero row, and rows outside the M=2 box in the first and in a later coordinate
+    import ifrx.sdm
+
+    monkeypatch.setattr(ifrx.sdm, "line_candidates", lambda g1, gi, m: [(1, 0), bad])
+    with pytest.raises(RuntimeError):
+        candidate_set(make_qform(np.diag([0.2, 0.5])), SearchConfig(bound_m=2, lines_j=1))
+
+
 def test_candidate_set_rejects_too_many_lines():
     with pytest.raises(InvalidInputError):
         candidate_set(make_qform(0.5 * np.eye(2)), SearchConfig(bound_m=1, lines_j=2))

@@ -53,6 +53,68 @@ def test_greedy_fails_on_collinear_set():
     assert greedy_full_rank([(1, 0), (2, 0)]) is None
 
 
+def reference_bareiss_det(rows):
+    n = len(rows)
+    m = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def reference_greedy(sorted_vectors):
+    """Gram + Bareiss determinant from scratch per candidate, the form the
+    incremental echelon in greedy_full_rank must agree with."""
+    chosen = []
+    for row in sorted_vectors:
+        vec = tuple(int(c) for c in row)
+        rows = chosen + [vec]
+        gram = [[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
+        if reference_bareiss_det(gram) != 0:
+            chosen.append(vec)
+            if len(chosen) == len(vec):
+                return chosen
+    return None
+
+
+def test_greedy_matches_gram_bareiss_reference():
+    rng = np.random.RandomState(61)
+    outcomes = set()
+    for _ in range(400):
+        l = rng.randint(2, 7)
+        m = rng.randint(1, 4)
+        rows = [tuple(int(x) for x in rng.randint(-m, m + 1, size=l)) for _ in range(rng.randint(1, 12))]
+        # dependent rows: sums and multiples of earlier ones, plus zero rows
+        for _ in range(rng.randint(0, 6)):
+            a, b = rows[rng.randint(len(rows))], rows[rng.randint(len(rows))]
+            k = rng.randint(-2, 3)
+            rows.insert(rng.randint(len(rows) + 1), tuple(x + k * y for x, y in zip(a, b)))
+        if rng.rand() < 0.2:
+            rows.insert(rng.randint(len(rows) + 1), (0,) * l)
+        if rng.rand() < 0.2:
+            # collinear list: greedy must fall back
+            base = rows[0]
+            rows = [tuple(k * x for x in base) for k in range(1, 6)]
+        arr = np.array(rows, dtype=np.int64)
+        ranked = arr[np.argsort((arr**2 * rng.uniform(0.1, 1.0, size=l)).sum(axis=1), kind="stable")]
+        got = greedy_full_rank(ranked)
+        assert got == reference_greedy(ranked)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
 def test_greedy_on_exhaustive_identity_q():
     q = make_qform(0.5 * np.eye(2))
     ranked = sort_candidates(exhaustive_candidates(2, 1), q)
