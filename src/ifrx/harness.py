@@ -3,15 +3,19 @@
 One trial draws a single channel shared by every requested method, so the
 per-method curves differ only through the receivers, never the noise of
 the draw. Per-trial RNG streams are derived from (master_seed, trial
-index), which makes aggregates independent of execution order and lets a
-J or M sweep reuse identical channels across sweep values.
+index), which makes aggregates independent of execution order. A sweep
+draws each trial index once and runs every (sweep value, SNR point) cell
+of it on that draw: the channel's Q, its eigenbasis and each search
+line's candidates are computed once and shared by all cells and methods.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
-import hashlib
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .channel import ChannelRealization, RngState, capacity, derive_trial_rng, sample_channel
 from .errors import InvalidInputError, NotInvertibleModPError
@@ -81,7 +85,6 @@ class TrialRecord:
     success: bool
     fallback: bool
     modp_invertible: bool | None = None
-    channel_hash: str = ""
 
 
 @dataclass(frozen=True)
@@ -115,12 +118,43 @@ def _recovery_check(a, field: PrimeField, rng: RngState) -> bool:
     return True
 
 
-def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int) -> list[TrialRecord]:
-    """Evaluate every configured method on one shared channel draw."""
+@dataclass(frozen=True)
+class TrialDraw:
+    """The channel of one trial index and the trial stream right after
+    sampling it. Each SNR point's realization is made once, on first use,
+    so everything memoized on it is shared by the cells that use it."""
+
+    h: np.ndarray
+    rng: RngState
+    channels: dict[float, ChannelRealization]
+
+    def channel(self, snr_db: float) -> ChannelRealization:
+        ch = self.channels.get(snr_db)
+        if ch is None:
+            ch = self.channels[snr_db] = ChannelRealization(h=self.h, power=10.0 ** (snr_db / 10.0))
+        return ch
+
+
+def draw_trial(cfg: ExperimentConfig, trial_index: int) -> TrialDraw:
+    """Draw trial ``trial_index``'s channel from its own seeded stream."""
     rng = derive_trial_rng(cfg.master_seed, trial_index)
     h = sample_channel(rng, cfg.l)
-    ch = ChannelRealization(h=h, power=10.0 ** (snr_db / 10.0))
-    chash = hashlib.sha256(h.tobytes()).hexdigest()[:16]
+    return TrialDraw(h, rng, {})
+
+
+def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
+              draw: TrialDraw | None = None) -> list[TrialRecord]:
+    """Evaluate every configured method on one shared channel draw.
+
+    ``draw`` is the trial index's draw when a sweep shares it between
+    cells; without one, the channel is drawn here. Either way the records
+    are the same.
+    """
+    if draw is None:
+        draw = draw_trial(cfg, trial_index)
+    # each cell continues the stream from the same point, Box-Muller spare included
+    rng = copy.copy(draw.rng)
+    ch = draw.channel(snr_db)
     field = PrimeField(cfg.prime_p) if cfg.prime_p is not None else None
 
     records = []
@@ -131,23 +165,23 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int) -> list[Tr
             modp = _recovery_check(design.a, field, rng) if field is not None else None
             records.append(TrialRecord(
                 trial_index, snr_db, method, design.report.total, design.report.sum_form,
-                design.success, design.method == METHOD_FALLBACK, modp, chash,
+                design.success, design.method == METHOD_FALLBACK, modp,
             ))
         elif method == "mmse":
             rep = mmse_rates(ch)
             records.append(TrialRecord(
-                trial_index, snr_db, method, rep.total, rep.sum_form, True, False, None, chash,
+                trial_index, snr_db, method, rep.total, rep.sum_form, True, False, None,
             ))
         elif method == "zf":
             rep = zf_rates(ch)
             records.append(TrialRecord(
                 trial_index, snr_db, method, rep.total, rep.sum_form,
-                not rep.singular, False, None, chash,
+                not rep.singular, False, None,
             ))
         else:  # capacity
             c = capacity(ch)
             records.append(TrialRecord(
-                trial_index, snr_db, method, c, c, True, False, None, chash,
+                trial_index, snr_db, method, c, c, True, False, None,
             ))
     return records
 
@@ -176,7 +210,10 @@ def run_sweep(cfg: ExperimentConfig, sweep: str, values) -> list[Aggregate]:
     """Aggregate `cfg.trials` trials per (sweep value, SNR point, method).
 
     Per-trial seeds depend only on the trial index, so every sweep value
-    sees identical channels. Output is ordered by (method, value, snr).
+    sees identical channels: each trial index is drawn once and its draw
+    is shared by all cells. Records reach each cell in trial order, so the
+    aggregates match a cell-by-cell loop bit for bit. Output is ordered by
+    (method, value, snr).
     """
     if sweep not in SWEEPS:
         raise InvalidInputError(f"unknown sweep {sweep!r}")
@@ -184,27 +221,26 @@ def run_sweep(cfg: ExperimentConfig, sweep: str, values) -> list[Aggregate]:
     if not values:
         raise InvalidInputError("sweep values must be nonempty")
 
-    cells: list[dict[str, Aggregate]] = []
+    cells = []  # (value, snr, config) in output order
     for value in values:
         if sweep == "snr":
-            sub = cfg
-            snr_points = (float(value),)
-        elif sweep == "lines_j":
-            sub = replace(cfg, lines_j=int(value))
-            snr_points = cfg.snr_db_grid
-        else:
-            sub = replace(cfg, bound_m=int(value))
-            snr_points = cfg.snr_db_grid
-        for snr in snr_points:
-            by_method = {m: [] for m in cfg.methods}
-            for t in range(cfg.trials):
-                for rec in run_trial(sub, snr, t):
-                    by_method[rec.method].append(rec)
-            cells.append({
-                m: _aggregate(by_method[m], cfg, sweep, value, snr, m) for m in cfg.methods
-            })
+            cells.append((value, float(value), cfg))
+            continue
+        sub = replace(cfg, **{sweep: int(value)})
+        cells.extend((value, snr, sub) for snr in cfg.snr_db_grid)
 
-    return [cell[m] for m in cfg.methods for cell in cells]
+    by_cell = [{m: [] for m in cfg.methods} for _ in cells]
+    for t in range(cfg.trials):
+        # the draw, and all it memoizes, lives for one trial index only
+        draw = draw_trial(cfg, t)
+        for (_, snr, sub), by_method in zip(cells, by_cell):
+            for rec in run_trial(sub, snr, t, draw):
+                by_method[rec.method].append(rec)
+
+    return [
+        _aggregate(by_method[m], cfg, sweep, value, snr, m)
+        for m in cfg.methods for (value, snr, _), by_method in zip(cells, by_cell)
+    ]
 
 
 def _fmt(value) -> str:

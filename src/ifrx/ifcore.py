@@ -10,7 +10,7 @@ apples; a sum-form is exposed alongside for reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,11 +21,22 @@ from .linalg import solve_inverse
 
 @dataclass(frozen=True)
 class QForm:
-    """Symmetric quadratic form tied to the channel it came from."""
+    """Symmetric quadratic form of a channel at transmit power ``power``.
+
+    ``q`` is a read-only copy of the input, so quantities derived from it
+    (the eigenbasis, per-line candidates) can be kept in ``memo`` for the
+    life of the form. The form holds no reference back to its channel,
+    whose memo holds the form.
+    """
 
     q: np.ndarray
     power: float
-    channel: ChannelRealization
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        q = np.array(self.q, dtype=float)
+        q.setflags(write=False)
+        object.__setattr__(self, "q", q)
 
 
 @dataclass(frozen=True)
@@ -58,10 +69,14 @@ def _noise_whitener(ch: ChannelRealization) -> np.ndarray:
 
 
 def compute_q(ch: ChannelRealization) -> QForm:
-    """Quadratic form I - H^T (H H^T + I/P)^-1 H, symmetrized after the fact."""
-    q = np.eye(ch.l) - ch.h.T @ _noise_whitener(ch) @ ch.h
-    q = 0.5 * (q + q.T)
-    return QForm(q=q, power=ch.power, channel=ch)
+    """Quadratic form I - H^T (H H^T + I/P)^-1 H, symmetrized after the fact.
+    Computed once per channel: every caller gets the same read-only form."""
+    qform = ch.memo.get("q")
+    if qform is None:
+        q = np.eye(ch.l) - ch.h.T @ _noise_whitener(ch) @ ch.h
+        qform = QForm(q=0.5 * (q + q.T), power=ch.power)
+        ch.memo["q"] = qform
+    return qform
 
 
 def optimal_projection(a, ch: ChannelRealization) -> np.ndarray:

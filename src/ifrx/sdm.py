@@ -100,18 +100,30 @@ def line_candidates(g1, gi, m: int) -> list[IntVector]:
     return list(map(tuple, cands[keep].tolist()))
 
 
+def _line(q: QForm, i: int, m: int) -> tuple[IntVector, ...]:
+    """Sign-canonical candidates of line i (1-based eigenvector index) with
+    bound m. The eigenbasis and each line are kept in ``q.memo``, so a J or
+    M sweep over one form decomposes it once and walks each line once."""
+    key = ("line", i, m)
+    line = q.memo.get(key)
+    if line is None:
+        basis = q.memo.get("basis")
+        if basis is None:
+            basis = q.memo["basis"] = sym_eigen(q.q)
+        g1, gi = basis.vectors[:, 0], basis.vectors[:, i - 1]
+        line = q.memo[key] = tuple(canonical_sign(p) for p in line_candidates(g1, gi, m))
+    return line
+
+
 def candidate_set(q: QForm, cfg: SearchConfig) -> CandidateSet:
     """Union of the per-line candidate sets for the J slowest-ascent lines,
     sign-canonicalized and deduplicated in first-seen order."""
     l = q.q.shape[0]
     if cfg.lines_j > l - 1:
         raise InvalidInputError(f"lines_j must be <= L-1 = {l - 1}")
-    basis = sym_eigen(q.q)
-    g1 = basis.vectors[:, 0]
     collected: list[IntVector] = []
     for i in range(2, cfg.lines_j + 2):
-        gi = basis.vectors[:, i - 1]
-        collected.extend(canonical_sign(p) for p in line_candidates(g1, gi, cfg.bound_m))
+        collected.extend(_line(q, i, cfg.bound_m))
     vectors = tuple(dict.fromkeys(collected))
     arr = np.array(vectors, dtype=np.int64).reshape(len(vectors), l)
     # the first nonzero coordinate of each row: positive, so no row is zero

@@ -1,15 +1,26 @@
+import copy
+from dataclasses import replace
+
 import pytest
 
+import ifrx.harness
+import ifrx.sdm
+from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
 from ifrx.errors import InvalidInputError
+from ifrx.fieldrec import PrimeField
 from ifrx.harness import (
     Aggregate,
     ExperimentConfig,
     TrialRecord,
     _aggregate,
+    _recovery_check,
     run_sweep,
     run_trial,
     write_csv,
 )
+from ifrx.ifcore import mmse_rates, zf_rates
+from ifrx.select import METHOD_EXHAUSTIVE, METHOD_FALLBACK, METHOD_SDM, design_if
+from ifrx.sdm import SearchConfig
 
 
 def small_cfg(**kwargs):
@@ -47,11 +58,14 @@ def test_run_trial_deterministic():
     assert first == second
 
 
-def test_run_trial_method_ordering_and_shared_channel():
+def test_run_trial_method_ordering_and_shared_channel(monkeypatch):
+    calls = []
+    inner = ifrx.harness.sample_channel
+    monkeypatch.setattr(ifrx.harness, "sample_channel", lambda *a: calls.append(1) or inner(*a))
     cfg = small_cfg()
     records = run_trial(cfg, 10.0, 0)
     assert [r.method for r in records] == list(cfg.methods)
-    assert len({r.channel_hash for r in records}) == 1
+    assert len(calls) == 1
 
 
 def test_run_trial_dominance_chain():
@@ -156,3 +170,128 @@ def test_write_csv_deterministic(tmp_path):
     write_csv(run_sweep(cfg, "snr", [0.0, 10.0]), p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert b"\r" not in p1.read_bytes()
+
+
+def reference_run_trial(cfg, snr_db, trial_index):
+    """One trial on a fresh stream, channel and realization: run_trial as
+    it was before sweeps shared a draw between cells."""
+    rng = derive_trial_rng(cfg.master_seed, trial_index)
+    ch = ChannelRealization(h=sample_channel(rng, cfg.l), power=10.0 ** (snr_db / 10.0))
+    field = PrimeField(cfg.prime_p) if cfg.prime_p is not None else None
+    records = []
+    for method in cfg.methods:
+        if method in ("if-sdm", "if-exhaustive"):
+            tag = METHOD_SDM if method == "if-sdm" else METHOD_EXHAUSTIVE
+            design = design_if(ch, SearchConfig(cfg.bound_m, cfg.lines_j), tag)
+            modp = _recovery_check(design.a, field, rng) if field is not None else None
+            rec = (design.report.total, design.report.sum_form, design.success,
+                   design.method == METHOD_FALLBACK, modp)
+        elif method == "mmse":
+            rep = mmse_rates(ch)
+            rec = (rep.total, rep.sum_form, True, False, None)
+        elif method == "zf":
+            rep = zf_rates(ch)
+            rec = (rep.total, rep.sum_form, not rep.singular, False, None)
+        else:
+            c = ifrx.harness.capacity(ch)
+            rec = (c, c, True, False, None)
+        records.append(TrialRecord(trial_index, snr_db, method, *rec))
+    return records
+
+
+def reference_run_sweep(cfg, sweep, values):
+    """Cell-major loop: every (value, SNR point, trial) draws its own channel."""
+    cells = []
+    for value in values:
+        if sweep == "snr":
+            sub, snr_points = cfg, (float(value),)
+        elif sweep == "lines_j":
+            sub, snr_points = replace(cfg, lines_j=int(value)), cfg.snr_db_grid
+        else:
+            sub, snr_points = replace(cfg, bound_m=int(value)), cfg.snr_db_grid
+        for snr in snr_points:
+            by_method = {m: [] for m in cfg.methods}
+            for t in range(cfg.trials):
+                for rec in reference_run_trial(sub, snr, t):
+                    by_method[rec.method].append(rec)
+            cells.append({m: _aggregate(by_method[m], cfg, sweep, value, snr, m)
+                          for m in cfg.methods})
+    return [cell[m] for m in cfg.methods for cell in cells]
+
+
+ALL_METHODS = ("if-sdm", "if-exhaustive", "mmse", "zf", "capacity")
+NO_BOX = ("if-sdm", "mmse", "zf", "capacity")
+
+
+@pytest.mark.parametrize("l, sweep, values, grid, methods, prime", [
+    # L*L odd: a Box-Muller spare is pending when the draw is snapshotted
+    (5, "lines_j", [1, 2, 3, 4], (0.0, 20.0), ALL_METHODS, 257),
+    (5, "bound_m", [1, 2, 3], (10.0,), ALL_METHODS, None),
+    (5, "snr", [0.0, 10.0, 30.0], (10.0,), ALL_METHODS, 257),
+    (8, "lines_j", [1, 2, 3, 4, 5, 6, 7], (10.0, 20.0), ("if-sdm",), None),
+    (8, "bound_m", [1, 2, 3], (20.0,), NO_BOX, 257),
+    (8, "snr", [0.0, 10.0, 20.0, 30.0], (10.0,), NO_BOX, None),
+])
+def test_run_sweep_matches_cell_major_reference(monkeypatch, l, sweep, values, grid, methods,
+                                                prime):
+    cfg = small_cfg(l=l, snr_db_grid=grid, trials=3, bound_m=2, lines_j=l - 1,
+                    master_seed=20261018 + l, methods=methods, prime_p=prime)
+    sent = []
+    inner = ifrx.harness.combine_messages
+    monkeypatch.setattr(ifrx.harness, "combine_messages",
+                        lambda a, w, f: sent.append(w.rows) or inner(a, w, f))
+    ref = reference_run_sweep(cfg, sweep, values)
+    ref_sent, sent[:] = sent[:], []
+    got = run_sweep(cfg, sweep, values)
+    # repr tells -0.0 from 0.0, so this is bit identity of every field
+    assert repr(got) == repr(ref)
+    # every cell continues the trial stream from the same point; the
+    # order of cells differs, the messages drawn must not
+    assert sorted(sent) == sorted(ref_sent)
+    if prime is not None:
+        cells = len(ref) // len(methods)
+        assert len(sent) == cells * cfg.trials * sum(m.startswith("if-") for m in methods)
+
+
+def test_every_cell_continues_the_trial_stream(monkeypatch):
+    seen = []
+    inner = ifrx.harness._recovery_check
+
+    def recording(a, field, rng):
+        seen.append(copy.copy(rng))
+        return inner(a, field, rng)
+    monkeypatch.setattr(ifrx.harness, "_recovery_check", recording)
+    # 25 entries leave a Box-Muller spare pending after sampling, 64 do not
+    for l in (5, 8):
+        cfg = small_cfg(l=l, snr_db_grid=(0.0, 20.0), trials=2, lines_j=1, methods=("if-sdm",))
+        seen.clear()
+        run_sweep(cfg, "lines_j", [1, 2, 3])
+        assert len(seen) == 2 * 3 * 2
+        for t in range(2):
+            fresh = derive_trial_rng(cfg.master_seed, t)
+            sample_channel(fresh, l)
+            expected = [fresh.next_gaussian() for _ in range(3)] + [fresh.next_u64()]
+            for rng in seen[6 * t:6 * (t + 1)]:
+                assert [rng.next_gaussian() for _ in range(3)] + [rng.next_u64()] == expected
+
+
+def test_lines_sweep_draws_and_decomposes_each_channel_once(monkeypatch):
+    counts = {"sample_channel": 0, "sym_eigen": 0, "line_candidates": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapped(*args):
+            counts[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(ifrx.harness, "sample_channel")
+    counting(ifrx.sdm, "sym_eigen")
+    counting(ifrx.sdm, "line_candidates")
+    trials = 3
+    cfg = small_cfg(l=8, snr_db_grid=(20.0,), trials=trials, bound_m=2, lines_j=1,
+                    methods=("if-sdm",))
+    run_sweep(cfg, "lines_j", range(1, 8))
+    assert counts == {"sample_channel": trials, "sym_eigen": trials,
+                      "line_candidates": 7 * trials}

@@ -4,6 +4,7 @@ import pytest
 from ifrx.channel import ChannelRealization
 from ifrx.errors import InvalidInputError
 from ifrx.ifcore import (
+    QForm,
     compute_q,
     mmse_rates,
     optimal_projection,
@@ -12,6 +13,7 @@ from ifrx.ifcore import (
     total_rate,
     zf_rates,
 )
+from ifrx.sdm import SearchConfig, candidate_set
 
 
 def random_channel(rng, l, power):
@@ -42,6 +44,27 @@ def test_noise_whitener_computed_once_per_channel(monkeypatch):
     # a new realization of the same matrix computes its own
     compute_q(ChannelRealization(h=ch.h, power=1.0))
     assert len(calls) == 2
+
+
+def test_q_is_computed_once_and_read_only():
+    ch = random_channel(np.random.RandomState(5), 4, 100.0)
+    q = compute_q(ch)
+    assert compute_q(ch) is q
+    with pytest.raises(ValueError):
+        q.q[0, 0] = 0.0
+    # a hand-built form copies its input and never shares the channel's
+    # memo, so its basis and lines stay its own
+    raw = np.diag([0.1, 0.2, 0.3, 0.4])
+    fake = QForm(q=raw, power=ch.power)
+    raw[0, 0] = 0.9
+    assert fake.q[0, 0] == 0.1
+    cfg = SearchConfig(bound_m=2, lines_j=3)
+    fake_set = candidate_set(fake, cfg)
+    assert fake.memo is not q.memo
+    assert candidate_set(q, cfg) == candidate_set(
+        compute_q(ChannelRealization(h=ch.h, power=ch.power)), cfg)
+    assert candidate_set(fake, cfg) == fake_set
+    assert fake_set != candidate_set(q, cfg)
 
 
 def test_compute_q_zero_channel():

@@ -18,9 +18,7 @@ from ifrx.sdm import (
 
 
 def make_qform(q):
-    q = np.asarray(q, dtype=float)
-    ch = ChannelRealization(h=np.eye(q.shape[0]), power=1.0)
-    return QForm(q=q, power=1.0, channel=ch)
+    return QForm(q=np.asarray(q, dtype=float), power=1.0)
 
 
 def test_midpoint_grid():

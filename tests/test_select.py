@@ -11,9 +11,7 @@ from ifrx.sdm import CandidateSet
 
 
 def make_qform(q):
-    q = np.asarray(q, dtype=float)
-    ch = ChannelRealization(h=np.eye(q.shape[0]), power=1.0)
-    return QForm(q=q, power=1.0, channel=ch)
+    return QForm(q=np.asarray(q, dtype=float), power=1.0)
 
 
 def make_set(vectors, m=1):
