@@ -64,7 +64,7 @@ class ExperimentConfig:
             raise InvalidInputError("bound_m must be >= 1")
         if not 1 <= self.lines_j <= self.l - 1:
             raise InvalidInputError(f"lines_j must be in [1, {self.l - 1}]")
-        if self.master_seed < 0:
+        if not 0 <= self.master_seed < 2**64:
             raise InvalidInputError("master_seed must be a nonnegative 64-bit value")
         if not self.methods:
             raise InvalidInputError("methods must be nonempty")

@@ -17,9 +17,6 @@ import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, SingularMatrixError
 
-# An integer coefficient vector; hashable so candidate sets can dedupe.
-IntVector = tuple[int, ...]
-
 SYMMETRY_RTOL = 1e-12
 PIVOT_RTOL = 1e-12
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateDirectionError, InvalidInputError
 from .ifcore import QForm
-from .linalg import IntVector, sym_eigen
+from .linalg import sym_eigen
 
 COORD_EPS = 1e-12
 RHO_MERGE_TOL = 1e-12
@@ -38,22 +38,10 @@ class SearchConfig:
             raise InvalidInputError("lines_j must be >= 1")
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Deduplicated, sign-canonical, nonzero integer vectors inside the box."""
-
-    vectors: tuple[IntVector, ...]
-    config: SearchConfig
-
-
-def canonical_sign(vec: IntVector) -> IntVector:
-    """Flip the vector so its first nonzero coordinate is positive."""
-    for c in vec:
-        if c > 0:
-            return vec
-        if c < 0:
-            return tuple(-x for x in vec)
-    return vec
+def leading(arr: np.ndarray) -> np.ndarray:
+    """First nonzero coordinate of each row (0 for a zero row). A row is
+    sign-canonical when its leading coordinate is positive."""
+    return arr[np.arange(len(arr)), (arr != 0).argmax(axis=1)]
 
 
 def midpoint_grid(m: int) -> list[float]:
@@ -88,19 +76,19 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.trunc(x + np.copysign(0.5, x))
 
 
-def line_candidates(g1, gi, m: int) -> list[IntVector]:
+def line_candidates(g1, gi, m: int) -> np.ndarray:
     """Nearest in-box nonzero integer point for every interval midpoint of
-    one search line, in interval order (duplicates kept)."""
+    one search line, as int64 rows in interval order (duplicates kept)."""
     g1 = np.asarray(g1, dtype=float)
     gi = np.asarray(gi, dtype=float)
     rhos = np.array(jump_points(g1, gi, m))
     mids = 0.5 * (rhos[:-1] + rhos[1:])
     cands = _round_half_away(g1 + mids[:, None] * gi).astype(np.int64)
     keep = (np.abs(cands).max(axis=1) <= m) & cands.any(axis=1)
-    return list(map(tuple, cands[keep].tolist()))
+    return cands[keep]
 
 
-def _line(q: QForm, i: int, m: int) -> tuple[IntVector, ...]:
+def _line(q: QForm, i: int, m: int) -> np.ndarray:
     """Sign-canonical candidates of line i (1-based eigenvector index) with
     bound m. The eigenbasis and each line are kept in ``q.memo``, so a J or
     M sweep over one form decomposes it once and walks each line once."""
@@ -111,23 +99,26 @@ def _line(q: QForm, i: int, m: int) -> tuple[IntVector, ...]:
         if basis is None:
             basis = q.memo["basis"] = sym_eigen(q.q)
         g1, gi = basis.vectors[:, 0], basis.vectors[:, i - 1]
-        line = q.memo[key] = tuple(canonical_sign(p) for p in line_candidates(g1, gi, m))
+        line = line_candidates(g1, gi, m)
+        line *= np.where(leading(line) < 0, -1, 1)[:, None]
+        line.setflags(write=False)
+        q.memo[key] = line
     return line
 
 
-def candidate_set(q: QForm, cfg: SearchConfig) -> CandidateSet:
-    """Union of the per-line candidate sets for the J slowest-ascent lines,
-    sign-canonicalized and deduplicated in first-seen order."""
+def candidate_set(q: QForm, cfg: SearchConfig) -> np.ndarray:
+    """Union of the sign-canonical candidates of the J slowest-ascent
+    lines: distinct int64 rows in lexicographic order."""
     l = q.q.shape[0]
     if cfg.lines_j > l - 1:
         raise InvalidInputError(f"lines_j must be <= L-1 = {l - 1}")
-    collected: list[IntVector] = []
-    for i in range(2, cfg.lines_j + 2):
-        collected.extend(_line(q, i, cfg.bound_m))
-    vectors = tuple(dict.fromkeys(collected))
-    arr = np.array(vectors, dtype=np.int64).reshape(len(vectors), l)
-    # the first nonzero coordinate of each row: positive, so no row is zero
-    lead = arr[np.arange(len(arr)), (arr != 0).argmax(axis=1)]
-    if np.any(lead <= 0) or np.any(np.abs(arr) > cfg.bound_m):
+    arr = np.concatenate([_line(q, i, cfg.bound_m) for i in range(2, cfg.lines_j + 2)])
+    arr = arr[np.lexsort(arr.T[::-1])]
+    distinct = np.ones(len(arr), dtype=bool)
+    distinct[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+    arr = arr[distinct]
+    # a positive leading coordinate also rules out the zero row
+    if np.any(leading(arr) <= 0) or np.any(np.abs(arr) > cfg.bound_m):
         raise RuntimeError("candidate set holds a zero, out-of-box or non-canonical vector")
-    return CandidateSet(vectors=vectors, config=cfg)
+    arr.setflags(write=False)
+    return arr

@@ -16,7 +16,7 @@ from ifrx.fieldrec import MessageBlock, PrimeField, combine_messages, recover_me
 from ifrx.harness import ExperimentConfig, run_trial
 from ifrx.ifcore import compute_q, optimal_projection, rate_from_ab, rate_from_q
 from ifrx.linalg import sym_eigen
-from ifrx.sdm import SearchConfig, candidate_set, canonical_sign, jump_points
+from ifrx.sdm import SearchConfig, candidate_set, jump_points
 from ifrx.select import design_if
 
 L8_CFG = dict(l=8, bound_m=2, snr_db=20.0)
@@ -49,6 +49,16 @@ def bareiss_det(rows):
             m[i][k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def canonical_sign(vec):
+    """Flip the vector so its first nonzero coordinate is positive."""
+    for c in vec:
+        if c > 0:
+            return vec
+        if c < 0:
+            return tuple(-x for x in vec)
+    return vec
 
 
 def seeded_channel(seed, trial, l, power):
@@ -136,7 +146,7 @@ def test_04_candidate_search_matches_brute_force():
         ch = seeded_channel(104, trial, 3, 10.0)
         qform = compute_q(ch)
         cfg = SearchConfig(bound_m=2, lines_j=2)
-        omega = set(candidate_set(qform, cfg).vectors)
+        omega = set(map(tuple, candidate_set(qform, cfg).tolist()))
         oracle = brute_closest_set(qform.q, 2, 2)
         if oracle is None or omega != oracle:
             failures.append(trial)
@@ -195,7 +205,7 @@ def test_07_j_plateau_and_inclusion():
         qform = compute_q(ch)
         previous = set()
         for j in range(1, l):
-            vectors = set(candidate_set(qform, SearchConfig(bound_m=m, lines_j=j)).vectors)
+            vectors = set(map(tuple, candidate_set(qform, SearchConfig(bound_m=m, lines_j=j)).tolist()))
             if not previous <= vectors:
                 inclusion_ok = False
             previous = vectors

@@ -126,6 +126,15 @@ def test_simulate_validates_lines(tmp_path, capsys):
     assert "lines_j" in capsys.readouterr().err
 
 
+def test_simulate_rejects_seed_wider_than_64_bits(tmp_path, capsys):
+    out_csv = tmp_path / "x.csv"
+    code = main(["simulate", "--l", "3", "--trials", "1", "--lines", "1", "--snr-db", "10",
+                 "--seed", str(2**64 + 1), "--out", str(out_csv)])
+    assert code == 1
+    assert "64-bit" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_simulate_lines_sweep_requires_values(tmp_path, capsys):
     code = main(["simulate", "--l", "4", "--trials", "2", "--sweep", "lines",
                  "--out", str(tmp_path / "x.csv")])

@@ -51,6 +51,15 @@ def test_config_validation():
         small_cfg(prime_p=15)
 
 
+def test_config_rejects_seeds_outside_64_bits():
+    # the trial streams keep only the low 64 bits of the master seed, so a
+    # wider seed would reproduce another seed's rates under its own label
+    assert small_cfg(master_seed=2**64 - 1).master_seed == 2**64 - 1
+    for seed in (-1, 2**64, 2**64 + 1):
+        with pytest.raises(InvalidInputError, match="64-bit"):
+            small_cfg(master_seed=seed)
+
+
 def test_run_trial_deterministic():
     cfg = small_cfg()
     first = run_trial(cfg, 10.0, 3)

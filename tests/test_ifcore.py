@@ -61,10 +61,10 @@ def test_q_is_computed_once_and_read_only():
     cfg = SearchConfig(bound_m=2, lines_j=3)
     fake_set = candidate_set(fake, cfg)
     assert fake.memo is not q.memo
-    assert candidate_set(q, cfg) == candidate_set(
-        compute_q(ChannelRealization(h=ch.h, power=ch.power)), cfg)
-    assert candidate_set(fake, cfg) == fake_set
-    assert fake_set != candidate_set(q, cfg)
+    assert np.array_equal(candidate_set(q, cfg), candidate_set(
+        compute_q(ChannelRealization(h=ch.h, power=ch.power)), cfg))
+    assert np.array_equal(candidate_set(fake, cfg), fake_set)
+    assert not np.array_equal(fake_set, candidate_set(q, cfg))
 
 
 def test_compute_q_zero_channel():

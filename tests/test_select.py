@@ -1,54 +1,113 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from ifrx.channel import ChannelRealization
+from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
 from ifrx.errors import InstanceTooLargeError, InvalidInputError
 from ifrx.ifcore import QForm, compute_q, mmse_rates, optimal_projection, rate_from_q
 from ifrx.linalg import int_rank_independent
-from ifrx.sdm import SearchConfig
-from ifrx.select import design_if, exhaustive_candidates, greedy_full_rank, sort_candidates
-from ifrx.sdm import CandidateSet
+from ifrx.sdm import SearchConfig, candidate_set
+from ifrx.select import design_if, exhaustive_candidates, greedy_full_rank, rank_candidates
 
 
 def make_qform(q):
     return QForm(q=np.asarray(q, dtype=float), power=1.0)
 
 
-def make_set(vectors, m=1):
-    return CandidateSet(vectors=tuple(vectors), config=SearchConfig(bound_m=m, lines_j=1))
+def as_tuples(arr):
+    return list(map(tuple, arr.tolist()))
 
 
-def test_sort_candidates_with_tie_break():
-    q = make_qform(np.diag([0.2, 0.5]))
-    got = sort_candidates(make_set([(1, 0), (1, 1), (1, -1)]), q)
-    assert got == [(1, 0), (1, -1), (1, 1)]
+def reference_box(l, m):
+    """Tuple loop over the box, the rows exhaustive_candidates must equal."""
+    out = []
+    for vec in itertools.product(range(-m, m + 1), repeat=l):
+        for c in vec:
+            if c > 0:
+                out.append(vec)
+                break
+            if c < 0:
+                break
+    return out
 
 
-def test_sort_candidates_equal_f_lexicographic():
-    q = make_qform(0.5 * np.eye(2))
-    assert sort_candidates(make_set([(1, 0), (0, 1)]), q) == [(0, 1), (1, 0)]
+def reference_sorted_order(arr, q):
+    """(f, lex) order by one lexsort, the order rank_candidates must equal."""
+    f = ((arr @ q) * arr).sum(axis=1)
+    keys = tuple(arr[:, k] for k in reversed(range(arr.shape[1]))) + (f,)
+    return np.lexsort(keys)
 
 
-def test_sort_candidates_is_monotone_permutation():
+SOURCES = [("sdm", l, m, j) for l, m, j in ((2, 1, 1), (3, 2, 2), (4, 1, 3), (5, 3, 2), (8, 2, 4),
+                                             (8, 2, 7), (10, 1, 5))]
+SOURCES += [("box", l, m, None) for l, m in ((1, 1), (2, 1), (3, 3), (4, 2), (8, 2))]
+
+
+@pytest.mark.parametrize("source,l,m,j", SOURCES)
+def test_candidate_arrays_are_distinct_sorted_canonical_in_box(source, l, m, j):
+    if source == "box":
+        arrays = [exhaustive_candidates(l, m)]
+    else:
+        arrays = [candidate_set(compute_q(ChannelRealization(h=sample_channel(derive_trial_rng(9, t), l),
+                                                             power=100.0)),
+                                SearchConfig(bound_m=m, lines_j=j)) for t in range(10)]
+    for arr in arrays:
+        assert arr.dtype == np.int64 and arr.ndim == 2 and arr.shape[1] == l and len(arr)
+        assert not arr.flags.writeable
+        vectors = as_tuples(arr)
+        assert vectors == sorted(set(vectors)), "rows must be distinct and lexicographic"
+        assert all(next((c for c in v if c), 0) > 0 for v in vectors), "zero or non-canonical row"
+        assert np.abs(arr).max() <= m
+
+
+def test_exhaustive_candidates_equal_the_tuple_loop():
+    for l in range(1, 9):
+        for m in (1, 2, 3):
+            if (2 * m + 1) ** l <= 5**8:
+                assert as_tuples(exhaustive_candidates(l, m)) == reference_box(l, m), (l, m)
+
+
+def test_rank_candidates_examples():
+    ranked = rank_candidates(np.array([[1, -1], [1, 0], [1, 1]]), np.diag([0.2, 0.5]))
+    assert ranked.tolist() == [[1, 0], [1, -1], [1, 1]]
+    # equal f: lexicographic order
+    assert rank_candidates(np.array([[0, 1], [1, 0]]), 0.5 * np.eye(2)).tolist() == [[0, 1], [1, 0]]
+
+
+def test_rank_candidates_equals_the_lexsort_reference():
     rng = np.random.RandomState(6)
-    q = make_qform(compute_q(ChannelRealization(h=rng.standard_normal((3, 3)), power=10.0)).q)
-    vectors = [tuple(int(x) for x in rng.randint(-2, 3, size=3)) for _ in range(30)]
-    vectors = [v for v in vectors if any(v)]
-    got = sort_candidates(make_set(vectors, m=2), q)
-    assert sorted(got) == sorted(set(vectors)) or sorted(got) == sorted(vectors)
-    f = [np.array(v) @ q.q @ np.array(v) for v in got]
-    assert all(f[i] <= f[i + 1] + 1e-12 for i in range(len(f) - 1))
-    with pytest.raises(InvalidInputError):
-        sort_candidates(make_set([]), q)
+    tied = 0
+    for trial in range(300):
+        l = rng.randint(2, 7)
+        m = rng.randint(1, 4)
+        if trial % 3 == 0:
+            q = compute_q(ChannelRealization(h=rng.standard_normal((l, l)), power=10.0)).q
+        else:
+            # small-integer diagonal and scaled-identity forms: many rows share one f
+            q = np.diag(rng.randint(1, 3, size=l).astype(float)) if trial % 3 == 1 else 0.5 * np.eye(l)
+        vectors = {tuple(int(x) for x in rng.randint(-m, m + 1, size=l)) for _ in range(rng.randint(1, 40))}
+        arr = np.array(sorted(vectors), dtype=np.int64)
+        f = ((arr @ q) * arr).sum(axis=1)
+        ranked = rank_candidates(arr, q)
+        assert ranked.tolist() == arr[reference_sorted_order(arr, q)].tolist()
+        tied += len(set(f.tolist())) < len(arr)
+    assert tied >= 100
+    # the shuffled lexsort reference agrees too: ranking depends on the rows only
+    arr = exhaustive_candidates(4, 2)
+    q = 0.5 * np.eye(4)
+    shuffled = arr[rng.permutation(len(arr))]
+    assert rank_candidates(arr, q).tolist() == shuffled[reference_sorted_order(shuffled, q)].tolist()
 
 
 def test_greedy_picks_earliest_independent():
-    rows = greedy_full_rank([(1, 0), (1, -1), (1, 1)])
-    assert rows == [(1, 0), (1, -1)]
+    got = greedy_full_rank(np.array([(1, 0), (1, -1), (1, 1)]))
+    assert got.dtype == np.int64 and got.tolist() == [[1, 0], [1, -1]]
 
 
 def test_greedy_fails_on_collinear_set():
-    assert greedy_full_rank([(1, 0), (2, 0)]) is None
+    assert greedy_full_rank(np.array([(1, 0), (2, 0)])) is None
+    assert greedy_full_rank(np.zeros((0, 3), dtype=np.int64)) is None
 
 
 def reference_bareiss_det(rows):
@@ -108,25 +167,24 @@ def test_greedy_matches_gram_bareiss_reference():
         arr = np.array(rows, dtype=np.int64)
         ranked = arr[np.argsort((arr**2 * rng.uniform(0.1, 1.0, size=l)).sum(axis=1), kind="stable")]
         got = greedy_full_rank(ranked)
-        assert got == reference_greedy(ranked)
+        expected = reference_greedy(ranked)
+        assert (got is None and expected is None) or as_tuples(got) == expected
         outcomes.add(got is None)
     assert outcomes == {True, False}
 
 
 def test_greedy_on_exhaustive_identity_q():
     q = make_qform(0.5 * np.eye(2))
-    ranked = sort_candidates(exhaustive_candidates(2, 1), q)
-    rows = greedy_full_rank(ranked)
-    assert rows == [(0, 1), (1, 0)]
-    for row in rows:
-        assert float(np.array(row) @ q.q @ np.array(row)) == pytest.approx(0.5)
+    got = greedy_full_rank(rank_candidates(exhaustive_candidates(2, 1), q.q))
+    assert got.tolist() == [[0, 1], [1, 0]]
+    for row in got:
+        assert float(row @ q.q @ row) == pytest.approx(0.5)
 
 
 def test_exhaustive_candidates_counts_and_order():
-    small = exhaustive_candidates(2, 1)
-    assert small.vectors == ((0, 1), (1, -1), (1, 0), (1, 1))
-    assert len(exhaustive_candidates(4, 2).vectors) == (5**4 - 1) // 2
-    assert len(exhaustive_candidates(8, 2).vectors) == (5**8 - 1) // 2
+    assert exhaustive_candidates(2, 1).tolist() == [[0, 1], [1, -1], [1, 0], [1, 1]]
+    assert len(exhaustive_candidates(4, 2)) == (5**4 - 1) // 2
+    assert len(exhaustive_candidates(8, 2)) == (5**8 - 1) // 2
     with pytest.raises(InstanceTooLargeError):
         exhaustive_candidates(10, 3)
     with pytest.raises(InvalidInputError):
@@ -177,11 +235,11 @@ def test_greedy_rows_come_from_list_with_nondecreasing_f():
     for _ in range(30):
         ch = ChannelRealization(h=rng.standard_normal((4, 4)), power=10.0)
         qform = compute_q(ch)
-        ranked = sort_candidates(exhaustive_candidates(4, 1), qform)
-        rows = greedy_full_rank(ranked)
-        assert rows is not None
-        assert all(r in ranked for r in rows)
-        f = [float(np.array(r) @ qform.q @ np.array(r)) for r in rows]
+        ranked = rank_candidates(exhaustive_candidates(4, 1), qform.q)
+        got = greedy_full_rank(ranked)
+        assert got is not None
+        assert set(as_tuples(got)) <= set(as_tuples(ranked))
+        f = [float(r @ qform.q @ r) for r in got]
         assert all(f[i] <= f[i + 1] + 1e-12 for i in range(len(f) - 1))
 
 
