@@ -68,10 +68,12 @@ def test_exhaustive_candidates_equal_the_tuple_loop():
                 assert as_tuples(exhaustive_candidates(l, m)) == reference_box(l, m), (l, m)
 
 
-def test_rank_candidates_examples():
+def test_sort_candidates_with_tie_break():
     ranked = rank_candidates(np.array([[1, -1], [1, 0], [1, 1]]), np.diag([0.2, 0.5]))
     assert ranked.tolist() == [[1, 0], [1, -1], [1, 1]]
-    # equal f: lexicographic order
+
+
+def test_sort_candidates_equal_f_lexicographic():
     assert rank_candidates(np.array([[0, 1], [1, 0]]), 0.5 * np.eye(2)).tolist() == [[0, 1], [1, 0]]
 
 
