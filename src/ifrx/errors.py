@@ -26,7 +26,7 @@ class DegenerateDirectionError(IfrxError):
 
 
 class InstanceTooLargeError(IfrxError):
-    """An exhaustive enumeration would exceed the configured guard."""
+    """An enumeration would hold more rows than its limit."""
 
 
 class NotInvertibleModPError(IfrxError):

@@ -3,20 +3,27 @@
 Candidates are sorted by f(t) = t^T Q t and consumed greedily: keep the
 earliest vector that stays exactly linearly independent of the rows chosen
 so far. Because independence defines a matroid, the greedy basis minimizes
-the largest selected f value, so on the exhaustive candidate set this is
-the true min-max design over the box.
+the largest selected f value, so over every in-box vector this is the true
+min-max design over the box.
+
+The exhaustive design needs only the start of that order. Any full-rank
+in-box design with largest f = r bounds greedy's bottleneck by r, so greedy
+over the in-box points of the sphere {a : a^T Q a <= r}, ranked the same
+way, scans the same rows and picks the same matrix as greedy over the whole
+(2M+1)^L box. The sphere is enumerated coordinate by coordinate over a
+Cholesky factor of Q (Fincke and Pohst, 1985).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .channel import ChannelRealization
-from .errors import InstanceTooLargeError, InvalidInputError
-from .ifcore import RateReport, compute_q, optimal_projection, rate_from_q, total_rate
+from .errors import InstanceTooLargeError, InvalidInputError, SingularMatrixError
+from .ifcore import QForm, RateReport, compute_q, optimal_projection, rate_from_q, total_rate
 # int_rank_independent stays bound here although greedy no longer calls it:
 # benchmarks/spans.py wraps this binding, and a zero count beats a missing one
 from .linalg import IntEchelon, int_rank_independent  # noqa: F401
@@ -26,7 +33,10 @@ METHOD_SDM = "sdm"
 METHOD_EXHAUSTIVE = "exhaustive"
 METHOD_FALLBACK = "mmse-identity-fallback"
 
-ENUM_GUARD = 10**7
+# rows the sphere enumeration may test at one level
+SPHERE_ROW_LIMIT = 2**20
+# sphere size, in canonical points, that the exhaustive design starts from
+SPHERE_START_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -40,11 +50,14 @@ class IfDesign:
     method: str
 
 
+def _row_f(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return ((a @ q) * a).sum(axis=1)
+
+
 def rank_candidates(arr: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Rows of a lexicographically sorted candidate array ascending by
     f(t) = t^T Q t. The sort is stable, so equal-f ties stay lexicographic."""
-    f = ((arr @ q) * arr).sum(axis=1)
-    return arr[np.argsort(f, kind="stable")]
+    return arr[np.argsort(_row_f(arr, q), kind="stable")]
 
 
 def greedy_full_rank(ranked: np.ndarray) -> np.ndarray | None:
@@ -60,22 +73,96 @@ def greedy_full_rank(ranked: np.ndarray) -> np.ndarray | None:
     return None
 
 
-@lru_cache(maxsize=8)
-def exhaustive_candidates(l: int, m: int) -> np.ndarray:
-    """Every sign-canonical nonzero integer vector in [-M, M]^L, read-only
-    and in lexicographic order: the brute-force reference set, size
-    ((2M+1)^L - 1) / 2."""
-    if l < 1 or m < 1:
-        raise InvalidInputError("l and m must be >= 1")
-    if (2 * m + 1) ** l > ENUM_GUARD:
-        raise InstanceTooLargeError(
-            f"(2M+1)^L = {(2 * m + 1) ** l} exceeds the enumeration guard {ENUM_GUARD}"
-        )
-    box = np.indices((2 * m + 1,) * l).reshape(l, -1).T
-    box -= m
-    arr = box[leading(box) > 0]
-    arr.setflags(write=False)
-    return arr
+def _lower_factor(q: np.ndarray) -> np.ndarray:
+    """Lower-triangular g with q = g^T g, so a^T Q a is a sum of squares
+    whose i-th term depends on a_0 .. a_i only."""
+    try:
+        return np.linalg.cholesky(q[::-1, ::-1]).T[::-1, ::-1]
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("Q is not numerically positive definite") from exc
+
+
+def sphere_candidates(q: np.ndarray, m: int, radius: float) -> np.ndarray:
+    """Every sign-canonical nonzero integer vector a in [-M, M]^L with
+    a^T Q a <= radius, as lexicographic int64 rows. The bound carries a
+    rounding slack, so a few rows just past the radius may come too.
+
+    Raises SingularMatrixError when Q is not numerically positive definite,
+    and InstanceTooLargeError when a level would test more than
+    SPHERE_ROW_LIMIT rows.
+    """
+    l = q.shape[0]
+    g = _lower_factor(q)
+    diag = g.diagonal()
+    unit = g / diag[:, None]
+    # covers the rounding of the factor and of f on any in-box row
+    radius += 1e-12 * l**3 * m * m * q.diagonal().max()
+    values = np.arange(-m, m + 1.0)
+    # coordinates held as floats, exact for integers this small
+    pts = np.zeros((1, l))
+    dist = np.zeros(1)
+    for i in range(l):
+        if len(pts) * len(values) > SPHERE_ROW_LIMIT:
+            raise InstanceTooLargeError(
+                f"sphere enumeration would test {len(pts) * len(values)} rows at level "
+                f"{i + 1} of {l}, over the limit {SPHERE_ROW_LIMIT}"
+            )
+        # term i is (diag_i * (a_i + offset))^2; later columns of pts are 0
+        offset = pts @ unit[i]
+        trial = dist[:, None] + (diag[i] * (values + offset[:, None])) ** 2
+        if i == 0:
+            # a row with a_0 < 0 is the negation of a canonical one
+            trial[:, :m] = np.inf
+        parent, k = np.nonzero(trial <= radius)
+        pts = pts[parent]
+        pts[:, i] = values[k]
+        dist = trial[parent, k]
+    # rows come out lexicographic: each parent's children follow it in order
+    pts = pts.astype(np.int64)
+    return pts[leading(pts) > 0]
+
+
+def _sdm_rows(qform: QForm, cfg: SearchConfig) -> np.ndarray | None:
+    """Greedy rows over the SDM candidate set, read-only, or None when they
+    cannot reach full rank. Kept in ``qform.memo`` per (J, M), so the SDM
+    method and the exhaustive radius share one greedy run."""
+    key = ("sdm", cfg.lines_j, cfg.bound_m)
+    if key not in qform.memo:
+        a = greedy_full_rank(rank_candidates(candidate_set(qform, cfg), qform.q))
+        if a is not None:
+            a.setflags(write=False)
+        qform.memo[key] = a
+    return qform.memo[key]
+
+
+def _exhaustive_rows(qform: QForm, cfg: SearchConfig) -> np.ndarray | None:
+    """Greedy rows over the in-box points of a sphere: the same rows as
+    greedy over the whole box.
+
+    The radius is capped by the largest f of the SDM design, or of the
+    identity when that is smaller or SDM fails. Both are full-rank box
+    designs, so greedy's rows lie within the cap. Where the cap's sphere
+    would hold more than about SPHERE_START_POINTS points, the radius
+    starts lower and grows until greedy's rows all lie within it.
+    """
+    q = qform.q
+    l = q.shape[0]
+    cap = q.diagonal().max()
+    if cfg.lines_j < l:
+        a = _sdm_rows(qform, cfg)
+        if a is not None:
+            cap = min(cap, _row_f(a, q).max())
+    # an ellipsoid {a^T Q a <= r} of volume pi^(L/2) r^(L/2) / Gamma(L/2 + 1)
+    # holds about volume / sqrt(det Q) integer points, half of them canonical
+    log_r = 2 / l * (math.log(2 * SPHERE_START_POINTS) + math.lgamma(l / 2 + 1)
+                     + np.log(_lower_factor(q).diagonal()).sum()) - math.log(math.pi)
+    radius = min(cap, math.exp(log_r))
+    while True:
+        a = greedy_full_rank(rank_candidates(sphere_candidates(q, cfg.bound_m, radius), q))
+        if radius >= cap or (a is not None and _row_f(a, q).max() <= radius):
+            return a
+        # about twice the points per step
+        radius = min(cap, radius * 2 ** (2 / l))
 
 
 def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesign:
@@ -85,11 +172,7 @@ def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesig
         raise InvalidInputError(f"unknown method {method!r}")
     qform = compute_q(ch)
     l = ch.l
-    if method == METHOD_SDM:
-        arr = candidate_set(qform, cfg)
-    else:
-        arr = exhaustive_candidates(l, cfg.bound_m)
-    a = greedy_full_rank(rank_candidates(arr, qform.q))
+    a = (_sdm_rows if method == METHOD_SDM else _exhaustive_rows)(qform, cfg)
     if a is None:
         a = np.eye(l, dtype=np.int64)
         tag, success = METHOD_FALLBACK, False

@@ -1,14 +1,18 @@
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from ifrx import select
 from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
-from ifrx.errors import InstanceTooLargeError, InvalidInputError
+from ifrx.errors import InstanceTooLargeError, InvalidInputError, SingularMatrixError
 from ifrx.ifcore import QForm, compute_q, mmse_rates, optimal_projection, rate_from_q
 from ifrx.linalg import int_rank_independent
-from ifrx.sdm import SearchConfig, candidate_set
-from ifrx.select import design_if, exhaustive_candidates, greedy_full_rank, rank_candidates
+from ifrx.sdm import SearchConfig, candidate_set, leading
+from ifrx.select import design_if, greedy_full_rank, rank_candidates, sphere_candidates
+
+BOX_GUARD = 10**7
 
 
 def make_qform(q):
@@ -30,6 +34,22 @@ def reference_box(l, m):
             if c < 0:
                 break
     return out
+
+
+@lru_cache(maxsize=8)
+def exhaustive_candidates(l, m):
+    """Every sign-canonical nonzero integer vector in [-M, M]^L, read-only
+    and in lexicographic order: the brute-force box, size ((2M+1)^L - 1) / 2.
+    Greedy over it ranked is the design the sphere enumeration must equal."""
+    if l < 1 or m < 1:
+        raise InvalidInputError("l and m must be >= 1")
+    if (2 * m + 1) ** l > BOX_GUARD:
+        raise InstanceTooLargeError(f"(2M+1)^L = {(2 * m + 1) ** l} exceeds the box guard {BOX_GUARD}")
+    box = np.indices((2 * m + 1,) * l).reshape(l, -1).T
+    box -= m
+    arr = box[leading(box) > 0]
+    arr.setflags(write=False)
+    return arr
 
 
 def reference_sorted_order(arr, q):
@@ -262,3 +282,159 @@ def test_exhaustive_dominates_mmse():
         exh = design_if(ch, SearchConfig(bound_m=1, lines_j=1), "exhaustive")
         assert exh.success
         assert exh.report.total >= mmse_rates(ch).total - 1e-12
+
+
+def row_f(arr, q):
+    return ((arr @ q) * arr).sum(axis=1)
+
+
+def grid_index(arr, m):
+    """Position of each in-box row in the lexicographic (2M+1)^L grid."""
+    return (arr + m) @ (2 * m + 1) ** np.arange(arr.shape[1] - 1, -1, -1)
+
+
+def check_sphere_against_box(ch, cfg):
+    """The exhaustive design equals greedy over the whole ranked box; the
+    sphere at the design's largest f holds every box row up to that f, each
+    scored bit-identically to its score within the box. Returns whether SDM
+    fell back."""
+    q = compute_q(ch).q
+    m = cfg.bound_m
+    box = exhaustive_candidates(ch.l, m)
+    design = design_if(ch, cfg, "exhaustive")
+    assert design.success and design.method == "exhaustive"
+    f_box = row_f(box, q)
+    # rank_candidates' order, with the box scored once
+    assert np.array_equal(design.a, greedy_full_rank(box[np.argsort(f_box, kind="stable")]))
+    radius = row_f(design.a, q).max()
+    sphere = sphere_candidates(q, m, radius)
+    assert sphere.dtype == np.int64 and sphere.shape[1] == ch.l
+    at = np.searchsorted(grid_index(box, m), grid_index(sphere, m))
+    # strictly increasing positions: distinct, lexicographic, canonical, in-box rows
+    assert np.all(np.diff(at) > 0) and np.array_equal(box[at], sphere)
+    assert row_f(sphere, q).tobytes() == f_box[at].tobytes()
+    assert set(np.flatnonzero(f_box <= radius)) <= set(at.tolist())
+    return cfg.lines_j < ch.l and not design_if(ch, cfg, "sdm").success
+
+
+def small_box_cases():
+    """Every L >= 1 and M <= 4 with (2M+1)^L <= 5^6, four channels each."""
+    for l in range(1, 9):
+        for m in range(1, 5):
+            if (2 * m + 1) ** l <= 5**6:
+                for t in range(4):
+                    h = sample_channel(derive_trial_rng(700 + l, 10 * m + t), l)
+                    yield h, 10.0 ** (10 * t / 10), SearchConfig(m, 1 + t % max(1, l - 1))
+
+
+def l8_cases():
+    for t in range(30):
+        yield sample_channel(derive_trial_rng(708, t), 8), 100.0, SearchConfig(2, 4)
+
+
+def high_snr_cases():
+    for snr in (60, 80, 100):
+        for l in (4, 5, 6):
+            for t in range(5):
+                yield sample_channel(derive_trial_rng(snr, 10 * l + t), l), 10.0 ** (snr / 10), SearchConfig(2, 2)
+
+
+def tie_cases():
+    rng = np.random.RandomState(71)
+    for t in range(24):
+        l = 3 + t % 4
+        if t % 2:
+            # Q = I / (1 + P c^2): f depends only on the row's norm
+            h = (0.5 + t / 8) * np.linalg.qr(rng.standard_normal((l, l)))[0]
+        else:
+            h = rng.randint(-2, 3, size=(l, l)).astype(float)
+            while abs(np.linalg.det(h)) < 0.5:
+                h = rng.randint(-2, 3, size=(l, l)).astype(float)
+        yield h, 10.0 ** (rng.choice([0, 10, 20]) / 10), SearchConfig(2, 1 + t % (l - 1))
+
+
+def fallback_cases():
+    # one search line often cannot reach full rank
+    for t in range(40):
+        l = 4 + t % 3
+        yield sample_channel(derive_trial_rng(77, t), l), 100.0, SearchConfig(2, 1)
+
+
+@pytest.mark.parametrize("cases,min_fallbacks", [(small_box_cases, 0), (l8_cases, 0),
+                                                 (high_snr_cases, 0), (tie_cases, 0),
+                                                 (fallback_cases, 10)],
+                         ids=["small-boxes", "l8", "high-snr", "ties", "sdm-fallback"])
+def test_sphere_design_equals_the_box_design(cases, min_fallbacks):
+    fallbacks = sum(check_sphere_against_box(ChannelRealization(h=h, power=p), cfg)
+                    for h, p, cfg in cases())
+    assert fallbacks >= min_fallbacks
+
+
+def test_sphere_grows_from_a_small_start(monkeypatch):
+    # a one-point start makes every design grow its sphere several times
+    monkeypatch.setattr(select, "SPHERE_START_POINTS", 1)
+    calls = []
+    real = select.sphere_candidates
+
+    def counted(q, m, radius):
+        calls.append(radius)
+        return real(q, m, radius)
+
+    monkeypatch.setattr(select, "sphere_candidates", counted)
+    for t in range(20):
+        l = 4 + t % 3
+        check_sphere_against_box(ChannelRealization(h=sample_channel(derive_trial_rng(41, t), l),
+                                                    power=10.0 ** (t % 4)), SearchConfig(2, 2))
+    assert len(calls) >= 60
+
+
+def test_sphere_needs_a_positive_definite_q(monkeypatch):
+    def not_positive_definite(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+    ch = ChannelRealization(h=np.eye(3), power=10.0)
+    with pytest.raises(SingularMatrixError):
+        design_if(ch, SearchConfig(bound_m=2, lines_j=2), "exhaustive")
+    assert design_if(ch, SearchConfig(bound_m=2, lines_j=2), "sdm").success
+
+
+def test_sphere_row_limit(monkeypatch):
+    q = compute_q(ChannelRealization(h=sample_channel(derive_trial_rng(3, 0), 6), power=100.0)).q
+    rows = len(sphere_candidates(q, 2, 1.0))
+    monkeypatch.setattr(select, "SPHERE_ROW_LIMIT", rows)
+    with pytest.raises(InstanceTooLargeError):
+        sphere_candidates(q, 2, 1.0)
+
+
+def test_exhaustive_design_at_l12():
+    # the box holds 5^12 / 2 rows here, over the box guard
+    for t in range(6):
+        ch = ChannelRealization(h=sample_channel(derive_trial_rng(12, t), 12), power=100.0)
+        q = compute_q(ch).q
+        cfg = SearchConfig(bound_m=2, lines_j=4)
+        exhaustive = design_if(ch, cfg, "exhaustive")
+        sdm = design_if(ch, cfg, "sdm")
+        assert exhaustive.success and sdm.success
+        radius = row_f(exhaustive.a, q).max()
+        assert radius <= row_f(sdm.a, q).max()
+        wider = greedy_full_rank(rank_candidates(sphere_candidates(q, 2, 2 * radius), q))
+        assert np.array_equal(exhaustive.a, wider)
+
+
+def test_sdm_design_is_shared_between_methods(monkeypatch):
+    calls = []
+    real = select.candidate_set
+
+    def counted(qform, cfg):
+        calls.append((cfg.lines_j, cfg.bound_m))
+        return real(qform, cfg)
+
+    monkeypatch.setattr(select, "candidate_set", counted)
+    ch = ChannelRealization(h=sample_channel(derive_trial_rng(5, 1), 6), power=100.0)
+    first = design_if(ch, SearchConfig(bound_m=2, lines_j=3), "sdm")
+    design_if(ch, SearchConfig(bound_m=2, lines_j=3), "exhaustive")
+    again = design_if(ch, SearchConfig(bound_m=2, lines_j=3), "sdm")
+    design_if(ch, SearchConfig(bound_m=2, lines_j=2), "exhaustive")
+    assert calls == [(3, 2), (2, 2)]
+    assert again.a is first.a and not first.a.flags.writeable
