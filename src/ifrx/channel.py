@@ -35,6 +35,18 @@ class RngState:
         self._state = (self._state + _GOLDEN) & MASK64
         return _mix64(self._state)
 
+    def next_u64s(self, n: int) -> np.ndarray:
+        """The next ``n`` outputs of ``next_u64`` as a uint64 array. The
+        state advances as ``n`` calls would; a pending Box-Muller spare is
+        left as it is. uint64 arithmetic wraps mod 2^64, as the mask does."""
+        if n < 0:
+            raise InvalidInputError("n must be >= 0")
+        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(self._state)
+        self._state = (self._state + n * _GOLDEN) & MASK64
+        z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> 31)
+
     def next_uniform(self) -> float:
         # in (0, 1] so the Box-Muller log stays finite
         return ((self.next_u64() >> 11) + 1) * 2.0 ** -53
@@ -76,7 +88,9 @@ class ChannelRealization:
     """Real channel matrix plus transmit power (noise variance is 1).
 
     ``h`` is a read-only copy of the input, so quantities derived from it
-    can be kept in ``memo`` for the life of the realization.
+    can be kept in ``memo`` for the life of the realization. Those that
+    depend on ``h`` alone go in the dict ``memo["h"]``, which a caller
+    making realizations of one matrix at several powers may share.
     """
 
     h: np.ndarray

@@ -1,28 +1,63 @@
 """Finite-field message recovery behind a designed coefficient matrix.
 
 A destination that decoded the integer combinations u = A w (mod p) gets
-the original messages back by inverting A over F_p. A matrix of full real
-rank can still be singular mod p; that case is surfaced as its own error
-so callers can count it.
+the original messages back by solving A w = u over F_p. A matrix of full
+real rank can still be singular mod p; that case is surfaced as its own
+error so callers can count it.
 """
 
 from __future__ import annotations
 
-import math
+import functools
+import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidInputError, NotInvertibleModPError
+
+# Miller-Rabin with these bases (the first 12 primes) is exact for every
+# n < 3.18e23 (Sorenson and Webster 2015), which covers every p < 2^64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_INT64_LIMIT = 2**63
+
+
+@functools.lru_cache(maxsize=256)
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 2 <= n < 2^64."""
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
 class PrimeField:
+    """F_p for a prime 2 <= p < 2^64."""
+
     p: int
 
     def __post_init__(self):
-        p = self.p
+        p = operator.index(self.p)
+        object.__setattr__(self, "p", p)
         if p < 2:
             raise InvalidInputError("field modulus must be >= 2")
-        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if p >= 2**64:
+            raise InvalidInputError("field modulus must be below 2^64")
+        if not _is_prime(p):
             raise InvalidInputError(f"{p} is not prime")
 
 
@@ -33,55 +68,74 @@ class MessageBlock:
     rows: tuple[tuple[int, ...], ...]
 
 
-def _reduced_rows(a, p: int) -> list[list[int]]:
-    rows = [[int(x) % p for x in row] for row in a]
-    if not rows or any(len(r) != len(rows) for r in rows):
-        raise InvalidInputError("coefficient matrix must be square and nonempty")
-    return rows
-
-
-def mat_inverse_mod_p(a, field: PrimeField) -> list[list[int]]:
-    """Invert an integer matrix over F_p by Gauss-Jordan elimination,
-    pivot inverses via Fermat exponentiation."""
-    p = field.p
-    m = _reduced_rows(a, p)
-    n = len(m)
-    aug = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise NotInvertibleModPError(f"matrix is singular modulo {p}")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], p - 2, p)
-        aug[col] = [(x * inv) % p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [(x - factor * y) % p for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _residues(m, p: int, what: str) -> np.ndarray:
+    """The entries of a 2-D integer matrix reduced into [0, p): int64 for an
+    int64 array when p fits, Python ints in an object array otherwise.
+    Non-integer entries are truncated by ``int``."""
+    try:
+        arr = np.asarray(m)
+        if arr.dtype != np.int64 or p >= _INT64_LIMIT:
+            # numpy turns a list mixing negative and >= 2^63 ints into floats
+            arr = np.array(m, dtype=object)
+    except ValueError:
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[0] == 0:
+        raise InvalidInputError(f"{what} must be a nonempty rectangular matrix")
+    if arr.dtype == np.int64:
+        return arr % p
+    return np.array([[int(x) % p for x in row] for row in arr.tolist()], dtype=object)
 
 
 def combine_messages(a, w: MessageBlock, field: PrimeField) -> MessageBlock:
     """u_m = sum_l a_ml w_l (mod p), entrywise over the message columns."""
     p = field.p
-    coeffs = [[int(x) % p for x in row] for row in a]
-    rows = w.rows
-    if len(coeffs) == 0 or any(len(r) != len(rows) for r in coeffs):
+    coeffs = _residues(a, p, "coefficient matrix")
+    words = _residues(w.rows, p, "message block")
+    if coeffs.shape[1] != words.shape[0]:
         raise InvalidInputError("coefficient matrix width must match the message count")
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise InvalidInputError("message rows must be nonempty and the same length")
-    k = len(rows[0])
-    out = []
-    for coeff_row in coeffs:
-        acc = [0] * k
-        for coeff, wrow in zip(coeff_row, rows):
-            if coeff:
-                acc = [(x + coeff * y) % p for x, y in zip(acc, wrow)]
-        out.append(tuple(acc))
-    return MessageBlock(rows=tuple(out))
+    # an entry sums L products of residues, below L (p-1)^2: exact in int64
+    # under 2^63, and over Python ints beyond
+    dtype = np.int64 if words.shape[0] * (p - 1) ** 2 < _INT64_LIMIT else object
+    u = (coeffs.astype(dtype) @ words.astype(dtype)) % p
+    return MessageBlock(rows=tuple(map(tuple, u.tolist())))
+
+
+def _solve_mod_p(a, rhs: list[list[int]], p: int) -> list[list[int]]:
+    """Gauss-Jordan over F_p on [A | rhs], in Python ints: returns
+    A^-1 rhs, or raises NotInvertibleModPError when A is singular mod p."""
+    m = _residues(a, p, "coefficient matrix").tolist()
+    n = len(m)
+    if len(m[0]) != n:
+        raise InvalidInputError("coefficient matrix must be square and nonempty")
+    if len(rhs) != n:
+        raise InvalidInputError("coefficient matrix width must match the message count")
+    aug = [row + r for row, r in zip(m, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise NotInvertibleModPError(f"matrix is singular modulo {p}")
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+        inv = pow(aug[col][col], -1, p)
+        # columns left of col are already zero in every row but their own
+        prow = [x * inv % p for x in aug[col][col:]]
+        aug[col][col:] = prow
+        for r in range(n):
+            factor = aug[r][col]
+            if r != col and factor:
+                aug[r][col:] = [(x - factor * y) % p for x, y in zip(aug[r][col:], prow)]
+    return [row[n:] for row in aug]
+
+
+def mat_inverse_mod_p(a, field: PrimeField) -> list[list[int]]:
+    """Invert an integer matrix over F_p: the elimination of
+    ``recover_messages`` run against the identity."""
+    n = len(a)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return _solve_mod_p(a, identity, field.p)
 
 
 def recover_messages(a, u: MessageBlock, field: PrimeField) -> MessageBlock:
-    """Undo combine_messages: apply A^-1 (mod p) to the combined block."""
-    return combine_messages(mat_inverse_mod_p(a, field), u, field)
+    """Undo combine_messages: solve A w = u (mod p) by one elimination."""
+    rhs = _residues(u.rows, field.p, "message block").tolist()
+    return MessageBlock(rows=tuple(map(tuple, _solve_mod_p(a, rhs, field.p))))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,6 +50,8 @@ class ExperimentConfig:
     master_seed: int
     methods: tuple[str, ...] = ("if-sdm", "mmse", "zf", "capacity")
     prime_p: int | None = DEFAULT_PRIME
+    # built from prime_p once per config, not once per cell
+    prime_field: PrimeField | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "snr_db_grid", tuple(float(s) for s in self.snr_db_grid))
@@ -72,7 +74,7 @@ class ExperimentConfig:
             if method not in METHODS:
                 raise InvalidInputError(f"unknown method {method!r}")
         if self.prime_p is not None:
-            PrimeField(self.prime_p)
+            object.__setattr__(self, "prime_field", PrimeField(self.prime_p))
 
 
 @dataclass(frozen=True)
@@ -105,10 +107,8 @@ def _recovery_check(a, field: PrimeField, rng: RngState) -> bool:
     """One random message round trip through A over F_p. Returns whether A
     was invertible mod p; a failed round trip of an invertible matrix is a
     bug and raises."""
-    l = a.shape[0]
-    w = MessageBlock(rows=tuple(
-        tuple(rng.next_u64() % field.p for _ in range(_RECOVERY_MSG_LEN)) for _ in range(l)
-    ))
+    words = rng.next_u64s(a.shape[0] * _RECOVERY_MSG_LEN) % field.p
+    w = MessageBlock(rows=tuple(map(tuple, words.reshape(-1, _RECOVERY_MSG_LEN).tolist())))
     try:
         recovered = recover_messages(a, combine_messages(a, w, field), field)
     except NotInvertibleModPError:
@@ -122,16 +122,20 @@ def _recovery_check(a, field: PrimeField, rng: RngState) -> bool:
 class TrialDraw:
     """The channel of one trial index and the trial stream right after
     sampling it. Each SNR point's realization is made once, on first use,
-    so everything memoized on it is shared by the cells that use it."""
+    so everything memoized on it is shared by the cells that use it. The
+    realizations share one ``memo["h"]`` dict, so what depends on H alone
+    is computed once per draw."""
 
     h: np.ndarray
     rng: RngState
     channels: dict[float, ChannelRealization]
+    h_memo: dict
 
     def channel(self, snr_db: float) -> ChannelRealization:
         ch = self.channels.get(snr_db)
         if ch is None:
             ch = self.channels[snr_db] = ChannelRealization(h=self.h, power=10.0 ** (snr_db / 10.0))
+            ch.memo["h"] = self.h_memo
         return ch
 
 
@@ -139,7 +143,7 @@ def draw_trial(cfg: ExperimentConfig, trial_index: int) -> TrialDraw:
     """Draw trial ``trial_index``'s channel from its own seeded stream."""
     rng = derive_trial_rng(cfg.master_seed, trial_index)
     h = sample_channel(rng, cfg.l)
-    return TrialDraw(h, rng, {})
+    return TrialDraw(h, rng, {}, {})
 
 
 def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
@@ -155,14 +159,14 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
     # each cell continues the stream from the same point, Box-Muller spare included
     rng = copy.copy(draw.rng)
     ch = draw.channel(snr_db)
-    field = PrimeField(cfg.prime_p) if cfg.prime_p is not None else None
 
     records = []
     for method in cfg.methods:
         if method in ("if-sdm", "if-exhaustive"):
             tag = METHOD_SDM if method == "if-sdm" else METHOD_EXHAUSTIVE
             design = design_if(ch, SearchConfig(cfg.bound_m, cfg.lines_j), tag)
-            modp = _recovery_check(design.a, field, rng) if field is not None else None
+            modp = (_recovery_check(design.a, cfg.prime_field, rng)
+                    if cfg.prime_field is not None else None)
             records.append(TrialRecord(
                 trial_index, snr_db, method, design.report.total, design.report.sum_form,
                 design.success, design.method == METHOD_FALLBACK, modp,

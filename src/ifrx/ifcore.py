@@ -119,16 +119,28 @@ def total_rate(per_stream) -> RateReport:
     return RateReport(per_stream=rates, total=max(0.0, len(rates) * min(rates)))
 
 
+def _zf_row_norms(ch: ChannelRealization) -> tuple[float, ...] | None:
+    """Squared row norms ||b_m||^2 of the ZF projection (H^T H)^-1 H^T, or
+    None when H^T H is singular. They do not depend on P, so they are kept
+    in ``ch.memo["h"]``."""
+    shared = ch.memo.setdefault("h", {})
+    if "zf_row_norms" not in shared:
+        try:
+            b = solve_inverse(ch.h.T @ ch.h) @ ch.h.T
+        except SingularMatrixError:
+            shared["zf_row_norms"] = None
+        else:
+            shared["zf_row_norms"] = tuple(float(b[m] @ b[m]) for m in range(ch.l))
+    return shared["zf_row_norms"]
+
+
 def zf_rates(ch: ChannelRealization) -> RateReport:
     """Zero-forcing rates; the interference residual is exactly zero, so
     R_m = (1/2) log2(P / ||b_m||^2). Singular H^T H is flagged, not inverted."""
-    l = ch.l
-    try:
-        b = solve_inverse(ch.h.T @ ch.h) @ ch.h.T
-    except SingularMatrixError:
-        return RateReport(per_stream=(0.0,) * l, total=0.0, singular=True)
-    per = tuple(0.5 * math.log2(ch.power / float(b[m] @ b[m])) for m in range(l))
-    return total_rate(per)
+    norms = _zf_row_norms(ch)
+    if norms is None:
+        return RateReport(per_stream=(0.0,) * ch.l, total=0.0, singular=True)
+    return total_rate(0.5 * math.log2(ch.power / norm) for norm in norms)
 
 
 def mmse_rates(ch: ChannelRealization) -> RateReport:

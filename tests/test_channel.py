@@ -3,6 +3,7 @@ import pytest
 
 from ifrx.channel import (
     ChannelRealization,
+    RngState,
     capacity,
     complex_to_real,
     derive_trial_rng,
@@ -25,6 +26,26 @@ def test_distinct_trials_distinct_streams():
     a = derive_trial_rng(42, 0)
     b = derive_trial_rng(42, 1)
     assert a.next_gaussian() != b.next_gaussian()
+
+
+@pytest.mark.parametrize("n", [0, 1, 32, 1000])
+def test_next_u64s_continues_the_stream_like_single_draws(n):
+    batched, single = derive_trial_rng(42, 3), derive_trial_rng(42, 3)
+    # 25 normal entries leave a Box-Muller spare pending
+    sample_channel(batched, 5)
+    sample_channel(single, 5)
+    assert single._spare is not None
+    words = batched.next_u64s(n)
+    assert words.dtype == np.uint64 and words.shape == (n,)
+    assert words.tolist() == [single.next_u64() for _ in range(n)]
+    assert (batched._state, batched._spare) == (single._state, single._spare)
+    assert [batched.next_gaussian() for _ in range(3)] == [single.next_gaussian() for _ in range(3)]
+    # the state wraps mod 2^64 as the scalar stream does
+    top, top_single = RngState(2**64 - 1), RngState(2**64 - 1)
+    assert top.next_u64s(n).tolist() == [top_single.next_u64() for _ in range(n)]
+    assert top._state == top_single._state
+    with pytest.raises(InvalidInputError):
+        top.next_u64s(-1)
 
 
 def test_trial_rng_is_order_free():

@@ -135,6 +135,18 @@ def test_simulate_rejects_seed_wider_than_64_bits(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+def test_simulate_prime_range(tmp_path, capsys):
+    out_csv = tmp_path / "x.csv"
+    base = ["simulate", "--l", "3", "--trials", "1", "--lines", "1", "--snr-db", "10",
+            "--methods", "if-sdm", "--out", str(out_csv)]
+    for prime in (2**64, 2**64 + 13):
+        assert main(base + ["--prime", str(prime)]) == 1
+        assert "2^64" in capsys.readouterr().err
+        assert not out_csv.exists()
+    assert main(base + ["--prime", str(2**61 - 1)]) == 0
+    assert out_csv.exists()
+
+
 def test_simulate_lines_sweep_requires_values(tmp_path, capsys):
     code = main(["simulate", "--l", "4", "--trials", "2", "--sweep", "lines",
                  "--out", str(tmp_path / "x.csv")])

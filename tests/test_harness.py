@@ -1,9 +1,11 @@
 import copy
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import ifrx.harness
+import ifrx.ifcore
 import ifrx.sdm
 from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
 from ifrx.errors import InvalidInputError
@@ -304,3 +306,40 @@ def test_lines_sweep_draws_and_decomposes_each_channel_once(monkeypatch):
     run_sweep(cfg, "lines_j", range(1, 8))
     assert counts == {"sample_channel": trials, "sym_eigen": trials,
                       "line_candidates": 7 * trials}
+
+
+def test_zf_row_norms_are_computed_once_per_trial_draw(monkeypatch):
+    calls = []
+    inner = ifrx.ifcore.solve_inverse
+    monkeypatch.setattr(ifrx.ifcore, "solve_inverse", lambda m: calls.append(1) or inner(m))
+    grid = [0.0, 10.0, 20.0, 30.0]
+    cfg = small_cfg(l=6, trials=3, methods=("zf",), prime_p=None)
+    got = run_sweep(cfg, "snr", grid)
+    # the ZF projection does not depend on P, so every SNR point shares it
+    assert len(calls) == cfg.trials
+    monkeypatch.setattr(ifrx.ifcore, "solve_inverse", inner)
+    assert repr(got) == repr(reference_run_sweep(cfg, "snr", grid))
+
+
+def test_singular_zf_is_flagged_at_every_snr_point(monkeypatch):
+    calls = []
+    inner = ifrx.ifcore.solve_inverse
+    monkeypatch.setattr(ifrx.ifcore, "solve_inverse", lambda m: calls.append(1) or inner(m))
+    monkeypatch.setattr(ifrx.harness, "sample_channel", lambda rng, l: np.ones((l, l)))
+    cfg = small_cfg(l=4, trials=2, methods=("zf", "mmse"), prime_p=None)
+    aggs = run_sweep(cfg, "snr", [0.0, 10.0, 20.0])
+    zf = [a for a in aggs if a.method == "zf"]
+    assert [(a.success_prob, a.avg_rate_min) for a in zf] == [(0.0, 0.0)] * 3
+    assert len(calls) == cfg.trials + 3 * cfg.trials  # ZF once per draw, MMSE once per cell
+
+
+def test_prime_field_is_built_once_per_config(monkeypatch):
+    cfg = small_cfg(trials=2)
+    assert cfg.prime_field == PrimeField(257)
+
+    def no_field(p):
+        raise AssertionError("a cell built its own prime field")
+    monkeypatch.setattr(ifrx.harness, "PrimeField", no_field)
+    records = run_trial(cfg, 10.0, 0)
+    assert all(r.modp_invertible is not None for r in records if r.method.startswith("if-"))
+    assert run_sweep(cfg, "snr", [0.0, 10.0])

@@ -182,6 +182,26 @@ def test_zf_rates_examples():
     assert singular.total == 0.0
 
 
+def test_zf_row_norms_computed_once_per_realization(monkeypatch):
+    import ifrx.ifcore
+
+    calls = []
+    inner = ifrx.ifcore.solve_inverse
+    monkeypatch.setattr(ifrx.ifcore, "solve_inverse", lambda m: calls.append(1) or inner(m))
+    ch = random_channel(np.random.RandomState(6), 4, 100.0)
+    assert zf_rates(ch) == zf_rates(ch)
+    assert len(calls) == 1
+    # a standalone realization of the same matrix computes its own
+    other = ChannelRealization(h=ch.h, power=10.0)
+    rep = zf_rates(other)
+    assert len(calls) == 2
+    # a shared memo["h"] hands the norms to another power
+    shared = ChannelRealization(h=ch.h, power=10.0)
+    shared.memo["h"] = ch.memo["h"]
+    assert zf_rates(shared) == rep
+    assert len(calls) == 2
+
+
 def test_mmse_rates_examples():
     rep = mmse_rates(ChannelRealization(h=np.eye(2), power=1.0))
     assert rep.per_stream == pytest.approx((0.5, 0.5))

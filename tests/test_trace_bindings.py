@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import ifrx
+from ifrx.harness import ExperimentConfig, run_sweep
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -30,3 +31,27 @@ def test_every_traced_binding_resolves(monkeypatch):
         if not callable(getattr(module, attr, None)):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_every_round_trip_is_traced_through_the_harness_bindings(monkeypatch):
+    spans_module = load_spans(monkeypatch)
+    recorder = spans_module.Recorder(lambda: 0)
+    installed = spans_module.Installed(recorder)
+    try:
+        cfg = ExperimentConfig(l=4, snr_db_grid=(10.0, 20.0), trials=2, bound_m=1, lines_j=1,
+                               master_seed=5, methods=("if-sdm", "if-exhaustive", "mmse"))
+        run_sweep(cfg, "lines_j", [1, 2, 3])
+    finally:
+        installed.remove()
+    spans = recorder.spans
+    assert installed.absent == []
+
+    def called_from_a_trial(name):
+        return sum(1 for s in spans if s.name == name and spans[s.parent].name == "harness.run_trial")
+
+    designs = called_from_a_trial("select.design_if")
+    assert designs == 2 * 3 * 2 * 2
+    # a harness that bypassed its own bindings would leave the fieldrec metrics at zero
+    assert called_from_a_trial("fieldrec.recover_messages") == designs
+    assert called_from_a_trial("fieldrec.combine_messages") == designs
+    assert sum(s.name.startswith("fieldrec.") for s in spans) == 2 * designs
