@@ -14,14 +14,16 @@ MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer on a uint64 array. Array arithmetic wraps
+    mod 2^64 without a warning; numpy uint64 scalars would warn."""
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> 31)
 
 
 class RngState:
-    """splitmix64 stream with a cached Box-Muller spare.
+    """splitmix64 stream (Steele, Lea & Flood 2014) of uint64 words.
 
     Identical seeds give identical streams. Single-owner: do not share
     one instance across concurrent tasks.
@@ -29,37 +31,14 @@ class RngState:
 
     def __init__(self, seed: int):
         self._state = int(seed) & MASK64
-        self._spare: float | None = None
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & MASK64
-        return _mix64(self._state)
 
     def next_u64s(self, n: int) -> np.ndarray:
-        """The next ``n`` outputs of ``next_u64`` as a uint64 array. The
-        state advances as ``n`` calls would; a pending Box-Muller spare is
-        left as it is. uint64 arithmetic wraps mod 2^64, as the mask does."""
+        """The next ``n`` words of the stream as a uint64 array."""
         if n < 0:
             raise InvalidInputError("n must be >= 0")
         z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(self._state)
         self._state = (self._state + n * _GOLDEN) & MASK64
-        z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> 31)
-
-    def next_uniform(self) -> float:
-        # in (0, 1] so the Box-Muller log stays finite
-        return ((self.next_u64() >> 11) + 1) * 2.0 ** -53
-
-    def next_gaussian(self) -> float:
-        if self._spare is not None:
-            g = self._spare
-            self._spare = None
-            return g
-        r = math.sqrt(-2.0 * math.log(self.next_uniform()))
-        theta = 2.0 * math.pi * self.next_uniform()
-        self._spare = r * math.sin(theta)
-        return r * math.cos(theta)
+        return _mix64(z)
 
 
 def derive_trial_rng(master_seed: int, trial_index: int) -> RngState:
@@ -68,19 +47,29 @@ def derive_trial_rng(master_seed: int, trial_index: int) -> RngState:
     The derivation is order-free: trial k gets the same stream whether
     trials run serially, shuffled, or concurrently.
     """
-    mixed = _mix64((int(trial_index) * _GOLDEN) & MASK64)
+    mixed = int(_mix64(np.array([(int(trial_index) * _GOLDEN) & MASK64], dtype=np.uint64))[0])
     return RngState((int(master_seed) ^ mixed) & MASK64)
 
 
 def sample_channel(rng: RngState, l: int) -> np.ndarray:
-    """Draw an l x l matrix of i.i.d. standard normal entries, row-major."""
+    """Draw an l x l matrix of i.i.d. standard normal entries, row-major.
+
+    Box-Muller on pairs of stream words, each made the uniform
+    ``((w >> 11) + 1) 2^-53`` in (0, 1]; a pair gives the cosine entry,
+    then the sine entry, and an odd last sine is dropped. The log stays
+    ``math.log``: numpy's differs in the last bit on some inputs.
+    """
     if l < 1:
         raise InvalidInputError("l must be >= 1")
-    h = np.empty((l, l))
-    for i in range(l):
-        for j in range(l):
-            h[i, j] = rng.next_gaussian()
-    return h
+    n = l * l
+    # (w >> 11) + 1 <= 2^53, so the uniforms are exact in float64
+    u = (((rng.next_u64s(n + n % 2) >> 11) + 1) * 2.0 ** -53).tolist()
+    h = []
+    for u1, u2 in zip(u[::2], u[1::2]):
+        r = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        h += (r * math.cos(theta), r * math.sin(theta))
+    return np.array(h[:n]).reshape(l, l)
 
 
 @dataclass(frozen=True)

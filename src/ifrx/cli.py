@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 
@@ -95,7 +96,8 @@ def cmd_simulate(args) -> int:
     snr_grid = parse_value_list(args.snr_db, float)
     methods = tuple(tok.strip() for tok in args.methods.split(",") if tok.strip())
     lines = args.lines if args.lines is not None else _default_lines(args.l)
-    prime = args.prime if args.prime > 0 else None
+    if args.prime < 0:
+        raise InvalidInputError("--prime must be a prime, or 0 to disable the check")
     cfg = ExperimentConfig(
         l=args.l,
         snr_db_grid=tuple(snr_grid),
@@ -104,7 +106,7 @@ def cmd_simulate(args) -> int:
         lines_j=lines,
         master_seed=args.seed,
         methods=methods,
-        prime_p=prime,
+        prime_p=args.prime or None,
     )
     sweep = {"snr": "snr", "lines": "lines_j", "bound": "bound_m"}[args.sweep]
     if args.sweep_values is not None:
@@ -156,7 +158,9 @@ def cmd_plot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ifrx`` argument parser, built once per process."""
     parser = _Parser(prog="ifrx", description="Integer-forcing linear receiver design")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

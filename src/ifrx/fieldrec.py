@@ -100,10 +100,13 @@ def combine_messages(a, w: MessageBlock, field: PrimeField) -> MessageBlock:
     return MessageBlock(rows=tuple(map(tuple, u.tolist())))
 
 
-def _solve_mod_p(a, rhs: list[list[int]], p: int) -> list[list[int]]:
-    """Gauss-Jordan over F_p on [A | rhs], in Python ints: returns
-    A^-1 rhs, or raises NotInvertibleModPError when A is singular mod p."""
+def recover_messages(a, u: MessageBlock, field: PrimeField) -> MessageBlock:
+    """Undo combine_messages: solve A w = u (mod p) by one Gauss-Jordan
+    elimination of [A | u] in Python ints. Raises NotInvertibleModPError
+    when A is singular mod p."""
+    p = field.p
     m = _residues(a, p, "coefficient matrix").tolist()
+    rhs = _residues(u.rows, p, "message block").tolist()
     n = len(m)
     if len(m[0]) != n:
         raise InvalidInputError("coefficient matrix must be square and nonempty")
@@ -124,18 +127,4 @@ def _solve_mod_p(a, rhs: list[list[int]], p: int) -> list[list[int]]:
             factor = aug[r][col]
             if r != col and factor:
                 aug[r][col:] = [(x - factor * y) % p for x, y in zip(aug[r][col:], prow)]
-    return [row[n:] for row in aug]
-
-
-def mat_inverse_mod_p(a, field: PrimeField) -> list[list[int]]:
-    """Invert an integer matrix over F_p: the elimination of
-    ``recover_messages`` run against the identity."""
-    n = len(a)
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    return _solve_mod_p(a, identity, field.p)
-
-
-def recover_messages(a, u: MessageBlock, field: PrimeField) -> MessageBlock:
-    """Undo combine_messages: solve A w = u (mod p) by one elimination."""
-    rhs = _residues(u.rows, field.p, "message block").tolist()
-    return MessageBlock(rows=tuple(map(tuple, _solve_mod_p(a, rhs, field.p))))
+    return MessageBlock(rows=tuple(tuple(row[n:]) for row in aug))

@@ -156,7 +156,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
     """
     if draw is None:
         draw = draw_trial(cfg, trial_index)
-    # each cell continues the stream from the same point, Box-Muller spare included
+    # each cell continues the stream from the same point
     rng = copy.copy(draw.rng)
     ch = draw.channel(snr_db)
 

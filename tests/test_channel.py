@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,39 +15,123 @@ from ifrx.channel import (
 from ifrx.errors import InvalidInputError, ParseError
 
 
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def reference_mix(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+class ScalarStream:
+    """splitmix64 one word at a time in Python ints, with Box-Muller
+    caching its sine as a spare for the next call: the reference for
+    ``RngState.next_u64s`` and ``sample_channel``."""
+
+    def __init__(self, seed):
+        self.state = int(seed) & MASK64
+        self.spare = None
+
+    def next_u64(self):
+        self.state = (self.state + GOLDEN) & MASK64
+        return reference_mix(self.state)
+
+    def next_uniform(self):
+        return ((self.next_u64() >> 11) + 1) * 2.0 ** -53
+
+    def next_gaussian(self):
+        if self.spare is not None:
+            g, self.spare = self.spare, None
+            return g
+        r = math.sqrt(-2.0 * math.log(self.next_uniform()))
+        theta = 2.0 * math.pi * self.next_uniform()
+        self.spare = r * math.sin(theta)
+        return r * math.cos(theta)
+
+
+def reference_trial_stream(master_seed, trial_index):
+    return ScalarStream(master_seed ^ reference_mix((trial_index * GOLDEN) & MASK64))
+
+
 def test_same_seed_same_stream():
     a = derive_trial_rng(42, 0)
     b = derive_trial_rng(42, 0)
-    assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
-    a2 = derive_trial_rng(42, 0)
-    b2 = derive_trial_rng(42, 0)
-    assert [a2.next_gaussian() for _ in range(10)] == [b2.next_gaussian() for _ in range(10)]
+    assert a.next_u64s(10).tolist() == b.next_u64s(10).tolist()
+    assert a._state == b._state
+    assert np.array_equal(sample_channel(a, 3), sample_channel(b, 3))
 
 
 def test_distinct_trials_distinct_streams():
     a = derive_trial_rng(42, 0)
     b = derive_trial_rng(42, 1)
-    assert a.next_gaussian() != b.next_gaussian()
+    assert a._state != b._state
+    assert a.next_u64s(1)[0] != b.next_u64s(1)[0]
 
 
 @pytest.mark.parametrize("n", [0, 1, 32, 1000])
 def test_next_u64s_continues_the_stream_like_single_draws(n):
-    batched, single = derive_trial_rng(42, 3), derive_trial_rng(42, 3)
-    # 25 normal entries leave a Box-Muller spare pending
+    batched, single = derive_trial_rng(42, 3), reference_trial_stream(42, 3)
+    assert batched._state == single.state
+    # 25 normal entries take 26 words; the reference keeps the last sine
+    # as a spare, which its word draws skip
     sample_channel(batched, 5)
-    sample_channel(single, 5)
-    assert single._spare is not None
+    for _ in range(25):
+        single.next_gaussian()
     words = batched.next_u64s(n)
     assert words.dtype == np.uint64 and words.shape == (n,)
     assert words.tolist() == [single.next_u64() for _ in range(n)]
-    assert (batched._state, batched._spare) == (single._state, single._spare)
-    assert [batched.next_gaussian() for _ in range(3)] == [single.next_gaussian() for _ in range(3)]
+    assert batched._state == single.state
     # the state wraps mod 2^64 as the scalar stream does
-    top, top_single = RngState(2**64 - 1), RngState(2**64 - 1)
+    top, top_single = RngState(2**64 - 1), ScalarStream(2**64 - 1)
     assert top.next_u64s(n).tolist() == [top_single.next_u64() for _ in range(n)]
-    assert top._state == top_single._state
+    assert top._state == top_single.state
     with pytest.raises(InvalidInputError):
         top.next_u64s(-1)
+
+
+def test_sample_channel_matches_the_scalar_reference():
+    for l in range(1, 17):
+        # odd l * l leaves the reference a spare sine, which is dropped
+        for seed in [*range(300), 2**64 - 1]:
+            cases = [(derive_trial_rng(seed, l), reference_trial_stream(seed, l))]
+            if seed == 2**64 - 1:
+                cases.append((RngState(seed), ScalarStream(seed)))
+            for rng, ref in cases:
+                h = sample_channel(rng, l)
+                expected = [ref.next_gaussian() for _ in range(l * l)]
+                assert h.shape == (l, l) and h.dtype == np.float64
+                assert h.ravel().tolist() == expected, (l, seed)
+                assert rng._state == ref.state, (l, seed)
+
+
+def test_trial_stream_is_pinned():
+    # exact words and entries of the stream; changing them moves every seeded CSV
+    assert derive_trial_rng(42, 3).next_u64s(4).tolist() == [
+        962144556405080021, 17939881129334414147, 3674771360076380311, 16749200793999783175,
+    ]
+    pinned = {
+        (42, 3, 5): [
+            "2.3942926680026986", "-0.41751590386452314", "1.504326928426987",
+            "-0.9817303217933353", "0.6850786035491321", "-1.8873180795563802",
+            "1.2608542922528414", "-0.274717830585374", "0.55453834296484",
+            "-0.16112293712088688", "0.011905661710654988", "1.0006089773269062",
+            "-0.31717464225757586", "-0.6912778527169188", "-0.8762204906585589",
+            "0.2745689002012358", "1.081760092996053", "-0.44641793629960963",
+            "0.6381916470027057", "-0.5705401228891284", "-0.8838978174640245",
+            "-0.19388071137302323", "-0.3387719589214516", "0.819761505715785",
+            "-0.5359006854313608",
+        ],
+        (1, 0, 2): [
+            "-0.028249746095854695", "-1.065617648414326", "-0.22791952286763478",
+            "0.0830941684715007",
+        ],
+        (2**64 - 1, 7, 1): ["0.497966157711714"],
+    }
+    for (seed, trial, l), entries in pinned.items():
+        h = sample_channel(derive_trial_rng(seed, trial), l)
+        assert [repr(x) for x in h.ravel().tolist()] == entries
 
 
 def test_trial_rng_is_order_free():

@@ -1,7 +1,8 @@
 import pytest
 
+import ifrx.harness
 from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
-from ifrx.cli import main, parse_value_list
+from ifrx.cli import build_parser, main, parse_value_list
 from ifrx.errors import ParseError
 from ifrx.sdm import SearchConfig
 from ifrx.select import METHOD_FALLBACK, design_if
@@ -145,6 +146,38 @@ def test_simulate_prime_range(tmp_path, capsys):
         assert not out_csv.exists()
     assert main(base + ["--prime", str(2**61 - 1)]) == 0
     assert out_csv.exists()
+
+
+def test_simulate_negative_prime_exits_1(tmp_path, capsys):
+    out_csv = tmp_path / "x.csv"
+    base = ["simulate", "--l", "3", "--trials", "1", "--lines", "1", "--snr-db", "10",
+            "--methods", "if-sdm", "--out", str(out_csv)]
+    assert main(base + ["--prime", "-7"]) == 1
+    assert "--prime" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_simulate_prime_0_disables_the_check(tmp_path, capsys, monkeypatch):
+    checks = []
+    monkeypatch.setattr(ifrx.harness, "_recovery_check", lambda *args: checks.append(args))
+    out_csv = tmp_path / "x.csv"
+    assert main(["simulate", "--l", "3", "--trials", "2", "--lines", "1", "--snr-db", "10",
+                 "--methods", "if-sdm", "--prime", "0", "--out", str(out_csv)]) == 0
+    assert out_csv.exists() and checks == []
+    capsys.readouterr()
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    build_parser.cache_clear()
+    argv = ["simulate", "--l", "2", "--trials", "1", "--lines", "1", "--snr-db", "10",
+            "--methods", "zf", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    assert build_parser.cache_info().misses == 1
+    # a usage error on the reused parser still exits 1
+    assert main(["simulate", "--l", "2", "--bogus"]) == 1
+    assert main(["simulate", "--l", "2"]) == 1
+    capsys.readouterr()
 
 
 def test_simulate_lines_sweep_requires_values(tmp_path, capsys):

@@ -8,7 +8,6 @@ from ifrx.fieldrec import (
     MessageBlock,
     PrimeField,
     combine_messages,
-    mat_inverse_mod_p,
     recover_messages,
 )
 
@@ -32,6 +31,13 @@ def reference_inverse_mod_p(a, p):
                 factor = aug[r][col]
                 aug[r] = [(x - factor * y) % p for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def inverse_mod_p(a, field):
+    """A^-1 over F_p: recover_messages run against the identity block."""
+    n = len(a)
+    identity = MessageBlock(rows=tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    return [list(row) for row in recover_messages(a, identity, field).rows]
 
 
 def reference_combine(a, rows, p):
@@ -84,11 +90,11 @@ def test_fieldrec_matches_the_list_oracle():
         except NotInvertibleModPError:
             singular[p] += 1
             with pytest.raises(NotInvertibleModPError):
-                mat_inverse_mod_p(a, field)
+                inverse_mod_p(a, field)
             with pytest.raises(NotInvertibleModPError):
                 recover_messages(a, u, field)
             continue
-        assert mat_inverse_mod_p(a, field) == expected
+        assert inverse_mod_p(a, field) == expected
         recovered = recover_messages(a, u, field)
         assert recovered.rows == w_rows
         assert recovered.rows == reference_combine(expected, u.rows, p)
@@ -121,22 +127,22 @@ def test_primality_agrees_with_trial_division():
 
 
 def test_inverse_unipotent():
-    assert mat_inverse_mod_p([[1, 1], [0, 1]], PrimeField(3)) == [[1, 2], [0, 1]]
+    assert inverse_mod_p([[1, 1], [0, 1]], PrimeField(3)) == [[1, 2], [0, 1]]
 
 
 def test_inverse_identity():
     for p in (2, 3, 5, 257):
-        assert mat_inverse_mod_p(np.eye(3, dtype=int), PrimeField(p)) == [
+        assert inverse_mod_p(np.eye(3, dtype=int), PrimeField(p)) == [
             [1, 0, 0], [0, 1, 0], [0, 0, 1],
         ]
 
 
 def test_inverse_singular_raises():
     with pytest.raises(NotInvertibleModPError):
-        mat_inverse_mod_p([[1, 1], [1, 1]], PrimeField(5))
+        inverse_mod_p([[1, 1], [1, 1]], PrimeField(5))
     # full real rank but singular mod 3 (det = 3)
     with pytest.raises(NotInvertibleModPError):
-        mat_inverse_mod_p([[1, 2], [-1, 1]], PrimeField(3))
+        inverse_mod_p([[1, 2], [-1, 1]], PrimeField(3))
 
 
 def test_combine_messages_examples():
@@ -181,7 +187,7 @@ def test_round_trip_across_primes(p):
     while done < 25:
         a = rng.randint(-3, 4, size=(3, 3))
         try:
-            inv = mat_inverse_mod_p(a, field)
+            inv = inverse_mod_p(a, field)
         except NotInvertibleModPError:
             continue
         # inverse really is an inverse mod p

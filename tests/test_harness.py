@@ -272,7 +272,7 @@ def test_every_cell_continues_the_trial_stream(monkeypatch):
         seen.append(copy.copy(rng))
         return inner(a, field, rng)
     monkeypatch.setattr(ifrx.harness, "_recovery_check", recording)
-    # 25 entries leave a Box-Muller spare pending after sampling, 64 do not
+    # sampling takes 26 words for 25 entries and 64 for 64
     for l in (5, 8):
         cfg = small_cfg(l=l, snr_db_grid=(0.0, 20.0), trials=2, lines_j=1, methods=("if-sdm",))
         seen.clear()
@@ -281,9 +281,9 @@ def test_every_cell_continues_the_trial_stream(monkeypatch):
         for t in range(2):
             fresh = derive_trial_rng(cfg.master_seed, t)
             sample_channel(fresh, l)
-            expected = [fresh.next_gaussian() for _ in range(3)] + [fresh.next_u64()]
+            expected = fresh.next_u64s(4).tolist()
             for rng in seen[6 * t:6 * (t + 1)]:
-                assert [rng.next_gaussian() for _ in range(3)] + [rng.next_u64()] == expected
+                assert rng.next_u64s(4).tolist() == expected
 
 
 def test_lines_sweep_draws_and_decomposes_each_channel_once(monkeypatch):
