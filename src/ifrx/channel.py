@@ -91,8 +91,8 @@ class ChannelRealization:
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "power", float(self.power))
-        if not self.power > 0:
-            raise InvalidInputError("power must be positive")
+        if not 0 < self.power < math.inf:
+            raise InvalidInputError("power must be positive and finite")
 
     @property
     def l(self) -> int:

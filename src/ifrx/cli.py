@@ -53,12 +53,10 @@ def parse_value_list(text: str, kind=float) -> list:
         if not values:
             raise ParseError("value list is empty")
     if kind is int:
-        out = []
         for v in values:
-            if v != int(v):
+            if not v.is_integer():
                 raise ParseError(f"expected integer values, got {v}")
-            out.append(int(v))
-        return out
+        return [int(v) for v in values]
     return values
 
 
@@ -70,8 +68,6 @@ def cmd_design(args) -> int:
     h = load_matrix(args.channel)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise InvalidInputError(f"channel matrix must be square, got {h.shape[0]}x{h.shape[1]}")
-    if args.power <= 0:
-        raise InvalidInputError("--power must be positive")
     l = h.shape[0]
     lines = args.lines if args.lines is not None else _default_lines(l)
     if not 1 <= lines <= l - 1:

@@ -61,58 +61,53 @@ class PrimeField:
             raise InvalidInputError(f"{p} is not prime")
 
 
-@dataclass(frozen=True)
-class MessageBlock:
-    """L message vectors of equal length with entries in [0, p-1]."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-
 def _residues(m, p: int, what: str) -> np.ndarray:
-    """The entries of a 2-D integer matrix reduced into [0, p): int64 for an
-    int64 array when p fits, Python ints in an object array otherwise.
-    Non-integer entries are truncated by ``int``."""
+    """A 2-D integer matrix as a residue array: entries reduced into [0, p),
+    int64 when p < 2^63 and Python ints in an object array otherwise.
+    Integer numpy arrays reduce in numpy when p < 2^63; anything else goes
+    through Python ints, and ``int`` truncates non-integer entries."""
+    numeric = isinstance(m, np.ndarray) and m.dtype.kind in "iu" and p < _INT64_LIMIT
     try:
-        arr = np.asarray(m)
-        if arr.dtype != np.int64 or p >= _INT64_LIMIT:
-            # numpy turns a list mixing negative and >= 2^63 ints into floats
-            arr = np.array(m, dtype=object)
+        arr = m if numeric else np.array(m, dtype=object)
     except ValueError:
         arr = None
     if arr is None or arr.ndim != 2 or arr.shape[0] == 0:
         raise InvalidInputError(f"{what} must be a nonempty rectangular matrix")
-    if arr.dtype == np.int64:
-        return arr % p
-    return np.array([[int(x) % p for x in row] for row in arr.tolist()], dtype=object)
+    if numeric:
+        wide = np.uint64 if arr.dtype.kind == "u" else np.int64
+        return (arr % wide(p)).astype(np.int64, copy=False)
+    return np.array([[int(x) % p for x in row] for row in arr.tolist()],
+                    dtype=np.int64 if p < _INT64_LIMIT else object)
 
 
-def combine_messages(a, w: MessageBlock, field: PrimeField) -> MessageBlock:
-    """u_m = sum_l a_ml w_l (mod p), entrywise over the message columns."""
+def combine_messages(a, w, field: PrimeField) -> np.ndarray:
+    """u_m = sum_l a_ml w_l (mod p), entrywise over the message columns of
+    the (L, n) message matrix w. Returns a residue array."""
     p = field.p
     coeffs = _residues(a, p, "coefficient matrix")
-    words = _residues(w.rows, p, "message block")
+    words = _residues(w, p, "message block")
     if coeffs.shape[1] != words.shape[0]:
         raise InvalidInputError("coefficient matrix width must match the message count")
     # an entry sums L products of residues, below L (p-1)^2: exact in int64
     # under 2^63, and over Python ints beyond
     dtype = np.int64 if words.shape[0] * (p - 1) ** 2 < _INT64_LIMIT else object
     u = (coeffs.astype(dtype) @ words.astype(dtype)) % p
-    return MessageBlock(rows=tuple(map(tuple, u.tolist())))
+    return u.astype(words.dtype, copy=False)
 
 
-def recover_messages(a, u: MessageBlock, field: PrimeField) -> MessageBlock:
+def recover_messages(a, u, field: PrimeField) -> np.ndarray:
     """Undo combine_messages: solve A w = u (mod p) by one Gauss-Jordan
-    elimination of [A | u] in Python ints. Raises NotInvertibleModPError
-    when A is singular mod p."""
+    elimination of [A | u] in Python ints and return w as a residue array.
+    Raises NotInvertibleModPError when A is singular mod p."""
     p = field.p
     m = _residues(a, p, "coefficient matrix").tolist()
-    rhs = _residues(u.rows, p, "message block").tolist()
+    rhs = _residues(u, p, "message block")
     n = len(m)
     if len(m[0]) != n:
         raise InvalidInputError("coefficient matrix must be square and nonempty")
     if len(rhs) != n:
         raise InvalidInputError("coefficient matrix width must match the message count")
-    aug = [row + r for row, r in zip(m, rhs)]
+    aug = [row + r for row, r in zip(m, rhs.tolist())]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
@@ -127,4 +122,4 @@ def recover_messages(a, u: MessageBlock, field: PrimeField) -> MessageBlock:
             factor = aug[r][col]
             if r != col and factor:
                 aug[r][col:] = [(x - factor * y) % p for x, y in zip(aug[r][col:], prow)]
-    return MessageBlock(rows=tuple(tuple(row[n:]) for row in aug))
+    return np.array([row[n:] for row in aug], dtype=rhs.dtype)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import ChannelRealization, RngState, capacity, derive_trial_rng, sample_channel
 from .errors import InvalidInputError, NotInvertibleModPError
-from .fieldrec import MessageBlock, PrimeField, combine_messages, recover_messages
+from .fieldrec import PrimeField, combine_messages, recover_messages
 from .ifcore import mmse_rates, zf_rates
 from .select import METHOD_EXHAUSTIVE, METHOD_FALLBACK, METHOD_SDM, design_if
 from .sdm import SearchConfig
@@ -108,12 +108,13 @@ def _recovery_check(a, field: PrimeField, rng: RngState) -> bool:
     was invertible mod p; a failed round trip of an invertible matrix is a
     bug and raises."""
     words = rng.next_u64s(a.shape[0] * _RECOVERY_MSG_LEN) % field.p
-    w = MessageBlock(rows=tuple(map(tuple, words.reshape(-1, _RECOVERY_MSG_LEN).tolist())))
+    w = words.reshape(-1, _RECOVERY_MSG_LEN)
     try:
         recovered = recover_messages(a, combine_messages(a, w, field), field)
     except NotInvertibleModPError:
         return False
-    if recovered.rows != w.rows:
+    # compared in one dtype: numpy before 2.0 compares int64 to uint64 as floats
+    if not np.array_equal(recovered, w.astype(recovered.dtype)):
         raise RuntimeError("finite-field round trip mismatch for an invertible matrix")
     return True
 
@@ -230,6 +231,8 @@ def run_sweep(cfg: ExperimentConfig, sweep: str, values) -> list[Aggregate]:
         if sweep == "snr":
             cells.append((value, float(value), cfg))
             continue
+        if not float(value).is_integer():
+            raise InvalidInputError(f"{sweep} values must be integers, got {value!r}")
         sub = replace(cfg, **{sweep: int(value)})
         cells.extend((value, snr, sub) for snr in cfg.snr_db_grid)
 

@@ -21,7 +21,7 @@ from .linalg import solve_inverse
 
 @dataclass(frozen=True)
 class QForm:
-    """Symmetric quadratic form of a channel at transmit power ``power``.
+    """Symmetric quadratic form of a channel at one transmit power.
 
     ``q`` is a read-only copy of the input, so quantities derived from it
     (the eigenbasis, per-line candidates) can be kept in ``memo`` for the
@@ -30,7 +30,6 @@ class QForm:
     """
 
     q: np.ndarray
-    power: float
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -74,7 +73,7 @@ def compute_q(ch: ChannelRealization) -> QForm:
     qform = ch.memo.get("q")
     if qform is None:
         q = np.eye(ch.l) - ch.h.T @ _noise_whitener(ch) @ ch.h
-        qform = QForm(q=0.5 * (q + q.T), power=ch.power)
+        qform = QForm(q=0.5 * (q + q.T))
         ch.memo["q"] = qform
     return qform
 
@@ -100,6 +99,13 @@ def rate_from_ab(a_m, b_m, ch: ChannelRealization) -> float:
     return 0.5 * math.log2(ch.power / den)
 
 
+def _rate_from_energy(e: float) -> float:
+    """(1/2) log2(1 / e) for e = a^T Q a, which rounds to <= 0 at high SNR."""
+    if not e > 0:
+        raise SingularMatrixError(f"quadratic form value {e:.3g} is not positive")
+    return -0.5 * math.log2(e)
+
+
 def rate_from_q(a_m, q: QForm) -> float:
     """Rate (1/2) log2(1 / (a^T Q a)) with the optimal projection baked in."""
     a = np.asarray(a_m, dtype=float)
@@ -108,7 +114,7 @@ def rate_from_q(a_m, q: QForm) -> float:
         raise InvalidInputError(f"a_m must have length {l}")
     if not a.any():
         raise InvalidInputError("a_m must be nonzero")
-    return -0.5 * math.log2(float(a @ q.q @ a))
+    return _rate_from_energy(float(a @ q.q @ a))
 
 
 def total_rate(per_stream) -> RateReport:
@@ -147,5 +153,4 @@ def mmse_rates(ch: ChannelRealization) -> RateReport:
     """MMSE rates R_m = (1/2) log2(1 / Q_mm): the identity-coefficient
     design under the optimal projection."""
     q = compute_q(ch).q
-    per = tuple(-0.5 * math.log2(float(q[m, m])) for m in range(ch.l))
-    return total_rate(per)
+    return total_rate(_rate_from_energy(float(q[m, m])) for m in range(ch.l))

@@ -230,6 +230,9 @@ def test_capacity_nonnegative_and_monotone_in_power():
 def test_channel_realization_validation():
     with pytest.raises(InvalidInputError):
         ChannelRealization(h=np.eye(2), power=0.0)
+    for power in (math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="finite"):
+            ChannelRealization(h=np.eye(2), power=power)
     with pytest.raises(InvalidInputError):
         ChannelRealization(h=np.ones((2, 3)), power=1.0)
 

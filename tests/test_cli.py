@@ -28,6 +28,9 @@ def test_parse_value_list():
         parse_value_list("0:5:10:15")
     with pytest.raises(ParseError):
         parse_value_list("1.5,2", int)
+    for bad in ("inf", "nan", "1,-inf"):
+        with pytest.raises(ParseError):
+            parse_value_list(bad, int)
 
 
 def test_design_identity_exhaustive(identity_channel, capsys):
@@ -59,6 +62,21 @@ def test_design_negative_power_exits_1(identity_channel, capsys):
     code = main(["design", "--channel", identity_channel, "--power", "-1"])
     assert code == 1
     capsys.readouterr()
+
+
+def test_design_infinite_power_exits_1(identity_channel, capsys):
+    code = main(["design", "--channel", identity_channel, "--power", "inf"])
+    assert code == 1
+    assert "ifrx: error:" in capsys.readouterr().err
+
+
+def test_simulate_infinite_snr_exits_1(tmp_path, capsys):
+    out_csv = tmp_path / "x.csv"
+    code = main(["simulate", "--l", "4", "--trials", "2", "--snr-db", "inf",
+                 "--out", str(out_csv)])
+    assert code == 1
+    assert "ifrx: error:" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 def test_design_missing_file_exits_1(capsys):

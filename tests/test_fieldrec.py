@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from ifrx.errors import InvalidInputError, NotInvertibleModPError
-from ifrx.fieldrec import (
-    MessageBlock,
-    PrimeField,
-    combine_messages,
-    recover_messages,
-)
+from ifrx.fieldrec import PrimeField, combine_messages, recover_messages
 
 
 def reference_inverse_mod_p(a, p):
@@ -35,9 +30,7 @@ def reference_inverse_mod_p(a, p):
 
 def inverse_mod_p(a, field):
     """A^-1 over F_p: recover_messages run against the identity block."""
-    n = len(a)
-    identity = MessageBlock(rows=tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-    return [list(row) for row in recover_messages(a, identity, field).rows]
+    return recover_messages(a, np.eye(len(a), dtype=np.int64), field).tolist()
 
 
 def reference_combine(a, rows, p):
@@ -47,44 +40,52 @@ def reference_combine(a, rows, p):
         acc = [0] * len(rows[0])
         for coeff, wrow in zip(coeff_row, rows):
             acc = [(x + (int(coeff) % p) * y) % p for x, y in zip(acc, wrow)]
-        out.append(tuple(acc))
-    return tuple(out)
+        out.append(acc)
+    return out
 
 
-ORACLE_PRIMES = (2, 3, 5, 7, 257, 2**31 - 1, 2**61 - 1)
+# 2^64 - 59, the largest prime below 2^64, takes the object (Python int) form
+ORACLE_PRIMES = (2, 3, 5, 7, 257, 2**31 - 1, 2**61 - 1, 2**64 - 59)
 
 
 def oracle_cases():
-    """(p, A, W) with L = 2..10: int64 arrays and lists of Python ints,
-    entries small, near p and beyond int64, and a share of matrices made
-    singular mod p by setting one row to a combination of two others."""
+    """(p, A, W, W mod p as lists) with L = 2..10. A is an int64 array or
+    lists of Python ints, entries small, near p and beyond int64, and a
+    share of the matrices is made singular mod p by setting one row to a
+    combination of two others. W is tuples of residues, raw uint64 words
+    or signed int64 words."""
     gen = random.Random(2026)
     cases = []
     for i in range(420):
         p = ORACLE_PRIMES[i % len(ORACLE_PRIMES)]
         l = 2 + i % 9
-        span = (3, p, 2**62, 2**70)[i % 4]
+        span = (3, p, 2**62, 2**70)[i // len(ORACLE_PRIMES) % 4]
         a = [[gen.randrange(-span, span) for _ in range(l)] for _ in range(l)]
         if i % 5 == 0:
             dst = gen.randrange(l)
             j, k = (gen.choice([r for r in range(l) if r != dst]) for _ in range(2))
             c, d = gen.randrange(p), gen.randrange(p)
             a[dst] = [x * c + y * d + p * gen.randrange(-3, 4) for x, y in zip(a[j], a[k])]
-        w = tuple(tuple(gen.randrange(p) for _ in range(1 + i % 5)) for _ in range(l))
+        form = i // 3 % 3
+        low, high = ((0, p), (0, 2**64), (-2**63, 2**63))[form]
+        w_rows = [[gen.randrange(low, high) for _ in range(1 + i % 5)] for _ in range(l)]
+        w = tuple(map(tuple, w_rows)) if form == 0 else np.array(
+            w_rows, dtype=(np.uint64, np.int64)[form - 1])
         if span < 2**63 and max(abs(x) for row in a for x in row) < 2**63 and i % 3:
             a = np.array(a, dtype=np.int64)
-        cases.append((p, a, w))
+        cases.append((p, a, w, [[x % p for x in row] for row in w_rows]))
     return cases
 
 
 def test_fieldrec_matches_the_list_oracle():
     singular = {p: 0 for p in ORACLE_PRIMES}
-    for p, a, w_rows in oracle_cases():
+    for p, a, w, w_rows in oracle_cases():
         field = PrimeField(p)
-        w = MessageBlock(rows=w_rows)
+        dtype = np.int64 if p < 2**63 else object
         u = combine_messages(a, w, field)
-        assert u.rows == reference_combine(a, w_rows, p)
-        assert all(type(x) is int for row in u.rows for x in row)
+        assert u.dtype == dtype
+        assert u.tolist() == reference_combine(a, w_rows, p)
+        assert all(type(x) is int for row in u.tolist() for x in row)
         try:
             expected = reference_inverse_mod_p(a, p)
         except NotInvertibleModPError:
@@ -96,8 +97,9 @@ def test_fieldrec_matches_the_list_oracle():
             continue
         assert inverse_mod_p(a, field) == expected
         recovered = recover_messages(a, u, field)
-        assert recovered.rows == w_rows
-        assert recovered.rows == reference_combine(expected, u.rows, p)
+        assert recovered.dtype == dtype
+        assert recovered.tolist() == w_rows
+        assert recovered.tolist() == reference_combine(expected, u.tolist(), p)
     assert all(n >= 10 for n in singular.values()), singular
 
 
@@ -147,19 +149,18 @@ def test_inverse_singular_raises():
 
 def test_combine_messages_examples():
     field = PrimeField(3)
-    w = MessageBlock(rows=((1,), (2,)))
+    w = [[1], [2]]
     u = combine_messages([[1, 1], [0, 1]], w, field)
-    assert u.rows == ((0,), (2,))
-    assert combine_messages(np.eye(2, dtype=int), w, field).rows == w.rows
-    neg = combine_messages([[-1]], MessageBlock(rows=((1,),)), field)
-    assert neg.rows == ((2,),)
+    assert u.dtype == np.int64 and u.tolist() == [[0], [2]]
+    assert combine_messages(np.eye(2, dtype=int), w, field).tolist() == w
+    assert combine_messages([[-1]], [[1]], field).tolist() == [[2]]
 
 
 def test_recover_round_trip_example():
     field = PrimeField(3)
     a = [[1, 1], [0, 1]]
-    w = MessageBlock(rows=((1,), (2,)))
-    assert recover_messages(a, combine_messages(a, w, field), field).rows == w.rows
+    w = [[1], [2]]
+    assert recover_messages(a, combine_messages(a, w, field), field).tolist() == w
 
 
 def test_round_trip_random_matrices():
@@ -168,14 +169,13 @@ def test_round_trip_random_matrices():
     done = 0
     while done < 100:
         a = rng.randint(-2, 3, size=(4, 4))
-        w = MessageBlock(rows=tuple(tuple(int(x) for x in rng.randint(0, 3, size=6))
-                                    for _ in range(4)))
+        w = np.array([rng.randint(0, 3, size=6) for _ in range(4)])
         u = combine_messages(a, w, field)
         try:
             recovered = recover_messages(a, u, field)
         except NotInvertibleModPError:
             continue
-        assert recovered.rows == w.rows
+        assert np.array_equal(recovered, w)
         done += 1
 
 
@@ -193,9 +193,8 @@ def test_round_trip_across_primes(p):
         # inverse really is an inverse mod p
         prod = (np.array(inv) @ np.array([[x % p for x in row] for row in a])) % p
         assert np.array_equal(prod, np.eye(3, dtype=int))
-        w = MessageBlock(rows=tuple(tuple(int(x) for x in rng.randint(0, p, size=5))
-                                    for _ in range(3)))
-        assert recover_messages(a, combine_messages(a, w, field), field).rows == w.rows
+        w = np.array([rng.randint(0, p, size=5) for _ in range(3)])
+        assert np.array_equal(recover_messages(a, combine_messages(a, w, field), field), w)
         done += 1
 
 
@@ -205,16 +204,13 @@ def test_combine_is_linear():
     a = rng.randint(-2, 3, size=(3, 3))
     w1 = rng.randint(0, 5, size=(3, 4))
     w2 = rng.randint(0, 5, size=(3, 4))
-    blocks = [MessageBlock(rows=tuple(map(tuple, w.tolist()))) for w in (w1, w2, (w1 + w2) % 5)]
-    u1 = np.array(combine_messages(a, blocks[0], field).rows)
-    u2 = np.array(combine_messages(a, blocks[1], field).rows)
-    u12 = np.array(combine_messages(a, blocks[2], field).rows)
+    u1, u2, u12 = (combine_messages(a, w, field) for w in (w1, w2, (w1 + w2) % 5))
     assert np.array_equal((u1 + u2) % 5, u12)
 
 
 def test_dimension_validation():
     field = PrimeField(3)
     with pytest.raises(InvalidInputError):
-        combine_messages([[1, 0]], MessageBlock(rows=((1,),)), field)
+        combine_messages([[1, 0]], [[1]], field)
     with pytest.raises(InvalidInputError):
-        combine_messages([[1, 0], [0, 1]], MessageBlock(rows=((1,), (1, 2))), field)
+        combine_messages([[1, 0], [0, 1]], [[1], [1, 2]], field)

@@ -146,6 +146,12 @@ def test_run_sweep_rejects_bad_input():
         run_sweep(cfg, "snr", [])
 
 
+@pytest.mark.parametrize("sweep", ["lines_j", "bound_m"])
+def test_run_sweep_rejects_non_integer_values(sweep):
+    with pytest.raises(InvalidInputError, match="integers"):
+        run_sweep(small_cfg(methods=("mmse",)), sweep, [1, 1.5])
+
+
 def test_write_csv_empty_and_single(tmp_path):
     path = tmp_path / "aggregates.csv"
     write_csv([], path)
@@ -250,7 +256,7 @@ def test_run_sweep_matches_cell_major_reference(monkeypatch, l, sweep, values, g
     sent = []
     inner = ifrx.harness.combine_messages
     monkeypatch.setattr(ifrx.harness, "combine_messages",
-                        lambda a, w, f: sent.append(w.rows) or inner(a, w, f))
+                        lambda a, w, f: sent.append(w.tolist()) or inner(a, w, f))
     ref = reference_run_sweep(cfg, sweep, values)
     ref_sent, sent[:] = sent[:], []
     got = run_sweep(cfg, sweep, values)

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from ifrx.channel import ChannelRealization
-from ifrx.errors import InvalidInputError
+from ifrx.channel import ChannelRealization, capacity, derive_trial_rng, sample_channel
+from ifrx.errors import IfrxError, InvalidInputError
 from ifrx.ifcore import (
     QForm,
     compute_q,
@@ -14,6 +16,7 @@ from ifrx.ifcore import (
     zf_rates,
 )
 from ifrx.sdm import SearchConfig, candidate_set
+from ifrx.select import design_if
 
 
 def random_channel(rng, l, power):
@@ -55,7 +58,7 @@ def test_q_is_computed_once_and_read_only():
     # a hand-built form copies its input and never shares the channel's
     # memo, so its basis and lines stay its own
     raw = np.diag([0.1, 0.2, 0.3, 0.4])
-    fake = QForm(q=raw, power=ch.power)
+    fake = QForm(q=raw)
     raw[0, 0] = 0.9
     assert fake.q[0, 0] == 0.1
     cfg = SearchConfig(bound_m=2, lines_j=3)
@@ -224,3 +227,22 @@ def test_mmse_dominates_zf_per_stream():
         for r_mmse, r_zf in zip(mmse.per_stream, zf.per_stream):
             assert r_mmse >= r_zf - 1e-12
     assert checked > 900
+
+
+def test_every_method_at_200_db_gives_finite_rates_or_a_typed_error():
+    # Q = I - H^T (H H^T + I/P)^-1 H cancels to rounding noise here, so
+    # a^T Q a and Q_mm can come out <= 0
+    raised = 0
+    for t in range(50):
+        ch = ChannelRealization(h=sample_channel(derive_trial_rng(7, t), 4), power=1e20)
+        for run in (lambda: design_if(ch, SearchConfig(2, 3), "sdm").report,
+                    lambda: design_if(ch, SearchConfig(2, 3), "exhaustive").report,
+                    lambda: mmse_rates(ch), lambda: zf_rates(ch)):
+            try:
+                rep = run()
+            except IfrxError:
+                raised += 1
+                continue
+            assert all(math.isfinite(r) for r in rep.per_stream + (rep.total,))
+        assert math.isfinite(capacity(ch))
+    assert raised > 0

@@ -17,7 +17,7 @@ from ifrx.sdm import (
 
 
 def make_qform(q):
-    return QForm(q=np.asarray(q, dtype=float), power=1.0)
+    return QForm(q=np.asarray(q, dtype=float))
 
 
 def as_tuples(arr):

@@ -16,7 +16,7 @@ BOX_GUARD = 10**7
 
 
 def make_qform(q):
-    return QForm(q=np.asarray(q, dtype=float), power=1.0)
+    return QForm(q=np.asarray(q, dtype=float))
 
 
 def as_tuples(arr):
