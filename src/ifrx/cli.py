@@ -117,8 +117,13 @@ def cmd_simulate(args) -> int:
 
     for method in cfg.methods:
         rows = [a for a in aggregates if a.method == method]
+        where = ""
+        if sweep != "snr":
+            # a lines or bound sweep reports its last value, by name
+            rows = [a for a in rows if a.sweep_value == rows[-1].sweep_value]
+            where = f"{sweep}={rows[-1].sweep_value}, "
         best = max(rows, key=lambda a: a.snr_db)
-        print(f"{method}: avg min-form rate {best.avg_rate_min:.4f} at {best.snr_db:g} dB "
+        print(f"{method}: avg min-form rate {best.avg_rate_min:.4f} at {where}{best.snr_db:g} dB "
               f"(success prob {best.success_prob:.3f})")
     print(f"wrote {len(aggregates)} aggregate rows to {args.out}")
     return 0

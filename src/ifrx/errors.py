@@ -18,7 +18,7 @@ class SingularMatrixError(IfrxError):
 
 
 class ConvergenceError(IfrxError):
-    """An iterative solver exhausted its iteration budget."""
+    """LAPACK's symmetric eigensolver (``eigh``) raised ``LinAlgError``."""
 
 
 class DegenerateDirectionError(IfrxError):

@@ -135,7 +135,11 @@ class TrialDraw:
     def channel(self, snr_db: float) -> ChannelRealization:
         ch = self.channels.get(snr_db)
         if ch is None:
-            ch = self.channels[snr_db] = ChannelRealization(h=self.h, power=10.0 ** (snr_db / 10.0))
+            try:
+                power = 10.0 ** (snr_db / 10.0)
+            except OverflowError:
+                raise InvalidInputError(f"SNR {snr_db:g} dB overflows the transmit power") from None
+            ch = self.channels[snr_db] = ChannelRealization(h=self.h, power=power)
             ch.memo["h"] = self.h_memo
         return ch
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import InstanceTooLargeError, InvalidInputError, SingularMatrixError
-from .ifcore import QForm, RateReport, compute_q, optimal_projection, rate_from_q, total_rate
+from .ifcore import RateReport, compute_q, optimal_projection, rate_from_q, total_rate
 # int_rank_independent stays bound here although greedy no longer calls it:
 # benchmarks/spans.py wraps this binding, and a zero count beats a missing one
 from .linalg import IntEchelon, int_rank_independent  # noqa: F401
@@ -122,43 +122,24 @@ def sphere_candidates(q: np.ndarray, m: int, radius: float) -> np.ndarray:
     return pts[leading(pts) > 0]
 
 
-def _sdm_rows(qform: QForm, cfg: SearchConfig) -> np.ndarray | None:
-    """Greedy rows over the SDM candidate set, read-only, or None when they
-    cannot reach full rank. Kept in ``qform.memo`` per (J, M), so the SDM
-    method and the exhaustive radius share one greedy run."""
-    key = ("sdm", cfg.lines_j, cfg.bound_m)
-    if key not in qform.memo:
-        a = greedy_full_rank(rank_candidates(candidate_set(qform, cfg), qform.q))
-        if a is not None:
-            a.setflags(write=False)
-        qform.memo[key] = a
-    return qform.memo[key]
-
-
-def _exhaustive_rows(qform: QForm, cfg: SearchConfig) -> np.ndarray | None:
+def _exhaustive_rows(q: np.ndarray, m: int) -> np.ndarray | None:
     """Greedy rows over the in-box points of a sphere: the same rows as
     greedy over the whole box.
 
-    The radius is capped by the largest f of the SDM design, or of the
-    identity when that is smaller or SDM fails. Both are full-rank box
-    designs, so greedy's rows lie within the cap. Where the cap's sphere
+    The radius is capped by the largest f of the identity, a full-rank box
+    design, so greedy's rows lie within the cap. Where the cap's sphere
     would hold more than about SPHERE_START_POINTS points, the radius
     starts lower and grows until greedy's rows all lie within it.
     """
-    q = qform.q
     l = q.shape[0]
     cap = q.diagonal().max()
-    if cfg.lines_j < l:
-        a = _sdm_rows(qform, cfg)
-        if a is not None:
-            cap = min(cap, _row_f(a, q).max())
     # an ellipsoid {a^T Q a <= r} of volume pi^(L/2) r^(L/2) / Gamma(L/2 + 1)
     # holds about volume / sqrt(det Q) integer points, half of them canonical
     log_r = 2 / l * (math.log(2 * SPHERE_START_POINTS) + math.lgamma(l / 2 + 1)
                      + np.log(_lower_factor(q).diagonal()).sum()) - math.log(math.pi)
     radius = min(cap, math.exp(log_r))
     while True:
-        a = greedy_full_rank(rank_candidates(sphere_candidates(q, cfg.bound_m, radius), q))
+        a = greedy_full_rank(rank_candidates(sphere_candidates(q, m, radius), q))
         if radius >= cap or (a is not None and _row_f(a, q).max() <= radius):
             return a
         # about twice the points per step
@@ -171,10 +152,12 @@ def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesig
     if method not in (METHOD_SDM, METHOD_EXHAUSTIVE):
         raise InvalidInputError(f"unknown method {method!r}")
     qform = compute_q(ch)
-    l = ch.l
-    a = (_sdm_rows if method == METHOD_SDM else _exhaustive_rows)(qform, cfg)
+    if method == METHOD_SDM:
+        a = greedy_full_rank(rank_candidates(candidate_set(qform, cfg), qform.q))
+    else:
+        a = _exhaustive_rows(qform.q, cfg.bound_m)
     if a is None:
-        a = np.eye(l, dtype=np.int64)
+        a = np.eye(ch.l, dtype=np.int64)
         tag, success = METHOD_FALLBACK, False
     else:
         tag, success = method, True

@@ -14,10 +14,11 @@ from ifrx.cli import main
 from ifrx.errors import NotInvertibleModPError
 from ifrx.fieldrec import PrimeField, combine_messages, recover_messages
 from ifrx.harness import ExperimentConfig, run_trial
-from ifrx.ifcore import compute_q, optimal_projection, rate_from_ab, rate_from_q
+from ifrx.ifcore import compute_q, optimal_projection, rate_from_q
 from ifrx.linalg import sym_eigen
 from ifrx.sdm import SearchConfig, candidate_set, jump_points
 from ifrx.select import design_if
+from oracles import rate_from_ab
 
 L8_CFG = dict(l=8, bound_m=2, snr_db=20.0)
 

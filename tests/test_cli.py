@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 import ifrx.harness
@@ -74,6 +76,17 @@ def test_simulate_infinite_snr_exits_1(tmp_path, capsys):
     out_csv = tmp_path / "x.csv"
     code = main(["simulate", "--l", "4", "--trials", "2", "--snr-db", "inf",
                  "--out", str(out_csv)])
+    assert code == 1
+    assert "ifrx: error:" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("snr", [["--snr-db", "4000"], ["--sweep", "snr", "--sweep-values", "4000"]],
+                         ids=["grid", "sweep-values"])
+def test_simulate_overflowing_snr_exits_1(tmp_path, capsys, snr):
+    # 10^400 overflows a float before the channel could reject the power
+    out_csv = tmp_path / "x.csv"
+    code = main(["simulate", "--l", "3", "--trials", "2", *snr, "--out", str(out_csv)])
     assert code == 1
     assert "ifrx: error:" in capsys.readouterr().err
     assert not out_csv.exists()
@@ -203,6 +216,23 @@ def test_simulate_lines_sweep_requires_values(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("sweep,column", [("lines", "lines_j"), ("bound", "bound_m")])
+def test_simulate_summary_names_the_last_sweep_value(tmp_path, capsys, sweep, column):
+    out_csv = tmp_path / "s.csv"
+    code = main(["simulate", "--l", "6", "--trials", "20", "--snr-db", "10,20", "--seed", "3",
+                 "--methods", "if-sdm,mmse", "--sweep", sweep, "--sweep-values", "1:1:3",
+                 "--out", str(out_csv)])
+    assert code == 0
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    stdout = capsys.readouterr().out
+    for method in ("if-sdm", "mmse"):
+        row = next(r for r in rows if r["method"] == method
+                   and r["sweep_value"] == "3" and r["snr_db"] == "20.0")
+        assert (f"{method}: avg min-form rate {float(row['avg_rate_min']):.4f} at {column}=3, 20 dB "
+                f"(success prob {float(row['success_prob']):.3f})") in stdout
 
 
 def test_simulate_unwritable_path_exits_1(capsys):

@@ -10,13 +10,13 @@ from ifrx.ifcore import (
     compute_q,
     mmse_rates,
     optimal_projection,
-    rate_from_ab,
     rate_from_q,
     total_rate,
     zf_rates,
 )
 from ifrx.sdm import SearchConfig, candidate_set
 from ifrx.select import design_if
+from oracles import rate_from_ab
 
 
 def random_channel(rng, l, power):

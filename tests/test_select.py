@@ -7,6 +7,7 @@ import pytest
 from ifrx import select
 from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
 from ifrx.errors import InstanceTooLargeError, InvalidInputError, SingularMatrixError
+from ifrx.harness import ExperimentConfig, run_sweep
 from ifrx.ifcore import QForm, compute_q, mmse_rates, optimal_projection, rate_from_q
 from ifrx.linalg import int_rank_independent
 from ifrx.sdm import SearchConfig, candidate_set, leading
@@ -422,7 +423,7 @@ def test_exhaustive_design_at_l12():
         assert np.array_equal(exhaustive.a, wider)
 
 
-def test_sdm_design_is_shared_between_methods(monkeypatch):
+def test_exhaustive_design_reads_neither_lines_nor_sdm(monkeypatch):
     calls = []
     real = select.candidate_set
 
@@ -431,10 +432,16 @@ def test_sdm_design_is_shared_between_methods(monkeypatch):
         return real(qform, cfg)
 
     monkeypatch.setattr(select, "candidate_set", counted)
-    ch = ChannelRealization(h=sample_channel(derive_trial_rng(5, 1), 6), power=100.0)
-    first = design_if(ch, SearchConfig(bound_m=2, lines_j=3), "sdm")
-    design_if(ch, SearchConfig(bound_m=2, lines_j=3), "exhaustive")
-    again = design_if(ch, SearchConfig(bound_m=2, lines_j=3), "sdm")
-    design_if(ch, SearchConfig(bound_m=2, lines_j=2), "exhaustive")
-    assert calls == [(3, 2), (2, 2)]
-    assert again.a is first.a and not first.a.flags.writeable
+    for l in range(4, 9):
+        for t in range(4):
+            ch = ChannelRealization(h=sample_channel(derive_trial_rng(11, 10 * l + t), l),
+                                    power=10.0 ** (1 + t % 3))
+            first = design_if(ch, SearchConfig(bound_m=2, lines_j=1), "exhaustive")
+            for j in range(2, l):
+                again = design_if(ch, SearchConfig(bound_m=2, lines_j=j), "exhaustive")
+                assert np.array_equal(again.a, first.a) and again.report == first.report
+    cfg = ExperimentConfig(l=5, snr_db_grid=(10.0, 20.0), trials=3, bound_m=2, lines_j=2,
+                           master_seed=4, methods=("if-exhaustive",))
+    rows = run_sweep(cfg, "lines_j", [1, 2, 3, 4])
+    assert calls == []
+    assert len({(r.snr_db, r.avg_rate_min, r.avg_rate_sum) for r in rows}) == 2
