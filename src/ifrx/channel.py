@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError
+from .errors import IfrxError, InvalidInputError, ParseError, unwrap
 from .linalg import as_square_matrix, det
 
 MASK64 = (1 << 64) - 1
@@ -77,9 +77,10 @@ class ChannelRealization:
     """Real channel matrix plus transmit power (noise variance is 1).
 
     ``h`` is a read-only copy of the input, so quantities derived from it
-    can be kept in ``memo`` for the life of the realization. Those that
-    depend on ``h`` alone go in the dict ``memo["h"]``, which a caller
-    making realizations of one matrix at several powers may share.
+    can be kept in ``memo`` for the life of the realization. They are
+    computed for several realizations of one matrix at once, as one
+    stacked pass (``ifcore.prepare_inverses``, ``prepare_capacity``); a
+    realization used alone is a stack of one.
     """
 
     h: np.ndarray
@@ -111,15 +112,26 @@ def complex_to_real(h_re, h_im) -> np.ndarray:
     return np.block([[re, -im], [im, re]])
 
 
+def prepare_capacity(chs) -> None:
+    """Keep in ``memo`` the capacity of each realization of one matrix H
+    that lacks it, from one ``det`` stack of I + P H H^T. A slice's error
+    is kept in place of its capacity."""
+    todo = [ch for ch in chs if "capacity" not in ch.memo]
+    if not todo:
+        return
+    h = todo[0].h
+    hh = h @ h.T
+    eye = np.eye(h.shape[0])
+    for ch, d in zip(todo, det(np.array([eye + ch.power * hh for ch in todo]))):
+        # det >= 1 holds exactly; guard against rounding below it
+        ch.memo["capacity"] = d if isinstance(d, IfrxError) else (
+            0.0 if d <= 1.0 else 0.5 * math.log2(d))
+
+
 def capacity(ch: ChannelRealization) -> float:
     """Channel capacity (1/2) log2 det(I + P H H^T) in bits per real use."""
-    l = ch.l
-    gram = np.eye(l) + ch.power * (ch.h @ ch.h.T)
-    d = det(gram)
-    if d <= 1.0:
-        # det >= 1 holds exactly; guard against rounding below it
-        return 0.0
-    return 0.5 * math.log2(d)
+    prepare_capacity([ch])
+    return unwrap(ch.memo["capacity"])
 
 
 def parse_matrix_text(text: str) -> np.ndarray:

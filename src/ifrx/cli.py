@@ -149,6 +149,9 @@ def cmd_plot(args) -> int:
             raise InvalidInputError(
                 f"non-numeric value in column {args.x!r} or {args.y!r}"
             ) from None
+        for column, value in zip((args.x, args.y), point):
+            if not math.isfinite(value):
+                raise InvalidInputError(f"non-finite value {row[column]!r} in column {column!r}")
         groups.setdefault(row[args.series], []).append(point)
 
     svg = render_line_chart(list(groups.items()), x_label=args.x, y_label=args.y,

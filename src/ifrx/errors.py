@@ -31,3 +31,13 @@ class InstanceTooLargeError(IfrxError):
 
 class NotInvertibleModPError(IfrxError):
     """An integer matrix is singular over the requested prime field."""
+
+
+def unwrap(value):
+    """``value``, or, when it is an IfrxError kept in place of a result
+    (a failed slice of a stacked computation), that error raised. Each
+    raise starts a fresh traceback, so reading a kept error again and
+    again does not grow it."""
+    if isinstance(value, IfrxError):
+        raise value.with_traceback(None)
+    return value

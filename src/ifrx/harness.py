@@ -6,7 +6,8 @@ the draw. Per-trial RNG streams are derived from (master_seed, trial
 index), which makes aggregates independent of execution order. A sweep
 draws each trial index once and runs every (sweep value, SNR point) cell
 of it on that draw: the channel's Q, its eigenbasis and each search
-line's candidates are computed once and shared by all cells and methods.
+line's candidates are computed once, stacked over the SNR points, and
+shared by all cells and methods.
 """
 
 from __future__ import annotations
@@ -17,12 +18,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ChannelRealization, RngState, capacity, derive_trial_rng, sample_channel
-from .errors import InvalidInputError, NotInvertibleModPError
+from .channel import (
+    ChannelRealization,
+    RngState,
+    capacity,
+    derive_trial_rng,
+    prepare_capacity,
+    sample_channel,
+)
+from .errors import IfrxError, InvalidInputError, NotInvertibleModPError, unwrap
 from .fieldrec import PrimeField, combine_messages, recover_messages
-from .ifcore import mmse_rates, zf_rates
+from .ifcore import mmse_rates, prepare_inverses, zf_rates
 from .select import METHOD_EXHAUSTIVE, METHOD_FALLBACK, METHOD_SDM, design_if
-from .sdm import SearchConfig
+from .sdm import SearchConfig, prepare_lines
 
 METHODS = ("if-sdm", "if-exhaustive", "mmse", "zf", "capacity")
 SWEEPS = ("snr", "lines_j", "bound_m")
@@ -119,36 +127,69 @@ def _recovery_check(a, field: PrimeField, rng: RngState) -> bool:
     return True
 
 
+def _realization(h: np.ndarray, snr_db: float) -> ChannelRealization | IfrxError:
+    """``h`` at ``snr_db``, or the error making it raised."""
+    try:
+        power = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return InvalidInputError(f"SNR {snr_db:g} dB overflows the transmit power")
+    try:
+        return ChannelRealization(h=h, power=power)
+    except IfrxError as exc:
+        return exc
+
+
 @dataclass(frozen=True)
 class TrialDraw:
-    """The channel of one trial index and the trial stream right after
-    sampling it. Each SNR point's realization is made once, on first use,
-    so everything memoized on it is shared by the cells that use it. The
-    realizations share one ``memo["h"]`` dict, so what depends on H alone
-    is computed once per draw."""
+    """The channel of one trial index, the trial stream right after
+    sampling it, and its realization at each SNR point the draw serves.
+
+    What the configured methods read is computed when the draw is made, for
+    all SNR points at once: one ``solve_inverse`` stack for the whiteners,
+    the forms Q and the ZF Gram matrix, one ``det`` stack for capacity,
+    and one eigensolve stack and one line pass per bound M for the SDM
+    design. An error of one SNR point is kept and raised only by the cell
+    that reads it.
+    """
 
     h: np.ndarray
     rng: RngState
-    channels: dict[float, ChannelRealization]
-    h_memo: dict
+    realizations: dict[float, ChannelRealization | IfrxError]
 
     def channel(self, snr_db: float) -> ChannelRealization:
-        ch = self.channels.get(snr_db)
-        if ch is None:
-            try:
-                power = 10.0 ** (snr_db / 10.0)
-            except OverflowError:
-                raise InvalidInputError(f"SNR {snr_db:g} dB overflows the transmit power") from None
-            ch = self.channels[snr_db] = ChannelRealization(h=self.h, power=power)
-            ch.memo["h"] = self.h_memo
-        return ch
+        if snr_db not in self.realizations:
+            raise InvalidInputError(f"the trial draw holds no SNR point {snr_db:g} dB")
+        return unwrap(self.realizations[snr_db])
 
 
-def draw_trial(cfg: ExperimentConfig, trial_index: int) -> TrialDraw:
-    """Draw trial ``trial_index``'s channel from its own seeded stream."""
+def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> TrialDraw:
+    """Draw trial ``trial_index``'s channel from its own seeded stream and
+    compute what ``cells``, (SNR point, config) pairs, will read of it.
+    The configs may differ in J and M only; by default the cells are
+    ``cfg`` at each SNR point of its grid."""
     rng = derive_trial_rng(cfg.master_seed, trial_index)
     h = sample_channel(rng, cfg.l)
-    return TrialDraw(h, rng, {}, {})
+    cells = [(snr, cfg) for snr in cfg.snr_db_grid] if cells is None else list(cells)
+    realizations = {}
+    for snr_db, _ in cells:
+        if snr_db not in realizations:
+            realizations[snr_db] = _realization(h, snr_db)
+    chs = [ch for ch in realizations.values() if not isinstance(ch, IfrxError)]
+    methods = set(cfg.methods)
+    if chs:
+        prepare_inverses(chs, whiteners=bool(methods & {"if-sdm", "if-exhaustive", "mmse"}),
+                         zf="zf" in methods)
+        if "capacity" in methods:
+            prepare_capacity(chs)
+    forms = [ch.memo["q"] for ch in chs
+             if "if-sdm" in methods and not isinstance(ch.memo["q"], IfrxError)]
+    if forms:
+        lines = {}  # bound M -> the most lines any cell reads
+        for _, sub in cells:
+            lines[sub.bound_m] = max(lines.get(sub.bound_m, 0), sub.lines_j)
+        for bound_m, lines_j in lines.items():
+            prepare_lines(forms, lines_j, bound_m)
+    return TrialDraw(h, rng, realizations)
 
 
 def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
@@ -156,11 +197,11 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
     """Evaluate every configured method on one shared channel draw.
 
     ``draw`` is the trial index's draw when a sweep shares it between
-    cells; without one, the channel is drawn here. Either way the records
-    are the same.
+    cells, and must serve this cell; without one, the channel is drawn
+    here for this cell alone. Either way the records are the same.
     """
     if draw is None:
-        draw = draw_trial(cfg, trial_index)
+        draw = draw_trial(cfg, trial_index, [(snr_db, cfg)])
     # each cell continues the stream from the same point
     rng = copy.copy(draw.rng)
     ch = draw.channel(snr_db)
@@ -241,9 +282,10 @@ def run_sweep(cfg: ExperimentConfig, sweep: str, values) -> list[Aggregate]:
         cells.extend((value, snr, sub) for snr in cfg.snr_db_grid)
 
     by_cell = [{m: [] for m in cfg.methods} for _ in cells]
+    served = [(snr, sub) for _, snr, sub in cells]
     for t in range(cfg.trials):
-        # the draw, and all it memoizes, lives for one trial index only
-        draw = draw_trial(cfg, t)
+        # the draw, and all it computes, lives for one trial index only
+        draw = draw_trial(cfg, t, served)
         for (_, snr, sub), by_method in zip(cells, by_cell):
             for rec in run_trial(sub, snr, t, draw):
                 by_method[rec.method].append(rec)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelRealization
-from .errors import InvalidInputError, SingularMatrixError
+from .errors import IfrxError, InvalidInputError, SingularMatrixError, unwrap
 from .linalg import solve_inverse
 
 
@@ -25,8 +25,9 @@ class QForm:
 
     ``q`` is a read-only copy of the input, so quantities derived from it
     (the eigenbasis, per-line candidates) can be kept in ``memo`` for the
-    life of the form. The form holds no reference back to its channel,
-    whose memo holds the form.
+    life of the form; ``sdm.prepare_lines`` fills them for several forms
+    at once. The form holds no reference back to its channel, whose memo
+    holds the form.
     """
 
     q: np.ndarray
@@ -55,27 +56,58 @@ class RateReport:
         return sum(max(0.0, r) for r in self.per_stream)
 
 
-def _noise_whitener(ch: ChannelRealization) -> np.ndarray:
-    """(H H^T + I/P)^-1, positive definite for any P > 0. Computed once per
-    channel and kept read-only; ``ch.h`` is read-only too, so it cannot go
-    stale."""
-    w = ch.memo.get("whitener")
-    if w is None:
-        w = solve_inverse(ch.h @ ch.h.T + np.eye(ch.l) / ch.power)
+def prepare_inverses(chs, whiteners: bool = True, zf: bool = False) -> None:
+    """Keep in ``memo`` what realizations of one matrix H at several
+    powers lack, from one ``solve_inverse`` stack.
+
+    With ``whiteners``, a realization's slice is H H^T + I/P; its inverse,
+    the whitener, is kept read-only with the form
+    Q = I - H^T (H H^T + I/P)^-1 H, symmetrized after the fact. A failed
+    slice's error is kept in place of both. With ``zf``, the last slice is
+    H^T H, whose inverse gives the squared row norms ||b_m||^2 of the ZF
+    projection (H^T H)^-1 H^T, or None when H^T H is singular. They do not
+    depend on P, so every realization shares them.
+    """
+    h = chs[0].h
+    l = h.shape[0]
+    todo = [ch for ch in chs if "whitener" not in ch.memo] if whiteners else []
+    gram = zf and any("zf_row_norms" not in ch.memo for ch in chs)
+    if not todo and not gram:
+        return
+    hh = h @ h.T
+    slices = [hh + np.eye(l) / ch.power for ch in todo] + ([h.T @ h] if gram else [])
+    inverses = solve_inverse(np.array(slices))
+    if gram:
+        inv = inverses.pop()
+        if isinstance(inv, IfrxError):
+            norms = None if isinstance(inv, SingularMatrixError) else inv
+        else:
+            b = inv @ h.T
+            norms = tuple(float(b[m] @ b[m]) for m in range(l))
+        for ch in chs:
+            ch.memo["zf_row_norms"] = norms
+    for ch, w in zip(todo, inverses):
+        if isinstance(w, IfrxError):
+            ch.memo["whitener"] = ch.memo["q"] = w
+            continue
         w.setflags(write=False)
+        q = np.eye(l) - h.T @ w @ h
         ch.memo["whitener"] = w
-    return w
+        ch.memo["q"] = QForm(q=0.5 * (q + q.T))
+
+
+def _read(ch: ChannelRealization, key: str, **prepare):
+    """``ch.memo[key]``, prepared alone if it is missing; an error kept
+    there is raised."""
+    if key not in ch.memo:
+        prepare_inverses([ch], **prepare)
+    return unwrap(ch.memo[key])
 
 
 def compute_q(ch: ChannelRealization) -> QForm:
     """Quadratic form I - H^T (H H^T + I/P)^-1 H, symmetrized after the fact.
     Computed once per channel: every caller gets the same read-only form."""
-    qform = ch.memo.get("q")
-    if qform is None:
-        q = np.eye(ch.l) - ch.h.T @ _noise_whitener(ch) @ ch.h
-        qform = QForm(q=0.5 * (q + q.T))
-        ch.memo["q"] = qform
-    return qform
+    return _read(ch, "q")
 
 
 def optimal_projection(a, ch: ChannelRealization) -> np.ndarray:
@@ -83,7 +115,7 @@ def optimal_projection(a, ch: ChannelRealization) -> np.ndarray:
     a_arr = np.asarray(a, dtype=float)
     if a_arr.shape != (ch.l, ch.l):
         raise InvalidInputError(f"coefficient matrix must be {ch.l}x{ch.l}, got {a_arr.shape}")
-    return a_arr @ ch.h.T @ _noise_whitener(ch)
+    return a_arr @ ch.h.T @ _read(ch, "whitener")
 
 
 def _rate_from_energy(e: float) -> float:
@@ -112,25 +144,10 @@ def total_rate(per_stream) -> RateReport:
     return RateReport(per_stream=rates, total=max(0.0, len(rates) * min(rates)))
 
 
-def _zf_row_norms(ch: ChannelRealization) -> tuple[float, ...] | None:
-    """Squared row norms ||b_m||^2 of the ZF projection (H^T H)^-1 H^T, or
-    None when H^T H is singular. They do not depend on P, so they are kept
-    in ``ch.memo["h"]``."""
-    shared = ch.memo.setdefault("h", {})
-    if "zf_row_norms" not in shared:
-        try:
-            b = solve_inverse(ch.h.T @ ch.h) @ ch.h.T
-        except SingularMatrixError:
-            shared["zf_row_norms"] = None
-        else:
-            shared["zf_row_norms"] = tuple(float(b[m] @ b[m]) for m in range(ch.l))
-    return shared["zf_row_norms"]
-
-
 def zf_rates(ch: ChannelRealization) -> RateReport:
     """Zero-forcing rates; the interference residual is exactly zero, so
     R_m = (1/2) log2(P / ||b_m||^2). Singular H^T H is flagged, not inverted."""
-    norms = _zf_row_norms(ch)
+    norms = _read(ch, "zf_row_norms", whiteners=False, zf=True)
     if norms is None:
         return RateReport(per_stream=(0.0,) * ch.l, total=0.0, singular=True)
     return total_rate(0.5 * math.log2(ch.power / norm) for norm in norms)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, InvalidInputError
+from .errors import DegenerateDirectionError, IfrxError, InvalidInputError, unwrap
 from .ifcore import QForm
 from .linalg import sym_eigen
 
@@ -52,6 +52,37 @@ def midpoint_grid(m: int) -> list[float]:
     return [j - m - 1.5 for j in range(1, 2 * m + 3)]
 
 
+def _jumps(g1: np.ndarray, gi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Merged jump points of a (P, L) stack of lines: the rhos, ascending
+    within each line, and the line each belongs to.
+
+    All rhos go through one stable sort keyed by (line, rho); built
+    coordinate-major within each line, like a loop over k, ties keep that
+    order. A rho is kept only if it lies more than RHO_MERGE_TOL past the
+    last kept rho of its line, as a sequential merge keeps it, chains of
+    near-duplicates included.
+    """
+    active = ~(np.abs(gi) < COORD_EPS)
+    if not active.any(axis=1).all():
+        raise DegenerateDirectionError("every coordinate of the direction is below threshold")
+    grid = np.array(midpoint_grid(m))
+    line, coord = np.nonzero(active)
+    rho = ((grid - g1[line, coord][:, None]) / gi[line, coord][:, None]).ravel()
+    line = np.repeat(line, len(grid))
+    order = np.lexsort((rho, line))
+    rho, line = rho[order], line[order]
+    keep = np.ones(len(rho), dtype=bool)
+    keep[1:] = (line[1:] != line[:-1]) | (rho[1:] - rho[:-1] > RHO_MERGE_TOL)
+    # a rho within the tolerance of its predecessor is measured against
+    # the last kept rho instead; a line's first rho is always kept
+    for i in np.flatnonzero(~keep).tolist():
+        last = i - 1
+        while not keep[last]:
+            last -= 1
+        keep[i] = rho[i] - rho[last] > RHO_MERGE_TOL
+    return rho[keep], line[keep]
+
+
 def jump_points(g1, gi, m: int) -> list[float]:
     """All rho where round(g1 + rho * gi) changes in some coordinate,
     ascending, near-duplicates merged."""
@@ -59,51 +90,76 @@ def jump_points(g1, gi, m: int) -> list[float]:
     gi = np.asarray(gi, dtype=float)
     if g1.ndim != 1 or g1.shape != gi.shape:
         raise InvalidInputError("g1 and gi must be 1-D vectors of equal length")
-    active = ~(np.abs(gi) < COORD_EPS)
-    if not active.any():
-        raise DegenerateDirectionError("every coordinate of the direction is below threshold")
-    grid = np.array(midpoint_grid(m))
-    # coordinate-major like a loop over k, so the stable sort keeps its ties
-    rhos = np.sort(((grid - g1[active, None]) / gi[active, None]).ravel(), kind="stable").tolist()
-    merged = [rhos[0]]
-    for rho in rhos[1:]:
-        if rho - merged[-1] > RHO_MERGE_TOL:
-            merged.append(rho)
-    return merged
+    return _jumps(g1[None], gi[None], m)[0].tolist()
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.trunc(x + np.copysign(0.5, x))
-
-
-def line_candidates(g1, gi, m: int) -> np.ndarray:
+def line_candidates(g1, gi, m: int):
     """Nearest in-box nonzero integer point for every interval midpoint of
-    one search line, as int64 rows in interval order (duplicates kept)."""
+    a search line g1 + rho * gi, as int64 rows in interval order
+    (duplicates kept).
+
+    ``g1`` and ``gi`` are one line's (L,) vectors, giving one array, or
+    (P, L) stacks of P lines, giving a list of P arrays. A stack is one
+    pass: its jump points share one sort and its midpoints one rounding.
+    A direction below COORD_EPS in every coordinate raises
+    DegenerateDirectionError for the whole pass; a unit eigenvector never
+    is one.
+    """
     g1 = np.asarray(g1, dtype=float)
     gi = np.asarray(gi, dtype=float)
-    rhos = np.array(jump_points(g1, gi, m))
-    mids = 0.5 * (rhos[:-1] + rhos[1:])
-    cands = _round_half_away(g1 + mids[:, None] * gi).astype(np.int64)
-    keep = (np.abs(cands).max(axis=1) <= m) & cands.any(axis=1)
-    return cands[keep]
+    if g1.ndim not in (1, 2) or g1.shape != gi.shape:
+        raise InvalidInputError("g1 and gi must be 1-D vectors or (P, L) stacks of equal shape")
+    single = g1.ndim == 1
+    if single:
+        g1, gi = g1[None], gi[None]
+    rho, line = _jumps(g1, gi, m)
+    # consecutive jump points of one line bound one of its intervals
+    inner = line[1:] == line[:-1]
+    mids = (0.5 * (rho[:-1] + rho[1:]))[inner]
+    owner = line[:-1][inner]
+    # g1 + mid * gi rounded half away from zero, worked in place and
+    # filtered before the integer copy, so the pass holds few arrays of
+    # all its midpoints at once
+    x = gi[owner]
+    x *= mids[:, None]
+    x += g1[owner]
+    x += np.copysign(0.5, x)
+    np.trunc(x, out=x)
+    keep = (np.abs(x).max(axis=1) <= m) & x.any(axis=1)
+    cands = x[keep].astype(np.int64)
+    ends = np.cumsum(np.bincount(owner[keep], minlength=len(g1))).tolist()
+    return cands if single else [cands[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _line(q: QForm, i: int, m: int) -> np.ndarray:
-    """Sign-canonical candidates of line i (1-based eigenvector index) with
-    bound m. The eigenbasis and each line are kept in ``q.memo``, so a J or
-    M sweep over one form decomposes it once and walks each line once."""
-    key = ("line", i, m)
-    line = q.memo.get(key)
-    if line is None:
-        basis = q.memo.get("basis")
-        if basis is None:
-            basis = q.memo["basis"] = sym_eigen(q.q)
-        g1, gi = basis.vectors[:, 0], basis.vectors[:, i - 1]
-        line = line_candidates(g1, gi, m)
-        line *= np.where(leading(line) < 0, -1, 1)[:, None]
-        line.setflags(write=False)
-        q.memo[key] = line
-    return line
+def prepare_lines(forms, lines_j: int, bound_m: int) -> None:
+    """Keep in each form's ``memo`` (forms all of one size L) the
+    sign-canonical candidates of its lines 2 .. J+1 with bound M.
+
+    Forms that lack an eigenbasis get one from one ``sym_eigen`` stack,
+    and every missing (form, line) pair goes through one
+    ``line_candidates`` pass, so a J or M sweep over a form decomposes it
+    once and walks each line once. A failed eigensolve is kept as the
+    form's basis, for ``candidate_set`` to raise.
+    """
+    bare = [q for q in forms if "basis" not in q.memo]
+    if bare:
+        for q, basis in zip(bare, sym_eigen(np.array([q.q for q in bare]))):
+            q.memo["basis"] = basis
+    todo = [(q, i) for q in forms if not isinstance(q.memo["basis"], IfrxError)
+            for i in range(2, lines_j + 2) if ("line", i, bound_m) not in q.memo]
+    if not todo:
+        return
+    g1 = np.array([q.memo["basis"].vectors[:, 0] for q, _ in todo])
+    gi = np.array([q.memo["basis"].vectors[:, i - 1] for q, i in todo])
+    lines = line_candidates(g1, gi, bound_m)
+    # one sign flip for the rows of every line
+    rows = np.concatenate(lines)
+    rows *= np.where(leading(rows) < 0, -1, 1)[:, None]
+    rows.setflags(write=False)
+    start = 0
+    for (q, i), line in zip(todo, lines):
+        q.memo[("line", i, bound_m)] = rows[start:start + len(line)]
+        start += len(line)
 
 
 def candidate_set(q: QForm, cfg: SearchConfig) -> np.ndarray:
@@ -112,7 +168,9 @@ def candidate_set(q: QForm, cfg: SearchConfig) -> np.ndarray:
     l = q.q.shape[0]
     if cfg.lines_j > l - 1:
         raise InvalidInputError(f"lines_j must be <= L-1 = {l - 1}")
-    arr = np.concatenate([_line(q, i, cfg.bound_m) for i in range(2, cfg.lines_j + 2)])
+    prepare_lines([q], cfg.lines_j, cfg.bound_m)
+    unwrap(q.memo["basis"])
+    arr = np.concatenate([q.memo[("line", i, cfg.bound_m)] for i in range(2, cfg.lines_j + 2)])
     arr = arr[np.lexsort(arr.T[::-1])]
     distinct = np.ones(len(arr), dtype=bool)
     distinct[1:] = (arr[1:] != arr[:-1]).any(axis=1)

@@ -290,6 +290,25 @@ def test_plot_missing_column_exits_1(tmp_path, capsys):
     assert "avg_rate_min" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column, value", [
+    ("snr_db", "inf"), ("snr_db", "nan"), ("avg_rate_min", "-inf"), ("avg_rate_min", "nan"),
+])
+def test_plot_non_finite_value_exits_1(tmp_path, capsys, column, value):
+    rows = {"snr_db": ["0.0", "10.0", "20.0"], "avg_rate_min": ["1.0", "2.0", "3.0"]}
+    rows[column][1] = value
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text("method,snr_db,avg_rate_min\n" + "".join(
+        f"mmse,{x},{y}\n" for x, y in zip(rows["snr_db"], rows["avg_rate_min"])))
+    out_svg = tmp_path / "r.svg"
+    code = main(["plot", "--in", str(csv_path), "--out", str(out_svg),
+                 "--x", "snr_db", "--y", "avg_rate_min", "--series", "method"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ifrx: error:")
+    assert f"column {column!r}" in err
+    assert not out_svg.exists()
+
+
 def test_plot_is_byte_deterministic(tmp_path, capsys):
     out_csv = tmp_path / "r.csv"
     main(["simulate", "--l", "3", "--snr-db", "0,10", "--trials", "3",

@@ -8,7 +8,7 @@ import ifrx.harness
 import ifrx.ifcore
 import ifrx.sdm
 from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
-from ifrx.errors import InvalidInputError
+from ifrx.errors import ConvergenceError, InvalidInputError, SingularMatrixError
 from ifrx.fieldrec import PrimeField
 from ifrx.harness import (
     Aggregate,
@@ -16,6 +16,7 @@ from ifrx.harness import (
     TrialRecord,
     _aggregate,
     _recovery_check,
+    draw_trial,
     run_sweep,
     run_trial,
     write_csv,
@@ -310,8 +311,9 @@ def test_lines_sweep_draws_and_decomposes_each_channel_once(monkeypatch):
     cfg = small_cfg(l=8, snr_db_grid=(20.0,), trials=trials, bound_m=2, lines_j=1,
                     methods=("if-sdm",))
     run_sweep(cfg, "lines_j", range(1, 8))
+    # one line pass per draw covers all 7 lines
     assert counts == {"sample_channel": trials, "sym_eigen": trials,
-                      "line_candidates": 7 * trials}
+                      "line_candidates": trials}
 
 
 def test_zf_row_norms_are_computed_once_per_trial_draw(monkeypatch):
@@ -336,7 +338,8 @@ def test_singular_zf_is_flagged_at_every_snr_point(monkeypatch):
     aggs = run_sweep(cfg, "snr", [0.0, 10.0, 20.0])
     zf = [a for a in aggs if a.method == "zf"]
     assert [(a.success_prob, a.avg_rate_min) for a in zf] == [(0.0, 0.0)] * 3
-    assert len(calls) == cfg.trials + 3 * cfg.trials  # ZF once per draw, MMSE once per cell
+    # one stack per draw: the three whiteners, then the ZF Gram matrix
+    assert len(calls) == cfg.trials
 
 
 def test_prime_field_is_built_once_per_config(monkeypatch):
@@ -349,3 +352,70 @@ def test_prime_field_is_built_once_per_config(monkeypatch):
     records = run_trial(cfg, 10.0, 0)
     assert all(r.modp_invertible is not None for r in records if r.method.startswith("if-"))
     assert run_sweep(cfg, "snr", [0.0, 10.0])
+
+
+def rank_deficient(rng, l):
+    h = sample_channel(rng, l)
+    h[-1] = 2.0 * h[0]
+    return h
+
+
+def test_a_failed_eigensolve_raises_only_in_its_own_cell(monkeypatch):
+    cfg = small_cfg(l=4, snr_db_grid=(0.0, 10.0, 20.0), trials=1, lines_j=3, bound_m=2,
+                    methods=("mmse", "if-sdm"))
+    expected = {snr: run_trial(cfg, snr, 0) for snr in cfg.snr_db_grid}
+    # the form the 10 dB cell decomposes, exactly symmetric, so eigh sees it as is
+    target = ifrx.ifcore.compute_q(draw_trial(cfg, 0).channel(10.0)).q
+    inner = np.linalg.eigh
+    calls = []
+
+    def fails_at_10_db(a):
+        calls.append(np.ndim(a))
+        if any(np.array_equal(s, target) for s in np.reshape(a, (-1, 4, 4))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return inner(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", fails_at_10_db)
+    draw = draw_trial(cfg, 0)
+    # one stacked call, then each of the three slices alone
+    assert calls == [3, 2, 2, 2]
+    for snr in (0.0, 20.0):
+        assert run_trial(cfg, snr, 0, draw) == expected[snr]
+    with pytest.raises(ConvergenceError, match="^eigh did not converge: Eigenvalues"):
+        run_trial(cfg, 10.0, 0, draw)
+    # the 10 dB MMSE rates read no eigenbasis
+    assert mmse_rates(draw.channel(10.0)) == mmse_rates(
+        ChannelRealization(h=draw.h, power=10.0))
+
+
+def test_a_singular_whitener_raises_only_in_its_own_cell(monkeypatch):
+    monkeypatch.setattr(ifrx.harness, "sample_channel", rank_deficient)
+    cfg = small_cfg(l=4, snr_db_grid=(0.0, 300.0), trials=1, lines_j=3, bound_m=2,
+                    methods=("if-sdm", "mmse", "zf", "capacity"))
+    draw = draw_trial(cfg, 0)
+    assert run_trial(cfg, 0.0, 0, draw) == run_trial(cfg, 0.0, 0)
+    with pytest.raises(SingularMatrixError, match="^pivot below threshold at column 3$"):
+        run_trial(cfg, 300.0, 0, draw)
+    with pytest.raises(SingularMatrixError, match="^pivot below threshold at column 3$"):
+        run_sweep(cfg, "snr", [0.0, 300.0])
+
+
+def test_zf_and_capacity_at_120_db_never_form_a_whitener(monkeypatch):
+    monkeypatch.setattr(ifrx.harness, "sample_channel", rank_deficient)
+    stacks = []
+    inner = ifrx.ifcore.solve_inverse
+    monkeypatch.setattr(ifrx.ifcore, "solve_inverse",
+                        lambda m: stacks.append(np.array(m)) or inner(m))
+    cfg = small_cfg(l=4, snr_db_grid=(120.0,), trials=3, methods=("zf", "capacity"),
+                    prime_p=None)
+    aggs = run_sweep(cfg, "snr", [100.0, 120.0])
+    assert [(a.method, a.success_prob) for a in aggs] == [
+        ("zf", 0.0), ("zf", 0.0), ("capacity", 1.0), ("capacity", 1.0)]
+    # one stack per draw, holding the ZF Gram matrix H^T H alone
+    assert len(stacks) == cfg.trials
+    for t, stack in enumerate(stacks):
+        h = rank_deficient(derive_trial_rng(cfg.master_seed, t), cfg.l)
+        assert stack.shape == (1, 4, 4) and np.array_equal(stack[0], h.T @ h)
+    # a method that reads the whitener raises from it
+    with pytest.raises(SingularMatrixError):
+        run_sweep(replace(cfg, methods=("zf", "capacity", "mmse")), "snr", [100.0, 120.0])

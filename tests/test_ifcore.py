@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from ifrx.channel import ChannelRealization, capacity, derive_trial_rng, sample_channel
-from ifrx.errors import IfrxError, InvalidInputError
+from ifrx.errors import IfrxError, InvalidInputError, SingularMatrixError
 from ifrx.ifcore import (
     QForm,
     compute_q,
     mmse_rates,
     optimal_projection,
+    prepare_inverses,
     rate_from_q,
     total_rate,
     zf_rates,
@@ -198,11 +199,13 @@ def test_zf_row_norms_computed_once_per_realization(monkeypatch):
     other = ChannelRealization(h=ch.h, power=10.0)
     rep = zf_rates(other)
     assert len(calls) == 2
-    # a shared memo["h"] hands the norms to another power
-    shared = ChannelRealization(h=ch.h, power=10.0)
-    shared.memo["h"] = ch.memo["h"]
-    assert zf_rates(shared) == rep
-    assert len(calls) == 2
+    # realizations of one matrix prepared together share one inverse
+    pair = [ChannelRealization(h=ch.h, power=p) for p in (10.0, 1000.0)]
+    prepare_inverses(pair, whiteners=False, zf=True)
+    assert len(calls) == 3
+    assert zf_rates(pair[0]) == rep
+    assert zf_rates(pair[1]).per_stream != rep.per_stream
+    assert len(calls) == 3
 
 
 def test_mmse_rates_examples():
@@ -246,3 +249,14 @@ def test_every_method_at_200_db_gives_finite_rates_or_a_typed_error():
             assert all(math.isfinite(r) for r in rep.per_stream + (rep.total,))
         assert math.isfinite(capacity(ch))
     assert raised > 0
+
+
+def test_a_kept_error_is_raised_with_a_fresh_traceback_on_every_read():
+    # the whitener of this channel fails; the error is kept in the memo
+    ch = ChannelRealization(h=np.ones((3, 3)), power=1e30)
+    depths = []
+    for _ in range(3):
+        with pytest.raises(SingularMatrixError, match="^pivot below threshold") as info:
+            compute_q(ch)
+        depths.append(len(info.traceback))
+    assert depths[0] == depths[1] == depths[2]

@@ -233,3 +233,135 @@ def test_solve_inverse_bit_identical_to_row_loop():
         assert got == inverse_outcome(reference_solve_inverse, m)
         singular += isinstance(got, str)
     assert 0 < singular < len(cases)
+
+
+def reference_det(m):
+    """Row-loop elimination, the form det must match bit for bit."""
+    a = np.array(m, dtype=float)
+    n = a.shape[0]
+    sign, result = 1.0, 1.0
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        if a[piv, col] == 0.0:
+            return 0.0
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            sign = -sign
+        result *= a[col, col]
+        for r in range(col + 1, n):
+            a[r] -= (a[r, col] / a[col, col]) * a[col]
+    return sign * result
+
+
+def reference_sym_eigen(q):
+    """One LAPACK call and the sign rule, column by column."""
+    values, vectors = np.linalg.eigh(0.5 * (q + q.T))
+    for j in range(vectors.shape[1]):
+        if vectors[np.argmax(np.abs(vectors[:, j])), j] < 0:
+            vectors[:, j] = -vectors[:, j]
+    return values, vectors
+
+
+def outcome(fn, m):
+    """Bytes of a kernel's result, or the type and message of its error."""
+    try:
+        got = fn(m)
+    except (InvalidInputError, SingularMatrixError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return stacked_outcome(got)
+
+
+def stacked_outcome(got):
+    if isinstance(got, Exception):
+        return f"{type(got).__name__}: {got}"
+    if hasattr(got, "vectors"):
+        return got.values.tobytes() + got.vectors.tobytes()
+    if isinstance(got, tuple):
+        return got[0].tobytes() + got[1].tobytes()
+    return np.asarray(got, dtype=float).tobytes()
+
+
+def kernel_stacks():
+    """Seeded (S, n, n) stacks of the matrices the harness stacks: whitener
+    inputs H H^T + I/P up to 100 dB, Gram matrices H^T H of full and
+    deficient rank, capacity inputs I + P H H^T and the forms Q, with a
+    zero, an exactly singular and a non-finite slice mixed in."""
+    rng = np.random.RandomState(2026)
+    stacks = []
+    for k in range(240):
+        n = (4, 8, 12)[k % 3]
+        h = rng.standard_normal((n, n))
+        if k % 5 == 0:
+            h[-1] = 2.0 * h[0]
+        powers = 10.0 ** (rng.choice([0.0, 1.0, 2.0, 3.0, 6.0, 10.0], size=rng.randint(1, 5)))
+        hh = h @ h.T
+        whiteners = [hh + np.eye(n) / p for p in powers]
+        grams = [h.T @ h]
+        caps = [np.eye(n) + p * hh for p in powers]
+        forms = []
+        for p in powers:
+            q = np.eye(n) - h.T @ np.linalg.inv(hh + np.eye(n) / p) @ h
+            forms.append(0.5 * (q + q.T))
+        odd = [np.zeros((n, n)), np.ones((n, n)), np.full((n, n), np.inf)][k % 3]
+        stacks.append(("solve", np.array(whiteners + grams + ([odd] if k % 4 == 0 else []))))
+        stacks.append(("det", np.array(caps + ([odd] if k % 4 == 1 else []))))
+        stacks.append(("eig", np.array(forms + ([odd] if k % 4 == 2 else []))))
+    return stacks
+
+
+def test_every_stacked_slice_is_byte_identical_to_its_single_call():
+    kernels = {
+        "solve": (solve_inverse, reference_solve_inverse),
+        "det": (det, reference_det),
+        "eig": (sym_eigen, reference_sym_eigen),
+    }
+    failed = {"solve": 0, "det": 0, "eig": 0}
+    for kind, stack in kernel_stacks():
+        kernel, reference = kernels[kind]
+        got = kernel(stack)
+        assert isinstance(got, list) and len(got) == len(stack)
+        for m, slice_result in zip(stack, got):
+            alone = outcome(kernel, m)
+            assert stacked_outcome(slice_result) == alone
+            if np.all(np.isfinite(m)):
+                assert alone == outcome(reference, m)
+            failed[kind] += isinstance(slice_result, Exception)
+    # every kernel saw failing slices beside good ones
+    assert all(count > 10 for count in failed.values())
+
+
+def test_a_2d_input_is_a_stack_of_one():
+    m = np.array([[2.0, 1.0], [1.0, 3.0]])
+    assert solve_inverse(m).tobytes() == solve_inverse(m[None])[0].tobytes()
+    assert det(m) == det(m[None])[0]
+    assert sym_eigen(m).vectors.tobytes() == sym_eigen(m[None])[0].vectors.tobytes()
+    with pytest.raises(SingularMatrixError, match="column 1"):
+        solve_inverse(np.ones((2, 2)))
+    assert isinstance(solve_inverse(np.ones((1, 2, 2)))[0], SingularMatrixError)
+    for kernel in (solve_inverse, det, sym_eigen):
+        with pytest.raises(InvalidInputError, match="square"):
+            kernel(np.ones((2, 2, 3)))
+        with pytest.raises(InvalidInputError, match="square"):
+            kernel(np.ones(3))
+
+
+def test_sym_eigen_redoes_a_failed_stack_one_slice_at_a_time(monkeypatch):
+    inner = np.linalg.eigh
+    calls = []
+    bad = np.diag([1.0, 2.0, 3.0])
+
+    def fails_on_bad(a):
+        calls.append(np.shape(a))
+        if any(np.array_equal(s, bad) for s in np.reshape(a, (-1, 3, 3))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return inner(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", fails_on_bad)
+    good = np.diag([3.0, 1.0, 2.0])
+    got = sym_eigen(np.array([good, bad, good]))
+    assert calls == [(3, 3, 3), (3, 3), (3, 3), (3, 3)]
+    assert isinstance(got[1], ConvergenceError)
+    assert str(got[1]) == "eigh did not converge: Eigenvalues did not converge"
+    assert isinstance(got[1].__cause__, np.linalg.LinAlgError)
+    for basis in (got[0], got[2]):
+        assert basis.vectors.tobytes() == sym_eigen(good).vectors.tobytes()

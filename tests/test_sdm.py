@@ -215,7 +215,9 @@ def test_candidate_set_checks_its_invariants(monkeypatch, bad):
     # a zero row, and rows outside the M=2 box in the first and in a later coordinate
     import ifrx.sdm
 
-    monkeypatch.setattr(ifrx.sdm, "line_candidates", lambda g1, gi, m: np.array([(1, 0), bad]))
+    # the line pass gives one array per line of its stack
+    monkeypatch.setattr(ifrx.sdm, "line_candidates",
+                        lambda g1, gi, m: [np.array([(1, 0), bad]) for _ in g1])
     with pytest.raises(RuntimeError):
         candidate_set(make_qform(np.diag([0.2, 0.5])), SearchConfig(bound_m=2, lines_j=1))
 
@@ -230,3 +232,63 @@ def test_search_config_validation():
         SearchConfig(bound_m=0, lines_j=1)
     with pytest.raises(InvalidInputError):
         SearchConfig(bound_m=1, lines_j=0)
+
+
+def chain_lines(l):
+    """Lines of length l whose jump points come in near-duplicate chains:
+    k coordinates cross each midpoint about ``step`` apart. With
+    step < RHO_MERGE_TOL < 2 * step, merging against the last kept rho
+    keeps every other rho of a chain; merging against the predecessor
+    would keep only the first."""
+    lines = []
+    for step in (0.4e-12, 0.6e-12, 0.9e-12):
+        for k in (2, 3, l):
+            g1 = np.full(l, 0.3)
+            g1[:k] -= step * np.arange(k)
+            gi = np.zeros(l)
+            gi[:k] = 1.0
+            lines.append((g1, gi))
+    # a chain among coordinates with other directions
+    g1 = np.linspace(-1.0, 1.0, l)
+    g1[1] = g1[0] - 0.7e-12
+    gi = np.linspace(0.5, 1.5, l)
+    gi[1] = gi[0]
+    lines.append((g1, gi))
+    return lines
+
+
+def degenerate_lines(l):
+    """Eigenvector lines of forms with one repeated eigenvalue."""
+    k, n = np.meshgrid(np.arange(l), np.arange(l), indexing="ij")
+    dct = np.sqrt(2.0 / l) * np.cos(np.pi * (n + 0.5) * k / l)
+    dct[0] /= np.sqrt(2.0)
+    lines = []
+    for h in (np.eye(l), 2.5 * dct):
+        for p in (1.0, 10.0, 100.0, 1000.0):
+            vecs = sym_eigen(compute_q(ChannelRealization(h=h, power=p)).q).vectors
+            lines += [(vecs[:, 0], vecs[:, i]) for i in range(1, l)]
+    return lines
+
+
+@pytest.mark.parametrize("l", [3, 4, 8])
+def test_stacked_line_pass_equals_the_scalar_oracles(l):
+    rng = np.random.RandomState(70 + l)
+    lines = chain_lines(l) + degenerate_lines(l)
+    lines += [(rng.uniform(-2, 2, l), rng.standard_normal(l) * (rng.rand(l) < 0.7) + 1e-3)
+              for _ in range(20)]
+    g1 = np.array([g for g, _ in lines])
+    gi = np.array([d for _, d in lines])
+    chains = 0
+    for m in (1, 2, 3):
+        got = line_candidates(g1, gi, m)
+        assert len(got) == len(lines)
+        for (a, d), cands in zip(lines, got):
+            rhos = reference_jump_points(a, d, m)
+            assert jump_points(a, d, m) == rhos
+            assert as_tuples(cands) == reference_line_candidates(a, d, m)
+            assert cands.dtype == np.int64 and cands.shape[1] == l
+            # count lines where a merge against the predecessor would differ
+            raw = sorted((mj - a[k]) / d[k] for k in range(l) if abs(d[k]) >= 1e-12
+                         for mj in midpoint_grid(m))
+            chains += sum(1 for x, y in zip(raw, raw[1:]) if y - x <= 1e-12) > len(raw) - len(rhos)
+    assert chains >= 9
