@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import functools
 import math
 import sys
@@ -36,15 +37,23 @@ def parse_value_list(text: str, kind=float) -> list:
         if len(parts) != 3:
             raise ParseError(f"grid spec must be a:step:b, got {text!r}")
         try:
-            a, step, b = (float(p) for p in parts)
+            floats = [float(p) for p in parts]
         except ValueError:
             raise ParseError(f"grid spec must be numeric, got {text!r}") from None
-        if step <= 0:
+        if not all(map(math.isfinite, floats)):
+            raise ParseError(f"grid spec must be finite, got {text!r}")
+        if floats[1] <= 0:
             raise ParseError("grid step must be positive")
+        # a + k * step exactly from the decimal text, in a context too wide
+        # to round, and each point rounded to a float once, so a grid
+        # neither drifts nor passes its end
+        exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                                Emin=decimal.MIN_EMIN)
+        a, step, b = map(decimal.Decimal, parts)
         if b < a:
             raise ParseError("grid end must not precede its start")
-        n = int(math.floor((b - a) / step + 1e-9))
-        values = [a + k * step for k in range(n + 1)]
+        count = int(exact.divide_int(exact.subtract(b, a), step)) + 1
+        values = [float(exact.fma(k, step, a)) for k in range(count)]
     else:
         try:
             values = [float(tok) for tok in text.split(",") if tok.strip()]

@@ -6,11 +6,10 @@ elimination with partial pivoting for inverses and determinants, and an
 exact fraction-free integer echelon form for rank decisions that must
 not depend on floating-point thresholds.
 
-The three float kernels take one (n, n) matrix, giving its result or
-raising its error, or an (S, n, n) stack of independent slices, giving a
-list of per-slice results. Every slice gets the bytes it would get alone,
-and a slice that fails does not stop the others: its IfrxError takes its
-place in the list.
+The three float kernels take an (S, n, n) stack of independent slices
+and give a list of per-slice results. Every slice gets the bytes it would
+get in a stack of one, and a slice that fails does not stop the others:
+its IfrxError takes its place in the list.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError, SingularMatrixError, unwrap
+from .errors import ConvergenceError, InvalidInputError, SingularMatrixError
 
 SYMMETRY_RTOL = 1e-12
 PIVOT_RTOL = 1e-12
@@ -49,42 +48,38 @@ class EigenBasis:
     vectors: np.ndarray
 
 
-def _square_stack(m, name: str) -> tuple[np.ndarray, bool, list]:
-    """``m`` as an (S, n, n) float copy, whether it was one matrix, and
-    each slice's error so far. A slice with a non-finite entry gets an
-    InvalidInputError and becomes the identity, so that the stacked work
-    on it is harmless and warns of nothing."""
-    arr = np.array(m, dtype=float)
-    single = arr.ndim == 2
-    stack = arr[None] if single else arr
+def _square_stack(m, name: str) -> tuple[np.ndarray, list]:
+    """``m`` as an (S, n, n) float copy and each slice's error so far. A
+    slice with a non-finite entry gets an InvalidInputError and becomes
+    the identity, so that the stacked work on it is harmless and warns of
+    nothing."""
+    stack = np.array(m, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise InvalidInputError(f"{name} must be square, got shape {arr.shape}")
+        raise InvalidInputError(f"{name} must be an (S, n, n) stack, got shape {stack.shape}")
     errors = [None] * len(stack)
     if not np.isfinite(stack).all():
         finite = np.isfinite(stack).all(axis=(1, 2))
         for s in np.flatnonzero(~finite).tolist():
             errors[s] = InvalidInputError(f"{name} contains non-finite entries")
         stack[~finite] = np.eye(stack.shape[1])
-    return stack, single, errors
+    return stack, errors
 
 
-def _unstack(values, errors: list, single: bool):
-    """A stack's list of results, each slice's error in place of its
-    result; or one matrix's result, its error raised."""
-    results = [v if e is None else e for v, e in zip(values, errors)]
-    return unwrap(results[0]) if single else results
+def _unstack(values, errors: list) -> list:
+    """A stack's list of results, each slice's error in place of its result."""
+    return [v if e is None else e for v, e in zip(values, errors)]
 
 
-def sym_eigen(q):
-    """Eigendecompose a symmetric matrix (or stack) with LAPACK
+def sym_eigen(q) -> list:
+    """Eigendecompose a stack of symmetric matrices with LAPACK
     (``np.linalg.eigh``).
 
-    The input must be symmetric within ``SYMMETRY_RTOL`` relative to
-    ||q||_F; its symmetric part is decomposed, and LAPACK returns the
-    eigenvalues in ascending order. Deterministic: the same input always
-    yields the same basis, alone or in any stack.
+    Each slice must be symmetric within ``SYMMETRY_RTOL`` relative to its
+    Frobenius norm; its symmetric part is decomposed, and LAPACK returns
+    the eigenvalues in ascending order. Deterministic: the same slice
+    always yields the same basis, in any stack.
     """
-    a, single, errors = _square_stack(q, "q")
+    a, errors = _square_stack(q, "q")
     count, n = a.shape[:2]
     if (a != a.swapaxes(1, 2)).any():
         # an exactly symmetric slice passes; the others are measured one by one
@@ -112,15 +107,15 @@ def sym_eigen(q):
     top = vectors[np.arange(count)[:, None], peak, np.arange(n)]
     vectors *= np.where(top < 0, -1.0, 1.0)[:, None, :]
     bases = [EigenBasis(values=v, vectors=w) for v, w in zip(values, vectors)]
-    return _unstack(bases, errors, single)
+    return _unstack(bases, errors)
 
 
-def solve_inverse(m):
-    """Invert a square matrix (or stack) by Gauss-Jordan with partial
+def solve_inverse(m) -> list:
+    """Invert a stack of square matrices by Gauss-Jordan with partial
     pivoting. Each slice has its own pivots and threshold, and the update
     skips rows whose factor is zero, so signed zeros come out as a row
     loop leaves them."""
-    a, single, errors = _square_stack(m, "m")
+    a, errors = _square_stack(m, "m")
     count, n = a.shape[:2]
     scale = np.abs(a).max(axis=(1, 2), initial=0.0)
     if np.count_nonzero(scale) < count:
@@ -154,13 +149,13 @@ def solve_inverse(m):
         factors[:, col] = 0.0
         update = factors[:, :, None] * aug[:, col, None, :]
         np.subtract(aug, update, out=aug, where=(factors != 0.0)[:, :, None])
-    return _unstack(aug[:, :, n:], errors, single)
+    return _unstack(aug[:, :, n:], errors)
 
 
-def det(m):
-    """Determinant of a square matrix (or stack) via elimination with
-    partial pivoting, sign tracked."""
-    a, single, errors = _square_stack(m, "m")
+def det(m) -> list:
+    """Determinant of each matrix of a stack via elimination with partial
+    pivoting, sign tracked."""
+    a, errors = _square_stack(m, "m")
     count, n = a.shape[:2]
     result = np.ones(count)
     pivots = np.empty((count, n), dtype=np.intp)
@@ -186,7 +181,7 @@ def det(m):
     swaps = (pivots != np.arange(n)).sum(axis=1)
     values = np.where(swaps % 2 == 1, -1.0, 1.0) * result
     values[zero] = 0.0
-    return _unstack(values, errors, single)
+    return _unstack(values, errors)
 
 
 class IntEchelon:

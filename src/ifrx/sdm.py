@@ -44,14 +44,6 @@ def leading(arr: np.ndarray) -> np.ndarray:
     return arr[np.arange(len(arr)), (arr != 0).argmax(axis=1)]
 
 
-def midpoint_grid(m: int) -> list[float]:
-    """Half-integer grid {-M-1/2, ..., M+1/2}: the coordinate values where
-    the rounding of a moving point can jump."""
-    if m < 1:
-        raise InvalidInputError("m must be >= 1")
-    return [j - m - 1.5 for j in range(1, 2 * m + 3)]
-
-
 def _jumps(g1: np.ndarray, gi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Merged jump points of a (P, L) stack of lines: the rhos, ascending
     within each line, and the line each belongs to.
@@ -65,7 +57,8 @@ def _jumps(g1: np.ndarray, gi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarr
     active = ~(np.abs(gi) < COORD_EPS)
     if not active.any(axis=1).all():
         raise DegenerateDirectionError("every coordinate of the direction is below threshold")
-    grid = np.array(midpoint_grid(m))
+    # the half-integers -M-1/2 .. M+1/2, where the rounding of a coordinate can jump
+    grid = np.arange(2 * m + 2) - (m + 0.5)
     line, coord = np.nonzero(active)
     rho = ((grid - g1[line, coord][:, None]) / gi[line, coord][:, None]).ravel()
     line = np.repeat(line, len(grid))
@@ -83,35 +76,23 @@ def _jumps(g1: np.ndarray, gi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarr
     return rho[keep], line[keep]
 
 
-def jump_points(g1, gi, m: int) -> list[float]:
-    """All rho where round(g1 + rho * gi) changes in some coordinate,
-    ascending, near-duplicates merged."""
-    g1 = np.asarray(g1, dtype=float)
-    gi = np.asarray(gi, dtype=float)
-    if g1.ndim != 1 or g1.shape != gi.shape:
-        raise InvalidInputError("g1 and gi must be 1-D vectors of equal length")
-    return _jumps(g1[None], gi[None], m)[0].tolist()
-
-
-def line_candidates(g1, gi, m: int):
+def line_candidates(g1, gi, m: int) -> list[np.ndarray]:
     """Nearest in-box nonzero integer point for every interval midpoint of
-    a search line g1 + rho * gi, as int64 rows in interval order
+    each search line g1 + rho * gi, as int64 rows in interval order
     (duplicates kept).
 
-    ``g1`` and ``gi`` are one line's (L,) vectors, giving one array, or
-    (P, L) stacks of P lines, giving a list of P arrays. A stack is one
-    pass: its jump points share one sort and its midpoints one rounding.
-    A direction below COORD_EPS in every coordinate raises
-    DegenerateDirectionError for the whole pass; a unit eigenvector never
-    is one.
+    ``g1`` and ``gi`` are (P, L) stacks of P lines, giving a list of P
+    arrays. The stack is one pass: its jump points share one sort and its
+    midpoints one rounding. A direction below COORD_EPS in every
+    coordinate raises DegenerateDirectionError for the whole pass; a unit
+    eigenvector never is one.
     """
     g1 = np.asarray(g1, dtype=float)
     gi = np.asarray(gi, dtype=float)
-    if g1.ndim not in (1, 2) or g1.shape != gi.shape:
-        raise InvalidInputError("g1 and gi must be 1-D vectors or (P, L) stacks of equal shape")
-    single = g1.ndim == 1
-    if single:
-        g1, gi = g1[None], gi[None]
+    if g1.ndim != 2 or g1.shape != gi.shape:
+        raise InvalidInputError("g1 and gi must be (P, L) stacks of equal shape")
+    if m < 1:
+        raise InvalidInputError("m must be >= 1")
     rho, line = _jumps(g1, gi, m)
     # consecutive jump points of one line bound one of its intervals
     inner = line[1:] == line[:-1]
@@ -128,7 +109,7 @@ def line_candidates(g1, gi, m: int):
     keep = (np.abs(x).max(axis=1) <= m) & x.any(axis=1)
     cands = x[keep].astype(np.int64)
     ends = np.cumsum(np.bincount(owner[keep], minlength=len(g1))).tolist()
-    return cands if single else [cands[a:b] for a, b in zip([0] + ends, ends)]
+    return [cands[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def prepare_lines(forms, lines_j: int, bound_m: int) -> None:

@@ -82,17 +82,16 @@ def _lower_factor(q: np.ndarray) -> np.ndarray:
         raise SingularMatrixError("Q is not numerically positive definite") from exc
 
 
-def sphere_candidates(q: np.ndarray, m: int, radius: float) -> np.ndarray:
+def sphere_candidates(q: np.ndarray, g: np.ndarray, m: int, radius: float) -> np.ndarray:
     """Every sign-canonical nonzero integer vector a in [-M, M]^L with
-    a^T Q a <= radius, as lexicographic int64 rows. The bound carries a
+    a^T Q a <= radius, as lexicographic int64 rows, enumerated over Q's
+    lower factor ``g`` (``_lower_factor(q)``). The bound carries a
     rounding slack, so a few rows just past the radius may come too.
 
-    Raises SingularMatrixError when Q is not numerically positive definite,
-    and InstanceTooLargeError when a level would test more than
+    Raises InstanceTooLargeError when a level would test more than
     SPHERE_ROW_LIMIT rows.
     """
     l = q.shape[0]
-    g = _lower_factor(q)
     diag = g.diagonal()
     unit = g / diag[:, None]
     # covers the rounding of the factor and of f on any in-box row
@@ -129,17 +128,19 @@ def _exhaustive_rows(q: np.ndarray, m: int) -> np.ndarray | None:
     The radius is capped by the largest f of the identity, a full-rank box
     design, so greedy's rows lie within the cap. Where the cap's sphere
     would hold more than about SPHERE_START_POINTS points, the radius
-    starts lower and grows until greedy's rows all lie within it.
+    starts lower and grows until greedy's rows all lie within it. Q is
+    factored once, for the start radius and every sphere.
     """
     l = q.shape[0]
+    g = _lower_factor(q)
     cap = q.diagonal().max()
     # an ellipsoid {a^T Q a <= r} of volume pi^(L/2) r^(L/2) / Gamma(L/2 + 1)
     # holds about volume / sqrt(det Q) integer points, half of them canonical
     log_r = 2 / l * (math.log(2 * SPHERE_START_POINTS) + math.lgamma(l / 2 + 1)
-                     + np.log(_lower_factor(q).diagonal()).sum()) - math.log(math.pi)
+                     + np.log(g.diagonal()).sum()) - math.log(math.pi)
     radius = min(cap, math.exp(log_r))
     while True:
-        a = greedy_full_rank(rank_candidates(sphere_candidates(q, m, radius), q))
+        a = greedy_full_rank(rank_candidates(sphere_candidates(q, g, m, radius), q))
         if radius >= cap or (a is not None and _row_f(a, q).max() <= radius):
             return a
         # about twice the points per step

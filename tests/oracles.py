@@ -20,3 +20,40 @@ def rate_from_ab(a_m, b_m, ch: ChannelRealization) -> float:
     if den == 0.0:
         raise InvalidInputError("zero denominator: a_m and b_m are both zero")
     return 0.5 * math.log2(ch.power / den)
+
+
+def half_integer_grid(m):
+    """The half-integers -M-1/2, ..., M+1/2, where rounding a coordinate
+    of a moving point can jump."""
+    return [k + 0.5 for k in range(-m - 1, m + 1)]
+
+
+def reference_jump_points(g1, gi, m):
+    """Scalar per-coordinate loop: every rho where round(g1 + rho * gi)
+    changes in some coordinate, ascending, each rho within 1e-12 of the
+    last kept one merged into it."""
+    rhos = []
+    for k in range(gi.shape[0]):
+        if abs(gi[k]) < 1e-12:
+            continue
+        rhos.extend((mj - g1[k]) / gi[k] for mj in half_integer_grid(m))
+    rhos.sort()
+    merged = [rhos[0]]
+    for rho in rhos[1:]:
+        if rho - merged[-1] > 1e-12:
+            merged.append(rho)
+    return merged
+
+
+def reference_line_candidates(g1, gi, m):
+    """Scalar per-midpoint loop: the rounded point of every interval
+    midpoint of one line that is nonzero and in the box, as tuples."""
+    rhos = reference_jump_points(g1, gi, m)
+    points = []
+    for j in range(len(rhos) - 1):
+        x = g1 + 0.5 * (rhos[j] + rhos[j + 1]) * gi
+        cand = np.trunc(x + np.copysign(0.5, x)).astype(int)
+        if int(np.max(np.abs(cand))) > m or not cand.any():
+            continue
+        points.append(tuple(int(c) for c in cand))
+    return points

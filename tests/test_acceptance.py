@@ -16,9 +16,9 @@ from ifrx.fieldrec import PrimeField, combine_messages, recover_messages
 from ifrx.harness import ExperimentConfig, run_trial
 from ifrx.ifcore import compute_q, optimal_projection, rate_from_q
 from ifrx.linalg import sym_eigen
-from ifrx.sdm import SearchConfig, candidate_set, jump_points
+from ifrx.sdm import SearchConfig, candidate_set
 from ifrx.select import design_if
-from oracles import rate_from_ab
+from oracles import rate_from_ab, reference_jump_points
 
 L8_CFG = dict(l=8, bound_m=2, snr_db=20.0)
 
@@ -103,7 +103,7 @@ def test_03_eigensolver_bounds():
         n = rng.randint(1, 9)
         a = rng.standard_normal((n, n))
         q = 0.5 * (a + a.T)
-        basis = sym_eigen(q)
+        basis = sym_eigen(q[None])[0]
         norm = np.linalg.norm(q)
         for i in range(n):
             resid = np.linalg.norm(q @ basis.vectors[:, i] - basis.values[i] * basis.vectors[:, i])
@@ -118,7 +118,7 @@ def test_03_eigensolver_bounds():
 def brute_closest_set(q, m, lines_j):
     """Independent candidate oracle: per interval midpoint, the brute-force
     closest nonzero in-box integer point over all (2M+1)^L candidates."""
-    basis = sym_eigen(q)
+    basis = sym_eigen(q[None])[0]
     g1 = basis.vectors[:, 0]
     l = q.shape[0]
     box = [c for c in itertools.product(range(-m, m + 1), repeat=l) if any(c)]
@@ -126,7 +126,7 @@ def brute_closest_set(q, m, lines_j):
     oracle = set()
     for i in range(2, lines_j + 2):
         gi = basis.vectors[:, i - 1]
-        rhos = jump_points(g1, gi, m)
+        rhos = reference_jump_points(g1, gi, m)
         for t in range(len(rhos) - 1):
             point = g1 + 0.5 * (rhos[t] + rhos[t + 1]) * gi
             rounded = np.trunc(point + np.copysign(0.5, point)).astype(int)

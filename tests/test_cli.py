@@ -33,6 +33,15 @@ def test_parse_value_list():
     for bad in ("inf", "nan", "1,-inf"):
         with pytest.raises(ParseError):
             parse_value_list(bad, int)
+    # each grid point is a + k * step in exact decimal, rounded once, never past b
+    assert parse_value_list("0:0.1:0.3") == [0.0, 0.1, 0.2, 0.3]
+    assert parse_value_list("1:0.7:3.1") == [1.0, 1.7, 2.4, 3.1]
+    assert parse_value_list("0:1:2.9999999999") == [0.0, 1.0, 2.0]
+    assert parse_value_list("0:10:30") == [0.0, 10.0, 20.0, 30.0]
+    assert parse_value_list("1:1:7", int) == [1, 2, 3, 4, 5, 6, 7]
+    for bad in ("0:1:inf", "nan:1:3", "0:inf:3", "0:1:1e400"):
+        with pytest.raises(ParseError, match="finite"):
+            parse_value_list(bad)
 
 
 def test_design_identity_exhaustive(identity_channel, capsys):
@@ -78,6 +87,15 @@ def test_simulate_infinite_snr_exits_1(tmp_path, capsys):
                  "--out", str(out_csv)])
     assert code == 1
     assert "ifrx: error:" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("spec", ["0:1:inf", "nan:1:3", "0:x:3"])
+def test_simulate_bad_grid_spec_exits_1(tmp_path, capsys, spec):
+    out_csv = tmp_path / "x.csv"
+    code = main(["simulate", "--l", "3", "--trials", "2", "--snr-db", spec, "--out", str(out_csv)])
+    assert code == 1
+    assert "ifrx: error: grid spec must be" in capsys.readouterr().err
     assert not out_csv.exists()
 
 

@@ -74,8 +74,9 @@ def pins_of(kind, l):
     for snr in SNR_DB:
         ch = ChannelRealization(h=CHANNELS[kind](l), power=power(snr))
         cfg = SearchConfig(BOUND_M, l - 1)
-        vecs = sym_eigen(compute_q(ch).q).vectors
-        lines = [line_candidates(vecs[:, 0], vecs[:, i], BOUND_M) for i in range(1, l)]
+        vecs = sym_eigen(compute_q(ch).q[None])[0].vectors
+        lines = [line_candidates(vecs[None, :, 0], vecs[None, :, i], BOUND_M)[0]
+                 for i in range(1, l)]
         out[str(snr)] = {
             "a": rows(design_if(ch, cfg, "sdm").a),
             "lines": digest(lines),

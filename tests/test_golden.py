@@ -36,6 +36,13 @@ PINS = {
     # L * L odd: the channel takes one stream word more than it uses
     "snr_l5_prime257": (*_L5, "--trials", "5", "--seed", "14", "--prime", "257"),
     "snr_l5_prime0": (*_L5, "--trials", "5", "--seed", "14", "--prime", "0"),
+    # the benchmark's lines sweep flags
+    "jsweep_l8": ("--l", "8", "--prime", "257", "--snr-db", "20", "--methods", "if-sdm",
+                  "--sweep", "lines", "--sweep-values", "1:1:7", "--trials", "3", "--seed", "15"),
+    # the benchmark's oracle flags: L = 8, 20 dB, all five methods
+    "oracle_l8": ("--l", "8", "--prime", "257", "--snr-db", "20", "--bound", "2", "--lines", "4",
+                  "--methods", "if-sdm,if-exhaustive,mmse,zf,capacity",
+                  "--trials", "3", "--seed", "16"),
 }
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
-from ifrx.errors import ConvergenceError, InvalidInputError, SingularMatrixError
+from ifrx.errors import ConvergenceError, InvalidInputError, SingularMatrixError, unwrap
 from ifrx.ifcore import compute_q
 from ifrx.linalg import PIVOT_RTOL, det, int_rank_independent, solve_inverse, sym_eigen
 
@@ -15,15 +15,21 @@ def random_symmetric(rng, n):
     return 0.5 * (a + a.T)
 
 
+def alone(kernel):
+    """``kernel`` on one matrix as a stack of one: the slice's result, or
+    its error raised."""
+    return lambda m: unwrap(kernel(np.array(m, dtype=float)[None])[0])
+
+
 def test_sym_eigen_diagonal():
-    basis = sym_eigen(np.diag([0.5, 0.2]))
+    basis = alone(sym_eigen)(np.diag([0.5, 0.2]))
     assert np.allclose(basis.values, [0.2, 0.5])
     assert np.allclose(basis.vectors[:, 0], [0.0, 1.0])
     assert np.allclose(basis.vectors[:, 1], [1.0, 0.0])
 
 
 def test_sym_eigen_2x2_closed_form():
-    basis = sym_eigen([[2.0, 1.0], [1.0, 2.0]])
+    basis = alone(sym_eigen)([[2.0, 1.0], [1.0, 2.0]])
     assert np.allclose(basis.values, [1.0, 3.0])
     s = 1.0 / np.sqrt(2.0)
     # canonical signs: largest-magnitude coordinate positive, ties -> lowest index
@@ -34,7 +40,7 @@ def test_sym_eigen_2x2_closed_form():
 def test_sym_eigen_reconstruction_random_8x8():
     rng = np.random.RandomState(7)
     q = random_symmetric(rng, 8)
-    basis = sym_eigen(q)
+    basis = alone(sym_eigen)(q)
     rebuilt = (basis.vectors * basis.values) @ basis.vectors.T
     assert np.linalg.norm(rebuilt - q) <= 1e-9 * np.linalg.norm(q)
 
@@ -44,7 +50,7 @@ def test_sym_eigen_invariants_random():
     for _ in range(200):
         n = rng.randint(1, 9)
         q = random_symmetric(rng, n)
-        basis = sym_eigen(q)
+        basis = alone(sym_eigen)(q)
         norm = np.linalg.norm(q)
         assert np.all(np.diff(basis.values) >= 0)
         for i in range(n):
@@ -58,17 +64,17 @@ def test_sym_eigen_invariants_random():
 
 def test_sym_eigen_rejects_bad_input():
     with pytest.raises(InvalidInputError):
-        sym_eigen(np.ones((2, 3)))
+        sym_eigen(np.ones((1, 2, 3)))
     with pytest.raises(InvalidInputError):
-        sym_eigen([[1.0, 2.0], [0.0, 1.0]])
+        alone(sym_eigen)([[1.0, 2.0], [0.0, 1.0]])
 
 
 def test_solve_inverse_examples():
-    assert np.allclose(solve_inverse(2.0 * np.eye(2)), 0.5 * np.eye(2))
-    inv = solve_inverse([[1.0, 2.0], [3.0, 4.0]])
+    assert np.allclose(alone(solve_inverse)(2.0 * np.eye(2)), 0.5 * np.eye(2))
+    inv = alone(solve_inverse)([[1.0, 2.0], [3.0, 4.0]])
     assert np.allclose(inv, [[-2.0, 1.0], [1.5, -0.5]])
     with pytest.raises(SingularMatrixError):
-        solve_inverse([[1.0, 1.0], [1.0, 1.0]])
+        alone(solve_inverse)([[1.0, 1.0], [1.0, 1.0]])
 
 
 def test_solve_inverse_two_sided_identity():
@@ -77,7 +83,7 @@ def test_solve_inverse_two_sided_identity():
         n = rng.randint(1, 9)
         m = rng.standard_normal((n, n))
         try:
-            inv = solve_inverse(m)
+            inv = alone(solve_inverse)(m)
         except SingularMatrixError:
             continue
         assert np.linalg.norm(m @ inv - np.eye(n)) <= 1e-9
@@ -85,11 +91,11 @@ def test_solve_inverse_two_sided_identity():
 
 
 def test_det_examples():
-    assert det(np.eye(3)) == pytest.approx(1.0)
-    assert det([[1.0, 2.0], [3.0, 4.0]]) == pytest.approx(-2.0)
-    assert det([[1.0, 1.0], [2.0, 2.0]]) == 0.0
+    assert alone(det)(np.eye(3)) == pytest.approx(1.0)
+    assert alone(det)([[1.0, 2.0], [3.0, 4.0]]) == pytest.approx(-2.0)
+    assert alone(det)([[1.0, 1.0], [2.0, 2.0]]) == 0.0
     with pytest.raises(InvalidInputError):
-        det(np.ones((2, 3)))
+        det(np.ones((1, 2, 3)))
 
 
 def cofactor_det(m):
@@ -109,7 +115,7 @@ def test_det_matches_cofactor_expansion_on_integer_matrices():
         n = rng.randint(1, 5)
         m = rng.randint(-5, 6, size=(n, n))
         expected = cofactor_det(m.tolist())
-        assert det(m.astype(float)) == pytest.approx(expected, abs=1e-9)
+        assert alone(det)(m) == pytest.approx(expected, abs=1e-9)
 
 
 def rational_independent(rows):
@@ -165,7 +171,7 @@ def test_sym_eigen_maps_lapack_failure_to_convergence_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", no_convergence)
     with pytest.raises(ConvergenceError):
-        sym_eigen(np.eye(3))
+        alone(sym_eigen)(np.eye(3))
 
 
 def test_sym_eigen_on_100db_q():
@@ -173,7 +179,7 @@ def test_sym_eigen_on_100db_q():
     for t in range(40):
         h = sample_channel(derive_trial_rng(2024, t), 4)
         q = compute_q(ChannelRealization(h=h, power=1e10)).q
-        basis = sym_eigen(q)
+        basis = alone(sym_eigen)(q)
         norm = np.linalg.norm(q)
         assert np.all(np.diff(basis.values) >= 0)
         resid = q @ basis.vectors - basis.vectors * basis.values
@@ -229,7 +235,7 @@ def test_solve_inverse_bit_identical_to_row_loop():
     cases.append(np.zeros((3, 3)))
     singular = 0
     for m in cases:
-        got = inverse_outcome(solve_inverse, m)
+        got = inverse_outcome(alone(solve_inverse), m)
         assert got == inverse_outcome(reference_solve_inverse, m)
         singular += isinstance(got, str)
     assert 0 < singular < len(cases)
@@ -310,6 +316,8 @@ def kernel_stacks():
 
 
 def test_every_stacked_slice_is_byte_identical_to_its_single_call():
+    # each slice against the same matrix as a stack of one, and against the
+    # row-loop reference
     kernels = {
         "solve": (solve_inverse, reference_solve_inverse),
         "det": (det, reference_det),
@@ -321,28 +329,20 @@ def test_every_stacked_slice_is_byte_identical_to_its_single_call():
         got = kernel(stack)
         assert isinstance(got, list) and len(got) == len(stack)
         for m, slice_result in zip(stack, got):
-            alone = outcome(kernel, m)
-            assert stacked_outcome(slice_result) == alone
+            single = outcome(alone(kernel), m)
+            assert stacked_outcome(slice_result) == single
             if np.all(np.isfinite(m)):
-                assert alone == outcome(reference, m)
+                assert single == outcome(reference, m)
             failed[kind] += isinstance(slice_result, Exception)
     # every kernel saw failing slices beside good ones
     assert all(count > 10 for count in failed.values())
 
 
-def test_a_2d_input_is_a_stack_of_one():
-    m = np.array([[2.0, 1.0], [1.0, 3.0]])
-    assert solve_inverse(m).tobytes() == solve_inverse(m[None])[0].tobytes()
-    assert det(m) == det(m[None])[0]
-    assert sym_eigen(m).vectors.tobytes() == sym_eigen(m[None])[0].vectors.tobytes()
-    with pytest.raises(SingularMatrixError, match="column 1"):
-        solve_inverse(np.ones((2, 2)))
-    assert isinstance(solve_inverse(np.ones((1, 2, 2)))[0], SingularMatrixError)
+def test_a_kernel_takes_only_a_stack():
     for kernel in (solve_inverse, det, sym_eigen):
-        with pytest.raises(InvalidInputError, match="square"):
-            kernel(np.ones((2, 2, 3)))
-        with pytest.raises(InvalidInputError, match="square"):
-            kernel(np.ones(3))
+        for bad in (np.eye(2), np.ones(3), np.ones((2, 2, 3)), np.ones((1, 1, 2, 2))):
+            with pytest.raises(InvalidInputError, match=r"\(S, n, n\) stack"):
+                kernel(bad)
 
 
 def test_sym_eigen_redoes_a_failed_stack_one_slice_at_a_time(monkeypatch):
@@ -364,4 +364,4 @@ def test_sym_eigen_redoes_a_failed_stack_one_slice_at_a_time(monkeypatch):
     assert str(got[1]) == "eigh did not converge: Eigenvalues did not converge"
     assert isinstance(got[1].__cause__, np.linalg.LinAlgError)
     for basis in (got[0], got[2]):
-        assert basis.vectors.tobytes() == sym_eigen(good).vectors.tobytes()
+        assert basis.vectors.tobytes() == sym_eigen(good[None])[0].vectors.tobytes()

@@ -7,13 +7,8 @@ from ifrx.channel import ChannelRealization
 from ifrx.errors import DegenerateDirectionError, InvalidInputError
 from ifrx.ifcore import QForm, compute_q
 from ifrx.linalg import sym_eigen
-from ifrx.sdm import (
-    SearchConfig,
-    candidate_set,
-    jump_points,
-    line_candidates,
-    midpoint_grid,
-)
+from ifrx.sdm import SearchConfig, candidate_set, line_candidates
+from oracles import half_integer_grid, reference_jump_points, reference_line_candidates
 
 
 def make_qform(q):
@@ -34,43 +29,29 @@ def canonical_sign(vec):
     return vec
 
 
-def test_midpoint_grid():
-    assert midpoint_grid(1) == [-1.5, -0.5, 0.5, 1.5]
-    assert midpoint_grid(2) == [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5]
-    grid3 = midpoint_grid(3)
-    assert len(grid3) == 8
-    assert grid3[0] == -3.5 and grid3[-1] == 3.5
-    assert np.allclose(np.diff(grid3), 1.0)
-    with pytest.raises(InvalidInputError):
-        midpoint_grid(0)
-
-
-def test_jump_points_axis_aligned():
-    assert jump_points([1.0, 0.0], [0.0, 1.0], 1) == [-1.5, -0.5, 0.5, 1.5]
-    assert jump_points([0.0, 0.0], [1.0, 0.0], 1) == [-1.5, -0.5, 0.5, 1.5]
-
-
-def test_jump_points_two_active_coordinates():
-    got = jump_points([0.5, 0.5], [0.5, -0.5], 1)
-    expected = sorted({(m - 0.5) / 0.5 for m in midpoint_grid(1)}
-                      | {(m - 0.5) / -0.5 for m in midpoint_grid(1)})
-    assert got == pytest.approx(expected)
-    assert len(got) <= (2 * 1 + 2) * 2
-
-
-def test_jump_points_degenerate_direction():
+def test_line_candidates_degenerate_direction():
+    # one degenerate line fails the whole pass
     with pytest.raises(DegenerateDirectionError):
-        jump_points([1.0, 0.0], [0.0, 1e-13], 1)
+        line_candidates([[0.5, 0.5], [1.0, 0.0]], [[0.5, -0.5], [0.0, 1e-13]], 1)
+
+
+def test_line_candidates_takes_only_stacks():
+    with pytest.raises(InvalidInputError, match="stacks"):
+        line_candidates([1.0, 0.0], [0.0, 1.0], 1)
+    with pytest.raises(InvalidInputError, match="stacks"):
+        line_candidates([[1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]], 1)
+    with pytest.raises(InvalidInputError, match="m must be"):
+        line_candidates([[1.0, 0.0]], [[0.0, 1.0]], 0)
 
 
 def test_line_candidates_examples():
-    assert line_candidates([1.0, 0.0], [0.0, 1.0], 1).tolist() == [[1, -1], [1, 0], [1, 1]]
-    assert line_candidates([0.6, 0.0], [0.0, 1.0], 1).tolist() == [[1, -1], [1, 0], [1, 1]]
+    got = line_candidates([[1.0, 0.0], [0.6, 0.0]], [[0.0, 1.0], [0.0, 1.0]], 1)
+    assert [c.tolist() for c in got] == [[[1, -1], [1, 0], [1, 1]]] * 2
 
 
 def test_line_candidates_bound_clearing():
     # a line far from the box in its second coordinate gets intervals cleared
-    pts = line_candidates([0.3, 5.0], [1.0, 0.0], 1)
+    pts = line_candidates([[0.3, 5.0]], [[1.0, 0.0]], 1)[0]
     assert pts.shape == (0, 2)
 
 
@@ -94,12 +75,12 @@ def round_half_away(x):
 def closest_point_oracle(q, m, j):
     """Re-derive the candidate set with brute-force closest points per
     interval midpoint; asserts rounding optimality along the way."""
-    basis = sym_eigen(q)
+    basis = sym_eigen(q[None])[0]
     g1 = basis.vectors[:, 0]
     oracle = set()
     for i in range(2, j + 2):
         gi = basis.vectors[:, i - 1]
-        rhos = jump_points(g1, gi, m)
+        rhos = reference_jump_points(g1, gi, m)
         for t in range(len(rhos) - 1):
             rho = 0.5 * (rhos[t] + rhos[t + 1])
             point = g1 + rho * gi
@@ -162,41 +143,22 @@ def test_candidate_set_invariants_and_inclusion():
             assert len(omega) == len(vectors)
 
 
-def reference_jump_points(g1, gi, m):
-    """Scalar per-coordinate loop, the form jump_points must match exactly."""
-    rhos = []
-    for k in range(gi.shape[0]):
-        if abs(gi[k]) < 1e-12:
-            continue
-        rhos.extend((mj - g1[k]) / gi[k] for mj in midpoint_grid(m))
-    rhos.sort()
-    merged = [rhos[0]]
-    for rho in rhos[1:]:
-        if rho - merged[-1] > 1e-12:
-            merged.append(rho)
-    return merged
-
-
-def reference_line_candidates(g1, gi, m):
-    """Scalar per-midpoint loop, the form line_candidates must match exactly."""
-    rhos = reference_jump_points(g1, gi, m)
-    points = []
-    for j in range(len(rhos) - 1):
-        x = g1 + 0.5 * (rhos[j] + rhos[j + 1]) * gi
-        cand = np.trunc(x + np.copysign(0.5, x)).astype(int)
-        if int(np.max(np.abs(cand))) > m or not cand.any():
-            continue
-        points.append(tuple(int(c) for c in cand))
-    return points
-
-
 def test_line_candidates_bit_identical_to_scalar_loop():
+    # the oracle's jump points on hand-worked lines: axis-aligned, and two
+    # active coordinates that share three crossings
+    axis = [-1.5, -0.5, 0.5, 1.5]
+    assert reference_jump_points(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1) == axis
+    assert reference_jump_points(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 1) == axis
+    assert reference_jump_points(np.array([0.5, 0.5]), np.array([0.5, -0.5]), 1) \
+        == [-4.0, -2.0, 0.0, 2.0, 4.0]
     rng = np.random.RandomState(58)
-    lines = []
+    lines = [(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+             (np.array([0.0, 0.0]), np.array([1.0, 0.0])),
+             (np.array([0.5, 0.5]), np.array([0.5, -0.5]))]
     for _ in range(60):
         l = int(rng.choice([2, 3, 4, 8]))
         ch = ChannelRealization(h=rng.standard_normal((l, l)), power=10.0 ** rng.uniform(0, 4))
-        vecs = sym_eigen(compute_q(ch).q).vectors
+        vecs = sym_eigen(compute_q(ch).q[None])[0].vectors
         lines += [(vecs[:, 0], vecs[:, i]) for i in range(1, l)]
         # off-lattice starts, sparse directions and far-away lines
         gi = rng.standard_normal(l) * (rng.rand(l) < 0.6)
@@ -204,10 +166,15 @@ def test_line_candidates_bit_identical_to_scalar_loop():
         lines.append((rng.uniform(-3, 3, l), gi))
         lines.append((np.round(rng.uniform(-2, 2, l)) + 0.5, rng.standard_normal(l)))
     lines.append((np.array([0.3, 5.0]), np.array([1.0, 0.0])))
-    for g1, gi in lines:
+    # one pass per line length and bound, each line checked in the pass and alone
+    for l in {len(g1) for g1, _ in lines}:
+        group = [line for line in lines if len(line[0]) == l]
+        g1s, gis = np.array([g for g, _ in group]), np.array([d for _, d in group])
         for m in (1, 2, 3):
-            assert jump_points(g1, gi, m) == reference_jump_points(g1, gi, m)
-            assert as_tuples(line_candidates(g1, gi, m)) == reference_line_candidates(g1, gi, m)
+            for (g1, gi), cands in zip(group, line_candidates(g1s, gis, m)):
+                expected = reference_line_candidates(g1, gi, m)
+                assert as_tuples(cands) == expected
+                assert as_tuples(line_candidates(g1[None], gi[None], m)[0]) == expected
 
 
 @pytest.mark.parametrize("bad", [(0, 0), (3, 0), (1, -3)])
@@ -265,7 +232,7 @@ def degenerate_lines(l):
     lines = []
     for h in (np.eye(l), 2.5 * dct):
         for p in (1.0, 10.0, 100.0, 1000.0):
-            vecs = sym_eigen(compute_q(ChannelRealization(h=h, power=p)).q).vectors
+            vecs = sym_eigen(compute_q(ChannelRealization(h=h, power=p)).q[None])[0].vectors
             lines += [(vecs[:, 0], vecs[:, i]) for i in range(1, l)]
     return lines
 
@@ -284,11 +251,10 @@ def test_stacked_line_pass_equals_the_scalar_oracles(l):
         assert len(got) == len(lines)
         for (a, d), cands in zip(lines, got):
             rhos = reference_jump_points(a, d, m)
-            assert jump_points(a, d, m) == rhos
             assert as_tuples(cands) == reference_line_candidates(a, d, m)
             assert cands.dtype == np.int64 and cands.shape[1] == l
             # count lines where a merge against the predecessor would differ
             raw = sorted((mj - a[k]) / d[k] for k in range(l) if abs(d[k]) >= 1e-12
-                         for mj in midpoint_grid(m))
+                         for mj in half_integer_grid(m))
             chains += sum(1 for x, y in zip(raw, raw[1:]) if y - x <= 1e-12) > len(raw) - len(rhos)
     assert chains >= 9

@@ -308,7 +308,7 @@ def check_sphere_against_box(ch, cfg):
     # rank_candidates' order, with the box scored once
     assert np.array_equal(design.a, greedy_full_rank(box[np.argsort(f_box, kind="stable")]))
     radius = row_f(design.a, q).max()
-    sphere = sphere_candidates(q, m, radius)
+    sphere = sphere_candidates(q, select._lower_factor(q), m, radius)
     assert sphere.dtype == np.int64 and sphere.shape[1] == ch.l
     at = np.searchsorted(grid_index(box, m), grid_index(sphere, m))
     # strictly increasing positions: distinct, lexicographic, canonical, in-box rows
@@ -377,9 +377,9 @@ def test_sphere_grows_from_a_small_start(monkeypatch):
     calls = []
     real = select.sphere_candidates
 
-    def counted(q, m, radius):
+    def counted(q, g, m, radius):
         calls.append(radius)
-        return real(q, m, radius)
+        return real(q, g, m, radius)
 
     monkeypatch.setattr(select, "sphere_candidates", counted)
     for t in range(20):
@@ -387,6 +387,29 @@ def test_sphere_grows_from_a_small_start(monkeypatch):
         check_sphere_against_box(ChannelRealization(h=sample_channel(derive_trial_rng(41, t), l),
                                                     power=10.0 ** (t % 4)), SearchConfig(2, 2))
     assert len(calls) >= 60
+
+
+def test_exhaustive_design_factors_q_once(monkeypatch):
+    # a one-point start makes most designs enumerate several spheres
+    monkeypatch.setattr(select, "SPHERE_START_POINTS", 1)
+    calls = {"factor": 0, "sphere": 0}
+    factor, sphere = select._lower_factor, select.sphere_candidates
+
+    def counted_factor(q):
+        calls["factor"] += 1
+        return factor(q)
+
+    def counted_sphere(*args):
+        calls["sphere"] += 1
+        return sphere(*args)
+
+    monkeypatch.setattr(select, "_lower_factor", counted_factor)
+    monkeypatch.setattr(select, "sphere_candidates", counted_sphere)
+    designs = 20
+    for t in range(designs):
+        ch = ChannelRealization(h=sample_channel(derive_trial_rng(42, t), 8), power=100.0)
+        assert design_if(ch, SearchConfig(2, 4), "exhaustive").success
+    assert calls["factor"] == designs and calls["sphere"] > 2 * designs
 
 
 def test_sphere_needs_a_positive_definite_q(monkeypatch):
@@ -402,10 +425,11 @@ def test_sphere_needs_a_positive_definite_q(monkeypatch):
 
 def test_sphere_row_limit(monkeypatch):
     q = compute_q(ChannelRealization(h=sample_channel(derive_trial_rng(3, 0), 6), power=100.0)).q
-    rows = len(sphere_candidates(q, 2, 1.0))
+    g = select._lower_factor(q)
+    rows = len(sphere_candidates(q, g, 2, 1.0))
     monkeypatch.setattr(select, "SPHERE_ROW_LIMIT", rows)
     with pytest.raises(InstanceTooLargeError):
-        sphere_candidates(q, 2, 1.0)
+        sphere_candidates(q, g, 2, 1.0)
 
 
 def test_exhaustive_design_at_l12():
@@ -419,7 +443,8 @@ def test_exhaustive_design_at_l12():
         assert exhaustive.success and sdm.success
         radius = row_f(exhaustive.a, q).max()
         assert radius <= row_f(sdm.a, q).max()
-        wider = greedy_full_rank(rank_candidates(sphere_candidates(q, 2, 2 * radius), q))
+        g = select._lower_factor(q)
+        wider = greedy_full_rank(rank_candidates(sphere_candidates(q, g, 2, 2 * radius), q))
         assert np.array_equal(exhaustive.a, wider)
 
 
