@@ -37,8 +37,14 @@ class RngState:
         if n < 0:
             raise InvalidInputError("n must be >= 0")
         z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(self._state)
-        self._state = (self._state + n * _GOLDEN) & MASK64
+        self.skip(n)
         return _mix64(z)
+
+    def skip(self, n: int) -> None:
+        """Move past the next ``n`` words without drawing them."""
+        if n < 0:
+            raise InvalidInputError("n must be >= 0")
+        self._state = (self._state + n * _GOLDEN) & MASK64
 
 
 def derive_trial_rng(master_seed: int, trial_index: int) -> RngState:

@@ -21,6 +21,10 @@ from .sdm import SearchConfig
 from .select import METHOD_FALLBACK, design_if
 
 
+# far more points than any sweep needs, and few enough to build at once
+MAX_GRID_POINTS = 100_000
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the CLI contract reserves 2 for
     # design fallback, so remap usage errors to 1
@@ -53,6 +57,8 @@ def parse_value_list(text: str, kind=float) -> list:
         if b < a:
             raise ParseError("grid end must not precede its start")
         count = int(exact.divide_int(exact.subtract(b, a), step)) + 1
+        if count > MAX_GRID_POINTS:
+            raise ParseError(f"grid spec {text!r} has more than {MAX_GRID_POINTS} points")
         values = [float(exact.fma(k, step, a)) for k in range(count)]
     else:
         try:
@@ -61,6 +67,9 @@ def parse_value_list(text: str, kind=float) -> list:
             raise ParseError(f"cannot parse value list {text!r}") from None
         if not values:
             raise ParseError("value list is empty")
+        for v in values:
+            if not math.isfinite(v):
+                raise ParseError(f"value list must be finite, got {v}")
     if kind is int:
         for v in values:
             if not v.is_integer():

@@ -155,6 +155,9 @@ class TrialDraw:
     h: np.ndarray
     rng: RngState
     realizations: dict[float, ChannelRealization | IfrxError]
+    # (A bytes, p) -> whether A is invertible mod p; the cells of a draw
+    # share it, so each distinct A makes one round trip per draw
+    round_trips: dict = field(default_factory=dict, repr=False, compare=False)
 
     def channel(self, snr_db: float) -> ChannelRealization:
         if snr_db not in self.realizations:
@@ -211,8 +214,16 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
         if method in ("if-sdm", "if-exhaustive"):
             tag = METHOD_SDM if method == "if-sdm" else METHOD_EXHAUSTIVE
             design = design_if(ch, SearchConfig(cfg.bound_m, cfg.lines_j), tag)
-            modp = (_recovery_check(design.a, cfg.prime_field, rng)
-                    if cfg.prime_field is not None else None)
+            modp = None
+            if cfg.prime_field is not None:
+                key = (design.a.tobytes(), cfg.prime_field.p)
+                if key in draw.round_trips:
+                    # a round trip not made still takes its words, so the
+                    # next one starts where it always did
+                    rng.skip(design.a.shape[0] * _RECOVERY_MSG_LEN)
+                else:
+                    draw.round_trips[key] = _recovery_check(design.a, cfg.prime_field, rng)
+                modp = draw.round_trips[key]
             records.append(TrialRecord(
                 trial_index, snr_db, method, design.report.total, design.report.sum_form,
                 design.success, design.method == METHOD_FALLBACK, modp,

@@ -13,6 +13,7 @@ the (2M+1)^L-point box.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -143,21 +144,49 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> None:
         start += len(line)
 
 
+def _line_union(q: QForm, lines_j: int, bound_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows, in lexicographic order, of every line the form holds
+    for bound M (at least lines 2 .. J+1), and the first line holding each
+    row, numbered from 0 for line 2: J's set holds the rows numbered below J.
+
+    Kept in the form's ``memo``, so the cells of a J sweep share one sort,
+    one dedupe and one check; a J past the kept union builds it again.
+    """
+    held = q.memo.get(("union", bound_m))
+    if held is not None and held[2] >= lines_j:
+        return held[:2]
+    covered = lines_j
+    while ("line", covered + 2, bound_m) in q.memo:
+        covered += 1
+    lines = [q.memo[("line", i, bound_m)] for i in range(2, covered + 2)]
+    arr = np.concatenate(lines)
+    # the sort is stable, so the copies of a row keep line order and the
+    # one kept comes from the earliest line
+    order = np.lexsort(arr.T[::-1])
+    arr = arr[order]
+    distinct = np.ones(len(arr), dtype=bool)
+    distinct[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+    arr = arr[distinct]
+    first = np.searchsorted(list(accumulate(map(len, lines))), order[distinct], side="right")
+    # rows in lexicographic order all lie above the zero row, nonzero with
+    # a positive leading coordinate, when the first one does
+    below_zero = len(arr) and arr[0].tolist() <= [0] * arr.shape[1]
+    if below_zero or np.abs(arr).max(initial=0) > bound_m:
+        raise RuntimeError("candidate set holds a zero, out-of-box or non-canonical vector")
+    q.memo[("union", bound_m)] = arr, first, covered
+    return arr, first
+
+
 def candidate_set(q: QForm, cfg: SearchConfig) -> np.ndarray:
     """Union of the sign-canonical candidates of the J slowest-ascent
-    lines: distinct int64 rows in lexicographic order."""
+    lines: distinct int64 rows in lexicographic order, a fresh read-only
+    array."""
     l = q.q.shape[0]
     if cfg.lines_j > l - 1:
         raise InvalidInputError(f"lines_j must be <= L-1 = {l - 1}")
     prepare_lines([q], cfg.lines_j, cfg.bound_m)
     unwrap(q.memo["basis"])
-    arr = np.concatenate([q.memo[("line", i, cfg.bound_m)] for i in range(2, cfg.lines_j + 2)])
-    arr = arr[np.lexsort(arr.T[::-1])]
-    distinct = np.ones(len(arr), dtype=bool)
-    distinct[1:] = (arr[1:] != arr[:-1]).any(axis=1)
-    arr = arr[distinct]
-    # a positive leading coordinate also rules out the zero row
-    if np.any(leading(arr) <= 0) or np.any(np.abs(arr) > cfg.bound_m):
-        raise RuntimeError("candidate set holds a zero, out-of-box or non-canonical vector")
+    arr, first = _line_union(q, cfg.lines_j, cfg.bound_m)
+    arr = arr[first < cfg.lines_j]
     arr.setflags(write=False)
     return arr

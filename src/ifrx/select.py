@@ -162,6 +162,12 @@ def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesig
         tag, success = METHOD_FALLBACK, False
     else:
         tag, success = method, True
-    b = optimal_projection(a, ch)
-    report = total_rate([rate_from_q(row, qform) for row in a])
+    # the projection and rates depend on the channel and A alone, so the
+    # designs of one realization that agree on A share them
+    key = ("design", a.tobytes())
+    if key not in ch.memo:
+        b = optimal_projection(a, ch)
+        b.setflags(write=False)
+        ch.memo[key] = b, total_rate([rate_from_q(row, qform) for row in a])
+    b, report = ch.memo[key]
     return IfDesign(a=a, b=b, report=report, success=success, method=tag)

@@ -6,6 +6,8 @@ import numpy as np
 
 from ifrx.channel import ChannelRealization
 from ifrx.errors import InvalidInputError
+from ifrx.ifcore import QForm
+from ifrx.sdm import prepare_lines
 
 
 def rate_from_ab(a_m, b_m, ch: ChannelRealization) -> float:
@@ -57,3 +59,18 @@ def reference_line_candidates(g1, gi, m):
             continue
         points.append(tuple(int(c) for c in cand))
     return points
+
+
+def reference_candidate_set(q, lines_j, bound_m):
+    """Candidate set of lines 2 .. J+1 built on its own, for one call:
+    the lines of a fresh form concatenated, sorted lexicographically and
+    deduplicated, as a read-only array."""
+    form = QForm(q=q)
+    prepare_lines([form], lines_j, bound_m)
+    arr = np.concatenate([form.memo[("line", i, bound_m)] for i in range(2, lines_j + 2)])
+    arr = arr[np.lexsort(arr.T[::-1])]
+    distinct = np.ones(len(arr), dtype=bool)
+    distinct[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+    arr = arr[distinct]
+    arr.setflags(write=False)
+    return arr

@@ -87,8 +87,14 @@ def test_next_u64s_continues_the_stream_like_single_draws(n):
     top, top_single = RngState(2**64 - 1), ScalarStream(2**64 - 1)
     assert top.next_u64s(n).tolist() == [top_single.next_u64() for _ in range(n)]
     assert top._state == top_single.state
+    # skipping n words leaves the stream where drawing them does
+    skipped = RngState(2**64 - 1)
+    skipped.skip(n)
+    assert skipped._state == top._state
     with pytest.raises(InvalidInputError):
         top.next_u64s(-1)
+    with pytest.raises(InvalidInputError):
+        top.skip(-1)
 
 
 def test_sample_channel_matches_the_scalar_reference():

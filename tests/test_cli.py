@@ -4,7 +4,7 @@ import pytest
 
 import ifrx.harness
 from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
-from ifrx.cli import build_parser, main, parse_value_list
+from ifrx.cli import MAX_GRID_POINTS, build_parser, main, parse_value_list
 from ifrx.errors import ParseError
 from ifrx.sdm import SearchConfig
 from ifrx.select import METHOD_FALLBACK, design_if
@@ -42,6 +42,16 @@ def test_parse_value_list():
     for bad in ("0:1:inf", "nan:1:3", "0:inf:3", "0:1:1e400"):
         with pytest.raises(ParseError, match="finite"):
             parse_value_list(bad)
+    # a comma list names its non-finite value
+    for bad, kind, value in (("10,nan", float, "nan"), ("5,inf", float, "inf"),
+                             ("1, -inf", int, "-inf")):
+        with pytest.raises(ParseError, match=f"^value list must be finite, got {value}$"):
+            parse_value_list(bad, kind)
+    # a grid's point count is checked before any point is built
+    assert len(parse_value_list("1:1:100000", int)) == MAX_GRID_POINTS
+    for bad, kind in (("0:1e-300:1", float), ("1:1:1e12", int), ("0:1:100000", float)):
+        with pytest.raises(ParseError, match=f"more than {MAX_GRID_POINTS} points"):
+            parse_value_list(bad, kind)
 
 
 def test_design_identity_exhaustive(identity_channel, capsys):

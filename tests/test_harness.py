@@ -257,40 +257,113 @@ def test_run_sweep_matches_cell_major_reference(monkeypatch, l, sweep, values, g
     sent = []
     inner = ifrx.harness.combine_messages
     monkeypatch.setattr(ifrx.harness, "combine_messages",
-                        lambda a, w, f: sent.append(w.tolist()) or inner(a, w, f))
+                        lambda a, w, f: sent.append((a.tobytes(), str(w.tolist())))
+                        or inner(a, w, f))
     ref = reference_run_sweep(cfg, sweep, values)
     ref_sent, sent[:] = sent[:], []
+    trial, designed = [], set()  # the trial drawn last; (trial, A) of every design
+    inner_draw, inner_design = ifrx.harness.draw_trial, ifrx.harness.design_if
+
+    def drawing(c, t, cells):
+        trial.append(t)
+        return inner_draw(c, t, cells)
+
+    def designing(ch, c, tag):
+        design = inner_design(ch, c, tag)
+        designed.add((trial[-1], design.a.tobytes()))
+        return design
+    monkeypatch.setattr(ifrx.harness, "draw_trial", drawing)
+    monkeypatch.setattr(ifrx.harness, "design_if", designing)
     got = run_sweep(cfg, sweep, values)
     # repr tells -0.0 from 0.0, so this is bit identity of every field
     assert repr(got) == repr(ref)
-    # every cell continues the trial stream from the same point; the
-    # order of cells differs, the messages drawn must not
-    assert sorted(sent) == sorted(ref_sent)
+    # the cells of a draw share one round trip per distinct A, and each
+    # one that runs sends the messages the reference sent with that A
+    assert set(sent) <= set(ref_sent)
     if prime is not None:
-        cells = len(ref) // len(methods)
-        assert len(sent) == cells * cfg.trials * sum(m.startswith("if-") for m in methods)
+        assert len(sent) == len(set(sent)) == len(designed)
+    else:
+        assert sent == ref_sent == []
 
 
 def test_every_cell_continues_the_trial_stream(monkeypatch):
-    seen = []
-    inner = ifrx.harness._recovery_check
+    events = []
+    inner_draw, inner_trial = ifrx.harness.draw_trial, ifrx.harness.run_trial
+    inner_design, inner_trip = ifrx.harness.design_if, ifrx.harness._recovery_check
+
+    def drawing(c, t, cells):
+        events.append(("draw", t))
+        return inner_draw(c, t, cells)
+
+    def cell(*args):
+        events.append(("cell",))
+        return inner_trial(*args)
+
+    def designing(ch, c, tag):
+        design = inner_design(ch, c, tag)
+        events.append(("design", design.a.tobytes()))
+        return design
 
     def recording(a, field, rng):
-        seen.append(copy.copy(rng))
-        return inner(a, field, rng)
+        events.append(("trip", a.tobytes(), copy.copy(rng)))
+        return inner_trip(a, field, rng)
+    monkeypatch.setattr(ifrx.harness, "draw_trial", drawing)
+    monkeypatch.setattr(ifrx.harness, "run_trial", cell)
+    monkeypatch.setattr(ifrx.harness, "design_if", designing)
     monkeypatch.setattr(ifrx.harness, "_recovery_check", recording)
     # sampling takes 26 words for 25 entries and 64 for 64
     for l in (5, 8):
-        cfg = small_cfg(l=l, snr_db_grid=(0.0, 20.0), trials=2, lines_j=1, methods=("if-sdm",))
-        seen.clear()
+        cfg = small_cfg(l=l, snr_db_grid=(0.0, 20.0), trials=3, lines_j=1,
+                        methods=("if-exhaustive", "if-sdm"))
+        events.clear()
         run_sweep(cfg, "lines_j", [1, 2, 3])
-        assert len(seen) == 2 * 3 * 2
-        for t in range(2):
-            fresh = derive_trial_rng(cfg.master_seed, t)
-            sample_channel(fresh, l)
-            expected = fresh.next_u64s(4).tolist()
-            for rng in seen[6 * t:6 * (t + 1)]:
-                assert rng.next_u64s(4).tolist() == expected
+        designs = trips = trips_after_a_hit = 0
+        for event in events:
+            if event[0] == "draw":
+                fresh = derive_trial_rng(cfg.master_seed, event[1])
+                sample_channel(fresh, l)
+                start = {}  # A -> where the stream stood at its first design in the draw
+                tripped = set()
+            elif event[0] == "cell":
+                # the k-th design of a cell continues the stream past k round trips
+                point, hit = copy.copy(fresh), False
+            elif event[0] == "design":
+                designs += 1
+                hit |= event[1] in start
+                start.setdefault(event[1], copy.copy(point))
+                point.next_u64s(4 * l)
+            else:
+                # a round trip runs once per distinct A of a draw, where its first design stood
+                a, rng = event[1:]
+                assert a not in tripped
+                tripped.add(a)
+                assert rng.next_u64s(4 * l).tolist() == start[a].next_u64s(4 * l).tolist()
+                trips += 1
+                trips_after_a_hit += hit
+        assert 0 < trips < designs == 3 * 6 * 2
+        assert trips_after_a_hit > 0
+
+
+def test_round_trip_memo_lives_in_its_draw_and_matches_a_fresh_check():
+    # p = 2 makes some designs singular mod p, so both flags are kept
+    cfg = small_cfg(l=5, snr_db_grid=(0.0, 20.0), trials=6, bound_m=2, lines_j=1, prime_p=2,
+                    methods=("if-sdm", "if-exhaustive"))
+    cells = [(snr, replace(cfg, lines_j=j)) for j in (1, 2, 3, 4) for snr in cfg.snr_db_grid]
+    memos, flags, hits = [], set(), 0
+    for t in range(cfg.trials):
+        draw = draw_trial(cfg, t, cells)
+        for snr, sub in cells:
+            # a cell drawn on its own starts with an empty memo
+            assert run_trial(sub, snr, t, draw) == run_trial(sub, snr, t)
+        for (a, p), flag in draw.round_trips.items():
+            a = np.frombuffer(a, dtype=np.int64).reshape(cfg.l, cfg.l)
+            assert p == 2 and flag == _recovery_check(a, cfg.prime_field, copy.copy(draw.rng))
+            flags.add(flag)
+        hits += 2 * len(cells) - len(draw.round_trips)
+        assert draw_trial(cfg, t, cells).round_trips == {}
+        memos.append(draw.round_trips)
+    assert len({id(memo) for memo in memos}) == len(memos)
+    assert flags == {False, True} and hits > 0
 
 
 def test_lines_sweep_draws_and_decomposes_each_channel_once(monkeypatch):

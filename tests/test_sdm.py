@@ -7,8 +7,13 @@ from ifrx.channel import ChannelRealization
 from ifrx.errors import DegenerateDirectionError, InvalidInputError
 from ifrx.ifcore import QForm, compute_q
 from ifrx.linalg import sym_eigen
-from ifrx.sdm import SearchConfig, candidate_set, line_candidates
-from oracles import half_integer_grid, reference_jump_points, reference_line_candidates
+from ifrx.sdm import SearchConfig, candidate_set, line_candidates, prepare_lines
+from oracles import (
+    half_integer_grid,
+    reference_candidate_set,
+    reference_jump_points,
+    reference_line_candidates,
+)
 
 
 def make_qform(q):
@@ -141,6 +146,30 @@ def test_candidate_set_invariants_and_inclusion():
                 assert max(abs(c) for c in vec) <= 2
                 assert next(c for c in vec if c != 0) > 0
             assert len(omega) == len(vectors)
+
+
+def test_candidate_set_equals_the_per_call_reference_in_any_j_order():
+    rng = np.random.RandomState(314)
+    for l in (4, 8, 12):
+        for m in (1, 2, 3):
+            for _ in range(2):
+                ch = ChannelRealization(h=rng.standard_normal((l, l)),
+                                        power=10.0 ** rng.uniform(0, 3))
+                q = compute_q(ch).q
+                expected = {j: reference_candidate_set(q, j, m) for j in range(1, l)}
+                ascending = list(range(1, l))
+                for order in (ascending, ascending[::-1], list(rng.permutation(ascending))):
+                    form = make_qform(q)
+                    # a form whose kept lines stop short of the largest J,
+                    # so a later call asks past the union it holds
+                    prepare_lines([form], max(1, order[0] - 1), m)
+                    for j in order:
+                        got = candidate_set(form, SearchConfig(bound_m=m, lines_j=int(j)))
+                        want = expected[j]
+                        assert got.dtype == want.dtype == np.int64
+                        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                        assert got.flags.c_contiguous and not got.flags.writeable
+                        assert not np.shares_memory(got, form.memo[("union", m)][0])
 
 
 def test_line_candidates_bit_identical_to_scalar_loop():

@@ -8,7 +8,14 @@ from ifrx import select
 from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
 from ifrx.errors import InstanceTooLargeError, InvalidInputError, SingularMatrixError
 from ifrx.harness import ExperimentConfig, run_sweep
-from ifrx.ifcore import QForm, compute_q, mmse_rates, optimal_projection, rate_from_q
+from ifrx.ifcore import (
+    QForm,
+    compute_q,
+    mmse_rates,
+    optimal_projection,
+    rate_from_q,
+    total_rate,
+)
 from ifrx.linalg import int_rank_independent
 from ifrx.sdm import SearchConfig, candidate_set, leading
 from ifrx.select import design_if, greedy_full_rank, rank_candidates, sphere_candidates
@@ -470,3 +477,32 @@ def test_exhaustive_design_reads_neither_lines_nor_sdm(monkeypatch):
     rows = run_sweep(cfg, "lines_j", [1, 2, 3, 4])
     assert calls == []
     assert len({(r.snr_db, r.avg_rate_min, r.avg_rate_sum) for r in rows}) == 2
+
+
+def test_design_tail_is_shared_by_a_only_within_its_realization():
+    cfg = SearchConfig(bound_m=1, lines_j=2)
+    crossing = shared = 0
+    for t in range(8):
+        h = sample_channel(derive_trial_rng(12, t), 3)
+        chs = [ChannelRealization(h=h, power=10.0 ** (snr / 10)) for snr in (10.0, 20.0, 30.0)]
+        tails = {}  # A -> the projection kept for it at each power
+        for ch in chs:
+            sdm, exhaustive = design_if(ch, cfg, "sdm"), design_if(ch, cfg, "exhaustive")
+            if np.array_equal(sdm.a, exhaustive.a):
+                # one entry, each design with its own tag
+                shared += 1
+                assert sdm.b is exhaustive.b and sdm.report is exhaustive.report
+                assert exhaustive.method == "exhaustive" and sdm.method != exhaustive.method
+            # a fresh realization at the same power holds no memo
+            fresh = ChannelRealization(h=h, power=ch.power)
+            for design in (sdm, exhaustive):
+                assert not design.b.flags.writeable
+                assert design.b.tobytes() == optimal_projection(design.a, fresh).tobytes()
+                assert design.report == total_rate(rate_from_q(row, compute_q(fresh))
+                                                   for row in design.a)
+                tails.setdefault(design.a.tobytes(), {})[ch.power] = design.b
+        for by_power in tails.values():
+            crossing += len(by_power) > 1
+            assert len({id(b) for b in by_power.values()}) == len(by_power)
+    # some A recurs across powers, and some SDM design is the optimum
+    assert crossing and shared

@@ -51,7 +51,9 @@ def test_every_round_trip_is_traced_through_the_harness_bindings(monkeypatch):
 
     designs = called_from_a_trial("select.design_if")
     assert designs == 2 * 3 * 2 * 2
-    # a harness that bypassed its own bindings would leave the fieldrec metrics at zero
-    assert called_from_a_trial("fieldrec.recover_messages") == designs
-    assert called_from_a_trial("fieldrec.combine_messages") == designs
-    assert sum(s.name.startswith("fieldrec.") for s in spans) == 2 * designs
+    # the cells of a draw share one round trip per distinct A, and a harness
+    # that bypassed its own bindings would leave the fieldrec metrics at zero
+    trips = called_from_a_trial("fieldrec.recover_messages")
+    assert 0 < trips <= designs
+    assert called_from_a_trial("fieldrec.combine_messages") == trips
+    assert sum(s.name.startswith("fieldrec.") for s in spans) == 2 * trips
