@@ -87,6 +87,8 @@ def cmd_design(args) -> int:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise InvalidInputError(f"channel matrix must be square, got {h.shape[0]}x{h.shape[1]}")
     l = h.shape[0]
+    if l < 2:
+        raise InvalidInputError(f"channel matrix must be at least 2x2, got {l}x{l}")
     lines = args.lines if args.lines is not None else _default_lines(l)
     if not 1 <= lines <= l - 1:
         raise InvalidInputError(f"--lines must be in [1, {l - 1}] for L = {l}")

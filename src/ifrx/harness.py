@@ -5,9 +5,9 @@ per-method curves differ only through the receivers, never the noise of
 the draw. Per-trial RNG streams are derived from (master_seed, trial
 index), which makes aggregates independent of execution order. A sweep
 draws each trial index once and runs every (sweep value, SNR point) cell
-of it on that draw: the channel's Q, its eigenbasis and each search
-line's candidates are computed once, stacked over the SNR points, and
-shared by all cells and methods.
+of it on that draw: the channel's Q, its eigenbasis and, per bound M, one
+union of line candidates over the most lines any cell reads are computed
+once, stacked over the SNR points, and shared by all cells and methods.
 """
 
 from __future__ import annotations

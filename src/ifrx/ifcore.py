@@ -24,10 +24,10 @@ class QForm:
     """Symmetric quadratic form of a channel at one transmit power.
 
     ``q`` is a read-only copy of the input, so quantities derived from it
-    (the eigenbasis, per-line candidates and their union) can be kept in
-    ``memo`` for the life of the form; ``sdm.prepare_lines`` fills the
-    first two for several forms at once. The form holds no reference back
-    to its channel, whose memo holds the form.
+    (the eigenbasis and, per bound M, one union of line candidates) can be
+    kept in ``memo`` for the life of the form; ``sdm.prepare_lines`` fills
+    both for several forms at once. The form holds no reference back to
+    its channel, whose memo holds the form.
     """
 
     q: np.ndarray

@@ -13,16 +13,18 @@ the (2M+1)^L-point box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, IfrxError, InvalidInputError, unwrap
+from .errors import (DegenerateDirectionError, IfrxError, InstanceTooLargeError,
+                     InvalidInputError, unwrap)
 from .ifcore import QForm
 from .linalg import sym_eigen
 
 COORD_EPS = 1e-12
 RHO_MERGE_TOL = 1e-12
+# jump points, L * (2M+2), that one line may have
+LINE_POINT_LIMIT = 2**20
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,8 @@ def line_candidates(g1, gi, m: int) -> list[np.ndarray]:
     arrays. The stack is one pass: its jump points share one sort and its
     midpoints one rounding. A direction below COORD_EPS in every
     coordinate raises DegenerateDirectionError for the whole pass; a unit
-    eigenvector never is one.
+    eigenvector never is one. A line with more than LINE_POINT_LIMIT jump
+    points raises InstanceTooLargeError before any array is built.
     """
     g1 = np.asarray(g1, dtype=float)
     gi = np.asarray(gi, dtype=float)
@@ -94,6 +97,10 @@ def line_candidates(g1, gi, m: int) -> list[np.ndarray]:
         raise InvalidInputError("g1 and gi must be (P, L) stacks of equal shape")
     if m < 1:
         raise InvalidInputError("m must be >= 1")
+    points = g1.shape[1] * (2 * m + 2)
+    if points > LINE_POINT_LIMIT:
+        raise InstanceTooLargeError(f"a search line at L = {g1.shape[1]}, M = {m} has {points} "
+                                    f"jump points, over the limit {LINE_POINT_LIMIT}")
     rho, line = _jumps(g1, gi, m)
     # consecutive jump points of one line bound one of its intervals
     inner = line[1:] == line[:-1]
@@ -114,67 +121,47 @@ def line_candidates(g1, gi, m: int) -> list[np.ndarray]:
 
 
 def prepare_lines(forms, lines_j: int, bound_m: int) -> None:
-    """Keep in each form's ``memo`` (forms all of one size L) the
-    sign-canonical candidates of its lines 2 .. J+1 with bound M.
+    """Keep in each form's ``memo`` (forms all of one size L) its union for
+    bound M, ``memo[("union", M)]``: the distinct sign-canonical rows of
+    lines 2 .. J+1 in lexicographic order, the first line holding each row
+    (numbered from 0 for line 2, so J's set holds the rows numbered below
+    J), and the J covered.
 
-    Forms that lack an eigenbasis get one from one ``sym_eigen`` stack,
-    and every missing (form, line) pair goes through one
-    ``line_candidates`` pass, so a J or M sweep over a form decomposes it
-    once and walks each line once. A failed eigensolve is kept as the
+    Forms that lack an eigenbasis get one from one ``sym_eigen`` stack, and
+    every form whose union covers fewer than J lines walks lines 2 .. J+1
+    in one ``line_candidates`` pass. A failed eigensolve is kept as the
     form's basis, for ``candidate_set`` to raise.
     """
     bare = [q for q in forms if "basis" not in q.memo]
     if bare:
         for q, basis in zip(bare, sym_eigen(np.array([q.q for q in bare]))):
             q.memo["basis"] = basis
-    todo = [(q, i) for q in forms if not isinstance(q.memo["basis"], IfrxError)
-            for i in range(2, lines_j + 2) if ("line", i, bound_m) not in q.memo]
+    todo = [q for q in forms if not isinstance(q.memo["basis"], IfrxError)
+            and q.memo.get(("union", bound_m), (None, None, 0))[2] < lines_j]
     if not todo:
         return
-    g1 = np.array([q.memo["basis"].vectors[:, 0] for q, _ in todo])
-    gi = np.array([q.memo["basis"].vectors[:, i - 1] for q, i in todo])
+    vectors = [q.memo["basis"].vectors for q in todo]
+    g1 = np.repeat([v[:, 0] for v in vectors], lines_j, axis=0)
+    gi = np.concatenate([v[:, 1:lines_j + 1].T for v in vectors])
     lines = line_candidates(g1, gi, bound_m)
-    # one sign flip for the rows of every line
-    rows = np.concatenate(lines)
-    rows *= np.where(leading(rows) < 0, -1, 1)[:, None]
-    rows.setflags(write=False)
-    start = 0
-    for (q, i), line in zip(todo, lines):
-        q.memo[("line", i, bound_m)] = rows[start:start + len(line)]
-        start += len(line)
-
-
-def _line_union(q: QForm, lines_j: int, bound_m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows, in lexicographic order, of every line the form holds
-    for bound M (at least lines 2 .. J+1), and the first line holding each
-    row, numbered from 0 for line 2: J's set holds the rows numbered below J.
-
-    Kept in the form's ``memo``, so the cells of a J sweep share one sort,
-    one dedupe and one check; a J past the kept union builds it again.
-    """
-    held = q.memo.get(("union", bound_m))
-    if held is not None and held[2] >= lines_j:
-        return held[:2]
-    covered = lines_j
-    while ("line", covered + 2, bound_m) in q.memo:
-        covered += 1
-    lines = [q.memo[("line", i, bound_m)] for i in range(2, covered + 2)]
-    arr = np.concatenate(lines)
-    # the sort is stable, so the copies of a row keep line order and the
-    # one kept comes from the earliest line
-    order = np.lexsort(arr.T[::-1])
-    arr = arr[order]
-    distinct = np.ones(len(arr), dtype=bool)
-    distinct[1:] = (arr[1:] != arr[:-1]).any(axis=1)
-    arr = arr[distinct]
-    first = np.searchsorted(list(accumulate(map(len, lines))), order[distinct], side="right")
-    # rows in lexicographic order all lie above the zero row, nonzero with
-    # a positive leading coordinate, when the first one does
-    below_zero = len(arr) and arr[0].tolist() <= [0] * arr.shape[1]
-    if below_zero or np.abs(arr).max(initial=0) > bound_m:
-        raise RuntimeError("candidate set holds a zero, out-of-box or non-canonical vector")
-    q.memo[("union", bound_m)] = arr, first, covered
-    return arr, first
+    for k, q in enumerate(todo):
+        own = lines[k * lines_j:(k + 1) * lines_j]
+        arr = np.concatenate(own)
+        arr *= np.where(leading(arr) < 0, -1, 1)[:, None]
+        # the sort is stable, so the copies of a row keep line order and the
+        # one kept comes from the earliest line
+        order = np.lexsort(arr.T[::-1])
+        arr = arr[order]
+        first = np.repeat(np.arange(lines_j), list(map(len, own)))[order]
+        distinct = np.ones(len(arr), dtype=bool)
+        distinct[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+        arr, first = arr[distinct], first[distinct]
+        # rows in lexicographic order all lie above the zero row, nonzero with
+        # a positive leading coordinate, when the first one does
+        below_zero = len(arr) and arr[0].tolist() <= [0] * arr.shape[1]
+        if below_zero or np.abs(arr).max(initial=0) > bound_m:
+            raise RuntimeError("candidate set holds a zero, out-of-box or non-canonical vector")
+        q.memo[("union", bound_m)] = arr, first, lines_j
 
 
 def candidate_set(q: QForm, cfg: SearchConfig) -> np.ndarray:
@@ -186,7 +173,7 @@ def candidate_set(q: QForm, cfg: SearchConfig) -> np.ndarray:
         raise InvalidInputError(f"lines_j must be <= L-1 = {l - 1}")
     prepare_lines([q], cfg.lines_j, cfg.bound_m)
     unwrap(q.memo["basis"])
-    arr, first = _line_union(q, cfg.lines_j, cfg.bound_m)
+    arr, first, _ = q.memo[("union", cfg.bound_m)]
     arr = arr[first < cfg.lines_j]
     arr.setflags(write=False)
     return arr

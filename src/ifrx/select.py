@@ -92,6 +92,11 @@ def sphere_candidates(q: np.ndarray, g: np.ndarray, m: int, radius: float) -> np
     SPHERE_ROW_LIMIT rows.
     """
     l = q.shape[0]
+    # level 0 expands one empty row into 2M+1, checked before the values or
+    # the radius slack, which grows with M^2, are built
+    if 2 * m + 1 > SPHERE_ROW_LIMIT:
+        raise InstanceTooLargeError(f"sphere enumeration would test {2 * m + 1} rows at level 1 "
+                                    f"of {l}, over the limit {SPHERE_ROW_LIMIT}")
     diag = g.diagonal()
     unit = g / diag[:, None]
     # covers the rounding of the factor and of f on any in-box row

@@ -6,8 +6,7 @@ import numpy as np
 
 from ifrx.channel import ChannelRealization
 from ifrx.errors import InvalidInputError
-from ifrx.ifcore import QForm
-from ifrx.sdm import prepare_lines
+from ifrx.linalg import sym_eigen
 
 
 def rate_from_ab(a_m, b_m, ch: ChannelRealization) -> float:
@@ -62,15 +61,15 @@ def reference_line_candidates(g1, gi, m):
 
 
 def reference_candidate_set(q, lines_j, bound_m):
-    """Candidate set of lines 2 .. J+1 built on its own, for one call:
-    the lines of a fresh form concatenated, sorted lexicographically and
-    deduplicated, as a read-only array."""
-    form = QForm(q=q)
-    prepare_lines([form], lines_j, bound_m)
-    arr = np.concatenate([form.memo[("line", i, bound_m)] for i in range(2, lines_j + 2)])
-    arr = arr[np.lexsort(arr.T[::-1])]
-    distinct = np.ones(len(arr), dtype=bool)
-    distinct[1:] = (arr[1:] != arr[:-1]).any(axis=1)
-    arr = arr[distinct]
+    """Candidate set of lines 2 .. J+1 built on its own, from the scalar
+    per-midpoint loop on ``sym_eigen``'s vectors: every line's points made
+    sign-canonical, as a sorted set, in a read-only (n, L) int64 array."""
+    vecs = sym_eigen(np.asarray(q, dtype=float)[None])[0].vectors
+    points = set()
+    for i in range(1, lines_j + 1):
+        for cand in reference_line_candidates(vecs[:, 0], vecs[:, i], bound_m):
+            lead = next(c for c in cand if c != 0)
+            points.add(cand if lead > 0 else tuple(-c for c in cand))
+    arr = np.array(sorted(points), dtype=np.int64).reshape(-1, len(vecs))
     arr.setflags(write=False)
     return arr

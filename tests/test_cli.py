@@ -120,6 +120,32 @@ def test_simulate_overflowing_snr_exits_1(tmp_path, capsys, snr):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--l", "8", "--bound", str(2**63)],
+    ["simulate", "--l", "8", "--sweep", "bound", "--sweep-values", "1,1e30"],
+    ["design", "--method", "exhaustive", "--bound", str(2**63)],
+    ["design", "--method", "sdm", "--bound", str(2**63)],
+], ids=["simulate", "bound-sweep", "design-exhaustive", "design-sdm"])
+def test_huge_bound_exits_1_before_building_arrays(tmp_path, capsys, identity_channel, argv):
+    out_csv = tmp_path / "x.csv"
+    if argv[0] == "simulate":
+        argv = [*argv, "--trials", "1", "--snr-db", "10", "--out", str(out_csv)]
+    else:
+        argv = [*argv, "--channel", identity_channel, "--power", "4"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ifrx: error:") and "over the limit" in err
+    assert "Traceback" not in err
+    assert not out_csv.exists()
+
+
+def test_design_rejects_a_1x1_channel(tmp_path, capsys):
+    path = tmp_path / "h.txt"
+    path.write_text("3\n")
+    assert main(["design", "--channel", str(path), "--power", "1"]) == 1
+    assert "ifrx: error: channel matrix must be at least 2x2, got 1x1" in capsys.readouterr().err
+
+
 def test_design_missing_file_exits_1(capsys):
     code = main(["design", "--channel", "/nonexistent/h.txt", "--power", "1"])
     assert code == 1

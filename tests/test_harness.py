@@ -389,6 +389,17 @@ def test_lines_sweep_draws_and_decomposes_each_channel_once(monkeypatch):
                       "line_candidates": trials}
 
 
+def test_a_draw_keeps_one_union_per_bound_covering_its_largest_j():
+    cfg = small_cfg(l=6, snr_db_grid=(10.0, 20.0), methods=("if-sdm",))
+    cells = [(snr, replace(cfg, bound_m=m, lines_j=j))
+             for m in (1, 3) for j in range(1, 6) for snr in cfg.snr_db_grid]
+    draw = draw_trial(cfg, 0, cells)
+    for snr in cfg.snr_db_grid:
+        memo = ifrx.ifcore.compute_q(draw.channel(snr)).memo
+        assert set(memo) == {"basis", ("union", 1), ("union", 3)}
+        assert memo[("union", 1)][2] == memo[("union", 3)][2] == 5
+
+
 def test_zf_row_norms_are_computed_once_per_trial_draw(monkeypatch):
     calls = []
     inner = ifrx.ifcore.solve_inverse

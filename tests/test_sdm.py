@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ifrx.channel import ChannelRealization
-from ifrx.errors import DegenerateDirectionError, InvalidInputError
+from ifrx.errors import DegenerateDirectionError, InstanceTooLargeError, InvalidInputError
 from ifrx.ifcore import QForm, compute_q
 from ifrx.linalg import sym_eigen
 from ifrx.sdm import SearchConfig, candidate_set, line_candidates, prepare_lines
@@ -170,6 +170,32 @@ def test_candidate_set_equals_the_per_call_reference_in_any_j_order():
                         assert got.shape == want.shape and got.tobytes() == want.tobytes()
                         assert got.flags.c_contiguous and not got.flags.writeable
                         assert not np.shares_memory(got, form.memo[("union", m)][0])
+
+
+def test_candidate_set_past_the_held_union_walks_the_lines_again():
+    ch = ChannelRealization(h=np.random.RandomState(12).standard_normal((6, 6)), power=100.0)
+    q = compute_q(ch).q
+    form = make_qform(q)
+    prepare_lines([form], 2, 2)
+    assert form.memo[("union", 2)][2] == 2
+    for j, covered in ((5, 5), (3, 5)):
+        got = candidate_set(form, SearchConfig(bound_m=2, lines_j=j))
+        assert got.tobytes() == reference_candidate_set(q, j, 2).tobytes()
+        assert set(form.memo) == {"basis", ("union", 2)}
+        assert form.memo[("union", 2)][2] == covered
+
+
+def test_line_pass_refuses_a_line_past_the_point_limit(monkeypatch):
+    import ifrx.sdm
+
+    # L * (2M+2) jump points per line: M = 2 fits at L = 4, M = 3 does not
+    monkeypatch.setattr(ifrx.sdm, "LINE_POINT_LIMIT", 4 * (2 * 2 + 2))
+    g1, gi = np.random.RandomState(3).standard_normal((2, 5, 4))
+    # the limit holds per line, whatever the height of the stack
+    assert len(line_candidates(g1, gi, 2)) == 5
+    for height in (1, 5):
+        with pytest.raises(InstanceTooLargeError, match="jump points"):
+            line_candidates(g1[:height], gi[:height], 3)
 
 
 def test_line_candidates_bit_identical_to_scalar_loop():
