@@ -1,4 +1,4 @@
-"""Seeded channel generation, complex-to-real lifting, and capacity."""
+"""Seeded channel generation, channel realizations, and capacity."""
 
 from __future__ import annotations
 
@@ -37,14 +37,8 @@ class RngState:
         if n < 0:
             raise InvalidInputError("n must be >= 0")
         z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(self._state)
-        self.skip(n)
-        return _mix64(z)
-
-    def skip(self, n: int) -> None:
-        """Move past the next ``n`` words without drawing them."""
-        if n < 0:
-            raise InvalidInputError("n must be >= 0")
         self._state = (self._state + n * _GOLDEN) & MASK64
+        return _mix64(z)
 
 
 def derive_trial_rng(master_seed: int, trial_index: int) -> RngState:
@@ -104,18 +98,6 @@ class ChannelRealization:
     @property
     def l(self) -> int:
         return self.h.shape[0]
-
-
-def complex_to_real(h_re, h_im) -> np.ndarray:
-    """Lift a complex n x n system to the equivalent real 2n x 2n block form
-    [[Re, -Im], [Im, Re]]."""
-    re = np.asarray(h_re, dtype=float)
-    im = np.asarray(h_im, dtype=float)
-    if re.ndim != 2 or re.shape[0] != re.shape[1]:
-        raise InvalidInputError(f"real part must be square, got shape {re.shape}")
-    if im.shape != re.shape:
-        raise InvalidInputError(f"size mismatch: {re.shape} vs {im.shape}")
-    return np.block([[re, -im], [im, re]])
 
 
 def prepare_capacity(chs) -> None:

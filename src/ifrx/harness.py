@@ -8,11 +8,13 @@ draws each trial index once and runs every (sweep value, SNR point) cell
 of it on that draw: the channel's Q, its eigenbasis and, per bound M, one
 union of line candidates over the most lines any cell reads are computed
 once, stacked over the SNR points, and shared by all cells and methods.
+Whether an IF design's A is invertible mod p, the only finite-field
+result a trial records, is one elimination of A over F_p; no messages
+are drawn.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 from dataclasses import dataclass, field, replace
 
@@ -20,15 +22,16 @@ import numpy as np
 
 from .channel import (
     ChannelRealization,
-    RngState,
     capacity,
     derive_trial_rng,
     prepare_capacity,
     sample_channel,
 )
 from .errors import IfrxError, InvalidInputError, NotInvertibleModPError, unwrap
-from .fieldrec import PrimeField, combine_messages, recover_messages
-from .ifcore import mmse_rates, prepare_inverses, zf_rates
+# combine_messages stays bound here although the harness no longer calls it:
+# benchmarks/spans.py wraps this binding, and a zero count beats a missing one
+from .fieldrec import PrimeField, combine_messages, recover_messages  # noqa: F401
+from .ifcore import left_sum, mmse_rates, prepare_inverses, zf_rates
 from .select import METHOD_EXHAUSTIVE, METHOD_FALLBACK, METHOD_SDM, design_if
 from .sdm import SearchConfig, prepare_lines
 
@@ -36,7 +39,6 @@ METHODS = ("if-sdm", "if-exhaustive", "mmse", "zf", "capacity")
 SWEEPS = ("snr", "lines_j", "bound_m")
 
 DEFAULT_PRIME = 257
-_RECOVERY_MSG_LEN = 4
 
 AGGREGATE_COLUMNS = (
     "method", "sweep_param", "sweep_value", "snr_db", "avg_rate_min", "avg_rate_sum",
@@ -111,19 +113,13 @@ class Aggregate:
     master_seed: int
 
 
-def _recovery_check(a, field: PrimeField, rng: RngState) -> bool:
-    """One random message round trip through A over F_p. Returns whether A
-    was invertible mod p; a failed round trip of an invertible matrix is a
-    bug and raises."""
-    words = rng.next_u64s(a.shape[0] * _RECOVERY_MSG_LEN) % field.p
-    w = words.reshape(-1, _RECOVERY_MSG_LEN)
+def _invertible_mod_p(a: np.ndarray, field: PrimeField) -> bool:
+    """Whether A is invertible over F_p: the Gauss-Jordan elimination of
+    ``recover_messages`` on A with an empty right-hand side."""
     try:
-        recovered = recover_messages(a, combine_messages(a, w, field), field)
+        recover_messages(a, np.zeros((a.shape[0], 0), dtype=np.int64), field)
     except NotInvertibleModPError:
         return False
-    # compared in one dtype: numpy before 2.0 compares int64 to uint64 as floats
-    if not np.array_equal(recovered, w.astype(recovered.dtype)):
-        raise RuntimeError("finite-field round trip mismatch for an invertible matrix")
     return True
 
 
@@ -141,8 +137,8 @@ def _realization(h: np.ndarray, snr_db: float) -> ChannelRealization | IfrxError
 
 @dataclass(frozen=True)
 class TrialDraw:
-    """The channel of one trial index, the trial stream right after
-    sampling it, and its realization at each SNR point the draw serves.
+    """The channel of one trial index and its realization at each SNR
+    point the draw serves.
 
     What the configured methods read is computed when the draw is made, for
     all SNR points at once: one ``solve_inverse`` stack for the whiteners,
@@ -153,11 +149,10 @@ class TrialDraw:
     """
 
     h: np.ndarray
-    rng: RngState
     realizations: dict[float, ChannelRealization | IfrxError]
     # (A bytes, p) -> whether A is invertible mod p; the cells of a draw
-    # share it, so each distinct A makes one round trip per draw
-    round_trips: dict = field(default_factory=dict, repr=False, compare=False)
+    # share it, so each distinct A is eliminated once per draw
+    modp_flags: dict = field(default_factory=dict, repr=False, compare=False)
 
     def channel(self, snr_db: float) -> ChannelRealization:
         if snr_db not in self.realizations:
@@ -170,8 +165,7 @@ def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> TrialDraw
     compute what ``cells``, (SNR point, config) pairs, will read of it.
     The configs may differ in J and M only; by default the cells are
     ``cfg`` at each SNR point of its grid."""
-    rng = derive_trial_rng(cfg.master_seed, trial_index)
-    h = sample_channel(rng, cfg.l)
+    h = sample_channel(derive_trial_rng(cfg.master_seed, trial_index), cfg.l)
     cells = [(snr, cfg) for snr in cfg.snr_db_grid] if cells is None else list(cells)
     realizations = {}
     for snr_db, _ in cells:
@@ -192,7 +186,7 @@ def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> TrialDraw
             lines[sub.bound_m] = max(lines.get(sub.bound_m, 0), sub.lines_j)
         for bound_m, lines_j in lines.items():
             prepare_lines(forms, lines_j, bound_m)
-    return TrialDraw(h, rng, realizations)
+    return TrialDraw(h, realizations)
 
 
 def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
@@ -205,8 +199,6 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
     """
     if draw is None:
         draw = draw_trial(cfg, trial_index, [(snr_db, cfg)])
-    # each cell continues the stream from the same point
-    rng = copy.copy(draw.rng)
     ch = draw.channel(snr_db)
 
     records = []
@@ -217,13 +209,9 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
             modp = None
             if cfg.prime_field is not None:
                 key = (design.a.tobytes(), cfg.prime_field.p)
-                if key in draw.round_trips:
-                    # a round trip not made still takes its words, so the
-                    # next one starts where it always did
-                    rng.skip(design.a.shape[0] * _RECOVERY_MSG_LEN)
-                else:
-                    draw.round_trips[key] = _recovery_check(design.a, cfg.prime_field, rng)
-                modp = draw.round_trips[key]
+                if key not in draw.modp_flags:
+                    draw.modp_flags[key] = _invertible_mod_p(design.a, cfg.prime_field)
+                modp = draw.modp_flags[key]
             records.append(TrialRecord(
                 trial_index, snr_db, method, design.report.total, design.report.sum_form,
                 design.success, design.method == METHOD_FALLBACK, modp,
@@ -256,10 +244,10 @@ def _aggregate(records: list[TrialRecord], cfg: ExperimentConfig, sweep: str,
         sweep_param=sweep,
         sweep_value=value,
         snr_db=snr_db,
-        avg_rate_min=sum(r.rate_min for r in records) / n,
-        avg_rate_sum=sum(r.rate_sum for r in records) / n,
+        avg_rate_min=left_sum(r.rate_min for r in records) / n,
+        avg_rate_sum=left_sum(r.rate_sum for r in records) / n,
         avg_rate_min_success_only=(
-            sum(r.rate_min for r in successes) / len(successes) if successes else 0.0
+            left_sum(r.rate_min for r in successes) / len(successes) if successes else 0.0
         ),
         success_prob=len(successes) / n,
         trials=n,

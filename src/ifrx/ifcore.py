@@ -19,6 +19,16 @@ from .errors import IfrxError, InvalidInputError, SingularMatrixError, unwrap
 from .linalg import solve_inverse
 
 
+def left_sum(values) -> float:
+    """Left-to-right float total: ``sum`` as it was before Python 3.12
+    compensated float sums, so the totals written to CSVs do not depend on
+    the Python version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class QForm:
     """Symmetric quadratic form of a channel at one transmit power.
@@ -53,7 +63,7 @@ class RateReport:
 
     @property
     def sum_form(self) -> float:
-        return sum(max(0.0, r) for r in self.per_stream)
+        return left_sum(max(0.0, r) for r in self.per_stream)
 
 
 def prepare_inverses(chs, whiteners: bool = True, zf: bool = False) -> None:

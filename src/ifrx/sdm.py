@@ -23,7 +23,8 @@ from .linalg import sym_eigen
 
 COORD_EPS = 1e-12
 RHO_MERGE_TOL = 1e-12
-# jump points, L * (2M+2), that one line may have
+# jump points, L * (2M+2), that one line may have, and that one stack of
+# lines in prepare_lines may have in all
 LINE_POINT_LIMIT = 2**20
 
 
@@ -129,8 +130,9 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> None:
 
     Forms that lack an eigenbasis get one from one ``sym_eigen`` stack, and
     every form whose union covers fewer than J lines walks lines 2 .. J+1
-    in one ``line_candidates`` pass. A failed eigensolve is kept as the
-    form's basis, for ``candidate_set`` to raise.
+    in ``line_candidates`` passes of at most LINE_POINT_LIMIT jump points
+    each. A failed eigensolve is kept as the form's basis, for
+    ``candidate_set`` to raise.
     """
     bare = [q for q in forms if "basis" not in q.memo]
     if bare:
@@ -143,7 +145,12 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> None:
     vectors = [q.memo["basis"].vectors for q in todo]
     g1 = np.repeat([v[:, 0] for v in vectors], lines_j, axis=0)
     gi = np.concatenate([v[:, 1:lines_j + 1].T for v in vectors])
-    lines = line_candidates(g1, gi, bound_m)
+    # stacks of at most LINE_POINT_LIMIT jump points in all, so the passes'
+    # working memory does not grow with the lines; no line's result reads
+    # its stack
+    step = max(1, LINE_POINT_LIMIT // (g1.shape[1] * (2 * bound_m + 2)))
+    lines = [cands for start in range(0, len(g1), step)
+             for cands in line_candidates(g1[start:start + step], gi[start:start + step], bound_m)]
     for k, q in enumerate(todo):
         own = lines[k * lines_j:(k + 1) * lines_j]
         arr = np.concatenate(own)

@@ -1,11 +1,13 @@
 """Reference formulas the tests check the package against."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from ifrx.channel import ChannelRealization
-from ifrx.errors import InvalidInputError
+from ifrx.errors import InvalidInputError, NotInvertibleModPError
+from ifrx.fieldrec import combine_messages, recover_messages
 from ifrx.linalg import sym_eigen
 
 
@@ -73,3 +75,36 @@ def reference_candidate_set(q, lines_j, bound_m):
     arr = np.array(sorted(points), dtype=np.int64).reshape(-1, len(vecs))
     arr.setflags(write=False)
     return arr
+
+
+def round_trip_invertible(a, field, gen) -> bool:
+    """Whether A is invertible over F_p, from a full message round trip: a
+    random (L, 4) residue block from ``gen`` (a ``random.Random``) is
+    combined through A and recovered. A recovered block that differs from
+    the one sent fails the test."""
+    w = [[gen.randrange(field.p) for _ in range(4)] for _ in range(len(a))]
+    try:
+        recovered = recover_messages(a, combine_messages(a, w, field), field)
+    except NotInvertibleModPError:
+        return False
+    assert recovered.tolist() == w, "round trip mismatch for an invertible matrix"
+    return True
+
+
+def det_mod_p(a, p: int) -> int:
+    """det A mod p, from exact elimination over the rationals."""
+    m = [[Fraction(int(x)) for x in row] for row in a]
+    n, det = len(m), Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] / m[col][col]
+            m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    assert det.denominator == 1
+    return int(det) % p

@@ -7,7 +7,6 @@ from ifrx.channel import (
     ChannelRealization,
     RngState,
     capacity,
-    complex_to_real,
     derive_trial_rng,
     parse_matrix_text,
     sample_channel,
@@ -87,14 +86,8 @@ def test_next_u64s_continues_the_stream_like_single_draws(n):
     top, top_single = RngState(2**64 - 1), ScalarStream(2**64 - 1)
     assert top.next_u64s(n).tolist() == [top_single.next_u64() for _ in range(n)]
     assert top._state == top_single.state
-    # skipping n words leaves the stream where drawing them does
-    skipped = RngState(2**64 - 1)
-    skipped.skip(n)
-    assert skipped._state == top._state
     with pytest.raises(InvalidInputError):
         top.next_u64s(-1)
-    with pytest.raises(InvalidInputError):
-        top.skip(-1)
 
 
 def test_sample_channel_matches_the_scalar_reference():
@@ -175,46 +168,6 @@ def test_sample_channel_shape_and_finite():
     assert np.all(np.isfinite(h))
     with pytest.raises(InvalidInputError):
         sample_channel(derive_trial_rng(1, 1), 0)
-
-
-def test_complex_to_real_1x1():
-    lifted = complex_to_real([[1.0]], [[2.0]])
-    assert np.array_equal(lifted, [[1.0, -2.0], [2.0, 1.0]])
-
-
-def test_complex_to_real_zero_imag_is_block_diagonal():
-    re = np.arange(9.0).reshape(3, 3)
-    lifted = complex_to_real(re, np.zeros((3, 3)))
-    assert np.array_equal(lifted[:3, :3], re)
-    assert np.array_equal(lifted[3:, 3:], re)
-    assert np.all(lifted[:3, 3:] == 0.0)
-    assert np.all(lifted[3:, :3] == 0.0)
-
-
-def test_complex_to_real_identity_blocks():
-    lifted = complex_to_real(np.eye(2), np.eye(2))
-    expected = np.array([
-        [1, 0, -1, 0],
-        [0, 1, 0, -1],
-        [1, 0, 1, 0],
-        [0, 1, 0, 1],
-    ], dtype=float)
-    assert np.array_equal(lifted, expected)
-    with pytest.raises(InvalidInputError):
-        complex_to_real(np.eye(2), np.eye(3))
-
-
-def test_complex_to_real_reproduces_complex_multiplication():
-    rng = np.random.RandomState(17)
-    for _ in range(50):
-        n = rng.randint(1, 5)
-        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        lifted = complex_to_real(h.real, h.imag)
-        stacked = np.concatenate([x.real, x.imag])
-        product = h @ x
-        expected = np.concatenate([product.real, product.imag])
-        assert np.max(np.abs(lifted @ stacked - expected)) <= 1e-12
 
 
 def test_capacity_examples():

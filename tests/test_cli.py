@@ -244,7 +244,7 @@ def test_simulate_negative_prime_exits_1(tmp_path, capsys):
 
 def test_simulate_prime_0_disables_the_check(tmp_path, capsys, monkeypatch):
     checks = []
-    monkeypatch.setattr(ifrx.harness, "_recovery_check", lambda *args: checks.append(args))
+    monkeypatch.setattr(ifrx.harness, "_invertible_mod_p", lambda *args: checks.append(args))
     out_csv = tmp_path / "x.csv"
     assert main(["simulate", "--l", "3", "--trials", "2", "--lines", "1", "--snr-db", "10",
                  "--methods", "if-sdm", "--prime", "0", "--out", str(out_csv)]) == 0

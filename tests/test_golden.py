@@ -7,6 +7,8 @@ To regenerate the pins after a deliberate output change, run
 the path.
 """
 
+import builtins
+import math
 import sys
 from pathlib import Path
 
@@ -55,6 +57,36 @@ def test_simulate_matches_its_committed_bytes(tmp_path, capsys, name):
     out = tmp_path / f"{name}.csv"
     simulate(name, out)
     assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum`` as Python 3.12 computes it: a run of exact floats, after an
+    int or float start, is added with Neumaier's compensation, which is
+    added back at the end; anything else is added as 3.11 adds it."""
+    result, comp, compensating = start, 0.0, False
+    for x in iterable:
+        if type(x) is float and (compensating or type(result) in (int, float)):
+            if not compensating:
+                result, compensating = float(result), True
+            t = result + x
+            comp += (result - t) + x if abs(result) >= abs(x) else (x - t) + result
+            result = t
+        elif compensating and type(x) is int:
+            result += float(x)
+        else:
+            if compensating and comp and math.isfinite(comp):
+                result += comp
+            result, comp, compensating = result + x, 0.0, False
+    if compensating and comp and math.isfinite(comp):
+        result += comp
+    return result
+
+
+def test_a_pin_holds_under_a_compensated_sum(tmp_path, capsys, monkeypatch):
+    # the emulation is not a left-to-right total
+    assert compensated_sum([0.1] * 10) == 1.0 != sum([0.1] * 10)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    test_simulate_matches_its_committed_bytes(tmp_path, capsys, "sdm_snr_l8")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-import copy
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +15,7 @@ from ifrx.harness import (
     ExperimentConfig,
     TrialRecord,
     _aggregate,
-    _recovery_check,
+    _invertible_mod_p,
     draw_trial,
     run_sweep,
     run_trial,
@@ -24,6 +24,7 @@ from ifrx.harness import (
 from ifrx.ifcore import mmse_rates, zf_rates
 from ifrx.select import METHOD_EXHAUSTIVE, METHOD_FALLBACK, METHOD_SDM, design_if
 from ifrx.sdm import SearchConfig
+from oracles import det_mod_p, round_trip_invertible
 
 
 def small_cfg(**kwargs):
@@ -201,7 +202,8 @@ def reference_run_trial(cfg, snr_db, trial_index):
         if method in ("if-sdm", "if-exhaustive"):
             tag = METHOD_SDM if method == "if-sdm" else METHOD_EXHAUSTIVE
             design = design_if(ch, SearchConfig(cfg.bound_m, cfg.lines_j), tag)
-            modp = _recovery_check(design.a, field, rng) if field is not None else None
+            modp = (round_trip_invertible(design.a, field, random.Random(trial_index))
+                    if field is not None else None)
             rec = (design.report.total, design.report.sum_form, design.success,
                    design.method == METHOD_FALLBACK, modp)
         elif method == "mmse":
@@ -242,7 +244,7 @@ NO_BOX = ("if-sdm", "mmse", "zf", "capacity")
 
 
 @pytest.mark.parametrize("l, sweep, values, grid, methods, prime", [
-    # L*L odd: a Box-Muller spare is pending when the draw is snapshotted
+    # L*L odd: the channel takes one stream word more than it uses
     (5, "lines_j", [1, 2, 3, 4], (0.0, 20.0), ALL_METHODS, 257),
     (5, "bound_m", [1, 2, 3], (10.0,), ALL_METHODS, None),
     (5, "snr", [0.0, 10.0, 30.0], (10.0,), ALL_METHODS, 257),
@@ -254,15 +256,11 @@ def test_run_sweep_matches_cell_major_reference(monkeypatch, l, sweep, values, g
                                                 prime):
     cfg = small_cfg(l=l, snr_db_grid=grid, trials=3, bound_m=2, lines_j=l - 1,
                     master_seed=20261018 + l, methods=methods, prime_p=prime)
-    sent = []
-    inner = ifrx.harness.combine_messages
-    monkeypatch.setattr(ifrx.harness, "combine_messages",
-                        lambda a, w, f: sent.append((a.tobytes(), str(w.tolist())))
-                        or inner(a, w, f))
     ref = reference_run_sweep(cfg, sweep, values)
-    ref_sent, sent[:] = sent[:], []
-    trial, designed = [], set()  # the trial drawn last; (trial, A) of every design
+    # the trial drawn last; (trial, A) of every design; one entry per flag computed
+    trial, designed, flagged = [], set(), []
     inner_draw, inner_design = ifrx.harness.draw_trial, ifrx.harness.design_if
+    inner_flag = ifrx.harness._invertible_mod_p
 
     def drawing(c, t, cells):
         trial.append(t)
@@ -274,74 +272,13 @@ def test_run_sweep_matches_cell_major_reference(monkeypatch, l, sweep, values, g
         return design
     monkeypatch.setattr(ifrx.harness, "draw_trial", drawing)
     monkeypatch.setattr(ifrx.harness, "design_if", designing)
+    monkeypatch.setattr(ifrx.harness, "_invertible_mod_p",
+                        lambda a, f: flagged.append(1) or inner_flag(a, f))
     got = run_sweep(cfg, sweep, values)
     # repr tells -0.0 from 0.0, so this is bit identity of every field
     assert repr(got) == repr(ref)
-    # the cells of a draw share one round trip per distinct A, and each
-    # one that runs sends the messages the reference sent with that A
-    assert set(sent) <= set(ref_sent)
-    if prime is not None:
-        assert len(sent) == len(set(sent)) == len(designed)
-    else:
-        assert sent == ref_sent == []
-
-
-def test_every_cell_continues_the_trial_stream(monkeypatch):
-    events = []
-    inner_draw, inner_trial = ifrx.harness.draw_trial, ifrx.harness.run_trial
-    inner_design, inner_trip = ifrx.harness.design_if, ifrx.harness._recovery_check
-
-    def drawing(c, t, cells):
-        events.append(("draw", t))
-        return inner_draw(c, t, cells)
-
-    def cell(*args):
-        events.append(("cell",))
-        return inner_trial(*args)
-
-    def designing(ch, c, tag):
-        design = inner_design(ch, c, tag)
-        events.append(("design", design.a.tobytes()))
-        return design
-
-    def recording(a, field, rng):
-        events.append(("trip", a.tobytes(), copy.copy(rng)))
-        return inner_trip(a, field, rng)
-    monkeypatch.setattr(ifrx.harness, "draw_trial", drawing)
-    monkeypatch.setattr(ifrx.harness, "run_trial", cell)
-    monkeypatch.setattr(ifrx.harness, "design_if", designing)
-    monkeypatch.setattr(ifrx.harness, "_recovery_check", recording)
-    # sampling takes 26 words for 25 entries and 64 for 64
-    for l in (5, 8):
-        cfg = small_cfg(l=l, snr_db_grid=(0.0, 20.0), trials=3, lines_j=1,
-                        methods=("if-exhaustive", "if-sdm"))
-        events.clear()
-        run_sweep(cfg, "lines_j", [1, 2, 3])
-        designs = trips = trips_after_a_hit = 0
-        for event in events:
-            if event[0] == "draw":
-                fresh = derive_trial_rng(cfg.master_seed, event[1])
-                sample_channel(fresh, l)
-                start = {}  # A -> where the stream stood at its first design in the draw
-                tripped = set()
-            elif event[0] == "cell":
-                # the k-th design of a cell continues the stream past k round trips
-                point, hit = copy.copy(fresh), False
-            elif event[0] == "design":
-                designs += 1
-                hit |= event[1] in start
-                start.setdefault(event[1], copy.copy(point))
-                point.next_u64s(4 * l)
-            else:
-                # a round trip runs once per distinct A of a draw, where its first design stood
-                a, rng = event[1:]
-                assert a not in tripped
-                tripped.add(a)
-                assert rng.next_u64s(4 * l).tolist() == start[a].next_u64s(4 * l).tolist()
-                trips += 1
-                trips_after_a_hit += hit
-        assert 0 < trips < designs == 3 * 6 * 2
-        assert trips_after_a_hit > 0
+    # the cells of a draw share one flag per distinct A
+    assert len(flagged) == (len(designed) if prime is not None else 0)
 
 
 def test_round_trip_memo_lives_in_its_draw_and_matches_a_fresh_check():
@@ -355,15 +292,35 @@ def test_round_trip_memo_lives_in_its_draw_and_matches_a_fresh_check():
         for snr, sub in cells:
             # a cell drawn on its own starts with an empty memo
             assert run_trial(sub, snr, t, draw) == run_trial(sub, snr, t)
-        for (a, p), flag in draw.round_trips.items():
+        for (a, p), flag in draw.modp_flags.items():
             a = np.frombuffer(a, dtype=np.int64).reshape(cfg.l, cfg.l)
-            assert p == 2 and flag == _recovery_check(a, cfg.prime_field, copy.copy(draw.rng))
+            assert p == 2 and flag == round_trip_invertible(a, cfg.prime_field, random.Random(t))
             flags.add(flag)
-        hits += 2 * len(cells) - len(draw.round_trips)
-        assert draw_trial(cfg, t, cells).round_trips == {}
-        memos.append(draw.round_trips)
+        hits += 2 * len(cells) - len(draw.modp_flags)
+        assert draw_trial(cfg, t, cells).modp_flags == {}
+        memos.append(draw.modp_flags)
     assert len({id(memo) for memo in memos}) == len(memos)
     assert flags == {False, True} and hits > 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 257, 2**64 - 59])
+def test_the_mod_p_flag_matches_a_round_trip_and_the_determinant(p):
+    gen = random.Random(p)
+    field = PrimeField(p)
+    flags = []
+    for i in range(150):
+        l = gen.randint(2, 8)
+        a = np.array([[gen.randint(-3, 3) for _ in range(l)] for _ in range(l)], dtype=np.int64)
+        if i % 5 == 0:
+            # singular over the rationals, so over every F_p
+            a[-1] = a[0] + gen.randint(-2, 2) * a[1]
+            if p < 1000 and i % 10 == 0:
+                # singular mod p only
+                a[-1, gen.randrange(l)] += p
+        flag = _invertible_mod_p(a, field)
+        assert flag == round_trip_invertible(a, field, gen) == (det_mod_p(a, p) != 0)
+        flags.append(flag)
+    assert set(flags) == {False, True}
 
 
 def test_lines_sweep_draws_and_decomposes_each_channel_once(monkeypatch):

@@ -198,6 +198,32 @@ def test_line_pass_refuses_a_line_past_the_point_limit(monkeypatch):
             line_candidates(g1[:height], gi[:height], 3)
 
 
+def test_line_pass_walks_its_lines_in_stacks_under_the_point_limit(monkeypatch):
+    import ifrx.sdm
+
+    rng = np.random.RandomState(16)
+    qs = [compute_q(ChannelRealization(h=rng.standard_normal((6, 6)), power=p)).q
+          for p in (1.0, 100.0, 1e4)]
+    whole = [make_qform(q) for q in qs]
+    prepare_lines(whole, 5, 2)
+    # four lines' worth of jump points at L = 6, M = 2, and a few to spare
+    monkeypatch.setattr(ifrx.sdm, "LINE_POINT_LIMIT", 4 * 6 * (2 * 2 + 2) + 5)
+    heights = []
+    inner = ifrx.sdm.line_candidates
+    monkeypatch.setattr(ifrx.sdm, "line_candidates",
+                        lambda g1, gi, m: heights.append(len(g1)) or inner(g1, gi, m))
+    forms = [make_qform(q) for q in qs]
+    prepare_lines(forms, 5, 2)
+    # 3 forms x 5 lines, split across forms where a stack fills
+    assert heights == [4, 4, 4, 3]
+    for q, form, ref in zip(qs, forms, whole):
+        arr, first, covered = form.memo[("union", 2)]
+        ref_arr, ref_first, _ = ref.memo[("union", 2)]
+        assert covered == 5
+        assert arr.tobytes() == ref_arr.tobytes() and first.tolist() == ref_first.tolist()
+        assert arr.tobytes() == reference_candidate_set(q, 5, 2).tobytes()
+
+
 def test_line_candidates_bit_identical_to_scalar_loop():
     # the oracle's jump points on hand-worked lines: axis-aligned, and two
     # active coordinates that share three crossings
