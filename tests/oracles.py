@@ -1,7 +1,6 @@
 """Reference formulas the tests check the package against."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -91,20 +90,25 @@ def round_trip_invertible(a, field, gen) -> bool:
     return True
 
 
-def det_mod_p(a, p: int) -> int:
-    """det A mod p, from exact elimination over the rationals."""
-    m = [[Fraction(int(x)) for x in row] for row in a]
-    n, det = len(m), Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    assert det.denominator == 1
-    return int(det) % p
+def bareiss_det(rows):
+    """Exact determinant of a square integer matrix (fraction-free)."""
+    n = len(rows)
+    m = [[int(x) for x in row] for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]

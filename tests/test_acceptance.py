@@ -18,7 +18,7 @@ from ifrx.ifcore import compute_q, optimal_projection, rate_from_q
 from ifrx.linalg import sym_eigen
 from ifrx.sdm import SearchConfig, candidate_set
 from ifrx.select import design_if
-from oracles import rate_from_ab, reference_jump_points
+from oracles import bareiss_det, rate_from_ab, reference_jump_points
 
 L8_CFG = dict(l=8, bound_m=2, snr_db=20.0)
 
@@ -26,30 +26,6 @@ L8_CFG = dict(l=8, bound_m=2, snr_db=20.0)
 def report(number, label, ok, detail=""):
     print(f"ACCEPTANCE {number:02d} {label}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {number} ({label}) failed: {detail}"
-
-
-def bareiss_det(rows):
-    """Exact determinant of a square integer matrix (fraction-free)."""
-    n = len(rows)
-    m = [[int(x) for x in row] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
 
 
 def canonical_sign(vec):

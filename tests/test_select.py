@@ -19,6 +19,7 @@ from ifrx.ifcore import (
 from ifrx.linalg import int_rank_independent
 from ifrx.sdm import SearchConfig, candidate_set, leading
 from ifrx.select import design_if, greedy_full_rank, rank_candidates, sphere_candidates
+from oracles import bareiss_det
 
 BOX_GUARD = 10**7
 
@@ -140,27 +141,6 @@ def test_greedy_fails_on_collinear_set():
     assert greedy_full_rank(np.zeros((0, 3), dtype=np.int64)) is None
 
 
-def reference_bareiss_det(rows):
-    n = len(rows)
-    m = [list(row) for row in rows]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def reference_greedy(sorted_vectors):
     """Gram + Bareiss determinant from scratch per candidate, the form the
     incremental echelon in greedy_full_rank must agree with."""
@@ -169,7 +149,7 @@ def reference_greedy(sorted_vectors):
         vec = tuple(int(c) for c in row)
         rows = chosen + [vec]
         gram = [[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
-        if reference_bareiss_det(gram) != 0:
+        if bareiss_det(gram) != 0:
             chosen.append(vec)
             if len(chosen) == len(vec):
                 return chosen
