@@ -96,9 +96,9 @@ def combine_messages(a, w, field: PrimeField) -> np.ndarray:
 
 
 def recover_messages(a, u, field: PrimeField) -> np.ndarray:
-    """Undo combine_messages: solve A w = u (mod p) by one Gauss-Jordan
-    elimination of [A | u] in Python ints and return w as a residue array.
-    Raises NotInvertibleModPError when A is singular mod p."""
+    """Undo combine_messages: solve A w = u (mod p) in Python ints by forward
+    elimination of [A | u] and back-substitution into u, and return w as a
+    residue array. Raises NotInvertibleModPError when A is singular mod p."""
     p = field.p
     m = _residues(a, p, "coefficient matrix").tolist()
     rhs = _residues(u, p, "message block")
@@ -112,14 +112,19 @@ def recover_messages(a, u, field: PrimeField) -> np.ndarray:
         piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
             raise NotInvertibleModPError(f"matrix is singular modulo {p}")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col], aug[piv] = aug[piv], aug[col]
         inv = pow(aug[col][col], -1, p)
-        # columns left of col are already zero in every row but their own
+        # columns left of col are already zero in every row below it
         prow = [x * inv % p for x in aug[col][col:]]
         aug[col][col:] = prow
-        for r in range(n):
+        for r in range(col + 1, n):
             factor = aug[r][col]
-            if r != col and factor:
+            if factor:
                 aug[r][col:] = [(x - factor * y) % p for x, y in zip(aug[r][col:], prow)]
+    # A is now unit upper triangular: clear it upward in u alone, if u has columns
+    for col in range(n - 1, 0, -1) if len(aug[0]) > n else ():
+        for r in range(col):
+            factor = aug[r][col]
+            if factor:
+                aug[r][n:] = [(x - factor * y) % p for x, y in zip(aug[r][n:], aug[col][n:])]
     return np.array([row[n:] for row in aug], dtype=rhs.dtype)

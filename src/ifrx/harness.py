@@ -114,8 +114,8 @@ class Aggregate:
 
 
 def _invertible_mod_p(a: np.ndarray, field: PrimeField) -> bool:
-    """Whether A is invertible over F_p: the Gauss-Jordan elimination of
-    ``recover_messages`` on A with an empty right-hand side."""
+    """Whether A is invertible over F_p: ``recover_messages`` on A with an
+    empty right-hand side, its forward elimination alone."""
     try:
         recover_messages(a, np.zeros((a.shape[0], 0), dtype=np.int64), field)
     except NotInvertibleModPError:

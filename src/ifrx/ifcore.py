@@ -135,15 +135,18 @@ def _rate_from_energy(e: float) -> float:
     return -0.5 * math.log2(e)
 
 
+def rates_from_q(a, q: QForm) -> list[float]:
+    """Rate (1/2) log2(1 / (a_m^T Q a_m)) of each row a_m of an (n, L)
+    array, with the optimal projection baked in."""
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != q.q.shape[0] or not arr.any(axis=1).all():
+        raise InvalidInputError(f"each a_m must be a nonzero vector of length {q.q.shape[0]}")
+    return [_rate_from_energy(float(a_m @ q.q @ a_m)) for a_m in arr]
+
+
 def rate_from_q(a_m, q: QForm) -> float:
     """Rate (1/2) log2(1 / (a^T Q a)) with the optimal projection baked in."""
-    a = np.asarray(a_m, dtype=float)
-    l = q.q.shape[0]
-    if a.shape != (l,):
-        raise InvalidInputError(f"a_m must have length {l}")
-    if not a.any():
-        raise InvalidInputError("a_m must be nonzero")
-    return _rate_from_energy(float(a @ q.q @ a))
+    return rates_from_q([a_m], q)[0]
 
 
 def total_rate(per_stream) -> RateReport:

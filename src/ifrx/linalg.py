@@ -3,8 +3,8 @@
 Everything here is sized for the small matrices this package handles
 (L <= 32): a LAPACK symmetric eigensolver with canonical signs, Gaussian
 elimination with partial pivoting for inverses and determinants, and an
-exact fraction-free integer echelon form for rank decisions that must
-not depend on floating-point thresholds.
+exact fraction-free integer echelon step on plain lists for rank
+decisions that must not depend on floating-point thresholds.
 
 The three float kernels take an (S, n, n) stack of independent slices
 and give a list of per-slice results. Every slice gets the bytes it would
@@ -15,6 +15,7 @@ its IfrxError takes its place in the list.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -184,42 +185,32 @@ def det(m) -> list:
     return _unstack(values, errors)
 
 
-class IntEchelon:
-    """Exact row echelon form of integer rows, grown one row at a time.
-
-    Each kept row is stored reduced against the rows kept before it, with
-    a pivot column where every later kept row is zero. A new row is
-    eliminated fraction-free (``v <- r[p] * v - v[p] * r``) against the
-    kept rows in order; it is independent of them iff the residual is
-    nonzero. Unbounded Python integers keep every decision exact.
-    """
-
-    def __init__(self, width: int):
-        self.width = width
-        self._rows: list[tuple[int, list[int]]] = []
-
-    def add(self, row: Sequence[int]) -> bool:
-        """Keep ``row`` and return True iff it is independent of the kept rows."""
-        v = [int(c) for c in row]
-        if len(v) != self.width:
-            raise InvalidInputError(f"row of length {len(v)} in an echelon of width {self.width}")
-        for p, r in self._rows:
-            if v[p]:
-                rp, vp = r[p], v[p]
-                v = [rp * x - vp * y for x, y in zip(v, r)]
-        pivot = next((k for k, c in enumerate(v) if c), None)
-        if pivot is None:
-            return False
-        g = math.gcd(*v)
-        self._rows.append((pivot, [c // g for c in v]))
-        return True
+def echelon_add(echelon: list, v: list) -> bool:
+    """One exact step of a row echelon form kept as ``(pivot, row)`` pairs:
+    eliminate the Python-int row ``v`` fraction-free against the kept rows
+    in order (``v <- r[p] * v - v[p] * r``), keep a nonzero residual over
+    its gcd, pivot at its first nonzero, and return whether it was nonzero."""
+    for p, r in echelon:
+        vp = v[p]
+        if vp:
+            rp = r[p]
+            v = [rp * x - vp * y for x, y in zip(v, r)]
+    g = math.gcd(*v)
+    if not g:
+        return False
+    pivot = next(k for k, c in enumerate(v) if c)
+    echelon.append((pivot, [c // g for c in v] if g != 1 else v))
+    return True
 
 
 def int_rank_independent(vectors: Iterable[Sequence[int]]) -> bool:
-    """Exact linear-independence test for integer vectors, by
-    fraction-free elimination in unbounded integer arithmetic, so the
-    answer never hinges on a floating-point threshold."""
-    vecs = [tuple(int(c) for c in v) for v in vectors]
+    """Exact linear-independence test for integer vectors (any other entry
+    raises InvalidInputError), by fraction-free elimination in unbounded
+    integer arithmetic, so the answer never hinges on a float threshold."""
+    try:
+        vecs = [[operator.index(c) for c in v] for v in vectors]
+    except TypeError:
+        raise InvalidInputError("vectors must hold integers") from None
     if not vecs:
         raise InvalidInputError("vector list is empty")
     length = len(vecs[0])
@@ -227,5 +218,5 @@ def int_rank_independent(vectors: Iterable[Sequence[int]]) -> bool:
         raise InvalidInputError("vectors have mismatched lengths")
     if len(vecs) > length:
         raise InvalidInputError(f"{len(vecs)} vectors of length {length} can never be independent")
-    echelon = IntEchelon(length)
-    return all(echelon.add(v) for v in vecs)
+    echelon: list = []
+    return all(echelon_add(echelon, v) for v in vecs)

@@ -23,10 +23,10 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import InstanceTooLargeError, InvalidInputError, SingularMatrixError
-from .ifcore import RateReport, compute_q, optimal_projection, rate_from_q, total_rate
-# int_rank_independent stays bound here although greedy no longer calls it:
+from .ifcore import RateReport, compute_q, optimal_projection, rates_from_q, total_rate
+# int_rank_independent stays bound here although greedy does not call it:
 # benchmarks/spans.py wraps this binding, and a zero count beats a missing one
-from .linalg import IntEchelon, int_rank_independent  # noqa: F401
+from .linalg import echelon_add, int_rank_independent  # noqa: F401
 from .sdm import SearchConfig, candidate_set, leading
 
 METHOD_SDM = "sdm"
@@ -61,15 +61,16 @@ def rank_candidates(arr: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def greedy_full_rank(ranked: np.ndarray) -> np.ndarray | None:
-    """Earliest exactly-independent L rows of an f-ranked candidate array,
-    as an (L, L) int64 array, or None when the rows cannot reach full rank."""
-    echelon = IntEchelon(ranked.shape[1])
-    chosen = []
-    for row in ranked:
-        if echelon.add(row.tolist()):
-            chosen.append(row)
-            if len(chosen) == echelon.width:
-                return np.array(chosen, dtype=np.int64)
+    """Earliest exactly-independent L rows of an f-ranked integer array, as
+    an (L, L) array, or None when the rows cannot reach full rank."""
+    if ranked.dtype.kind not in "iu":
+        raise InvalidInputError(f"candidate rows must be integers, got dtype {ranked.dtype}")
+    echelon, chosen = [], []
+    for i, row in enumerate(ranked.tolist()):
+        if echelon_add(echelon, row):
+            chosen.append(i)
+            if len(chosen) == ranked.shape[1]:
+                return ranked[chosen]
     return None
 
 
@@ -173,6 +174,6 @@ def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesig
     if key not in ch.memo:
         b = optimal_projection(a, ch)
         b.setflags(write=False)
-        ch.memo[key] = b, total_rate([rate_from_q(row, qform) for row in a])
+        ch.memo[key] = b, total_rate(rates_from_q(a, qform))
     b, report = ch.memo[key]
     return IfDesign(a=a, b=b, report=report, success=success, method=tag)

@@ -146,6 +146,16 @@ def test_int_rank_examples():
         int_rank_independent([])
 
 
+
+def test_int_rank_rejects_non_integer_entries():
+    # int() would truncate 0.5 to 0 and call two independent vectors dependent;
+    # like greedy_full_rank's integer dtype, only integers are accepted
+    for bad in (0.5, -1.25, 2.0, np.float64(1.0), float("nan"), float("inf"), "1"):
+        with pytest.raises(InvalidInputError, match="must hold integers"):
+            int_rank_independent([(bad, 0), (0, 1)])
+    assert int_rank_independent([(2, 0), (np.int64(0), np.uint8(1))])
+    assert not int_rank_independent([(np.uint8(3), 6), (1, 2)])
+
 def test_int_rank_exhaustive_pairs_l2():
     vectors = [v for v in itertools.product(range(-2, 3), repeat=2)]
     for a, b in itertools.combinations(vectors, 2):

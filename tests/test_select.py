@@ -141,9 +141,17 @@ def test_greedy_fails_on_collinear_set():
     assert greedy_full_rank(np.zeros((0, 3), dtype=np.int64)) is None
 
 
+def test_greedy_rejects_non_integer_rows():
+    # a truncating cast would pick the row [1, 0], which the input does not hold
+    for ranked in (np.array([[1.5, 0], [0, 1]]), np.array([[1.0, 0], [0, 1]]), np.eye(2, dtype=bool)):
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            greedy_full_rank(ranked)
+    assert greedy_full_rank(np.array([[0, 3], [2, 0]], dtype=np.uint8)).tolist() == [[0, 3], [2, 0]]
+
+
 def reference_greedy(sorted_vectors):
     """Gram + Bareiss determinant from scratch per candidate, the form the
-    incremental echelon in greedy_full_rank must agree with."""
+    list echelon in greedy_full_rank must agree with."""
     chosen = []
     for row in sorted_vectors:
         vec = tuple(int(c) for c in row)
@@ -156,9 +164,9 @@ def reference_greedy(sorted_vectors):
     return None
 
 
-def test_greedy_matches_gram_bareiss_reference():
+def test_greedy_matches_gram_bareiss_reference(monkeypatch):
     rng = np.random.RandomState(61)
-    outcomes = set()
+    small = []
     for _ in range(400):
         l = rng.randint(2, 7)
         m = rng.randint(1, 4)
@@ -175,12 +183,45 @@ def test_greedy_matches_gram_bareiss_reference():
             base = rows[0]
             rows = [tuple(k * x for x in base) for k in range(1, 6)]
         arr = np.array(rows, dtype=np.int64)
-        ranked = arr[np.argsort((arr**2 * rng.uniform(0.1, 1.0, size=l)).sum(axis=1), kind="stable")]
-        got = greedy_full_rank(ranked)
-        expected = reference_greedy(ranked)
-        assert (got is None and expected is None) or as_tuples(got) == expected
-        outcomes.add(got is None)
-    assert outcomes == {True, False}
+        small.append(arr[np.argsort((arr**2 * rng.uniform(0.1, 1.0, size=l)).sum(axis=1), kind="stable")])
+    # the ranked sets design_if hands greedy at the benchmark's L = 8, M = 2
+    # and 20 dB, over J = 1..7; J = 1 yields fallbacks
+    designed, real = [], select.greedy_full_rank
+
+    def capture(ranked):
+        designed.append(ranked)
+        return real(ranked)
+
+    monkeypatch.setattr(select, "greedy_full_rank", capture)
+    for t in range(6):
+        ch = ChannelRealization(h=sample_channel(derive_trial_rng(61, t), 8), power=100.0)
+        for j in range(1, 8):
+            design_if(ch, SearchConfig(bound_m=2, lines_j=j), "sdm")
+    monkeypatch.undo()
+    # entries up to 10^4, so the residuals grow far past 64 bits before
+    # their gcd is divided out; spans of k < L rows must fall back
+    big_rng = np.random.RandomState(62)
+    big = []
+    for _ in range(120):
+        l = big_rng.randint(2, 9)
+        if big_rng.rand() < 0.4:
+            basis = big_rng.randint(-30, 31, size=(big_rng.randint(1, l), l))
+            rows = big_rng.randint(-30, 31, size=(big_rng.randint(1, 12), len(basis))) @ basis
+        else:
+            rows = big_rng.randint(-10**4, 10**4 + 1, size=(big_rng.randint(1, 12), l))
+            for _ in range(big_rng.randint(0, 4)):
+                a, b = rows[big_rng.randint(len(rows))], rows[big_rng.randint(len(rows))]
+                rows = np.insert(rows, big_rng.randint(len(rows) + 1), a - b, axis=0)
+        big.append(rows.astype(np.int64))
+    for ranked_sets in (small, designed, big):
+        outcomes = set()
+        for ranked in ranked_sets:
+            got = greedy_full_rank(ranked)
+            expected = reference_greedy(ranked)
+            assert (got is None and expected is None) or as_tuples(got) == expected
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+    assert len(designed) == 42 and max(int(np.abs(r).max()) for r in big) > 5000
 
 
 def test_greedy_on_exhaustive_identity_q():
@@ -460,29 +501,33 @@ def test_exhaustive_design_reads_neither_lines_nor_sdm(monkeypatch):
 
 
 def test_design_tail_is_shared_by_a_only_within_its_realization():
-    cfg = SearchConfig(bound_m=1, lines_j=2)
-    crossing = shared = 0
-    for t in range(8):
-        h = sample_channel(derive_trial_rng(12, t), 3)
-        chs = [ChannelRealization(h=h, power=10.0 ** (snr / 10)) for snr in (10.0, 20.0, 30.0)]
-        tails = {}  # A -> the projection kept for it at each power
-        for ch in chs:
-            sdm, exhaustive = design_if(ch, cfg, "sdm"), design_if(ch, cfg, "exhaustive")
-            if np.array_equal(sdm.a, exhaustive.a):
-                # one entry, each design with its own tag
-                shared += 1
-                assert sdm.b is exhaustive.b and sdm.report is exhaustive.report
-                assert exhaustive.method == "exhaustive" and sdm.method != exhaustive.method
-            # a fresh realization at the same power holds no memo
-            fresh = ChannelRealization(h=h, power=ch.power)
-            for design in (sdm, exhaustive):
-                assert not design.b.flags.writeable
-                assert design.b.tobytes() == optimal_projection(design.a, fresh).tobytes()
-                assert design.report == total_rate(rate_from_q(row, compute_q(fresh))
-                                                   for row in design.a)
-                tails.setdefault(design.a.tobytes(), {})[ch.power] = design.b
-        for by_power in tails.values():
-            crossing += len(by_power) > 1
-            assert len({id(b) for b in by_power.values()}) == len(by_power)
-    # some A recurs across powers, and some SDM design is the optimum
-    assert crossing and shared
+    # L = 8, M = 2, J = 4 is the benchmark's size
+    shared = 0
+    for l, cfg in ((3, SearchConfig(bound_m=1, lines_j=2)), (8, SearchConfig(bound_m=2, lines_j=4))):
+        crossing = 0
+        for t in range(8):
+            h = sample_channel(derive_trial_rng(12, t), l)
+            chs = [ChannelRealization(h=h, power=10.0 ** (snr / 10)) for snr in (10.0, 20.0, 30.0)]
+            tails = {}  # A -> the projection kept for it at each power
+            for ch in chs:
+                sdm, exhaustive = design_if(ch, cfg, "sdm"), design_if(ch, cfg, "exhaustive")
+                if np.array_equal(sdm.a, exhaustive.a):
+                    # one entry, each design with its own tag
+                    shared += 1
+                    assert sdm.b is exhaustive.b and sdm.report is exhaustive.report
+                    assert exhaustive.method == "exhaustive" and sdm.method != exhaustive.method
+                # a fresh realization at the same power holds no memo
+                fresh = ChannelRealization(h=h, power=ch.power)
+                for design in (sdm, exhaustive):
+                    assert not design.b.flags.writeable
+                    assert design.b.tobytes() == optimal_projection(design.a, fresh).tobytes()
+                    assert design.report == total_rate(rate_from_q(row, compute_q(fresh))
+                                                       for row in design.a)
+                    tails.setdefault(design.a.tobytes(), {})[ch.power] = design.b
+            for by_power in tails.values():
+                crossing += len(by_power) > 1
+                assert len({id(b) for b in by_power.values()}) == len(by_power)
+        # some A recurs across powers
+        assert crossing, l
+    # some SDM design is the optimum (at L = 3 only: none is at L = 8 here)
+    assert shared
