@@ -6,8 +6,6 @@ produces the same bytes.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .errors import InvalidInputError
 
 WIDTH, HEIGHT = 800, 600
@@ -21,6 +19,14 @@ PALETTE = (
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
+
+
+def _escape(text: str) -> str:
+    """``text`` as SVG character data: ``&``, ``>`` and ``<`` as entities,
+    ``&`` first, the bytes of ``xml.sax.saxutils.escape``. Done here because
+    importing ``xml.sax`` loads ``urllib``, ``http``, ``email`` and ``ssl``
+    into every process that imports the package."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def render_line_chart(series, x_label: str = "", y_label: str = "", title: str = "") -> str:
@@ -62,7 +68,7 @@ def render_line_chart(series, x_label: str = "", y_label: str = "", title: str =
     if title:
         parts.append(
             f'<text x="{WIDTH / 2:.0f}" y="28" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="18">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="18">{_escape(title)}</text>'
         )
     # axes
     parts.append(
@@ -89,13 +95,13 @@ def render_line_chart(series, x_label: str = "", y_label: str = "", title: str =
     if x_label:
         parts.append(
             f'<text x="{(left + right) / 2:.0f}" y="{HEIGHT - 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(x_label)}</text>'
+            f'font-family="sans-serif" font-size="14">{_escape(x_label)}</text>'
         )
     if y_label:
         parts.append(
             f'<text x="20" y="{(top + bottom) / 2:.0f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14" '
-            f'transform="rotate(-90 20 {(top + bottom) / 2:.0f})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 20 {(top + bottom) / 2:.0f})">{_escape(y_label)}</text>'
         )
 
     legend_x = right + 16
@@ -110,7 +116,7 @@ def render_line_chart(series, x_label: str = "", y_label: str = "", title: str =
         parts.append(f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 24}" y2="{ly}" stroke="{color}" stroke-width="2"/>')
         parts.append(
             f'<text x="{legend_x + 30}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{escape(str(name))}</text>'
+            f'font-size="12">{_escape(str(name))}</text>'
         )
 
     parts.append("</svg>")

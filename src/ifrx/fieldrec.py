@@ -65,7 +65,8 @@ def _residues(m, p: int, what: str) -> np.ndarray:
     """A 2-D integer matrix as a residue array: entries reduced into [0, p),
     int64 when p < 2^63 and Python ints in an object array otherwise.
     Integer numpy arrays reduce in numpy when p < 2^63; anything else goes
-    through Python ints, and ``int`` truncates non-integer entries."""
+    through Python ints, and an entry that is not an integer (``1.5``, and
+    ``2.0`` too) raises InvalidInputError."""
     numeric = isinstance(m, np.ndarray) and m.dtype.kind in "iu" and p < _INT64_LIMIT
     try:
         arr = m if numeric else np.array(m, dtype=object)
@@ -76,8 +77,11 @@ def _residues(m, p: int, what: str) -> np.ndarray:
     if numeric:
         wide = np.uint64 if arr.dtype.kind == "u" else np.int64
         return (arr % wide(p)).astype(np.int64, copy=False)
-    return np.array([[int(x) % p for x in row] for row in arr.tolist()],
-                    dtype=np.int64 if p < _INT64_LIMIT else object)
+    try:
+        rows = [[operator.index(x) % p for x in row] for row in arr.tolist()]
+    except TypeError:
+        raise InvalidInputError(f"{what} must hold integers") from None
+    return np.array(rows, dtype=np.int64 if p < _INT64_LIMIT else object)
 
 
 def combine_messages(a, w, field: PrimeField) -> np.ndarray:

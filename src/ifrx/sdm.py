@@ -115,7 +115,7 @@ def line_candidates(g1, gi, m: int) -> list[np.ndarray]:
     x += g1[owner]
     x += np.copysign(0.5, x)
     np.trunc(x, out=x)
-    keep = (np.abs(x).max(axis=1) <= m) & x.any(axis=1)
+    keep = (np.abs(x) <= m).all(axis=1) & x.any(axis=1)
     cands = x[keep].astype(np.int64)
     ends = np.cumsum(np.bincount(owner[keep], minlength=len(g1))).tolist()
     return [cands[a:b] for a, b in zip([0] + ends, ends)]

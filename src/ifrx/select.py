@@ -16,6 +16,7 @@ Cholesky factor of Q (Fincke and Pohst, 1985).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -60,17 +61,38 @@ def rank_candidates(arr: np.ndarray, q: np.ndarray) -> np.ndarray:
     return arr[np.argsort(_row_f(arr, q), kind="stable")]
 
 
-def greedy_full_rank(ranked: np.ndarray) -> np.ndarray | None:
+def greedy_full_rank(ranked: np.ndarray, memo: dict | None = None) -> np.ndarray | None:
     """Earliest exactly-independent L rows of an f-ranked integer array, as
-    an (L, L) array, or None when the rows cannot reach full rank."""
+    an (L, L) array, or None when the rows cannot reach full rank.
+
+    With a ``memo`` (a form's), the scan keeps there the rows it read, its
+    picks and its echelon, and the next scan resumes after the longest
+    prefix of its rows that equals the kept rows: greedy's state after a
+    prefix depends on that prefix alone, so the rows picked are the same.
+    """
     if ranked.dtype.kind not in "iu":
         raise InvalidInputError(f"candidate rows must be integers, got dtype {ranked.dtype}")
-    echelon, chosen = [], []
-    for i, row in enumerate(ranked.tolist()):
-        if echelon_add(echelon, row):
+    l = ranked.shape[1]
+    rows = ranked.tolist()
+    memo = {} if memo is None else memo
+    start, echelon, chosen = 0, [], []
+    if "greedy" in memo:
+        seen, picks, kept = memo["greedy"]
+        for row, old in zip(rows, seen):
+            if row != old:
+                break
+            start += 1
+        restored = bisect.bisect_left(picks, start)
+        chosen, echelon = picks[:restored], kept[:restored]
+        if restored == l:
+            return ranked[chosen]
+    for i in range(start, len(rows)):
+        if echelon_add(echelon, rows[i]):
             chosen.append(i)
-            if len(chosen) == ranked.shape[1]:
+            if len(chosen) == l:
+                memo["greedy"] = rows[:i + 1], chosen, echelon
                 return ranked[chosen]
+    memo["greedy"] = rows, chosen, echelon
     return None
 
 
@@ -160,7 +182,7 @@ def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesig
         raise InvalidInputError(f"unknown method {method!r}")
     qform = compute_q(ch)
     if method == METHOD_SDM:
-        a = greedy_full_rank(rank_candidates(candidate_set(qform, cfg), qform.q))
+        a = greedy_full_rank(rank_candidates(candidate_set(qform, cfg), qform.q), qform.memo)
     else:
         a = _exhaustive_rows(qform.q, cfg.bound_m)
     if a is None:

@@ -1,7 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+from xml.sax.saxutils import escape
 
 import pytest
 
+import ifrx.chart
 import ifrx.harness
 from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
 from ifrx.cli import MAX_GRID_POINTS, build_parser, main, parse_value_list
@@ -373,3 +379,38 @@ def test_plot_is_byte_deterministic(tmp_path, capsys):
                      "--x", "snr_db", "--y", "avg_rate_min", "--series", "method"]) == 0
     capsys.readouterr()
     assert svg1.read_bytes() == svg2.read_bytes()
+
+
+def test_import_loads_no_network_or_xml_module():
+    # numpy itself loads urllib.parse (through pathlib), so the package is
+    # measured by what it adds to a bare numpy import
+    families = ("xml", "urllib", "http", "email", "ssl", "socket")
+    script = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import ifrx, ifrx.cli\n"
+        f"print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in {families!r}))"
+    )
+    src = str(Path(ifrx.chart.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_plot_escapes_text_as_saxutils_does(tmp_path, capsys, monkeypatch):
+    x, y = 'snr "dB" & <x>', "rate 'min' > 0 & < 9"
+    csv_path = tmp_path / "r.csv"
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["method", x, y])
+        writer.writerows([["a&b", 0, 1], ["a&b", 10, 2], ["<i>'q'\"", 0, 3], ["x>y", 5, 0.5]])
+    argv = ["plot", "--in", str(csv_path), "--x", x, "--y", y, "--series", "method",
+            "--title", "IF & \"MMSE\" <rates> 'L'"]
+    assert main(argv + ["--out", str(tmp_path / "local.svg")]) == 0
+    monkeypatch.setattr(ifrx.chart, "_escape", escape)
+    assert main(argv + ["--out", str(tmp_path / "oracle.svg")]) == 0
+    capsys.readouterr()
+    svg = (tmp_path / "local.svg").read_bytes()
+    assert svg == (tmp_path / "oracle.svg").read_bytes()
+    assert b"IF &amp; \"MMSE\" &lt;rates&gt; 'L'" in svg and b"&lt;i&gt;'q'\"" in svg

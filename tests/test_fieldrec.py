@@ -214,3 +214,22 @@ def test_dimension_validation():
         combine_messages([[1, 0]], [[1]], field)
     with pytest.raises(InvalidInputError):
         combine_messages([[1, 0], [0, 1]], [[1], [1, 2]], field)
+
+
+@pytest.mark.parametrize("p", [257, 2**64 - 59])
+def test_non_integer_entries_are_rejected(p):
+    # a truncating cast read 1.5 as 1 and 0.5 as 0; integral floats go too
+    field = PrimeField(p)
+    for bad in ([[1.5, 0], [0, 1]], [[0.5, 0], [0, 1]], [[2.0, 0], [0, 1]], [["1", 0], [0, 1]],
+                np.array([[1.5, 0], [0, 1]])):
+        with pytest.raises(InvalidInputError, match="coefficient matrix must hold integers"):
+            recover_messages(bad, [[1], [2]], field)
+        with pytest.raises(InvalidInputError, match="coefficient matrix must hold integers"):
+            combine_messages(bad, [[3], [2]], field)
+    with pytest.raises(InvalidInputError, match="message block must hold integers"):
+        recover_messages([[1, 0], [0, 1]], [[1.0], [2]], field)
+    with pytest.raises(InvalidInputError, match="message block must hold integers"):
+        combine_messages([[1, 0], [0, 1]], np.array([[3.5], [2.0]]), field)
+    # integers of any kind still go through
+    a = [[np.int64(2), 1], [True, 1]]
+    assert recover_messages(a, combine_messages(a, [[3], [5]], field), field).tolist() == [[3], [5]]

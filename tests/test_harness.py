@@ -323,6 +323,12 @@ def test_the_mod_p_flag_matches_a_round_trip_and_the_determinant(p):
     assert set(flags) == {False, True}
 
 
+def test_the_mod_p_flag_rejects_a_non_integer_matrix():
+    # a truncating cast read [[0.5, 0], [0, 1]] as singular
+    with pytest.raises(InvalidInputError, match="must hold integers"):
+        _invertible_mod_p(np.array([[0.5, 0], [0, 1]]), PrimeField(257))
+
+
 def test_lines_sweep_draws_and_decomposes_each_channel_once(monkeypatch):
     counts = {"sample_channel": 0, "sym_eigen": 0, "line_candidates": 0}
 

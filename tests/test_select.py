@@ -188,9 +188,9 @@ def test_greedy_matches_gram_bareiss_reference(monkeypatch):
     # and 20 dB, over J = 1..7; J = 1 yields fallbacks
     designed, real = [], select.greedy_full_rank
 
-    def capture(ranked):
+    def capture(ranked, memo=None):
         designed.append(ranked)
-        return real(ranked)
+        return real(ranked, memo)
 
     monkeypatch.setattr(select, "greedy_full_rank", capture)
     for t in range(6):
@@ -222,6 +222,34 @@ def test_greedy_matches_gram_bareiss_reference(monkeypatch):
             outcomes.add(got is None)
         assert outcomes == {True, False}
     assert len(designed) == 42 and max(int(np.abs(r).max()) for r in big) > 5000
+
+
+@pytest.mark.parametrize("l", [4, 8])
+def test_resumed_greedy_equals_a_fresh_scan(l):
+    # design_if resumes greedy from its form's last scan; over lines_j and
+    # bound_m sweeps of one realization each design must be a fresh scan's
+    restores_full_rank = resumes_after_fallback = 0
+    sweep = ([SearchConfig(bound_m=2, lines_j=j) for j in range(1, l)]
+             + [SearchConfig(bound_m=2, lines_j=j) for j in range(l - 2, 0, -1)]
+             + [SearchConfig(bound_m=m, lines_j=l // 2) for m in (1, 2, 3, 1)])
+    for t in range(6):
+        for power in (1.0, 100.0):
+            ch = ChannelRealization(h=sample_channel(derive_trial_rng(63, t), l), power=power)
+            qform = compute_q(ch)
+            for cfg in sweep:
+                ranked = rank_candidates(candidate_set(qform, cfg), qform.q)
+                fresh = greedy_full_rank(ranked)
+                kept = qform.memo.get("greedy")
+                if kept is not None:
+                    seen, picks, _ = kept
+                    prefix = ranked.tolist()[:len(seen)] == seen
+                    restores_full_rank += prefix and len(picks) == l
+                    resumes_after_fallback += len(picks) < l
+                design = design_if(ch, cfg, "sdm")
+                assert design.success == (fresh is not None)
+                if fresh is not None:
+                    assert design.a.tolist() == fresh.tolist()
+    assert restores_full_rank and resumes_after_fallback, (restores_full_rank, resumes_after_fallback)
 
 
 def test_greedy_on_exhaustive_identity_q():
