@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NotInvertibleModPError
+from .linalg import int_rows
 
 # Miller-Rabin with these bases (the first 12 primes) is exact for every
 # n < 3.18e23 (Sorenson and Webster 2015), which covers every p < 2^64.
@@ -61,42 +62,29 @@ class PrimeField:
             raise InvalidInputError(f"{p} is not prime")
 
 
-def _residues(m, p: int, what: str) -> np.ndarray:
-    """A 2-D integer matrix as a residue array: entries reduced into [0, p),
-    int64 when p < 2^63 and Python ints in an object array otherwise.
-    Integer numpy arrays reduce in numpy when p < 2^63; anything else goes
-    through Python ints, and an entry that is not an integer (``1.5``, and
-    ``2.0`` too) raises InvalidInputError."""
-    numeric = isinstance(m, np.ndarray) and m.dtype.kind in "iu" and p < _INT64_LIMIT
-    try:
-        arr = m if numeric else np.array(m, dtype=object)
-    except ValueError:
-        arr = None
-    if arr is None or arr.ndim != 2 or arr.shape[0] == 0:
-        raise InvalidInputError(f"{what} must be a nonempty rectangular matrix")
-    if numeric:
-        wide = np.uint64 if arr.dtype.kind == "u" else np.int64
-        return (arr % wide(p)).astype(np.int64, copy=False)
-    try:
-        rows = [[operator.index(x) % p for x in row] for row in arr.tolist()]
-    except TypeError:
-        raise InvalidInputError(f"{what} must hold integers") from None
+def _residues(m, p: int, what: str) -> list[list[int]]:
+    """A 2-D integer matrix, read by ``int_rows``, with its entries reduced
+    into [0, p)."""
+    return [[x % p for x in row] for row in int_rows(m, what)]
+
+
+def _residue_array(rows: list[list[int]], p: int) -> np.ndarray:
+    """Residue rows as an array: int64 when p < 2^63, Python ints in an
+    object array otherwise."""
     return np.array(rows, dtype=np.int64 if p < _INT64_LIMIT else object)
 
 
 def combine_messages(a, w, field: PrimeField) -> np.ndarray:
     """u_m = sum_l a_ml w_l (mod p), entrywise over the message columns of
-    the (L, n) message matrix w. Returns a residue array."""
+    the (L, n) message matrix w, in Python ints. Returns a residue array."""
     p = field.p
     coeffs = _residues(a, p, "coefficient matrix")
     words = _residues(w, p, "message block")
-    if coeffs.shape[1] != words.shape[0]:
+    if len(coeffs[0]) != len(words):
         raise InvalidInputError("coefficient matrix width must match the message count")
-    # an entry sums L products of residues, below L (p-1)^2: exact in int64
-    # under 2^63, and over Python ints beyond
-    dtype = np.int64 if words.shape[0] * (p - 1) ** 2 < _INT64_LIMIT else object
-    u = (coeffs.astype(dtype) @ words.astype(dtype)) % p
-    return u.astype(words.dtype, copy=False)
+    cols = list(zip(*words))
+    return _residue_array([[sum(map(operator.mul, row, col)) % p for col in cols]
+                           for row in coeffs], p)
 
 
 def recover_messages(a, u, field: PrimeField) -> np.ndarray:
@@ -104,14 +92,14 @@ def recover_messages(a, u, field: PrimeField) -> np.ndarray:
     elimination of [A | u] and back-substitution into u, and return w as a
     residue array. Raises NotInvertibleModPError when A is singular mod p."""
     p = field.p
-    m = _residues(a, p, "coefficient matrix").tolist()
+    m = _residues(a, p, "coefficient matrix")
     rhs = _residues(u, p, "message block")
     n = len(m)
     if len(m[0]) != n:
         raise InvalidInputError("coefficient matrix must be square and nonempty")
     if len(rhs) != n:
         raise InvalidInputError("coefficient matrix width must match the message count")
-    aug = [row + r for row, r in zip(m, rhs.tolist())]
+    aug = [row + r for row, r in zip(m, rhs)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
@@ -131,4 +119,4 @@ def recover_messages(a, u, field: PrimeField) -> np.ndarray:
             factor = aug[r][col]
             if factor:
                 aug[r][n:] = [(x - factor * y) % p for x, y in zip(aug[r][n:], aug[col][n:])]
-    return np.array([row[n:] for row in aug], dtype=rhs.dtype)
+    return _residue_array([row[n:] for row in aug], p)

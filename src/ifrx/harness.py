@@ -80,9 +80,11 @@ class ExperimentConfig:
             raise InvalidInputError("master_seed must be a nonnegative 64-bit value")
         if not self.methods:
             raise InvalidInputError("methods must be nonempty")
-        for method in self.methods:
+        for i, method in enumerate(self.methods):
             if method not in METHODS:
                 raise InvalidInputError(f"unknown method {method!r}")
+            if method in self.methods[:i]:
+                raise InvalidInputError(f"method {method!r} is repeated")
         if self.prime_p is not None:
             object.__setattr__(self, "prime_field", PrimeField(self.prime_p))
 
@@ -203,35 +205,27 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
 
     records = []
     for method in cfg.methods:
+        success, fallback, modp = True, False, None
         if method in ("if-sdm", "if-exhaustive"):
             tag = METHOD_SDM if method == "if-sdm" else METHOD_EXHAUSTIVE
             design = design_if(ch, SearchConfig(cfg.bound_m, cfg.lines_j), tag)
-            modp = None
             if cfg.prime_field is not None:
                 key = (design.a.tobytes(), cfg.prime_field.p)
                 if key not in draw.modp_flags:
                     draw.modp_flags[key] = _invertible_mod_p(design.a, cfg.prime_field)
                 modp = draw.modp_flags[key]
-            records.append(TrialRecord(
-                trial_index, snr_db, method, design.report.total, design.report.sum_form,
-                design.success, design.method == METHOD_FALLBACK, modp,
-            ))
+            rate_min, rate_sum = design.report.total, design.report.sum_form
+            success, fallback = design.success, design.method == METHOD_FALLBACK
         elif method == "mmse":
             rep = mmse_rates(ch)
-            records.append(TrialRecord(
-                trial_index, snr_db, method, rep.total, rep.sum_form, True, False, None,
-            ))
+            rate_min, rate_sum = rep.total, rep.sum_form
         elif method == "zf":
             rep = zf_rates(ch)
-            records.append(TrialRecord(
-                trial_index, snr_db, method, rep.total, rep.sum_form,
-                not rep.singular, False, None,
-            ))
+            rate_min, rate_sum, success = rep.total, rep.sum_form, not rep.singular
         else:  # capacity
-            c = capacity(ch)
-            records.append(TrialRecord(
-                trial_index, snr_db, method, c, c, True, False, None,
-            ))
+            rate_min = rate_sum = capacity(ch)
+        records.append(TrialRecord(trial_index, snr_db, method, rate_min, rate_sum,
+                                   success, fallback, modp))
     return records
 
 

@@ -2,9 +2,10 @@
 
 Everything here is sized for the small matrices this package handles
 (L <= 32): a LAPACK symmetric eigensolver with canonical signs, Gaussian
-elimination with partial pivoting for inverses and determinants, and an
-exact fraction-free integer echelon step on plain lists for rank
-decisions that must not depend on floating-point thresholds.
+elimination with partial pivoting for inverses and determinants, the one
+reader of exact integer input, and an exact fraction-free integer echelon
+step on plain lists for rank decisions that must not hinge on float
+thresholds.
 
 The three float kernels take an (S, n, n) stack of independent slices
 and give a list of per-slice results. Every slice gets the bytes it would
@@ -203,19 +204,31 @@ def echelon_add(echelon: list, v: list) -> bool:
     return True
 
 
-def int_rank_independent(vectors: Iterable[Sequence[int]]) -> bool:
-    """Exact linear-independence test for integer vectors (any other entry
-    raises InvalidInputError), by fraction-free elimination in unbounded
-    integer arithmetic, so the answer never hinges on a float threshold."""
+def int_rows(m, what: str) -> list[list[int]]:
+    """The rows of a nonempty rectangular integer matrix, given as any
+    iterable of rows (lists, tuples, an array of any integer dtype), as
+    lists of Python ints. Any other shape, or an entry that is not an
+    integer (``1.5``, and ``2.0`` too), raises InvalidInputError."""
     try:
-        vecs = [[operator.index(c) for c in v] for v in vectors]
+        # Python scalars read far faster than numpy ones
+        rows = list(m.tolist() if isinstance(m, np.ndarray) else m)
+        rectangular = len(set(map(len, rows))) == 1
     except TypeError:
-        raise InvalidInputError("vectors must hold integers") from None
-    if not vecs:
-        raise InvalidInputError("vector list is empty")
+        rectangular = False
+    if not rectangular:
+        raise InvalidInputError(f"{what} must be a nonempty rectangular matrix")
+    try:
+        return [list(map(operator.index, row)) for row in rows]
+    except TypeError:
+        raise InvalidInputError(f"{what} must hold integers") from None
+
+
+def int_rank_independent(vectors: Iterable[Sequence[int]]) -> bool:
+    """Exact linear-independence test for integer vectors (read by
+    ``int_rows``), by fraction-free elimination in unbounded integer
+    arithmetic, so the answer never hinges on a float threshold."""
+    vecs = int_rows(vectors, "vectors")
     length = len(vecs[0])
-    if any(len(v) != length for v in vecs):
-        raise InvalidInputError("vectors have mismatched lengths")
     if len(vecs) > length:
         raise InvalidInputError(f"{len(vecs)} vectors of length {length} can never be independent")
     echelon: list = []

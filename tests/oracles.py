@@ -7,7 +7,26 @@ import numpy as np
 from ifrx.channel import ChannelRealization
 from ifrx.errors import InvalidInputError, NotInvertibleModPError
 from ifrx.fieldrec import combine_messages, recover_messages
+from ifrx.ifcore import QForm
 from ifrx.linalg import sym_eigen
+
+
+def make_qform(q):
+    return QForm(q=np.asarray(q, dtype=float))
+
+
+def as_tuples(arr):
+    return list(map(tuple, arr.tolist()))
+
+
+def canonical_sign(vec):
+    """Flip the vector so its first nonzero coordinate is positive."""
+    for c in vec:
+        if c > 0:
+            return vec
+        if c < 0:
+            return tuple(-x for x in vec)
+    return vec
 
 
 def rate_from_ab(a_m, b_m, ch: ChannelRealization) -> float:

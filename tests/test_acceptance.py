@@ -18,7 +18,7 @@ from ifrx.ifcore import compute_q, optimal_projection, rate_from_q
 from ifrx.linalg import sym_eigen
 from ifrx.sdm import SearchConfig, candidate_set
 from ifrx.select import design_if
-from oracles import bareiss_det, rate_from_ab, reference_jump_points
+from oracles import bareiss_det, canonical_sign, rate_from_ab, reference_jump_points
 
 L8_CFG = dict(l=8, bound_m=2, snr_db=20.0)
 
@@ -26,16 +26,6 @@ L8_CFG = dict(l=8, bound_m=2, snr_db=20.0)
 def report(number, label, ok, detail=""):
     print(f"ACCEPTANCE {number:02d} {label}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {number} ({label}) failed: {detail}"
-
-
-def canonical_sign(vec):
-    """Flip the vector so its first nonzero coordinate is positive."""
-    for c in vec:
-        if c > 0:
-            return vec
-        if c < 0:
-            return tuple(-x for x in vec)
-    return vec
 
 
 def seeded_channel(seed, trial, l, power):

@@ -218,6 +218,16 @@ def test_simulate_validates_lines(tmp_path, capsys):
     assert "lines_j" in capsys.readouterr().err
 
 
+def test_simulate_repeated_method_exits_1(tmp_path, capsys):
+    # both copies once filed their records under one key, doubling `trials`
+    out_csv = tmp_path / "x.csv"
+    code = main(["simulate", "--l", "4", "--snr-db", "10", "--trials", "3",
+                 "--methods", "if-sdm,mmse,if-sdm", "--out", str(out_csv)])
+    assert code == 1
+    assert "ifrx: error: method 'if-sdm' is repeated" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_simulate_rejects_seed_wider_than_64_bits(tmp_path, capsys):
     out_csv = tmp_path / "x.csv"
     code = main(["simulate", "--l", "3", "--trials", "1", "--lines", "1", "--snr-db", "10",

@@ -1,6 +1,7 @@
 """Byte pins: small ``ifrx simulate`` runs, regenerated and compared with
-the CSVs committed under ``tests/data``. A change that moves any rate,
-success count or formatting byte of these runs fails here.
+the CSVs committed under ``tests/data``, and one ``ifrx plot`` of such a
+CSV, compared with its committed SVG. A change that moves any rate,
+success count, formatting or chart byte of these runs fails here.
 
 To regenerate the pins after a deliberate output change, run
 ``python tests/test_golden.py`` from the repository root with ``src`` on
@@ -49,8 +50,17 @@ PINS = {
 }
 
 
+# the plot pin's flags; its title needs escaping in SVG text
+PLOT_FLAGS = ("--x", "snr_db", "--y", "avg_rate_min", "--series", "method",
+              "--title", "avg rate_min <L = 8> & M = 2")
+
+
 def simulate(name, out) -> None:
     assert main(["simulate", *PINS[name], "--out", str(out)]) == 0
+
+
+def plot(out) -> None:
+    assert main(["plot", "--in", str(DATA / "sdm_snr_l8.csv"), "--out", str(out), *PLOT_FLAGS]) == 0
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
@@ -58,6 +68,12 @@ def test_simulate_matches_its_committed_bytes(tmp_path, capsys, name):
     out = tmp_path / f"{name}.csv"
     simulate(name, out)
     assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
+def test_plot_matches_its_committed_bytes(tmp_path, capsys):
+    out = tmp_path / "sdm_snr_l8.svg"
+    plot(out)
+    assert out.read_bytes() == (DATA / "sdm_snr_l8.svg").read_bytes()
 
 
 def compensated_sum(iterable, /, start=0):
@@ -93,4 +109,5 @@ def test_a_pin_holds_under_a_compensated_sum(tmp_path, capsys, monkeypatch):
 if __name__ == "__main__":
     for pin in sorted(PINS):
         simulate(pin, DATA / f"{pin}.csv")
+    plot(DATA / "sdm_snr_l8.svg")
     sys.exit(0)

@@ -53,6 +53,9 @@ def test_config_validation():
         small_cfg(snr_db_grid=())
     with pytest.raises(InvalidInputError):
         small_cfg(prime_p=15)
+    # a repeated method would file both copies' records under one key
+    with pytest.raises(InvalidInputError, match="'if-sdm' is repeated"):
+        small_cfg(methods=("if-sdm", "mmse", "if-sdm"))
 
 
 def test_config_rejects_seeds_outside_64_bits():

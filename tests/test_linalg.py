@@ -7,7 +7,7 @@ import pytest
 from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
 from ifrx.errors import ConvergenceError, InvalidInputError, SingularMatrixError, unwrap
 from ifrx.ifcore import compute_q
-from ifrx.linalg import PIVOT_RTOL, det, int_rank_independent, solve_inverse, sym_eigen
+from ifrx.linalg import PIVOT_RTOL, det, int_rank_independent, int_rows, solve_inverse, sym_eigen
 
 
 def random_symmetric(rng, n):
@@ -155,6 +155,20 @@ def test_int_rank_rejects_non_integer_entries():
             int_rank_independent([(bad, 0), (0, 1)])
     assert int_rank_independent([(2, 0), (np.int64(0), np.uint8(1))])
     assert not int_rank_independent([(np.uint8(3), 6), (1, 2)])
+
+def test_int_rows_reads_any_integer_matrix_as_python_ints():
+    big = np.array([[2**64 - 1, 0]], dtype=np.uint64)
+    for m, rows in (([(1, -2), (3, 4)], [[1, -2], [3, 4]]), (big, [[2**64 - 1, 0]]),
+                    (np.array([[True, False]]), [[1, 0]]),
+                    (np.zeros((2, 0), dtype=np.int8), [[], []])):
+        got = int_rows(m, "m")
+        assert got == rows and all(type(x) is int for row in got for x in row)
+    for bad in ([], [(1, 0), (1,)], [1, 2], np.zeros((0, 3), dtype=int), np.arange(3), 5):
+        with pytest.raises(InvalidInputError, match="m must be a nonempty rectangular matrix"):
+            int_rows(bad, "m")
+    with pytest.raises(InvalidInputError, match="vectors must be a nonempty rectangular matrix"):
+        int_rank_independent([(1, 0), (1, 0, 0)])
+
 
 def test_int_rank_exhaustive_pairs_l2():
     vectors = [v for v in itertools.product(range(-2, 3), repeat=2)]

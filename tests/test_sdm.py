@@ -5,33 +5,18 @@ import pytest
 
 from ifrx.channel import ChannelRealization
 from ifrx.errors import DegenerateDirectionError, InstanceTooLargeError, InvalidInputError
-from ifrx.ifcore import QForm, compute_q
+from ifrx.ifcore import compute_q
 from ifrx.linalg import sym_eigen
 from ifrx.sdm import SearchConfig, candidate_set, line_candidates, prepare_lines
 from oracles import (
+    as_tuples,
+    canonical_sign,
     half_integer_grid,
+    make_qform,
     reference_candidate_set,
     reference_jump_points,
     reference_line_candidates,
 )
-
-
-def make_qform(q):
-    return QForm(q=np.asarray(q, dtype=float))
-
-
-def as_tuples(arr):
-    return list(map(tuple, arr.tolist()))
-
-
-def canonical_sign(vec):
-    """Flip the vector so its first nonzero coordinate is positive."""
-    for c in vec:
-        if c > 0:
-            return vec
-        if c < 0:
-            return tuple(-x for x in vec)
-    return vec
 
 
 def test_line_candidates_degenerate_direction():

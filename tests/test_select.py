@@ -9,7 +9,6 @@ from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
 from ifrx.errors import InstanceTooLargeError, InvalidInputError, SingularMatrixError
 from ifrx.harness import ExperimentConfig, run_sweep
 from ifrx.ifcore import (
-    QForm,
     compute_q,
     mmse_rates,
     optimal_projection,
@@ -19,17 +18,9 @@ from ifrx.ifcore import (
 from ifrx.linalg import int_rank_independent
 from ifrx.sdm import SearchConfig, candidate_set, leading
 from ifrx.select import design_if, greedy_full_rank, rank_candidates, sphere_candidates
-from oracles import bareiss_det
+from oracles import as_tuples, bareiss_det, make_qform
 
 BOX_GUARD = 10**7
-
-
-def make_qform(q):
-    return QForm(q=np.asarray(q, dtype=float))
-
-
-def as_tuples(arr):
-    return list(map(tuple, arr.tolist()))
 
 
 def reference_box(l, m):
