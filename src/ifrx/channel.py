@@ -150,4 +150,8 @@ def parse_matrix_text(text: str) -> np.ndarray:
 
 def load_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    return parse_matrix_text(text)

@@ -152,12 +152,22 @@ def cmd_simulate(args) -> int:
 def cmd_plot(args) -> int:
     with open(args.in_csv, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise InvalidInputError(f"no header row in {args.in_csv}")
-        for column in (args.x, args.y, args.series):
-            if column not in reader.fieldnames:
-                raise InvalidInputError(f"column {column!r} not found in {args.in_csv}")
-        rows = list(reader)
+        try:
+            if reader.fieldnames is None:
+                raise InvalidInputError(f"no header row in {args.in_csv}")
+            for column in (args.x, args.y, args.series):
+                if column not in reader.fieldnames:
+                    raise InvalidInputError(f"column {column!r} not found in {args.in_csv}")
+            rows = []
+            for row in reader:
+                # DictReader files a short row's missing fields as None, a
+                # long row's extra ones under the key None
+                if None in row or None in row.values():
+                    raise InvalidInputError(f"line {reader.line_num} of {args.in_csv} does not "
+                                            f"have the header's {len(reader.fieldnames)} fields")
+                rows.append(row)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.in_csv} is not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise InvalidInputError(f"no data rows in {args.in_csv}")
 

@@ -31,7 +31,8 @@ from .errors import IfrxError, InvalidInputError, NotInvertibleModPError, unwrap
 # combine_messages stays bound here although the harness no longer calls it:
 # benchmarks/spans.py wraps this binding, and a zero count beats a missing one
 from .fieldrec import PrimeField, combine_messages, recover_messages  # noqa: F401
-from .ifcore import left_sum, mmse_rates, prepare_inverses, zf_rates
+from .ifcore import mmse_rates, prepare_inverses, zf_rates
+from .linalg import int_value
 from .select import METHOD_EXHAUSTIVE, METHOD_FALLBACK, METHOD_SDM, design_if
 from .sdm import SearchConfig, prepare_lines
 
@@ -64,6 +65,8 @@ class ExperimentConfig:
     prime_field: PrimeField | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("l", "trials", "bound_m", "lines_j", "master_seed"):
+            object.__setattr__(self, name, int_value(getattr(self, name), name))
         object.__setattr__(self, "snr_db_grid", tuple(float(s) for s in self.snr_db_grid))
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.l < 2:
@@ -229,22 +232,30 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
     return records
 
 
-def _aggregate(records: list[TrialRecord], cfg: ExperimentConfig, sweep: str,
-               value, snr_db: float, method: str) -> Aggregate:
-    n = len(records)
-    successes = [r for r in records if r.success]
+def _add(totals: dict, records: list[TrialRecord]) -> None:
+    """Add a cell's records of one trial to its running totals, which keep no record."""
+    for rec in records:
+        total = totals[rec.method]
+        total[0] += rec.rate_min
+        total[1] += rec.rate_sum
+        if rec.success:
+            total[2] += 1
+            total[3] += rec.rate_min
+
+
+def _aggregate(totals: list, cfg: ExperimentConfig, sweep: str, value, snr_db: float,
+               method: str) -> Aggregate:
+    rate_min, rate_sum, successes, success_rate_min = totals
     return Aggregate(
         method=method,
         sweep_param=sweep,
         sweep_value=value,
         snr_db=snr_db,
-        avg_rate_min=left_sum(r.rate_min for r in records) / n,
-        avg_rate_sum=left_sum(r.rate_sum for r in records) / n,
-        avg_rate_min_success_only=(
-            left_sum(r.rate_min for r in successes) / len(successes) if successes else 0.0
-        ),
-        success_prob=len(successes) / n,
-        trials=n,
+        avg_rate_min=rate_min / cfg.trials,
+        avg_rate_sum=rate_sum / cfg.trials,
+        avg_rate_min_success_only=success_rate_min / successes if successes else 0.0,
+        success_prob=successes / cfg.trials,
+        trials=cfg.trials,
         master_seed=cfg.master_seed,
     )
 
@@ -254,9 +265,10 @@ def run_sweep(cfg: ExperimentConfig, sweep: str, values) -> list[Aggregate]:
 
     Per-trial seeds depend only on the trial index, so every sweep value
     sees identical channels: each trial index is drawn once and its draw
-    is shared by all cells. Records reach each cell in trial order, so the
-    aggregates match a cell-by-cell loop bit for bit. Output is ordered by
-    (method, value, snr).
+    is shared by all cells. Each cell adds its records to running totals
+    as they arrive, in trial order, so the aggregates match a cell-by-cell
+    loop bit for bit and memory does not grow with the trial count. Output
+    is ordered by (method, value, snr).
     """
     if sweep not in SWEEPS:
         raise InvalidInputError(f"unknown sweep {sweep!r}")
@@ -274,18 +286,18 @@ def run_sweep(cfg: ExperimentConfig, sweep: str, values) -> list[Aggregate]:
         sub = replace(cfg, **{sweep: int(value)})
         cells.extend((value, snr, sub) for snr in cfg.snr_db_grid)
 
-    by_cell = [{m: [] for m in cfg.methods} for _ in cells]
+    # per cell and method: rate_min, rate_sum, successes, rate_min of the successes
+    totals = [{m: [0.0, 0.0, 0, 0.0] for m in cfg.methods} for _ in cells]
     served = [(snr, sub) for _, snr, sub in cells]
     for t in range(cfg.trials):
         # the draw, and all it computes, lives for one trial index only
         draw = draw_trial(cfg, t, served)
-        for (_, snr, sub), by_method in zip(cells, by_cell):
-            for rec in run_trial(sub, snr, t, draw):
-                by_method[rec.method].append(rec)
+        for (_, snr, sub), by_method in zip(cells, totals):
+            _add(by_method, run_trial(sub, snr, t, draw))
 
     return [
         _aggregate(by_method[m], cfg, sweep, value, snr, m)
-        for m in cfg.methods for (value, snr, _), by_method in zip(cells, by_cell)
+        for m in cfg.methods for (value, snr, _), by_method in zip(cells, totals)
     ]
 
 

@@ -204,6 +204,15 @@ def echelon_add(echelon: list, v: list) -> bool:
     return True
 
 
+def int_value(value, what: str) -> int:
+    """``value`` as a Python int, by the rule ``int_rows`` reads entries
+    with (``operator.index``: ``1.5``, ``2.0`` and ``"1"`` are refused)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+
+
 def int_rows(m, what: str) -> list[list[int]]:
     """The rows of a nonempty rectangular integer matrix, given as any
     iterable of rows (lists, tuples, an array of any integer dtype), as

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (DegenerateDirectionError, IfrxError, InstanceTooLargeError,
                      InvalidInputError, unwrap)
 from .ifcore import QForm
-from .linalg import sym_eigen
+from .linalg import int_value, sym_eigen
 
 COORD_EPS = 1e-12
 RHO_MERGE_TOL = 1e-12
@@ -36,6 +36,8 @@ class SearchConfig:
     lines_j: int
 
     def __post_init__(self):
+        for name in ("bound_m", "lines_j"):
+            object.__setattr__(self, name, int_value(getattr(self, name), name))
         if self.bound_m < 1:
             raise InvalidInputError("bound_m must be >= 1")
         if self.lines_j < 1:

@@ -85,6 +85,13 @@ def test_design_malformed_file_names_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_design_non_utf8_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "h.txt"
+    path.write_bytes(b"\xff\xfe1 0\n0 1\n")
+    assert main(["design", "--channel", str(path), "--power", "1"]) == 1
+    assert capsys.readouterr().err.startswith(f"ifrx: error: {path} is not UTF-8 text")
+
+
 def test_design_negative_power_exits_1(identity_channel, capsys):
     code = main(["design", "--channel", identity_channel, "--power", "-1"])
     assert code == 1
@@ -358,6 +365,28 @@ def test_plot_missing_column_exits_1(tmp_path, capsys):
                  "--x", "snr_db", "--y", "avg_rate_min", "--series", "method"])
     assert code == 1
     assert "avg_rate_min" in capsys.readouterr().err
+
+
+def test_plot_non_utf8_file_exits_1(tmp_path, capsys):
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_bytes(b"\xff\xfemethod,snr_db,avg_rate_min\nmmse,10.0,1.5\n")
+    code = main(["plot", "--in", str(csv_path), "--out", str(tmp_path / "x.svg"),
+                 "--x", "snr_db", "--y", "avg_rate_min", "--series", "method"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"ifrx: error: {csv_path} is not UTF-8 text")
+
+
+@pytest.mark.parametrize("row", ["1", "mmse,10.0", "mmse,10.0,1.5,2"])
+def test_plot_row_without_one_field_per_column_exits_1(tmp_path, capsys, row):
+    # a short row read as None: a TypeError, or a series named None
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text(f"method,snr_db,avg_rate_min\nmmse,0.0,1.0\n{row}\n")
+    out_svg = tmp_path / "r.svg"
+    code = main(["plot", "--in", str(csv_path), "--out", str(out_svg),
+                 "--x", "snr_db", "--y", "avg_rate_min", "--series", "method"])
+    assert code == 1
+    assert f"line 3 of {csv_path} does not have the header's 3 fields" in capsys.readouterr().err
+    assert not out_svg.exists()
 
 
 @pytest.mark.parametrize("column, value", [

@@ -1,4 +1,5 @@
 import random
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,6 @@ from ifrx.harness import (
     Aggregate,
     ExperimentConfig,
     TrialRecord,
-    _aggregate,
     _invertible_mod_p,
     draw_trial,
     run_sweep,
@@ -56,6 +56,14 @@ def test_config_validation():
     # a repeated method would file both copies' records under one key
     with pytest.raises(InvalidInputError, match="'if-sdm' is repeated"):
         small_cfg(methods=("if-sdm", "mmse", "if-sdm"))
+    # integer fields are read through operator.index: a float seed ran as
+    # its floor under its own label, the others raised TypeError mid-run
+    for name, value in (("master_seed", 1.5), ("trials", 2.5), ("l", 4.0), ("bound_m", 2.5),
+                        ("lines_j", 1.5), ("trials", "4")):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+            small_cfg(**{name: value})
+    cfg = small_cfg(l=np.int64(4), master_seed=np.uint64(2**64 - 1))
+    assert type(cfg.l) is int and type(cfg.master_seed) is int
 
 
 def test_config_rejects_seeds_outside_64_bits():
@@ -108,16 +116,47 @@ def test_recovery_flags():
     assert all(r.modp_invertible is None for r in without)
 
 
-def test_aggregate_success_counting():
-    records = [
-        TrialRecord(t, 10.0, "if-sdm", rate, rate, success, not success)
-        for t, (rate, success) in enumerate([(2.0, True), (4.0, True), (0.0, False), (2.0, True)])
-    ]
-    agg = _aggregate(records, small_cfg(), "snr", 10.0, 10.0, "if-sdm")
-    assert agg.success_prob == pytest.approx(0.75)
-    assert agg.avg_rate_min == pytest.approx(2.0)
-    assert agg.avg_rate_min_success_only == pytest.approx(8.0 / 3.0)
-    assert agg.trials == 4
+def test_aggregate_success_counting(monkeypatch):
+    # scripted (rate, success) per trial; zf never succeeds
+    script = {"if-sdm": [(2.0, True), (4.0, True), (0.0, False), (2.0, True)],
+              "zf": [(1.0, False), (0.5, False), (0.0, False), (0.5, False)]}
+
+    def scripted(cfg, snr_db, t, draw):
+        return [TrialRecord(t, snr_db, m, script[m][t][0], 2 * script[m][t][0], script[m][t][1],
+                            False) for m in cfg.methods]
+    monkeypatch.setattr(ifrx.harness, "run_trial", scripted)
+    sdm, zf = run_sweep(small_cfg(methods=("if-sdm", "zf")), "snr", [10.0])
+    assert (sdm.method, zf.method) == ("if-sdm", "zf")
+    assert sdm.success_prob == 0.75
+    assert sdm.avg_rate_min == 2.0 and sdm.avg_rate_sum == 4.0
+    assert sdm.avg_rate_min_success_only == pytest.approx(8.0 / 3.0)
+    assert zf.success_prob == 0.0 and zf.avg_rate_min_success_only == 0.0
+    assert zf.avg_rate_min == 0.5 and zf.avg_rate_sum == 1.0
+    assert sdm.trials == zf.trials == 4
+
+
+def test_run_sweep_keeps_no_record_past_its_trial_index(monkeypatch):
+    # weakrefs per trial index of every record run_trial returned
+    refs = []
+    inner_draw, inner_trial = ifrx.harness.draw_trial, ifrx.harness.run_trial
+
+    def drawing(cfg, t, cells):
+        assert len(refs) == t
+        for earlier in refs:
+            assert all(ref() is None for ref in earlier)
+        refs.append([])
+        return inner_draw(cfg, t, cells)
+
+    def running(cfg, snr_db, t, draw):
+        records = inner_trial(cfg, snr_db, t, draw)
+        refs[t].extend(map(weakref.ref, records))
+        return records
+    monkeypatch.setattr(ifrx.harness, "draw_trial", drawing)
+    monkeypatch.setattr(ifrx.harness, "run_trial", running)
+    cfg = small_cfg(trials=3, methods=("mmse", "zf", "capacity"))
+    run_sweep(cfg, "snr", [0.0, 10.0])
+    assert [len(r) for r in refs] == [2 * 3] * 3
+    assert all(ref() is None for earlier in refs for ref in earlier)
 
 
 def test_run_sweep_snr_ordering_and_capacity_monotone():
@@ -237,9 +276,27 @@ def reference_run_sweep(cfg, sweep, values):
             for t in range(cfg.trials):
                 for rec in reference_run_trial(sub, snr, t):
                     by_method[rec.method].append(rec)
-            cells.append({m: _aggregate(by_method[m], cfg, sweep, value, snr, m)
+            cells.append({m: reference_aggregate(by_method[m], cfg, sweep, value, snr, m)
                           for m in cfg.methods})
     return [cell[m] for m in cfg.methods for cell in cells]
+
+
+def left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def reference_aggregate(records, cfg, sweep, value, snr_db, method):
+    """Means of a cell's records, each total added left to right in trial order."""
+    successes = [r for r in records if r.success]
+    return Aggregate(
+        method, sweep, value, snr_db,
+        left_to_right(r.rate_min for r in records) / len(records),
+        left_to_right(r.rate_sum for r in records) / len(records),
+        (left_to_right(r.rate_min for r in successes) / len(successes) if successes else 0.0),
+        len(successes) / len(records), len(records), cfg.master_seed)
 
 
 ALL_METHODS = ("if-sdm", "if-exhaustive", "mmse", "zf", "capacity")

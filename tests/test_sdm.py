@@ -34,6 +34,18 @@ def test_line_candidates_takes_only_stacks():
         line_candidates([[1.0, 0.0]], [[0.0, 1.0]], 0)
 
 
+def test_search_config_reads_integer_fields():
+    # SearchConfig(2, 1.0) ran an exhaustive design before
+    for args in ((2, 1.0), (2.5, 1), ("2", 1), (2, None)):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            SearchConfig(*args)
+    for args in ((0, 1), (1, 0)):
+        with pytest.raises(InvalidInputError, match=">= 1"):
+            SearchConfig(*args)
+    cfg = SearchConfig(np.int64(2), True)
+    assert (cfg.bound_m, cfg.lines_j) == (2, 1) and type(cfg.bound_m) is int
+
+
 def test_line_candidates_examples():
     got = line_candidates([[1.0, 0.0], [0.6, 0.0]], [[0.0, 1.0], [0.0, 1.0]], 1)
     assert [c.tolist() for c in got] == [[[1, -1], [1, 0], [1, 1]]] * 2
