@@ -9,8 +9,9 @@ of it on that draw: the channel's Q, its eigenbasis and, per bound M, one
 union of line candidates over the most lines any cell reads are computed
 once, stacked over the SNR points, and shared by all cells and methods.
 Whether an IF design's A is invertible mod p, the only finite-field
-result a trial records, is one elimination of A over F_p; no messages
-are drawn.
+result a trial records, is det A mod p != 0, with det A read exactly from
+greedy's own integer echelon (``IfDesign.det``): no elimination over F_p
+runs and no messages are drawn.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from .channel import (
     prepare_capacity,
     sample_channel,
 )
-from .errors import IfrxError, InvalidInputError, NotInvertibleModPError, unwrap
-# combine_messages stays bound here although the harness no longer calls it:
-# benchmarks/spans.py wraps this binding, and a zero count beats a missing one
+from .errors import IfrxError, InvalidInputError, unwrap
+# combine_messages and recover_messages stay bound here although the harness
+# no longer calls them: benchmarks/spans.py wraps these bindings, and a zero
+# count beats a missing one
 from .fieldrec import PrimeField, combine_messages, recover_messages  # noqa: F401
 from .ifcore import mmse_rates, prepare_inverses, zf_rates
 from .linalg import int_value
@@ -89,6 +91,7 @@ class ExperimentConfig:
             if method in self.methods[:i]:
                 raise InvalidInputError(f"method {method!r} is repeated")
         if self.prime_p is not None:
+            object.__setattr__(self, "prime_p", int_value(self.prime_p, "prime_p"))
             object.__setattr__(self, "prime_field", PrimeField(self.prime_p))
 
 
@@ -118,16 +121,6 @@ class Aggregate:
     master_seed: int
 
 
-def _invertible_mod_p(a: np.ndarray, field: PrimeField) -> bool:
-    """Whether A is invertible over F_p: ``recover_messages`` on A with an
-    empty right-hand side, its forward elimination alone."""
-    try:
-        recover_messages(a, np.zeros((a.shape[0], 0), dtype=np.int64), field)
-    except NotInvertibleModPError:
-        return False
-    return True
-
-
 def _realization(h: np.ndarray, snr_db: float) -> ChannelRealization | IfrxError:
     """``h`` at ``snr_db``, or the error making it raised."""
     try:
@@ -155,9 +148,6 @@ class TrialDraw:
 
     h: np.ndarray
     realizations: dict[float, ChannelRealization | IfrxError]
-    # (A bytes, p) -> whether A is invertible mod p; the cells of a draw
-    # share it, so each distinct A is eliminated once per draw
-    modp_flags: dict = field(default_factory=dict, repr=False, compare=False)
 
     def channel(self, snr_db: float) -> ChannelRealization:
         if snr_db not in self.realizations:
@@ -213,10 +203,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
             tag = METHOD_SDM if method == "if-sdm" else METHOD_EXHAUSTIVE
             design = design_if(ch, SearchConfig(cfg.bound_m, cfg.lines_j), tag)
             if cfg.prime_field is not None:
-                key = (design.a.tobytes(), cfg.prime_field.p)
-                if key not in draw.modp_flags:
-                    draw.modp_flags[key] = _invertible_mod_p(design.a, cfg.prime_field)
-                modp = draw.modp_flags[key]
+                modp = design.det % cfg.prime_field.p != 0
             rate_min, rate_sum = design.report.total, design.report.sum_form
             success, fallback = design.success, design.method == METHOD_FALLBACK
         elif method == "mmse":
@@ -281,9 +268,8 @@ def run_sweep(cfg: ExperimentConfig, sweep: str, values) -> list[Aggregate]:
         if sweep == "snr":
             cells.append((value, float(value), cfg))
             continue
-        if not float(value).is_integer():
-            raise InvalidInputError(f"{sweep} values must be integers, got {value!r}")
-        sub = replace(cfg, **{sweep: int(value)})
+        value = int_value(value, f"{sweep} value")
+        sub = replace(cfg, **{sweep: value})
         cells.extend((value, snr, sub) for snr in cfg.snr_db_grid)
 
     # per cell and method: rate_min, rate_sum, successes, rate_min of the successes

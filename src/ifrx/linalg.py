@@ -5,7 +5,7 @@ Everything here is sized for the small matrices this package handles
 elimination with partial pivoting for inverses and determinants, the one
 reader of exact integer input, and an exact fraction-free integer echelon
 step on plain lists for rank decisions that must not hinge on float
-thresholds.
+thresholds, with the exact determinant a full echelon yields.
 
 The three float kernels take an (S, n, n) stack of independent slices
 and give a list of per-slice results. Every slice gets the bytes it would
@@ -186,22 +186,44 @@ def det(m) -> list:
     return _unstack(values, errors)
 
 
-def echelon_add(echelon: list, v: list) -> bool:
+def echelon_add(echelon: list, v: list) -> tuple[int, int] | None:
     """One exact step of a row echelon form kept as ``(pivot, row)`` pairs:
     eliminate the Python-int row ``v`` fraction-free against the kept rows
-    in order (``v <- r[p] * v - v[p] * r``), keep a nonzero residual over
-    its gcd, pivot at its first nonzero, and return whether it was nonzero."""
+    in order (``v <- r[p] * v - v[p] * r``) and keep a nonzero residual over
+    its gcd, pivoted at its first nonzero. Returns None when the residual
+    is zero, else its factor ``(v[pivot], s)``: the residual's pivot entry
+    before the gcd division and the product s of the ``r[p]`` it was scaled
+    by, which ``echelon_det`` reads."""
+    s = 1
     for p, r in echelon:
         vp = v[p]
         if vp:
             rp = r[p]
+            s *= rp
             v = [rp * x - vp * y for x, y in zip(v, r)]
     g = math.gcd(*v)
     if not g:
-        return False
+        return None
     pivot = next(k for k, c in enumerate(v) if c)
     echelon.append((pivot, [c // g for c in v] if g != 1 else v))
-    return True
+    return v[pivot], s
+
+
+def echelon_det(echelon: list, factors: list) -> int:
+    """Exact determinant of the square matrix whose rows, added in order by
+    ``echelon_add``, built the full ``echelon`` and returned ``factors``.
+
+    Kept row k is (s_k a_k + a mix of earlier rows) / g_k, zero at every
+    earlier pivot, so det A = sign(pivot order) * prod v_k[pivot_k] / prod s_k,
+    and the division is exact.
+    """
+    lead = scale = 1
+    for v_pivot, s in factors:
+        lead *= v_pivot
+        scale *= s
+    pivots = [p for p, _ in echelon]
+    inversions = sum(p > q for i, p in enumerate(pivots) for q in pivots[i + 1:])
+    return (-lead if inversions % 2 else lead) // scale
 
 
 def int_value(value, what: str) -> int:

@@ -27,7 +27,7 @@ from .errors import InstanceTooLargeError, InvalidInputError, SingularMatrixErro
 from .ifcore import RateReport, compute_q, optimal_projection, rates_from_q, total_rate
 # int_rank_independent stays bound here although greedy does not call it:
 # benchmarks/spans.py wraps this binding, and a zero count beats a missing one
-from .linalg import echelon_add, int_rank_independent  # noqa: F401
+from .linalg import echelon_add, echelon_det, int_rank_independent  # noqa: F401
 from .sdm import SearchConfig, candidate_set, leading
 
 METHOD_SDM = "sdm"
@@ -38,17 +38,21 @@ METHOD_FALLBACK = "mmse-identity-fallback"
 SPHERE_ROW_LIMIT = 2**20
 # sphere size, in canonical points, that the exhaustive design starts from
 SPHERE_START_POINTS = 256
+# ranked rows greedy converts to Python ints at a time; a scan reads few
+GREEDY_BLOCK = 32
 
 
 @dataclass(frozen=True)
 class IfDesign:
-    """A designed receiver: integer rows, projection, rates, and how we got it."""
+    """A designed receiver: integer rows, projection, rates, and how we got
+    it. ``det`` is det A, exact, from greedy's echelon (1 for the fallback)."""
 
     a: np.ndarray
     b: np.ndarray
     report: RateReport
     success: bool
     method: str
+    det: int
 
 
 def _row_f(a: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -65,34 +69,42 @@ def greedy_full_rank(ranked: np.ndarray, memo: dict | None = None) -> np.ndarray
     """Earliest exactly-independent L rows of an f-ranked integer array, as
     an (L, L) array, or None when the rows cannot reach full rank.
 
-    With a ``memo`` (a form's), the scan keeps there the rows it read, its
-    picks and its echelon, and the next scan resumes after the longest
-    prefix of its rows that equals the kept rows: greedy's state after a
-    prefix depends on that prefix alone, so the rows picked are the same.
+    Rows are read as Python ints in blocks of GREEDY_BLOCK, as the scan
+    reaches them. The scan keeps in ``memo`` (a form's, when given) the
+    rows it read, its picks, its echelon and the factors ``echelon_add``
+    returned, from which ``echelon_det`` reads det A. The next scan resumes
+    after the longest prefix of its rows that equals the kept rows:
+    greedy's state after a prefix depends on that prefix alone, so the rows
+    picked are the same.
     """
     if ranked.dtype.kind not in "iu":
         raise InvalidInputError(f"candidate rows must be integers, got dtype {ranked.dtype}")
-    l = ranked.shape[1]
-    rows = ranked.tolist()
+    count, l = ranked.shape
     memo = {} if memo is None else memo
-    start, echelon, chosen = 0, [], []
+    rows, start, echelon, factors, chosen = [], 0, [], [], []
     if "greedy" in memo:
-        seen, picks, kept = memo["greedy"]
-        for row, old in zip(rows, seen):
-            if row != old:
+        seen, picks, kept, kept_factors = memo["greedy"]
+        while start < min(len(seen), count):
+            if start == len(rows):
+                rows += ranked[start:start + GREEDY_BLOCK].tolist()
+            if rows[start] != seen[start]:
                 break
             start += 1
         restored = bisect.bisect_left(picks, start)
-        chosen, echelon = picks[:restored], kept[:restored]
+        chosen, echelon, factors = picks[:restored], kept[:restored], kept_factors[:restored]
         if restored == l:
             return ranked[chosen]
-    for i in range(start, len(rows)):
-        if echelon_add(echelon, rows[i]):
+    for i in range(start, count):
+        if i == len(rows):
+            rows += ranked[i:i + GREEDY_BLOCK].tolist()
+        factor = echelon_add(echelon, rows[i])
+        if factor:
             chosen.append(i)
+            factors.append(factor)
             if len(chosen) == l:
-                memo["greedy"] = rows[:i + 1], chosen, echelon
+                memo["greedy"] = rows[:i + 1], chosen, echelon, factors
                 return ranked[chosen]
-    memo["greedy"] = rows, chosen, echelon
+    memo["greedy"] = rows, chosen, echelon, factors
     return None
 
 
@@ -149,7 +161,7 @@ def sphere_candidates(q: np.ndarray, g: np.ndarray, m: int, radius: float) -> np
     return pts[leading(pts) > 0]
 
 
-def _exhaustive_rows(q: np.ndarray, m: int) -> np.ndarray | None:
+def _exhaustive_rows(q: np.ndarray, m: int, memo: dict) -> np.ndarray | None:
     """Greedy rows over the in-box points of a sphere: the same rows as
     greedy over the whole box.
 
@@ -157,7 +169,9 @@ def _exhaustive_rows(q: np.ndarray, m: int) -> np.ndarray | None:
     design, so greedy's rows lie within the cap. Where the cap's sphere
     would hold more than about SPHERE_START_POINTS points, the radius
     starts lower and grows until greedy's rows all lie within it. Q is
-    factored once, for the start radius and every sphere.
+    factored once, for the start radius and every sphere. Each sphere's
+    greedy resumes from the last one's through ``memo``, which ends with
+    the scan that gave the rows.
     """
     l = q.shape[0]
     g = _lower_factor(q)
@@ -168,7 +182,7 @@ def _exhaustive_rows(q: np.ndarray, m: int) -> np.ndarray | None:
                      + np.log(g.diagonal()).sum()) - math.log(math.pi)
     radius = min(cap, math.exp(log_r))
     while True:
-        a = greedy_full_rank(rank_candidates(sphere_candidates(q, g, m, radius), q))
+        a = greedy_full_rank(rank_candidates(sphere_candidates(q, g, m, radius), q), memo)
         if radius >= cap or (a is not None and _row_f(a, q).max() <= radius):
             return a
         # about twice the points per step
@@ -182,20 +196,27 @@ def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesig
         raise InvalidInputError(f"unknown method {method!r}")
     qform = compute_q(ch)
     if method == METHOD_SDM:
-        a = greedy_full_rank(rank_candidates(candidate_set(qform, cfg), qform.q), qform.memo)
+        memo = qform.memo
+        a = greedy_full_rank(rank_candidates(candidate_set(qform, cfg), qform.q), memo)
     else:
-        a = _exhaustive_rows(qform.q, cfg.bound_m)
+        memo = {}
+        a = _exhaustive_rows(qform.q, cfg.bound_m, memo)
     if a is None:
         a = np.eye(ch.l, dtype=np.int64)
         tag, success = METHOD_FALLBACK, False
     else:
         tag, success = method, True
-    # the projection and rates depend on the channel and A alone, so the
-    # designs of one realization that agree on A share them
+    # the projection, rates and det depend on A (and the channel) alone, so
+    # the designs of one realization that agree on A share them
     key = ("design", a.tobytes())
     if key not in ch.memo:
         b = optimal_projection(a, ch)
         b.setflags(write=False)
-        ch.memo[key] = b, total_rate(rates_from_q(a, qform))
-    b, report = ch.memo[key]
-    return IfDesign(a=a, b=b, report=report, success=success, method=tag)
+        if success:
+            _, _, echelon, factors = memo["greedy"]
+            det = echelon_det(echelon, factors)
+        else:
+            det = 1
+        ch.memo[key] = b, total_rate(rates_from_q(a, qform)), det
+    b, report, det = ch.memo[key]
+    return IfDesign(a=a, b=b, report=report, success=success, method=tag, det=det)

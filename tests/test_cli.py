@@ -8,7 +8,7 @@ from xml.sax.saxutils import escape
 import pytest
 
 import ifrx.chart
-import ifrx.harness
+import ifrx.cli
 from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
 from ifrx.cli import MAX_GRID_POINTS, build_parser, main, parse_value_list
 from ifrx.errors import ParseError
@@ -266,12 +266,18 @@ def test_simulate_negative_prime_exits_1(tmp_path, capsys):
 
 
 def test_simulate_prime_0_disables_the_check(tmp_path, capsys, monkeypatch):
-    checks = []
-    monkeypatch.setattr(ifrx.harness, "_invertible_mod_p", lambda *args: checks.append(args))
-    out_csv = tmp_path / "x.csv"
-    assert main(["simulate", "--l", "3", "--trials", "2", "--lines", "1", "--snr-db", "10",
-                 "--methods", "if-sdm", "--prime", "0", "--out", str(out_csv)]) == 0
-    assert out_csv.exists() and checks == []
+    # the aggregate CSV has no column for the mod-p flag, so the prime moves no byte
+    configs, inner = [], ifrx.cli.run_sweep
+    monkeypatch.setattr(ifrx.cli, "run_sweep", lambda cfg, *args: configs.append(cfg)
+                        or inner(cfg, *args))
+    texts = []
+    for prime in ("0", "257"):
+        out_csv = tmp_path / f"x{prime}.csv"
+        assert main(["simulate", "--l", "3", "--trials", "2", "--lines", "1", "--snr-db", "10",
+                     "--methods", "if-sdm", "--prime", prime, "--out", str(out_csv)]) == 0
+        texts.append(out_csv.read_bytes())
+    assert configs[0].prime_field is None and configs[1].prime_field.p == 257
+    assert texts[0] == texts[1]
     capsys.readouterr()
 
 

@@ -9,20 +9,26 @@ import ifrx.harness
 import ifrx.ifcore
 import ifrx.sdm
 from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
-from ifrx.errors import ConvergenceError, InvalidInputError, SingularMatrixError
+from ifrx.errors import ConvergenceError, IfrxError, InvalidInputError, SingularMatrixError
 from ifrx.fieldrec import PrimeField
 from ifrx.harness import (
     Aggregate,
     ExperimentConfig,
     TrialRecord,
-    _invertible_mod_p,
     draw_trial,
     run_sweep,
     run_trial,
     write_csv,
 )
 from ifrx.ifcore import mmse_rates, zf_rates
-from ifrx.select import METHOD_EXHAUSTIVE, METHOD_FALLBACK, METHOD_SDM, design_if
+from ifrx.linalg import echelon_det, int_rank_independent
+from ifrx.select import (
+    METHOD_EXHAUSTIVE,
+    METHOD_FALLBACK,
+    METHOD_SDM,
+    design_if,
+    greedy_full_rank,
+)
 from ifrx.sdm import SearchConfig
 from oracles import bareiss_det, round_trip_invertible
 
@@ -53,6 +59,11 @@ def test_config_validation():
         small_cfg(snr_db_grid=())
     with pytest.raises(InvalidInputError):
         small_cfg(prime_p=15)
+    # prime_p is read by the integer rule too; these raised a raw TypeError
+    for value in (257.0, "257"):
+        with pytest.raises(InvalidInputError, match="^prime_p must be an integer"):
+            small_cfg(prime_p=value)
+    assert type(small_cfg(prime_p=np.int64(257)).prime_p) is int
     # a repeated method would file both copies' records under one key
     with pytest.raises(InvalidInputError, match="'if-sdm' is repeated"):
         small_cfg(methods=("if-sdm", "mmse", "if-sdm"))
@@ -192,8 +203,23 @@ def test_run_sweep_rejects_bad_input():
 
 @pytest.mark.parametrize("sweep", ["lines_j", "bound_m"])
 def test_run_sweep_rejects_non_integer_values(sweep):
-    with pytest.raises(InvalidInputError, match="integers"):
+    with pytest.raises(InvalidInputError, match=f"^{sweep} value must be an integer, got 1.5"):
         run_sweep(small_cfg(methods=("mmse",)), sweep, [1, 1.5])
+
+
+@pytest.mark.parametrize("sweep", ["lines_j", "bound_m"])
+def test_run_sweep_reads_values_by_the_integer_rule(sweep):
+    # values are read by the rule of the config's integer fields: 1.0 ran
+    # and was written as "1.0", True as "True", and 10**400 overflowed float()
+    cfg = small_cfg(l=4, lines_j=1, trials=1, methods=("if-sdm",))
+    with pytest.raises(InvalidInputError, match="must be an integer, got 1.0"):
+        run_sweep(cfg, sweep, [1.0])
+    aggs = run_sweep(cfg, sweep, [True, np.int64(2)])
+    assert [type(a.sweep_value) for a in aggs] == [int, int]
+    assert [a.sweep_value for a in aggs] == [1, 2]
+    assert repr(aggs[0]) == repr(run_sweep(cfg, sweep, [1])[0])
+    with pytest.raises(IfrxError):
+        run_sweep(cfg, sweep, [10**400])
 
 
 def test_write_csv_empty_and_single(tmp_path):
@@ -317,50 +343,35 @@ def test_run_sweep_matches_cell_major_reference(monkeypatch, l, sweep, values, g
     cfg = small_cfg(l=l, snr_db_grid=grid, trials=3, bound_m=2, lines_j=l - 1,
                     master_seed=20261018 + l, methods=methods, prime_p=prime)
     ref = reference_run_sweep(cfg, sweep, values)
-    # the trial drawn last; (trial, A) of every design; one entry per flag computed
-    trial, designed, flagged = [], set(), []
-    inner_draw, inner_design = ifrx.harness.draw_trial, ifrx.harness.design_if
-    inner_flag = ifrx.harness._invertible_mod_p
 
-    def drawing(c, t, cells):
-        trial.append(t)
-        return inner_draw(c, t, cells)
-
-    def designing(ch, c, tag):
-        design = inner_design(ch, c, tag)
-        designed.add((trial[-1], design.a.tobytes()))
-        return design
-    monkeypatch.setattr(ifrx.harness, "draw_trial", drawing)
-    monkeypatch.setattr(ifrx.harness, "design_if", designing)
-    monkeypatch.setattr(ifrx.harness, "_invertible_mod_p",
-                        lambda a, f: flagged.append(1) or inner_flag(a, f))
+    def no_elimination(*args):
+        raise AssertionError("the run path eliminated A over F_p")
+    # the flag is det A mod p from greedy's echelon: no F_p elimination runs
+    monkeypatch.setattr(ifrx.harness, "recover_messages", no_elimination)
     got = run_sweep(cfg, sweep, values)
     # repr tells -0.0 from 0.0, so this is bit identity of every field
     assert repr(got) == repr(ref)
-    # the cells of a draw share one flag per distinct A
-    assert len(flagged) == (len(designed) if prime is not None else 0)
 
 
-def test_round_trip_memo_lives_in_its_draw_and_matches_a_fresh_check():
+def test_mod_p_flags_of_a_shared_draw_match_a_round_trip():
     # p = 2 makes some designs singular mod p, so both flags are kept
     cfg = small_cfg(l=5, snr_db_grid=(0.0, 20.0), trials=6, bound_m=2, lines_j=1, prime_p=2,
                     methods=("if-sdm", "if-exhaustive"))
     cells = [(snr, replace(cfg, lines_j=j)) for j in (1, 2, 3, 4) for snr in cfg.snr_db_grid]
-    memos, flags, hits = [], set(), 0
+    flags = set()
     for t in range(cfg.trials):
         draw = draw_trial(cfg, t, cells)
         for snr, sub in cells:
-            # a cell drawn on its own starts with an empty memo
-            assert run_trial(sub, snr, t, draw) == run_trial(sub, snr, t)
-        for (a, p), flag in draw.modp_flags.items():
-            a = np.frombuffer(a, dtype=np.int64).reshape(cfg.l, cfg.l)
-            assert p == 2 and flag == round_trip_invertible(a, cfg.prime_field, random.Random(t))
-            flags.add(flag)
-        hits += 2 * len(cells) - len(draw.modp_flags)
-        assert draw_trial(cfg, t, cells).modp_flags == {}
-        memos.append(draw.modp_flags)
-    assert len({id(memo) for memo in memos}) == len(memos)
-    assert flags == {False, True} and hits > 0
+            records = run_trial(sub, snr, t, draw)
+            # a cell drawn on its own gets the same records
+            assert records == run_trial(sub, snr, t)
+            ch = draw.channel(snr)
+            for rec, tag in zip(records, (METHOD_SDM, METHOD_EXHAUSTIVE)):
+                a = design_if(ch, SearchConfig(sub.bound_m, sub.lines_j), tag).a
+                expected = round_trip_invertible(a, cfg.prime_field, random.Random(t))
+                assert rec.modp_invertible == expected
+                flags.add(expected)
+    assert flags == {False, True}
 
 
 @pytest.mark.parametrize("p", [2, 3, 257, 2**64 - 59])
@@ -370,23 +381,40 @@ def test_the_mod_p_flag_matches_a_round_trip_and_the_determinant(p):
     flags = []
     for i in range(150):
         l = gen.randint(2, 8)
-        a = np.array([[gen.randint(-3, 3) for _ in range(l)] for _ in range(l)], dtype=np.int64)
-        if i % 5 == 0:
-            # singular over the rationals, so over every F_p
-            a[-1] = a[0] + gen.randint(-2, 2) * a[1]
-            if p < 1000 and i % 10 == 0:
-                # singular mod p only
+        while True:
+            a = np.array([[gen.randint(-3, 3) for _ in range(l)] for _ in range(l)],
+                         dtype=np.int64)
+            if i % 10 == 0 and p < 1000:
+                # singular mod p only: a rationally singular A, one entry moved by p
+                a[-1] = a[0] + gen.randint(-2, 2) * a[1]
                 a[-1, gen.randrange(l)] += p
-        flag = _invertible_mod_p(a, field)
-        assert flag == round_trip_invertible(a, field, gen) == (bareiss_det(a.tolist()) % p != 0)
+            elif i % 10 == 0:
+                # det of the leading block is 2^64 - (2^64 - p) = p
+                a[:2, :2] = [[2**32, 1], [2**64 - p, 2**32]]
+                a[:2, 2:] = a[2:, :2] = 0
+            # rationally singular A is covered by test_fieldrec
+            if greedy_full_rank(a) is not None:
+                break
+        # greedy over A's own rows of full rank picks them all, in order
+        memo = {}
+        assert greedy_full_rank(a, memo).tolist() == a.tolist()
+        _, _, echelon, factors = memo["greedy"]
+        det = echelon_det(echelon, factors)
+        assert det == bareiss_det(a.tolist())
+        flag = det % p != 0
+        assert flag == round_trip_invertible(a, field, gen)
         flags.append(flag)
     assert set(flags) == {False, True}
 
 
 def test_the_mod_p_flag_rejects_a_non_integer_matrix():
+    # the flag is read from greedy's echelon, whose inputs are integers only:
     # a truncating cast read [[0.5, 0], [0, 1]] as singular
+    bad = [[0.5, 0], [0, 1]]
+    with pytest.raises(InvalidInputError, match="must be integers"):
+        greedy_full_rank(np.array(bad))
     with pytest.raises(InvalidInputError, match="must hold integers"):
-        _invertible_mod_p(np.array([[0.5, 0], [0, 1]]), PrimeField(257))
+        int_rank_independent(bad)
 
 
 def test_lines_sweep_draws_and_decomposes_each_channel_once(monkeypatch):

@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -15,7 +17,7 @@ from ifrx.ifcore import (
     rate_from_q,
     total_rate,
 )
-from ifrx.linalg import int_rank_independent
+from ifrx.linalg import echelon_det, int_rank_independent
 from ifrx.sdm import SearchConfig, candidate_set, leading
 from ifrx.select import design_if, greedy_full_rank, rank_candidates, sphere_candidates
 from oracles import as_tuples, bareiss_det, make_qform
@@ -229,10 +231,12 @@ def test_resumed_greedy_equals_a_fresh_scan(l):
             qform = compute_q(ch)
             for cfg in sweep:
                 ranked = rank_candidates(candidate_set(qform, cfg), qform.q)
-                fresh = greedy_full_rank(ranked)
+                fresh_memo = {}
+                fresh = greedy_full_rank(ranked, fresh_memo)
                 kept = qform.memo.get("greedy")
                 if kept is not None:
-                    seen, picks, _ = kept
+                    seen, picks, echelon, factors = kept
+                    assert len(picks) == len(echelon) == len(factors)
                     prefix = ranked.tolist()[:len(seen)] == seen
                     restores_full_rank += prefix and len(picks) == l
                     resumes_after_fallback += len(picks) < l
@@ -240,7 +244,83 @@ def test_resumed_greedy_equals_a_fresh_scan(l):
                 assert design.success == (fresh is not None)
                 if fresh is not None:
                     assert design.a.tolist() == fresh.tolist()
+                    # the resumed scan's echelon gives the fresh scan's det
+                    resumed = echelon_det(*qform.memo["greedy"][2:])
+                    assert resumed == echelon_det(*fresh_memo["greedy"][2:]) == design.det
     assert restores_full_rank and resumes_after_fallback, (restores_full_rank, resumes_after_fallback)
+
+
+def test_greedy_reads_only_the_rows_it_scans():
+    # the first L rows are independent, so a scan reads one block of the
+    # 200,000 and the memo keeps the rows read, not a copy of the array
+    l = 8
+    ranked = np.random.RandomState(5).randint(-3, 4, size=(200_000, l)).astype(np.int64)
+    ranked[:l] = np.eye(l, dtype=np.int64)[::-1] + np.tri(l, k=-1, dtype=np.int64)
+    memo = {}
+    tracemalloc.start()
+    try:
+        got = greedy_full_rank(ranked, memo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == ranked[:l].tolist()
+    assert peak < 1_000_000, peak
+    assert memo["greedy"][0] == ranked[:l].tolist()
+    # a resumed scan reads no further than the kept rows it compares
+    tracemalloc.start()
+    try:
+        assert greedy_full_rank(ranked, memo).tolist() == got.tolist()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+def fraction_det(a) -> int:
+    """det A by Gaussian elimination over the rationals."""
+    m = [[Fraction(int(x)) for x in row] for row in a]
+    n, result = len(m), Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            result = -result
+        result *= m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] / m[col][col]
+            m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    assert result.denominator == 1
+    return int(result)
+
+
+def test_design_det_equals_a_rational_determinant():
+    # fresh and resumed SDM designs (J = 1 falls back at L = 8), and
+    # exhaustive designs at L <= 8, over seeded channels and powers
+    seen = {"fresh": 0, "resumed": 0, "exhaustive": 0, "fallback": 0}
+    dets = set()
+    for l in (4, 5, 8):
+        for t in range(4):
+            h = sample_channel(derive_trial_rng(71, t), l)
+            for power in (1.0, 100.0, 10.0**4):
+                ch = ChannelRealization(h=h, power=power)
+                for j in range(1, l):
+                    design = design_if(ch, SearchConfig(bound_m=2, lines_j=j), "sdm")
+                    kind = "resumed" if j > 1 else "fresh"
+                    if not design.success:
+                        kind = "fallback"
+                        assert design.a.tolist() == np.eye(l, dtype=int).tolist()
+                    assert design.det == fraction_det(design.a) != 0
+                    seen[kind] += 1
+                    dets.add(design.det)
+                design = design_if(ch, SearchConfig(bound_m=2, lines_j=1), "exhaustive")
+                assert design.success and design.det == fraction_det(design.a)
+                seen["exhaustive"] += 1
+                dets.add(design.det)
+    assert all(seen.values()), seen
+    # both signs, and a design that is not unimodular
+    assert min(dets) < 0 < max(dets) and max(map(abs, dets)) > 1, dets
 
 
 def test_greedy_on_exhaustive_identity_q():

@@ -51,10 +51,8 @@ def test_every_round_trip_is_traced_through_the_harness_bindings(monkeypatch):
 
     designs = called_from_a_trial("select.design_if")
     assert designs == 2 * 3 * 2 * 2
-    # the cells of a draw share one mod-p elimination per distinct A, and a
-    # harness that bypassed its own bindings would leave the fieldrec metrics
-    # at zero; no messages are combined
-    flags = called_from_a_trial("fieldrec.recover_messages")
-    assert 0 < flags <= designs
+    # the mod-p flag is det A mod p from greedy's echelon: no F_p elimination
+    # runs and no messages are combined, in a trial or anywhere else
+    assert called_from_a_trial("fieldrec.recover_messages") == 0
     assert called_from_a_trial("fieldrec.combine_messages") == 0
-    assert sum(s.name.startswith("fieldrec.") for s in spans) == flags
+    assert sum(s.name.startswith("fieldrec.") for s in spans) == 0
