@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IfrxError, InvalidInputError, ParseError, unwrap
-from .linalg import as_square_matrix, det
+from .linalg import as_square_matrix, det, real_value
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -22,39 +22,21 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> 31)
 
 
-class RngState:
-    """splitmix64 stream (Steele, Lea & Flood 2014) of uint64 words.
-
-    Identical seeds give identical streams. Single-owner: do not share
-    one instance across concurrent tasks.
-    """
-
-    def __init__(self, seed: int):
-        self._state = int(seed) & MASK64
-
-    def next_u64s(self, n: int) -> np.ndarray:
-        """The next ``n`` words of the stream as a uint64 array."""
-        if n < 0:
-            raise InvalidInputError("n must be >= 0")
-        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(self._state)
-        self._state = (self._state + n * _GOLDEN) & MASK64
-        return _mix64(z)
+def _words(master_seed: int, trial_index: int, n: int) -> np.ndarray:
+    """Words 1..n of trial ``trial_index`` as a uint64 array: word k is
+    splitmix64's ``mix64(s + k gamma)`` mod 2^64 (Steele, Lea & Flood
+    2014) with ``s = master_seed ^ mix64(trial_index gamma)``, a pure
+    function of (seed, trial index, k), so trials are order-free."""
+    s = _mix64(np.array([(int(trial_index) * _GOLDEN) & MASK64], dtype=np.uint64))
+    s ^= np.uint64(int(master_seed) & MASK64)
+    return _mix64(np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + s)
 
 
-def derive_trial_rng(master_seed: int, trial_index: int) -> RngState:
-    """Decorrelated per-trial stream from (master seed, trial index).
+def sample_channel(master_seed: int, trial_index: int, l: int) -> np.ndarray:
+    """Draw trial ``trial_index``'s l x l matrix of i.i.d. standard normal
+    entries, row-major.
 
-    The derivation is order-free: trial k gets the same stream whether
-    trials run serially, shuffled, or concurrently.
-    """
-    mixed = int(_mix64(np.array([(int(trial_index) * _GOLDEN) & MASK64], dtype=np.uint64))[0])
-    return RngState((int(master_seed) ^ mixed) & MASK64)
-
-
-def sample_channel(rng: RngState, l: int) -> np.ndarray:
-    """Draw an l x l matrix of i.i.d. standard normal entries, row-major.
-
-    Box-Muller on pairs of stream words, each made the uniform
+    Box-Muller on pairs of the trial's words, each made the uniform
     ``((w >> 11) + 1) 2^-53`` in (0, 1]; a pair gives the cosine entry,
     then the sine entry, and an odd last sine is dropped. The log stays
     ``math.log``: numpy's differs in the last bit on some inputs.
@@ -63,7 +45,7 @@ def sample_channel(rng: RngState, l: int) -> np.ndarray:
         raise InvalidInputError("l must be >= 1")
     n = l * l
     # (w >> 11) + 1 <= 2^53, so the uniforms are exact in float64
-    u = (((rng.next_u64s(n + n % 2) >> 11) + 1) * 2.0 ** -53).tolist()
+    u = (((_words(master_seed, trial_index, n + n % 2) >> 11) + 1) * 2.0 ** -53).tolist()
     h = []
     for u1, u2 in zip(u[::2], u[1::2]):
         r = math.sqrt(-2.0 * math.log(u1))
@@ -91,7 +73,7 @@ class ChannelRealization:
         h = as_square_matrix(self.h, "h")
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "power", float(self.power))
+        object.__setattr__(self, "power", real_value(self.power, "power"))
         if not 0 < self.power < math.inf:
             raise InvalidInputError("power must be positive and finite")
 

@@ -2,7 +2,7 @@
 
 One trial draws a single channel shared by every requested method, so the
 per-method curves differ only through the receivers, never the noise of
-the draw. Per-trial RNG streams are derived from (master_seed, trial
+the draw. A trial's channel is a pure function of (master_seed, trial
 index), which makes aggregates independent of execution order. A sweep
 draws each trial index once and runs every (sweep value, SNR point) cell
 of it on that draw: the channel's Q, its eigenbasis and, per bound M, one
@@ -17,24 +17,18 @@ runs and no messages are drawn.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (
-    ChannelRealization,
-    capacity,
-    derive_trial_rng,
-    prepare_capacity,
-    sample_channel,
-)
+from .channel import ChannelRealization, capacity, prepare_capacity, sample_channel
 from .errors import IfrxError, InvalidInputError, unwrap
 # combine_messages and recover_messages stay bound here although the harness
 # no longer calls them: benchmarks/spans.py wraps these bindings, and a zero
 # count beats a missing one
 from .fieldrec import PrimeField, combine_messages, recover_messages  # noqa: F401
 from .ifcore import mmse_rates, prepare_inverses, zf_rates
-from .linalg import int_value
+from .linalg import int_value, real_value
 from .select import METHOD_EXHAUSTIVE, METHOD_FALLBACK, METHOD_SDM, design_if
 from .sdm import SearchConfig, prepare_lines
 
@@ -63,13 +57,17 @@ class ExperimentConfig:
     master_seed: int
     methods: tuple[str, ...] = ("if-sdm", "mmse", "zf", "capacity")
     prime_p: int | None = DEFAULT_PRIME
-    # built from prime_p once per config, not once per cell
-    prime_field: PrimeField | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("l", "trials", "bound_m", "lines_j", "master_seed"):
             object.__setattr__(self, name, int_value(getattr(self, name), name))
-        object.__setattr__(self, "snr_db_grid", tuple(float(s) for s in self.snr_db_grid))
+        try:
+            grid = None if isinstance(self.snr_db_grid, (str, bytes)) else tuple(self.snr_db_grid)
+        except TypeError:
+            grid = None
+        if grid is None:
+            raise InvalidInputError("snr_db_grid must be a sequence of SNR points")
+        object.__setattr__(self, "snr_db_grid", tuple(real_value(s, "snr_db_grid entry") for s in grid))
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.l < 2:
             raise InvalidInputError("l must be >= 2")
@@ -92,7 +90,7 @@ class ExperimentConfig:
                 raise InvalidInputError(f"method {method!r} is repeated")
         if self.prime_p is not None:
             object.__setattr__(self, "prime_p", int_value(self.prime_p, "prime_p"))
-            object.__setattr__(self, "prime_field", PrimeField(self.prime_p))
+            PrimeField(self.prime_p)  # validates the prime
 
 
 @dataclass(frozen=True)
@@ -156,11 +154,11 @@ class TrialDraw:
 
 
 def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> TrialDraw:
-    """Draw trial ``trial_index``'s channel from its own seeded stream and
+    """Draw trial ``trial_index``'s channel from its seeded words and
     compute what ``cells``, (SNR point, config) pairs, will read of it.
     The configs may differ in J and M only; by default the cells are
     ``cfg`` at each SNR point of its grid."""
-    h = sample_channel(derive_trial_rng(cfg.master_seed, trial_index), cfg.l)
+    h = sample_channel(cfg.master_seed, trial_index, cfg.l)
     cells = [(snr, cfg) for snr in cfg.snr_db_grid] if cells is None else list(cells)
     realizations = {}
     for snr_db, _ in cells:
@@ -202,8 +200,8 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
         if method in ("if-sdm", "if-exhaustive"):
             tag = METHOD_SDM if method == "if-sdm" else METHOD_EXHAUSTIVE
             design = design_if(ch, SearchConfig(cfg.bound_m, cfg.lines_j), tag)
-            if cfg.prime_field is not None:
-                modp = design.det % cfg.prime_field.p != 0
+            if cfg.prime_p is not None:
+                modp = design.det % cfg.prime_p != 0
             rate_min, rate_sum = design.report.total, design.report.sum_form
             success, fallback = design.success, design.method == METHOD_FALLBACK
         elif method == "mmse":
@@ -266,7 +264,8 @@ def run_sweep(cfg: ExperimentConfig, sweep: str, values) -> list[Aggregate]:
     cells = []  # (value, snr, config) in output order
     for value in values:
         if sweep == "snr":
-            cells.append((value, float(value), cfg))
+            value = real_value(value, f"{sweep} value")
+            cells.append((value, value, cfg))
             continue
         value = int_value(value, f"{sweep} value")
         sub = replace(cfg, **{sweep: value})

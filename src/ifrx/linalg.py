@@ -2,35 +2,50 @@
 
 Everything here is sized for the small matrices this package handles
 (L <= 32): a LAPACK symmetric eigensolver with canonical signs, Gaussian
-elimination with partial pivoting for inverses and determinants, the one
-reader of exact integer input, and an exact fraction-free integer echelon
-step on plain lists for rank decisions that must not hinge on float
-thresholds, with the exact determinant a full echelon yields.
+elimination with partial pivoting for inverses and determinants, the
+readers of exact integer and of real input, and an exact fraction-free
+integer echelon step on plain lists for rank decisions that must not
+hinge on float thresholds, with the exact determinant a full echelon
+yields.
 
 The three float kernels take an (S, n, n) stack of independent slices
 and give a list of per-slice results. Every slice gets the bytes it would
 get in a stack of one, and a slice that fails does not stop the others:
-its IfrxError takes its place in the list.
+a stack that raises is redone one slice at a time, and each failing
+slice's IfrxError takes its place in the list.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError, SingularMatrixError
+from .errors import ConvergenceError, IfrxError, InvalidInputError, SingularMatrixError
 
 SYMMETRY_RTOL = 1e-12
 PIVOT_RTOL = 1e-12
 
 
 def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Validate and return a finite square 2-D float array."""
-    arr = np.array(m, dtype=float)
+    """Validate and return a finite square 2-D float array of real
+    entries, each read by the rule of ``real_value``: a string, ``None``
+    or complex entry, or a ragged matrix, raises InvalidInputError."""
+    try:
+        arr = np.array(m)
+    except ValueError:
+        raise InvalidInputError(f"{name} must be a rectangular array") from None
+    if arr.dtype.kind == "O":
+        # entries numpy keeps as objects: None, fractions, ints beyond 64 bits
+        arr = np.array([real_value(x, f"{name} entry") for x in arr.flat]).reshape(arr.shape)
+    elif arr.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidInputError(f"{name} must be square, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -50,28 +65,41 @@ class EigenBasis:
     vectors: np.ndarray
 
 
-def _square_stack(m, name: str) -> tuple[np.ndarray, list]:
-    """``m`` as an (S, n, n) float copy and each slice's error so far. A
-    slice with a non-finite entry gets an InvalidInputError and becomes
-    the identity, so that the stacked work on it is harmless and warns of
-    nothing."""
-    stack = np.array(m, dtype=float)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise InvalidInputError(f"{name} must be an (S, n, n) stack, got shape {stack.shape}")
-    errors = [None] * len(stack)
-    if not np.isfinite(stack).all():
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        for s in np.flatnonzero(~finite).tolist():
-            errors[s] = InvalidInputError(f"{name} contains non-finite entries")
-        stack[~finite] = np.eye(stack.shape[1])
-    return stack, errors
+def _by_slice(name: str):
+    """Decorate ``kernel``, plain numerics on a finite float (S, n, n)
+    stack that raise an IfrxError when any slice fails. The decorated
+    kernel reads its argument, ``name`` in errors, as such a stack and runs
+    it whole; if that raises, each slice runs again alone, as a stack of
+    one, and a failing slice's error takes its place in the list."""
+    def wrap(kernel):
+        def run(stack):
+            if not np.isfinite(stack).all():
+                raise InvalidInputError(f"{name} contains non-finite entries")
+            return kernel(stack)
+
+        @functools.wraps(kernel)
+        def stacked(m) -> list:
+            stack = np.array(m, dtype=float)
+            if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+                raise InvalidInputError(f"{name} must be an (S, n, n) stack, got shape {stack.shape}")
+            try:
+                return list(run(stack))
+            except IfrxError:
+                pass
+            # redone outside the except block, so no kept error chains to another's
+            results = []
+            for s in range(len(stack)):
+                try:
+                    results.append(run(stack[s:s + 1])[0])
+                except IfrxError as exc:
+                    # a memo holding the error keeps no kernel frames alive
+                    results.append(exc.with_traceback(None))
+            return results
+        return stacked
+    return wrap
 
 
-def _unstack(values, errors: list) -> list:
-    """A stack's list of results, each slice's error in place of its result."""
-    return [v if e is None else e for v, e in zip(values, errors)]
-
-
+@_by_slice("q")
 def sym_eigen(q) -> list:
     """Eigendecompose a stack of symmetric matrices with LAPACK
     (``np.linalg.eigh``).
@@ -81,56 +109,35 @@ def sym_eigen(q) -> list:
     the eigenvalues in ascending order. Deterministic: the same slice
     always yields the same basis, in any stack.
     """
-    a, errors = _square_stack(q, "q")
-    count, n = a.shape[:2]
-    if (a != a.swapaxes(1, 2)).any():
+    count, n = q.shape[:2]
+    if (q != q.swapaxes(1, 2)).any():
         # an exactly symmetric slice passes; the others are measured one by one
-        for s in range(count):
-            asym = a[s] - a[s].T
-            norm = float(np.linalg.norm(a[s]))
-            if asym.any() and float(np.linalg.norm(asym)) > SYMMETRY_RTOL * norm:
-                errors[s] = InvalidInputError("q is not symmetric within tolerance")
-                a[s] = np.eye(n)
-    sym = 0.5 * (a + a.swapaxes(1, 2))
+        for s in q:
+            if np.linalg.norm(s - s.T) > SYMMETRY_RTOL * np.linalg.norm(s):
+                raise InvalidInputError("q is not symmetric within tolerance")
     try:
-        values, vectors = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError:
-        # find the slices LAPACK fails on by redoing them one at a time
-        values, vectors = np.zeros((count, n)), np.zeros_like(sym)
-        for s in range(count):
-            try:
-                values[s], vectors[s] = np.linalg.eigh(sym[s])
-            except np.linalg.LinAlgError as exc:
-                errors[s] = ConvergenceError(f"eigh did not converge: {exc}")
-                errors[s].__cause__ = exc
-                vectors[s] = np.eye(n)
+        values, vectors = np.linalg.eigh(0.5 * (q + q.swapaxes(1, 2)))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh did not converge: {exc}") from exc.with_traceback(None)
     # sign rule: largest-|coord| entry positive, argmax takes the lowest index on ties
     peak = np.abs(vectors).argmax(axis=1)
     top = vectors[np.arange(count)[:, None], peak, np.arange(n)]
     vectors *= np.where(top < 0, -1.0, 1.0)[:, None, :]
-    bases = [EigenBasis(values=v, vectors=w) for v, w in zip(values, vectors)]
-    return _unstack(bases, errors)
+    return [EigenBasis(values=v, vectors=w) for v, w in zip(values, vectors)]
 
 
+@_by_slice("m")
 def solve_inverse(m) -> list:
     """Invert a stack of square matrices by Gauss-Jordan with partial
     pivoting. Each slice has its own pivots and threshold, and the update
     skips rows whose factor is zero, so signed zeros come out as a row
     loop leaves them."""
-    a, errors = _square_stack(m, "m")
-    count, n = a.shape[:2]
-    scale = np.abs(a).max(axis=(1, 2), initial=0.0)
-    if np.count_nonzero(scale) < count:
-        for s in np.flatnonzero(scale == 0.0).tolist():
-            errors[s] = errors[s] or SingularMatrixError("matrix is zero")
-    eye = np.eye(n)
-    aug = np.concatenate([a, np.broadcast_to(eye, a.shape)], axis=2)
-    if any(errors):
-        # a failed slice becomes [I | I], which every step leaves alone
-        failed = np.array([e is not None for e in errors])
-        aug[failed] = np.hstack([eye, eye])
-        scale[failed] = 1.0
+    count, n = m.shape[:2]
+    scale = np.abs(m).max(axis=(1, 2), initial=0.0)
+    if not scale.all():
+        raise SingularMatrixError("matrix is zero")
     floor = PIVOT_RTOL * scale
+    aug = np.concatenate([m, np.broadcast_to(np.eye(n), m.shape)], axis=2)
     at = np.arange(count)
     for col in range(n):
         piv = col + np.abs(aug[:, col:, col]).argmax(axis=1)
@@ -138,12 +145,8 @@ def solve_inverse(m) -> list:
         top = aug[:, col].copy()
         aug[:, col] = aug[at, piv]
         aug[at, piv] = top
-        low = np.abs(aug[:, col, col]) < floor
-        if np.count_nonzero(low):
-            for s in np.flatnonzero(low).tolist():
-                errors[s] = SingularMatrixError(f"pivot below threshold at column {col}")
-            aug[low] = np.hstack([eye, eye])
-            floor[low] = PIVOT_RTOL
+        if (np.abs(aug[:, col, col]) < floor).any():
+            raise SingularMatrixError(f"pivot below threshold at column {col}")
         np.divide(aug[:, col], aug[:, col, col, None], out=aug[:, col])
         # eliminate the column from every other row with a nonzero entry
         # there; skipping zero factors keeps signed zeros as a row loop would
@@ -151,13 +154,14 @@ def solve_inverse(m) -> list:
         factors[:, col] = 0.0
         update = factors[:, :, None] * aug[:, col, None, :]
         np.subtract(aug, update, out=aug, where=(factors != 0.0)[:, :, None])
-    return _unstack(aug[:, :, n:], errors)
+    return aug[:, :, n:]
 
 
+@_by_slice("m")
 def det(m) -> list:
     """Determinant of each matrix of a stack via elimination with partial
     pivoting, sign tracked."""
-    a, errors = _square_stack(m, "m")
+    a = m.copy()  # the stack is read again if a slice fails
     count, n = a.shape[:2]
     result = np.ones(count)
     pivots = np.empty((count, n), dtype=np.intp)
@@ -170,8 +174,9 @@ def det(m) -> list:
         a[:, col] = a[at, piv]
         a[at, piv] = top
         if np.count_nonzero(a[:, col, col]) < count:
-            # an exact zero pivot makes the determinant 0; the slice is
-            # done and becomes the identity for the remaining steps
+            # an exact zero pivot makes the determinant 0, a result and
+            # not an error; the slice becomes the identity for the
+            # remaining steps
             hit = a[:, col, col] == 0.0
             zero |= hit
             a[hit] = np.eye(n)
@@ -183,7 +188,7 @@ def det(m) -> list:
     swaps = (pivots != np.arange(n)).sum(axis=1)
     values = np.where(swaps % 2 == 1, -1.0, 1.0) * result
     values[zero] = 0.0
-    return _unstack(values, errors)
+    return values
 
 
 def echelon_add(echelon: list, v: list) -> tuple[int, int] | None:
@@ -233,6 +238,19 @@ def int_value(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+
+
+def real_value(value, what: str) -> float:
+    """``value`` as a Python float, by the rule real input is read with: a
+    Python or numpy real (``bool`` too, as ``int_value`` reads it) is
+    accepted; ``str``, ``bytes``, ``None``, complex values and reals beyond
+    the float range raise InvalidInputError."""
+    if isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InvalidInputError(f"{what} must be a real number, got {value!r}")
 
 
 def int_rows(m, what: str) -> list[list[int]]:

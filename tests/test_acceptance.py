@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
+from ifrx.channel import ChannelRealization, sample_channel
 from ifrx.cli import main
 from ifrx.errors import NotInvertibleModPError
 from ifrx.fieldrec import PrimeField, combine_messages, recover_messages
@@ -29,7 +29,7 @@ def report(number, label, ok, detail=""):
 
 
 def seeded_channel(seed, trial, l, power):
-    h = sample_channel(derive_trial_rng(seed, trial), l)
+    h = sample_channel(seed, trial, l)
     return ChannelRealization(h=h, power=power)
 
 

@@ -1,16 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ifrx.channel import (
-    ChannelRealization,
-    RngState,
-    capacity,
-    derive_trial_rng,
-    parse_matrix_text,
-    sample_channel,
-)
+from ifrx.channel import ChannelRealization, _words, capacity, parse_matrix_text, sample_channel
 from ifrx.errors import InvalidInputError, ParseError
 
 
@@ -26,8 +20,8 @@ def reference_mix(z):
 
 class ScalarStream:
     """splitmix64 one word at a time in Python ints, with Box-Muller
-    caching its sine as a spare for the next call: the reference for
-    ``RngState.next_u64s`` and ``sample_channel``."""
+    caching its sine as a spare for the next call: the reference for a
+    trial's words and ``sample_channel``."""
 
     def __init__(self, seed):
         self.state = int(seed) & MASK64
@@ -54,60 +48,52 @@ def reference_trial_stream(master_seed, trial_index):
     return ScalarStream(master_seed ^ reference_mix((trial_index * GOLDEN) & MASK64))
 
 
+def seed_at_the_top(trial_index):
+    """The master seed whose trial ``trial_index`` starts its counter at
+    2^64 - 1, so that every word's counter wraps past 2^64."""
+    return MASK64 ^ reference_mix((trial_index * GOLDEN) & MASK64)
+
+
 def test_same_seed_same_stream():
-    a = derive_trial_rng(42, 0)
-    b = derive_trial_rng(42, 0)
-    assert a.next_u64s(10).tolist() == b.next_u64s(10).tolist()
-    assert a._state == b._state
-    assert np.array_equal(sample_channel(a, 3), sample_channel(b, 3))
+    assert _words(42, 0, 10).tolist() == _words(42, 0, 10).tolist()
+    assert np.array_equal(sample_channel(42, 0, 3), sample_channel(42, 0, 3))
 
 
 def test_distinct_trials_distinct_streams():
-    a = derive_trial_rng(42, 0)
-    b = derive_trial_rng(42, 1)
-    assert a._state != b._state
-    assert a.next_u64s(1)[0] != b.next_u64s(1)[0]
+    assert _words(42, 0, 1)[0] != _words(42, 1, 1)[0]
+    assert not np.array_equal(sample_channel(42, 0, 3), sample_channel(42, 1, 3))
 
 
 @pytest.mark.parametrize("n", [0, 1, 32, 1000])
 def test_next_u64s_continues_the_stream_like_single_draws(n):
-    batched, single = derive_trial_rng(42, 3), reference_trial_stream(42, 3)
-    assert batched._state == single.state
-    # 25 normal entries take 26 words; the reference keeps the last sine
-    # as a spare, which its word draws skip
-    sample_channel(batched, 5)
-    for _ in range(25):
-        single.next_gaussian()
-    words = batched.next_u64s(n)
+    # word k of a trial is the stream's k-th single draw: after a 5 x 5
+    # channel's 26 words (the reference keeps the last sine as a spare,
+    # which its word draws skip) the counter goes on as the stream does
+    single = reference_trial_stream(42, 3)
+    assert sample_channel(42, 3, 5).ravel().tolist() == [single.next_gaussian() for _ in range(25)]
+    words = _words(42, 3, 26 + n)[26:]
     assert words.dtype == np.uint64 and words.shape == (n,)
     assert words.tolist() == [single.next_u64() for _ in range(n)]
-    assert batched._state == single.state
-    # the state wraps mod 2^64 as the scalar stream does
-    top, top_single = RngState(2**64 - 1), ScalarStream(2**64 - 1)
-    assert top.next_u64s(n).tolist() == [top_single.next_u64() for _ in range(n)]
-    assert top._state == top_single.state
-    with pytest.raises(InvalidInputError):
-        top.next_u64s(-1)
+    # the counter wraps mod 2^64 as the scalar stream does
+    top, top_single = _words(seed_at_the_top(9), 9, n), ScalarStream(MASK64)
+    assert top.tolist() == [top_single.next_u64() for _ in range(n)]
 
 
 def test_sample_channel_matches_the_scalar_reference():
     for l in range(1, 17):
         # odd l * l leaves the reference a spare sine, which is dropped
-        for seed in [*range(300), 2**64 - 1]:
-            cases = [(derive_trial_rng(seed, l), reference_trial_stream(seed, l))]
-            if seed == 2**64 - 1:
-                cases.append((RngState(seed), ScalarStream(seed)))
-            for rng, ref in cases:
-                h = sample_channel(rng, l)
-                expected = [ref.next_gaussian() for _ in range(l * l)]
-                assert h.shape == (l, l) and h.dtype == np.float64
-                assert h.ravel().tolist() == expected, (l, seed)
-                assert rng._state == ref.state, (l, seed)
+        cases = [(seed, l) for seed in [*range(300), 2**64 - 1, seed_at_the_top(l)]]
+        for seed, trial in cases + [(2**64 - 1, 2**64 - 1)]:
+            ref = reference_trial_stream(seed, trial)
+            h = sample_channel(seed, trial, l)
+            expected = [ref.next_gaussian() for _ in range(l * l)]
+            assert h.shape == (l, l) and h.dtype == np.float64
+            assert h.ravel().tolist() == expected, (l, seed, trial)
 
 
 def test_trial_stream_is_pinned():
-    # exact words and entries of the stream; changing them moves every seeded CSV
-    assert derive_trial_rng(42, 3).next_u64s(4).tolist() == [
+    # exact words and entries of a trial; changing them moves every seeded CSV
+    assert _words(42, 3, 4).tolist() == [
         962144556405080021, 17939881129334414147, 3674771360076380311, 16749200793999783175,
     ]
     pinned = {
@@ -129,16 +115,16 @@ def test_trial_stream_is_pinned():
         (2**64 - 1, 7, 1): ["0.497966157711714"],
     }
     for (seed, trial, l), entries in pinned.items():
-        h = sample_channel(derive_trial_rng(seed, trial), l)
+        h = sample_channel(seed, trial, l)
         assert [repr(x) for x in h.ravel().tolist()] == entries
 
 
 def test_trial_rng_is_order_free():
-    # deriving other trials in between must not change trial 5's stream
-    first = sample_channel(derive_trial_rng(7, 5), 3)
+    # drawing other trials in between must not change trial 5's channel
+    first = sample_channel(7, 5, 3)
     for idx in (2, 9, 0):
-        sample_channel(derive_trial_rng(7, idx), 3)
-    again = sample_channel(derive_trial_rng(7, 5), 3)
+        sample_channel(7, idx, 3)
+    again = sample_channel(7, 5, 3)
     assert np.array_equal(first, again)
 
 
@@ -147,7 +133,7 @@ def test_sample_channel_moments():
     acc = np.zeros((4, 4))
     acc2 = np.zeros((4, 4))
     for t in rng_seeds:
-        h = sample_channel(derive_trial_rng(20260810, t), 4)
+        h = sample_channel(20260810, t, 4)
         acc += h
         acc2 += h * h
     n = len(rng_seeds)
@@ -158,16 +144,16 @@ def test_sample_channel_moments():
 
 
 def test_sample_channel_scalar_deterministic():
-    vals = {sample_channel(derive_trial_rng(3, 3), 1)[0, 0] for _ in range(5)}
+    vals = {sample_channel(3, 3, 1)[0, 0] for _ in range(5)}
     assert len(vals) == 1
 
 
 def test_sample_channel_shape_and_finite():
-    h = sample_channel(derive_trial_rng(1, 1), 8)
+    h = sample_channel(1, 1, 8)
     assert h.shape == (8, 8)
     assert np.all(np.isfinite(h))
     with pytest.raises(InvalidInputError):
-        sample_channel(derive_trial_rng(1, 1), 0)
+        sample_channel(1, 1, 0)
 
 
 def test_capacity_examples():
@@ -194,6 +180,24 @@ def test_channel_realization_validation():
             ChannelRealization(h=np.eye(2), power=power)
     with pytest.raises(InvalidInputError):
         ChannelRealization(h=np.ones((2, 3)), power=1.0)
+
+
+def test_channel_realization_reads_real_input_only():
+    # each raised a raw ValueError or TypeError, or a complex h silently
+    # lost its imaginary part
+    for power in ("abc", None, b"4", 2j):
+        with pytest.raises(InvalidInputError, match="^power must be a real number"):
+            ChannelRealization(h=np.eye(2), power=power)
+    for h in ("abc", [[1.0, 0.0], [1.0]], [[1.0, "a"], [0.0, 1.0]], [[1.0, None], [0.0, 1.0]],
+              [[1.0 + 1j, 0.0], [0.0, 1.0]], np.eye(2, dtype=complex)):
+        with pytest.raises(InvalidInputError):
+            ChannelRealization(h=h, power=1.0)
+    for power in (np.float32(4.0), np.int64(4), 4, True):
+        ch = ChannelRealization(h=np.eye(2), power=power)
+        assert type(ch.power) is float and ch.power == float(power)
+    for h in ([[True, False], [False, True]], np.eye(2, dtype=np.int8),
+              [[Fraction(1), 0], [0, 2**70]]):
+        assert ChannelRealization(h=h, power=1.0).h.dtype == np.float64
 
 
 def test_channel_realization_h_is_read_only_copy():

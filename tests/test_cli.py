@@ -9,7 +9,7 @@ import pytest
 
 import ifrx.chart
 import ifrx.cli
-from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
+from ifrx.channel import ChannelRealization, sample_channel
 from ifrx.cli import MAX_GRID_POINTS, build_parser, main, parse_value_list
 from ifrx.errors import ParseError
 from ifrx.sdm import SearchConfig
@@ -169,7 +169,7 @@ def find_fallback_channel():
     # scan seeded channels for one where the J=1 candidate line cannot
     # reach full rank, so the CLI takes the fallback exit path
     for t in range(500):
-        h = sample_channel(derive_trial_rng(404, t), 8)
+        h = sample_channel(404, t, 8)
         ch = ChannelRealization(h=h, power=100.0)
         design = design_if(ch, SearchConfig(bound_m=1, lines_j=1), "sdm")
         if design.method == METHOD_FALLBACK:
@@ -276,7 +276,7 @@ def test_simulate_prime_0_disables_the_check(tmp_path, capsys, monkeypatch):
         assert main(["simulate", "--l", "3", "--trials", "2", "--lines", "1", "--snr-db", "10",
                      "--methods", "if-sdm", "--prime", prime, "--out", str(out_csv)]) == 0
         texts.append(out_csv.read_bytes())
-    assert configs[0].prime_field is None and configs[1].prime_field.p == 257
+    assert configs[0].prime_p is None and configs[1].prime_p == 257
     assert texts[0] == texts[1]
     capsys.readouterr()
 

@@ -100,7 +100,7 @@ def test_a_draw_stacked_over_snr_points_matches_the_pins(monkeypatch, pins, kind
     import ifrx.harness
     from ifrx.harness import ExperimentConfig, draw_trial
 
-    monkeypatch.setattr(ifrx.harness, "sample_channel", lambda rng, size: CHANNELS[kind](size))
+    monkeypatch.setattr(ifrx.harness, "sample_channel", lambda seed, trial, size: CHANNELS[kind](size))
     cfg = ExperimentConfig(l=l, snr_db_grid=SNR_DB, trials=1, bound_m=BOUND_M, lines_j=l - 1,
                            master_seed=1, methods=("if-sdm", "mmse"))
     draw = draw_trial(cfg, 0)

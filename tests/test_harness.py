@@ -8,7 +8,7 @@ import pytest
 import ifrx.harness
 import ifrx.ifcore
 import ifrx.sdm
-from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
+from ifrx.channel import ChannelRealization, sample_channel
 from ifrx.errors import ConvergenceError, IfrxError, InvalidInputError, SingularMatrixError
 from ifrx.fieldrec import PrimeField
 from ifrx.harness import (
@@ -222,6 +222,28 @@ def test_run_sweep_reads_values_by_the_integer_rule(sweep):
         run_sweep(cfg, sweep, [10**400])
 
 
+def test_snr_points_are_read_by_the_real_rule():
+    # "abc" and None raised a raw ValueError or TypeError, a bare 5.0 a
+    # TypeError, a complex point lost its imaginary part, and b"10" ran as
+    # the points 49.0 and 48.0
+    for grid in (("abc",), (None,), (b"10",), (1j,), (10.0 + 0j,)):
+        with pytest.raises(InvalidInputError, match="^snr_db_grid entry must be a real number"):
+            small_cfg(snr_db_grid=grid)
+    for grid in (5.0, None, b"10", "10"):
+        with pytest.raises(InvalidInputError, match="^snr_db_grid must be a sequence"):
+            small_cfg(snr_db_grid=grid)
+    cfg = small_cfg(snr_db_grid=(np.float32(10.0), np.int64(20), True, 30))
+    assert cfg.snr_db_grid == (10.0, 20.0, 1.0, 30.0)
+    assert all(type(s) is float for s in cfg.snr_db_grid)
+    cfg = small_cfg(l=4, lines_j=1, trials=1, methods=("mmse",))
+    for value in ("abc", None, "10", 10j):
+        with pytest.raises(InvalidInputError, match="^snr value must be a real number"):
+            run_sweep(cfg, "snr", [value])
+    aggs = run_sweep(cfg, "snr", [np.float64(10.0), 20])
+    assert [(a.sweep_value, a.snr_db) for a in aggs] == [(10.0, 10.0), (20.0, 20.0)]
+    assert all(type(a.sweep_value) is float for a in aggs)
+
+
 def test_write_csv_empty_and_single(tmp_path):
     path = tmp_path / "aggregates.csv"
     write_csv([], path)
@@ -260,10 +282,10 @@ def test_write_csv_deterministic(tmp_path):
 
 
 def reference_run_trial(cfg, snr_db, trial_index):
-    """One trial on a fresh stream, channel and realization: run_trial as
-    it was before sweeps shared a draw between cells."""
-    rng = derive_trial_rng(cfg.master_seed, trial_index)
-    ch = ChannelRealization(h=sample_channel(rng, cfg.l), power=10.0 ** (snr_db / 10.0))
+    """One trial on a fresh channel and realization: run_trial as it was
+    before sweeps shared a draw between cells."""
+    h = sample_channel(cfg.master_seed, trial_index, cfg.l)
+    ch = ChannelRealization(h=h, power=10.0 ** (snr_db / 10.0))
     field = PrimeField(cfg.prime_p) if cfg.prime_p is not None else None
     records = []
     for method in cfg.methods:
@@ -358,7 +380,7 @@ def test_mod_p_flags_of_a_shared_draw_match_a_round_trip():
     cfg = small_cfg(l=5, snr_db_grid=(0.0, 20.0), trials=6, bound_m=2, lines_j=1, prime_p=2,
                     methods=("if-sdm", "if-exhaustive"))
     cells = [(snr, replace(cfg, lines_j=j)) for j in (1, 2, 3, 4) for snr in cfg.snr_db_grid]
-    flags = set()
+    field, flags = PrimeField(cfg.prime_p), set()
     for t in range(cfg.trials):
         draw = draw_trial(cfg, t, cells)
         for snr, sub in cells:
@@ -368,7 +390,7 @@ def test_mod_p_flags_of_a_shared_draw_match_a_round_trip():
             ch = draw.channel(snr)
             for rec, tag in zip(records, (METHOD_SDM, METHOD_EXHAUSTIVE)):
                 a = design_if(ch, SearchConfig(sub.bound_m, sub.lines_j), tag).a
-                expected = round_trip_invertible(a, cfg.prime_field, random.Random(t))
+                expected = round_trip_invertible(a, field, random.Random(t))
                 assert rec.modp_invertible == expected
                 flags.add(expected)
     assert flags == {False, True}
@@ -468,7 +490,7 @@ def test_singular_zf_is_flagged_at_every_snr_point(monkeypatch):
     calls = []
     inner = ifrx.ifcore.solve_inverse
     monkeypatch.setattr(ifrx.ifcore, "solve_inverse", lambda m: calls.append(1) or inner(m))
-    monkeypatch.setattr(ifrx.harness, "sample_channel", lambda rng, l: np.ones((l, l)))
+    monkeypatch.setattr(ifrx.harness, "sample_channel", lambda seed, trial, l: np.ones((l, l)))
     cfg = small_cfg(l=4, trials=2, methods=("zf", "mmse"), prime_p=None)
     aggs = run_sweep(cfg, "snr", [0.0, 10.0, 20.0])
     zf = [a for a in aggs if a.method == "zf"]
@@ -479,7 +501,7 @@ def test_singular_zf_is_flagged_at_every_snr_point(monkeypatch):
 
 def test_prime_field_is_built_once_per_config(monkeypatch):
     cfg = small_cfg(trials=2)
-    assert cfg.prime_field == PrimeField(257)
+    assert cfg.prime_p == 257
 
     def no_field(p):
         raise AssertionError("a cell built its own prime field")
@@ -489,8 +511,8 @@ def test_prime_field_is_built_once_per_config(monkeypatch):
     assert run_sweep(cfg, "snr", [0.0, 10.0])
 
 
-def rank_deficient(rng, l):
-    h = sample_channel(rng, l)
+def rank_deficient(seed, trial, l):
+    h = sample_channel(seed, trial, l)
     h[-1] = 2.0 * h[0]
     return h
 
@@ -505,15 +527,15 @@ def test_a_failed_eigensolve_raises_only_in_its_own_cell(monkeypatch):
     calls = []
 
     def fails_at_10_db(a):
-        calls.append(np.ndim(a))
+        calls.append(len(a))
         if any(np.array_equal(s, target) for s in np.reshape(a, (-1, 4, 4))):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return inner(a)
 
     monkeypatch.setattr(np.linalg, "eigh", fails_at_10_db)
     draw = draw_trial(cfg, 0)
-    # one stacked call, then each of the three slices alone
-    assert calls == [3, 2, 2, 2]
+    # one stacked call, then each of the three slices alone, as a stack of one
+    assert calls == [3, 1, 1, 1]
     for snr in (0.0, 20.0):
         assert run_trial(cfg, snr, 0, draw) == expected[snr]
     with pytest.raises(ConvergenceError, match="^eigh did not converge: Eigenvalues"):
@@ -549,7 +571,7 @@ def test_zf_and_capacity_at_120_db_never_form_a_whitener(monkeypatch):
     # one stack per draw, holding the ZF Gram matrix H^T H alone
     assert len(stacks) == cfg.trials
     for t, stack in enumerate(stacks):
-        h = rank_deficient(derive_trial_rng(cfg.master_seed, t), cfg.l)
+        h = rank_deficient(cfg.master_seed, t, cfg.l)
         assert stack.shape == (1, 4, 4) and np.array_equal(stack[0], h.T @ h)
     # a method that reads the whitener raises from it
     with pytest.raises(SingularMatrixError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ifrx.channel import ChannelRealization, capacity, derive_trial_rng, sample_channel
+from ifrx.channel import ChannelRealization, capacity, sample_channel
 from ifrx.errors import IfrxError, InvalidInputError, SingularMatrixError
 from ifrx.ifcore import (
     QForm,
@@ -237,7 +237,7 @@ def test_every_method_at_200_db_gives_finite_rates_or_a_typed_error():
     # a^T Q a and Q_mm can come out <= 0
     raised = 0
     for t in range(50):
-        ch = ChannelRealization(h=sample_channel(derive_trial_rng(7, t), 4), power=1e20)
+        ch = ChannelRealization(h=sample_channel(7, t, 4), power=1e20)
         for run in (lambda: design_if(ch, SearchConfig(2, 3), "sdm").report,
                     lambda: design_if(ch, SearchConfig(2, 3), "exhaustive").report,
                     lambda: mmse_rates(ch), lambda: zf_rates(ch)):

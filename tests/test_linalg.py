@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
+from ifrx.channel import ChannelRealization, sample_channel
 from ifrx.errors import ConvergenceError, InvalidInputError, SingularMatrixError, unwrap
 from ifrx.ifcore import compute_q
 from ifrx.linalg import PIVOT_RTOL, det, int_rank_independent, int_rows, solve_inverse, sym_eigen
@@ -201,7 +201,7 @@ def test_sym_eigen_maps_lapack_failure_to_convergence_error(monkeypatch):
 def test_sym_eigen_on_100db_q():
     # 16 of these 40 forms made the earlier Jacobi solver exhaust its sweeps
     for t in range(40):
-        h = sample_channel(derive_trial_rng(2024, t), 4)
+        h = sample_channel(2024, t, 4)
         q = compute_q(ChannelRealization(h=h, power=1e10)).q
         basis = alone(sym_eigen)(q)
         norm = np.linalg.norm(q)
@@ -383,9 +383,47 @@ def test_sym_eigen_redoes_a_failed_stack_one_slice_at_a_time(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fails_on_bad)
     good = np.diag([3.0, 1.0, 2.0])
     got = sym_eigen(np.array([good, bad, good]))
-    assert calls == [(3, 3, 3), (3, 3), (3, 3), (3, 3)]
+    assert calls == [(3, 3, 3), (1, 3, 3), (1, 3, 3), (1, 3, 3)]
     assert isinstance(got[1], ConvergenceError)
     assert str(got[1]) == "eigh did not converge: Eigenvalues did not converge"
     assert isinstance(got[1].__cause__, np.linalg.LinAlgError)
     for basis in (got[0], got[2]):
         assert basis.vectors.tobytes() == sym_eigen(good[None])[0].vectors.tobytes()
+
+
+def test_a_kept_error_holds_no_other_slice_and_no_frames(monkeypatch):
+    good = np.array([[2.0, 1.0], [1.0, 3.0]])
+    lapack_fails = np.diag([5.0, 7.0])
+    inner = np.linalg.eigh
+
+    def fails_on_one_slice(a):
+        if any(np.array_equal(s, lapack_fails) for s in np.reshape(a, (-1, 2, 2))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return inner(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", fails_on_one_slice)
+    failing = {
+        solve_inverse: (np.zeros((2, 2)), np.ones((2, 2)), SingularMatrixError, SingularMatrixError),
+        det: (np.full((2, 2), np.nan), np.full((2, 2), np.inf), InvalidInputError, InvalidInputError),
+        sym_eigen: (lapack_fails, np.array([[1.0, 2.0], [0.0, 1.0]]), ConvergenceError,
+                    InvalidInputError),
+    }
+    for kernel, (first, second, *kinds) in failing.items():
+        stack = np.array([good, first, good, second, good])
+        before = stack.copy()
+        got = kernel(stack)
+        assert [type(got[1]), type(got[3])] == kinds
+        # the caller's stack is unchanged, and each healthy slice is as alone
+        assert stack.tobytes() == before.tobytes()
+        for s in (0, 2, 4):
+            assert stacked_outcome(got[s]) == stacked_outcome(kernel(good[None])[0])
+        for s in (1, 3):
+            err = got[s]
+            assert err.__traceback__ is None
+            # a LAPACK failure chains to its own LinAlgError, frames cleared;
+            # no error chains to another slice's
+            cause = err.__cause__
+            assert err.__context__ is cause
+            if cause is not None:
+                assert isinstance(err, ConvergenceError)
+                assert cause.__traceback__ is None and cause.__context__ is None

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ifrx import select
-from ifrx.channel import ChannelRealization, derive_trial_rng, sample_channel
+from ifrx.channel import ChannelRealization, sample_channel
 from ifrx.errors import InstanceTooLargeError, InvalidInputError, SingularMatrixError
 from ifrx.harness import ExperimentConfig, run_sweep
 from ifrx.ifcore import (
@@ -71,7 +71,7 @@ def test_candidate_arrays_are_distinct_sorted_canonical_in_box(source, l, m, j):
     if source == "box":
         arrays = [exhaustive_candidates(l, m)]
     else:
-        arrays = [candidate_set(compute_q(ChannelRealization(h=sample_channel(derive_trial_rng(9, t), l),
+        arrays = [candidate_set(compute_q(ChannelRealization(h=sample_channel(9, t, l),
                                                              power=100.0)),
                                 SearchConfig(bound_m=m, lines_j=j)) for t in range(10)]
     for arr in arrays:
@@ -187,7 +187,7 @@ def test_greedy_matches_gram_bareiss_reference(monkeypatch):
 
     monkeypatch.setattr(select, "greedy_full_rank", capture)
     for t in range(6):
-        ch = ChannelRealization(h=sample_channel(derive_trial_rng(61, t), 8), power=100.0)
+        ch = ChannelRealization(h=sample_channel(61, t, 8), power=100.0)
         for j in range(1, 8):
             design_if(ch, SearchConfig(bound_m=2, lines_j=j), "sdm")
     monkeypatch.undo()
@@ -227,7 +227,7 @@ def test_resumed_greedy_equals_a_fresh_scan(l):
              + [SearchConfig(bound_m=m, lines_j=l // 2) for m in (1, 2, 3, 1)])
     for t in range(6):
         for power in (1.0, 100.0):
-            ch = ChannelRealization(h=sample_channel(derive_trial_rng(63, t), l), power=power)
+            ch = ChannelRealization(h=sample_channel(63, t, l), power=power)
             qform = compute_q(ch)
             for cfg in sweep:
                 ranked = rank_candidates(candidate_set(qform, cfg), qform.q)
@@ -302,7 +302,7 @@ def test_design_det_equals_a_rational_determinant():
     dets = set()
     for l in (4, 5, 8):
         for t in range(4):
-            h = sample_channel(derive_trial_rng(71, t), l)
+            h = sample_channel(71, t, l)
             for power in (1.0, 100.0, 10.0**4):
                 ch = ChannelRealization(h=h, power=power)
                 for j in range(1, l):
@@ -451,20 +451,20 @@ def small_box_cases():
         for m in range(1, 5):
             if (2 * m + 1) ** l <= 5**6:
                 for t in range(4):
-                    h = sample_channel(derive_trial_rng(700 + l, 10 * m + t), l)
+                    h = sample_channel(700 + l, 10 * m + t, l)
                     yield h, 10.0 ** (10 * t / 10), SearchConfig(m, 1 + t % max(1, l - 1))
 
 
 def l8_cases():
     for t in range(30):
-        yield sample_channel(derive_trial_rng(708, t), 8), 100.0, SearchConfig(2, 4)
+        yield sample_channel(708, t, 8), 100.0, SearchConfig(2, 4)
 
 
 def high_snr_cases():
     for snr in (60, 80, 100):
         for l in (4, 5, 6):
             for t in range(5):
-                yield sample_channel(derive_trial_rng(snr, 10 * l + t), l), 10.0 ** (snr / 10), SearchConfig(2, 2)
+                yield sample_channel(snr, 10 * l + t, l), 10.0 ** (snr / 10), SearchConfig(2, 2)
 
 
 def tie_cases():
@@ -485,7 +485,7 @@ def fallback_cases():
     # one search line often cannot reach full rank
     for t in range(40):
         l = 4 + t % 3
-        yield sample_channel(derive_trial_rng(77, t), l), 100.0, SearchConfig(2, 1)
+        yield sample_channel(77, t, l), 100.0, SearchConfig(2, 1)
 
 
 @pytest.mark.parametrize("cases,min_fallbacks", [(small_box_cases, 0), (l8_cases, 0),
@@ -511,7 +511,7 @@ def test_sphere_grows_from_a_small_start(monkeypatch):
     monkeypatch.setattr(select, "sphere_candidates", counted)
     for t in range(20):
         l = 4 + t % 3
-        check_sphere_against_box(ChannelRealization(h=sample_channel(derive_trial_rng(41, t), l),
+        check_sphere_against_box(ChannelRealization(h=sample_channel(41, t, l),
                                                     power=10.0 ** (t % 4)), SearchConfig(2, 2))
     assert len(calls) >= 60
 
@@ -534,7 +534,7 @@ def test_exhaustive_design_factors_q_once(monkeypatch):
     monkeypatch.setattr(select, "sphere_candidates", counted_sphere)
     designs = 20
     for t in range(designs):
-        ch = ChannelRealization(h=sample_channel(derive_trial_rng(42, t), 8), power=100.0)
+        ch = ChannelRealization(h=sample_channel(42, t, 8), power=100.0)
         assert design_if(ch, SearchConfig(2, 4), "exhaustive").success
     assert calls["factor"] == designs and calls["sphere"] > 2 * designs
 
@@ -551,7 +551,7 @@ def test_sphere_needs_a_positive_definite_q(monkeypatch):
 
 
 def test_sphere_row_limit(monkeypatch):
-    q = compute_q(ChannelRealization(h=sample_channel(derive_trial_rng(3, 0), 6), power=100.0)).q
+    q = compute_q(ChannelRealization(h=sample_channel(3, 0, 6), power=100.0)).q
     g = select._lower_factor(q)
     rows = len(sphere_candidates(q, g, 2, 1.0))
     monkeypatch.setattr(select, "SPHERE_ROW_LIMIT", rows)
@@ -562,7 +562,7 @@ def test_sphere_row_limit(monkeypatch):
 def test_exhaustive_design_at_l12():
     # the box holds 5^12 / 2 rows here, over the box guard
     for t in range(6):
-        ch = ChannelRealization(h=sample_channel(derive_trial_rng(12, t), 12), power=100.0)
+        ch = ChannelRealization(h=sample_channel(12, t, 12), power=100.0)
         q = compute_q(ch).q
         cfg = SearchConfig(bound_m=2, lines_j=4)
         exhaustive = design_if(ch, cfg, "exhaustive")
@@ -586,7 +586,7 @@ def test_exhaustive_design_reads_neither_lines_nor_sdm(monkeypatch):
     monkeypatch.setattr(select, "candidate_set", counted)
     for l in range(4, 9):
         for t in range(4):
-            ch = ChannelRealization(h=sample_channel(derive_trial_rng(11, 10 * l + t), l),
+            ch = ChannelRealization(h=sample_channel(11, 10 * l + t, l),
                                     power=10.0 ** (1 + t % 3))
             first = design_if(ch, SearchConfig(bound_m=2, lines_j=1), "exhaustive")
             for j in range(2, l):
@@ -605,7 +605,7 @@ def test_design_tail_is_shared_by_a_only_within_its_realization():
     for l, cfg in ((3, SearchConfig(bound_m=1, lines_j=2)), (8, SearchConfig(bound_m=2, lines_j=4))):
         crossing = 0
         for t in range(8):
-            h = sample_channel(derive_trial_rng(12, t), l)
+            h = sample_channel(12, t, l)
             chs = [ChannelRealization(h=h, power=10.0 ** (snr / 10)) for snr in (10.0, 20.0, 30.0)]
             tails = {}  # A -> the projection kept for it at each power
             for ch in chs:
