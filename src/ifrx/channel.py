@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IfrxError, InvalidInputError, ParseError, unwrap
-from .linalg import as_square_matrix, det, real_value
+from .linalg import as_square_matrix, det, int_value, real_value
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -27,8 +27,8 @@ def _words(master_seed: int, trial_index: int, n: int) -> np.ndarray:
     splitmix64's ``mix64(s + k gamma)`` mod 2^64 (Steele, Lea & Flood
     2014) with ``s = master_seed ^ mix64(trial_index gamma)``, a pure
     function of (seed, trial index, k), so trials are order-free."""
-    s = _mix64(np.array([(int(trial_index) * _GOLDEN) & MASK64], dtype=np.uint64))
-    s ^= np.uint64(int(master_seed) & MASK64)
+    s = _mix64(np.array([(trial_index * _GOLDEN) & MASK64], dtype=np.uint64))
+    s ^= np.uint64(master_seed & MASK64)
     return _mix64(np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + s)
 
 
@@ -39,8 +39,13 @@ def sample_channel(master_seed: int, trial_index: int, l: int) -> np.ndarray:
     Box-Muller on pairs of the trial's words, each made the uniform
     ``((w >> 11) + 1) 2^-53`` in (0, 1]; a pair gives the cosine entry,
     then the sine entry, and an odd last sine is dropped. The log stays
-    ``math.log``: numpy's differs in the last bit on some inputs.
+    ``math.log``: numpy's differs in the last bit on some inputs. The
+    arguments are integers (``linalg.int_value``); the seed and the trial
+    index are read mod 2^64.
     """
+    master_seed = int_value(master_seed, "master_seed")
+    trial_index = int_value(trial_index, "trial_index")
+    l = int_value(l, "l")
     if l < 1:
         raise InvalidInputError("l must be >= 1")
     n = l * l

@@ -131,40 +131,23 @@ def _realization(h: np.ndarray, snr_db: float) -> ChannelRealization | IfrxError
         return exc
 
 
-@dataclass(frozen=True)
-class TrialDraw:
-    """The channel of one trial index and its realization at each SNR
-    point the draw serves.
+def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> dict:
+    """Trial ``trial_index``'s channel, drawn from its seeded words, as
+    ``{SNR point: realization, or the IfrxError making it raised}`` over
+    the SNR points of ``cells``, (SNR point, config) pairs, in order of
+    first occurrence. The configs may differ in J and M only; by default
+    the cells are ``cfg`` at each SNR point of its grid.
 
-    What the configured methods read is computed when the draw is made, for
-    all SNR points at once: one ``solve_inverse`` stack for the whiteners,
-    the forms Q and the ZF Gram matrix, one ``det`` stack for capacity,
-    and one eigensolve stack and one line pass per bound M for the SDM
-    design. An error of one SNR point is kept and raised only by the cell
-    that reads it.
+    What the configured methods read is computed here for all SNR points
+    at once: one ``solve_inverse`` stack for the whiteners, the forms Q and
+    the ZF Gram matrix, one ``det`` stack for capacity, and one eigensolve
+    stack and one line pass per bound M for the SDM design. An SNR point's
+    error is raised only by the cell that reads it.
     """
-
-    h: np.ndarray
-    realizations: dict[float, ChannelRealization | IfrxError]
-
-    def channel(self, snr_db: float) -> ChannelRealization:
-        if snr_db not in self.realizations:
-            raise InvalidInputError(f"the trial draw holds no SNR point {snr_db:g} dB")
-        return unwrap(self.realizations[snr_db])
-
-
-def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> TrialDraw:
-    """Draw trial ``trial_index``'s channel from its seeded words and
-    compute what ``cells``, (SNR point, config) pairs, will read of it.
-    The configs may differ in J and M only; by default the cells are
-    ``cfg`` at each SNR point of its grid."""
     h = sample_channel(cfg.master_seed, trial_index, cfg.l)
     cells = [(snr, cfg) for snr in cfg.snr_db_grid] if cells is None else list(cells)
-    realizations = {}
-    for snr_db, _ in cells:
-        if snr_db not in realizations:
-            realizations[snr_db] = _realization(h, snr_db)
-    chs = [ch for ch in realizations.values() if not isinstance(ch, IfrxError)]
+    draw = {snr_db: _realization(h, snr_db) for snr_db in dict.fromkeys(snr for snr, _ in cells)}
+    chs = [ch for ch in draw.values() if not isinstance(ch, IfrxError)]
     methods = set(cfg.methods)
     if chs:
         prepare_inverses(chs, whiteners=bool(methods & {"if-sdm", "if-exhaustive", "mmse"}),
@@ -179,11 +162,11 @@ def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> TrialDraw
             lines[sub.bound_m] = max(lines.get(sub.bound_m, 0), sub.lines_j)
         for bound_m, lines_j in lines.items():
             prepare_lines(forms, lines_j, bound_m)
-    return TrialDraw(h, realizations)
+    return draw
 
 
 def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
-              draw: TrialDraw | None = None) -> list[TrialRecord]:
+              draw: dict | None = None) -> list[TrialRecord]:
     """Evaluate every configured method on one shared channel draw.
 
     ``draw`` is the trial index's draw when a sweep shares it between
@@ -192,7 +175,9 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
     """
     if draw is None:
         draw = draw_trial(cfg, trial_index, [(snr_db, cfg)])
-    ch = draw.channel(snr_db)
+    if snr_db not in draw:
+        raise InvalidInputError(f"the trial draw holds no SNR point {snr_db:g} dB")
+    ch = unwrap(draw[snr_db])
 
     records = []
     for method in cfg.methods:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import IfrxError, InvalidInputError, SingularMatrixError, unwrap
-from .linalg import solve_inverse
+from .linalg import as_real_matrix, as_square_matrix, solve_inverse
 
 
 def left_sum(values) -> float:
@@ -33,7 +33,8 @@ def left_sum(values) -> float:
 class QForm:
     """Symmetric quadratic form of a channel at one transmit power.
 
-    ``q`` is a read-only copy of the input, so quantities derived from it
+    ``q`` is a read-only copy of the input, a finite real square matrix
+    (``linalg.as_square_matrix``), so quantities derived from it
     (the eigenbasis and, per bound M, one union of line candidates) can be
     kept in ``memo`` for the life of the form; ``sdm.prepare_lines`` fills
     both for several forms at once. The form holds no reference back to
@@ -44,7 +45,7 @@ class QForm:
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q = np.array(self.q, dtype=float)
+        q = as_square_matrix(self.q, "q")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
@@ -121,8 +122,9 @@ def compute_q(ch: ChannelRealization) -> QForm:
 
 
 def optimal_projection(a, ch: ChannelRealization) -> np.ndarray:
-    """Rate-maximizing projection B = A H^T (H H^T + I/P)^-1 for fixed A."""
-    a_arr = np.asarray(a, dtype=float)
+    """Rate-maximizing projection B = A H^T (H H^T + I/P)^-1 for fixed A,
+    a finite real square matrix (``linalg.as_square_matrix``)."""
+    a_arr = as_square_matrix(a, "coefficient matrix")
     if a_arr.shape != (ch.l, ch.l):
         raise InvalidInputError(f"coefficient matrix must be {ch.l}x{ch.l}, got {a_arr.shape}")
     return a_arr @ ch.h.T @ _read(ch, "whitener")
@@ -137,16 +139,12 @@ def _rate_from_energy(e: float) -> float:
 
 def rates_from_q(a, q: QForm) -> list[float]:
     """Rate (1/2) log2(1 / (a_m^T Q a_m)) of each row a_m of an (n, L)
-    array, with the optimal projection baked in."""
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != q.q.shape[0] or not arr.any(axis=1).all():
+    array of finite reals (``linalg.as_real_matrix``), with the optimal
+    projection baked in."""
+    arr = as_real_matrix(a, "a")
+    if arr.shape[1] != q.q.shape[0] or not arr.any(axis=1).all():
         raise InvalidInputError(f"each a_m must be a nonzero vector of length {q.q.shape[0]}")
     return [_rate_from_energy(float(a_m @ q.q @ a_m)) for a_m in arr]
-
-
-def rate_from_q(a_m, q: QForm) -> float:
-    """Rate (1/2) log2(1 / (a^T Q a)) with the optimal projection baked in."""
-    return rates_from_q([a_m], q)[0]
 
 
 def total_rate(per_stream) -> RateReport:

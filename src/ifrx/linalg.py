@@ -32,10 +32,10 @@ SYMMETRY_RTOL = 1e-12
 PIVOT_RTOL = 1e-12
 
 
-def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Validate and return a finite square 2-D float array of real
-    entries, each read by the rule of ``real_value``: a string, ``None``
-    or complex entry, or a ragged matrix, raises InvalidInputError."""
+def as_real_matrix(m, name: str = "matrix") -> np.ndarray:
+    """Validate and return a finite 2-D float array of real entries, each
+    read by the rule of ``real_value``: a string, ``None``, complex or
+    non-finite entry, or a ragged matrix, raises InvalidInputError."""
     try:
         arr = np.array(m)
     except ValueError:
@@ -46,10 +46,18 @@ def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
     elif arr.dtype.kind not in "biuf":
         raise InvalidInputError(f"{name} must hold real numbers, got dtype {arr.dtype}")
     arr = arr.astype(float, copy=False)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidInputError(f"{name} must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if arr.ndim != 2:
+        raise InvalidInputError(f"{name} must be a 2-D array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
+    return arr
+
+
+def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
+    """``as_real_matrix``, square."""
+    arr = as_real_matrix(m, name)
+    if arr.shape[0] != arr.shape[1]:
+        raise InvalidInputError(f"{name} must be square, got shape {arr.shape}")
     return arr
 
 
@@ -191,16 +199,16 @@ def det(m) -> list:
     return values
 
 
-def echelon_add(echelon: list, v: list) -> tuple[int, int] | None:
-    """One exact step of a row echelon form kept as ``(pivot, row)`` pairs:
-    eliminate the Python-int row ``v`` fraction-free against the kept rows
-    in order (``v <- r[p] * v - v[p] * r``) and keep a nonzero residual over
-    its gcd, pivoted at its first nonzero. Returns None when the residual
-    is zero, else its factor ``(v[pivot], s)``: the residual's pivot entry
-    before the gcd division and the product s of the ``r[p]`` it was scaled
-    by, which ``echelon_det`` reads."""
+def echelon_add(echelon: list, v: list) -> bool:
+    """One exact step of a row echelon form kept as ``(pivot, row, factor)``
+    entries: eliminate the Python-int row ``v`` fraction-free against the
+    kept rows in order (``v <- r[p] * v - v[p] * r``) and keep a nonzero
+    residual over its gcd, pivoted at its first nonzero. Returns False when
+    the residual is zero, else True; the kept factor ``(v[pivot], s)`` is
+    the residual's pivot entry before the gcd division and the product s of
+    the ``r[p]`` it was scaled by, which ``echelon_det`` reads."""
     s = 1
-    for p, r in echelon:
+    for p, r, _ in echelon:
         vp = v[p]
         if vp:
             rp = r[p]
@@ -208,25 +216,25 @@ def echelon_add(echelon: list, v: list) -> tuple[int, int] | None:
             v = [rp * x - vp * y for x, y in zip(v, r)]
     g = math.gcd(*v)
     if not g:
-        return None
+        return False
     pivot = next(k for k, c in enumerate(v) if c)
-    echelon.append((pivot, [c // g for c in v] if g != 1 else v))
-    return v[pivot], s
+    echelon.append((pivot, [c // g for c in v] if g != 1 else v, (v[pivot], s)))
+    return True
 
 
-def echelon_det(echelon: list, factors: list) -> int:
+def echelon_det(echelon: list) -> int:
     """Exact determinant of the square matrix whose rows, added in order by
-    ``echelon_add``, built the full ``echelon`` and returned ``factors``.
+    ``echelon_add``, built the full ``echelon``.
 
     Kept row k is (s_k a_k + a mix of earlier rows) / g_k, zero at every
     earlier pivot, so det A = sign(pivot order) * prod v_k[pivot_k] / prod s_k,
     and the division is exact.
     """
     lead = scale = 1
-    for v_pivot, s in factors:
+    for _, _, (v_pivot, s) in echelon:
         lead *= v_pivot
         scale *= s
-    pivots = [p for p, _ in echelon]
+    pivots = [p for p, _, _ in echelon]
     inversions = sum(p > q for i, p in enumerate(pivots) for q in pivots[i + 1:])
     return (-lead if inversions % 2 else lead) // scale
 

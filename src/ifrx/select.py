@@ -71,19 +71,18 @@ def greedy_full_rank(ranked: np.ndarray, memo: dict | None = None) -> np.ndarray
 
     Rows are read as Python ints in blocks of GREEDY_BLOCK, as the scan
     reaches them. The scan keeps in ``memo`` (a form's, when given) the
-    rows it read, its picks, its echelon and the factors ``echelon_add``
-    returned, from which ``echelon_det`` reads det A. The next scan resumes
-    after the longest prefix of its rows that equals the kept rows:
-    greedy's state after a prefix depends on that prefix alone, so the rows
-    picked are the same.
+    rows it read, its picks and its echelon, from which ``echelon_det``
+    reads det A. The next scan resumes after the longest prefix of its rows
+    that equals the kept rows: greedy's state after a prefix depends on
+    that prefix alone, so the rows picked are the same.
     """
     if ranked.dtype.kind not in "iu":
         raise InvalidInputError(f"candidate rows must be integers, got dtype {ranked.dtype}")
     count, l = ranked.shape
     memo = {} if memo is None else memo
-    rows, start, echelon, factors, chosen = [], 0, [], [], []
+    rows, start, echelon, chosen = [], 0, [], []
     if "greedy" in memo:
-        seen, picks, kept, kept_factors = memo["greedy"]
+        seen, picks, kept = memo["greedy"]
         while start < min(len(seen), count):
             if start == len(rows):
                 rows += ranked[start:start + GREEDY_BLOCK].tolist()
@@ -91,20 +90,18 @@ def greedy_full_rank(ranked: np.ndarray, memo: dict | None = None) -> np.ndarray
                 break
             start += 1
         restored = bisect.bisect_left(picks, start)
-        chosen, echelon, factors = picks[:restored], kept[:restored], kept_factors[:restored]
+        chosen, echelon = picks[:restored], kept[:restored]
         if restored == l:
             return ranked[chosen]
     for i in range(start, count):
         if i == len(rows):
             rows += ranked[i:i + GREEDY_BLOCK].tolist()
-        factor = echelon_add(echelon, rows[i])
-        if factor:
+        if echelon_add(echelon, rows[i]):
             chosen.append(i)
-            factors.append(factor)
             if len(chosen) == l:
-                memo["greedy"] = rows[:i + 1], chosen, echelon, factors
+                memo["greedy"] = rows[:i + 1], chosen, echelon
                 return ranked[chosen]
-    memo["greedy"] = rows, chosen, echelon, factors
+    memo["greedy"] = rows, chosen, echelon
     return None
 
 
@@ -212,11 +209,7 @@ def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesig
     if key not in ch.memo:
         b = optimal_projection(a, ch)
         b.setflags(write=False)
-        if success:
-            _, _, echelon, factors = memo["greedy"]
-            det = echelon_det(echelon, factors)
-        else:
-            det = 1
+        det = echelon_det(memo["greedy"][2]) if success else 1
         ch.memo[key] = b, total_rate(rates_from_q(a, qform)), det
     b, report, det = ch.memo[key]
     return IfDesign(a=a, b=b, report=report, success=success, method=tag, det=det)

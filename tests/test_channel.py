@@ -156,6 +156,18 @@ def test_sample_channel_shape_and_finite():
         sample_channel(1, 1, 0)
 
 
+def test_sample_channel_reads_integer_arguments_only():
+    # a truncating cast read 1.5 as seed 1, 0.9 as trial 0 and "1" as seed
+    # 1, and an l of 2.0 raised a raw TypeError
+    for args in ((1.5, 0, 2), (1, 0.9, 2), ("1", 0, 2), (1, 0, 2.0), (None, 0, 2)):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            sample_channel(*args)
+    # an integer of any type reads as its value, the seed and the trial index mod 2^64
+    expected = sample_channel(7, 5, 3)
+    assert np.array_equal(sample_channel(np.int64(7), np.uint8(5), np.int32(3)), expected)
+    assert np.array_equal(sample_channel(7 - 2**64, 5 + 2**64, 3), expected)
+
+
 def test_capacity_examples():
     assert capacity(ChannelRealization(h=np.eye(2), power=1.0)) == pytest.approx(1.0)
     assert capacity(ChannelRealization(h=np.zeros((3, 3)), power=50.0)) == 0.0

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from ifrx.channel import ChannelRealization
+from ifrx.errors import unwrap
 from ifrx.ifcore import compute_q
 from ifrx.linalg import sym_eigen
 from ifrx.sdm import SearchConfig, candidate_set, line_candidates
@@ -104,7 +105,7 @@ def test_a_draw_stacked_over_snr_points_matches_the_pins(monkeypatch, pins, kind
     cfg = ExperimentConfig(l=l, snr_db_grid=SNR_DB, trials=1, bound_m=BOUND_M, lines_j=l - 1,
                            master_seed=1, methods=("if-sdm", "mmse"))
     draw = draw_trial(cfg, 0)
-    forms = [compute_q(draw.channel(snr)) for snr in SNR_DB]
+    forms = [compute_q(unwrap(draw[snr])) for snr in SNR_DB]
     # one line pass over every (SNR point, line) pair, as the draw makes it
     bases = sym_eigen(np.array([q.q for q in forms]))
     g1 = np.array([b.vectors[:, 0] for b in bases for _ in range(1, l)])
@@ -112,7 +113,7 @@ def test_a_draw_stacked_over_snr_points_matches_the_pins(monkeypatch, pins, kind
     lines = line_candidates(g1, gi, BOUND_M)
     for k, snr in enumerate(SNR_DB):
         pin = pins[f"{kind}/{l}"][str(snr)]
-        ch = draw.channel(snr)
+        ch = unwrap(draw[snr])
         assert rows(design_if(ch, SearchConfig(BOUND_M, l - 1), "sdm").a) == pin["a"]
         assert digest([candidate_set(compute_q(ch), SearchConfig(BOUND_M, l - 1))]) \
             == pin["candidates"]

@@ -37,7 +37,8 @@ PINS = {
                             "--methods", "if-sdm,if-exhaustive,zf,capacity",
                             "--sweep", "bound", "--sweep-values", "1:1:3",
                             "--trials", "4", "--seed", "13"),
-    # L * L odd: the channel takes one stream word more than it uses
+    # L * L odd: the last Box-Muller pair reads one counter word past the
+    # entries and drops its sine
     "snr_l5_prime257": (*_L5, "--trials", "5", "--seed", "14", "--prime", "257"),
     "snr_l5_prime0": (*_L5, "--trials", "5", "--seed", "14", "--prime", "0"),
     # the benchmark's lines sweep flags

@@ -9,7 +9,7 @@ import ifrx.harness
 import ifrx.ifcore
 import ifrx.sdm
 from ifrx.channel import ChannelRealization, sample_channel
-from ifrx.errors import ConvergenceError, IfrxError, InvalidInputError, SingularMatrixError
+from ifrx.errors import ConvergenceError, IfrxError, InvalidInputError, SingularMatrixError, unwrap
 from ifrx.fieldrec import PrimeField
 from ifrx.harness import (
     Aggregate,
@@ -387,7 +387,7 @@ def test_mod_p_flags_of_a_shared_draw_match_a_round_trip():
             records = run_trial(sub, snr, t, draw)
             # a cell drawn on its own gets the same records
             assert records == run_trial(sub, snr, t)
-            ch = draw.channel(snr)
+            ch = unwrap(draw[snr])
             for rec, tag in zip(records, (METHOD_SDM, METHOD_EXHAUSTIVE)):
                 a = design_if(ch, SearchConfig(sub.bound_m, sub.lines_j), tag).a
                 expected = round_trip_invertible(a, field, random.Random(t))
@@ -420,8 +420,7 @@ def test_the_mod_p_flag_matches_a_round_trip_and_the_determinant(p):
         # greedy over A's own rows of full rank picks them all, in order
         memo = {}
         assert greedy_full_rank(a, memo).tolist() == a.tolist()
-        _, _, echelon, factors = memo["greedy"]
-        det = echelon_det(echelon, factors)
+        det = echelon_det(memo["greedy"][2])
         assert det == bareiss_det(a.tolist())
         flag = det % p != 0
         assert flag == round_trip_invertible(a, field, gen)
@@ -468,9 +467,36 @@ def test_a_draw_keeps_one_union_per_bound_covering_its_largest_j():
              for m in (1, 3) for j in range(1, 6) for snr in cfg.snr_db_grid]
     draw = draw_trial(cfg, 0, cells)
     for snr in cfg.snr_db_grid:
-        memo = ifrx.ifcore.compute_q(draw.channel(snr)).memo
+        memo = ifrx.ifcore.compute_q(unwrap(draw[snr])).memo
         assert set(memo) == {"basis", ("union", 1), ("union", 3)}
         assert memo[("union", 1)][2] == memo[("union", 3)][2] == 5
+
+
+def test_run_trial_refuses_a_draw_without_its_snr_point():
+    cfg = small_cfg(snr_db_grid=(10.0, 20.0))
+    draw = draw_trial(cfg, 0, [(10.0, cfg)])
+    with pytest.raises(InvalidInputError, match="^the trial draw holds no SNR point 20 dB$"):
+        run_trial(cfg, 20.0, 0, draw)
+
+
+def test_a_draw_holds_one_realization_per_snr_point_shared_by_its_cells(monkeypatch):
+    calls = []
+    inner = ifrx.sdm.sym_eigen
+    monkeypatch.setattr(ifrx.sdm, "sym_eigen", lambda q: calls.append(len(q)) or inner(q))
+    cfg = small_cfg(l=4, snr_db_grid=(20.0, 0.0), methods=("if-sdm", "mmse"))
+    cells = [(snr, replace(cfg, lines_j=j)) for j in (1, 2, 3) for snr in (20.0, 0.0, 20.0)]
+    draw = draw_trial(cfg, 0, cells)
+    # first-occurrence order, one eigensolve stack of one slice per point
+    assert list(draw) == [20.0, 0.0] and calls == [2]
+    forms = {snr: ifrx.ifcore.compute_q(ch) for snr, ch in draw.items()}
+    records = [run_trial(sub, snr, 0, draw) for snr, sub in cells]
+    # every cell of a point read its one realization and form, and their memos
+    assert calls == [2]
+    assert records == [run_trial(sub, snr, 0) for snr, sub in cells]
+    for snr, ch in draw.items():
+        assert ch.power == 10.0 ** (snr / 10) and ifrx.ifcore.compute_q(ch) is forms[snr]
+        assert any(isinstance(key, tuple) and key[0] == "design" for key in ch.memo)
+        assert "greedy" in forms[snr].memo
 
 
 def test_zf_row_norms_are_computed_once_per_trial_draw(monkeypatch):
@@ -522,7 +548,7 @@ def test_a_failed_eigensolve_raises_only_in_its_own_cell(monkeypatch):
                     methods=("mmse", "if-sdm"))
     expected = {snr: run_trial(cfg, snr, 0) for snr in cfg.snr_db_grid}
     # the form the 10 dB cell decomposes, exactly symmetric, so eigh sees it as is
-    target = ifrx.ifcore.compute_q(draw_trial(cfg, 0).channel(10.0)).q
+    target = ifrx.ifcore.compute_q(unwrap(draw_trial(cfg, 0)[10.0])).q
     inner = np.linalg.eigh
     calls = []
 
@@ -541,8 +567,8 @@ def test_a_failed_eigensolve_raises_only_in_its_own_cell(monkeypatch):
     with pytest.raises(ConvergenceError, match="^eigh did not converge: Eigenvalues"):
         run_trial(cfg, 10.0, 0, draw)
     # the 10 dB MMSE rates read no eigenbasis
-    assert mmse_rates(draw.channel(10.0)) == mmse_rates(
-        ChannelRealization(h=draw.h, power=10.0))
+    assert mmse_rates(unwrap(draw[10.0])) == mmse_rates(
+        ChannelRealization(h=sample_channel(cfg.master_seed, 0, cfg.l), power=10.0))
 
 
 def test_a_singular_whitener_raises_only_in_its_own_cell(monkeypatch):

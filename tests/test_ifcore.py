@@ -11,7 +11,7 @@ from ifrx.ifcore import (
     mmse_rates,
     optimal_projection,
     prepare_inverses,
-    rate_from_q,
+    rates_from_q,
     total_rate,
     zf_rates,
 )
@@ -71,6 +71,24 @@ def test_q_is_computed_once_and_read_only():
     assert not np.array_equal(fake_set, candidate_set(q, cfg))
 
 
+def test_array_inputs_are_finite_real_matrices():
+    # a complex Q lost its imaginary part with a ComplexWarning, strings and
+    # complex rows raised raw errors, and a NaN in A gave NaN rows or a
+    # SingularMatrixError
+    ch = ChannelRealization(h=np.eye(2), power=1.0)
+    q = compute_q(ch)
+    for bad in (np.eye(2) * (1 + 1j), [[np.nan, 0.0], [0.0, 1.0]], np.ones((2, 3))):
+        with pytest.raises(InvalidInputError, match="^q "):
+            QForm(q=bad)
+    for a in ([["a", "b"], ["c", "d"]], [[1j, 1], [0, 1]], [[np.nan, 0.0], [0.0, 1.0]],
+              [[1, 0], [0]]):
+        with pytest.raises(InvalidInputError, match="^coefficient matrix "):
+            optimal_projection(a, ch)
+        with pytest.raises(InvalidInputError, match="^a "):
+            rates_from_q(a, q)
+    assert rates_from_q(np.eye(2, dtype=np.int8), q) == rates_from_q([[1.0, 0.0], [0.0, 1.0]], q)
+
+
 def test_compute_q_zero_channel():
     q = compute_q(ChannelRealization(h=np.zeros((3, 3)), power=10.0))
     assert np.allclose(q.q, np.eye(3), atol=1e-12)
@@ -98,8 +116,7 @@ def test_q_eigenvalues_in_unit_interval():
         assert np.all(eig > 0.0)
         assert np.all(eig <= 1.0 + 1e-12)
         # consequence: unit coefficient vectors never get a negative rate
-        for m in range(l):
-            assert rate_from_q(np.eye(l, dtype=int)[m], q) >= -1e-12
+        assert min(rates_from_q(np.eye(l, dtype=int), q)) >= -1e-12
 
 
 def test_optimal_projection_examples():
@@ -138,10 +155,9 @@ def test_rate_from_ab_examples():
 def test_rate_from_q_examples():
     ch = ChannelRealization(h=np.eye(2), power=1.0)
     q = compute_q(ch)
-    assert rate_from_q([1, 0], q) == pytest.approx(0.5)
-    assert rate_from_q([1, 1], q) == pytest.approx(0.0)
+    assert rates_from_q([[1, 0], [1, 1]], q) == pytest.approx([0.5, 0.0])
     with pytest.raises(InvalidInputError):
-        rate_from_q([0, 0], q)
+        rates_from_q([[0, 0]], q)
 
 
 def test_rate_forms_agree():
@@ -155,8 +171,8 @@ def test_rate_forms_agree():
         while not a.any(axis=1).all():
             a = rng.randint(-3, 4, size=(l, l))
         b = optimal_projection(a, ch)
-        for m in range(l):
-            assert abs(rate_from_ab(a[m], b[m], ch) - rate_from_q(a[m], q)) <= 1e-9
+        for m, rate in enumerate(rates_from_q(a, q)):
+            assert abs(rate_from_ab(a[m], b[m], ch) - rate) <= 1e-9
 
 
 def test_total_rate():

@@ -14,7 +14,7 @@ from ifrx.ifcore import (
     compute_q,
     mmse_rates,
     optimal_projection,
-    rate_from_q,
+    rates_from_q,
     total_rate,
 )
 from ifrx.linalg import echelon_det, int_rank_independent
@@ -235,8 +235,8 @@ def test_resumed_greedy_equals_a_fresh_scan(l):
                 fresh = greedy_full_rank(ranked, fresh_memo)
                 kept = qform.memo.get("greedy")
                 if kept is not None:
-                    seen, picks, echelon, factors = kept
-                    assert len(picks) == len(echelon) == len(factors)
+                    seen, picks, echelon = kept
+                    assert len(picks) == len(echelon)
                     prefix = ranked.tolist()[:len(seen)] == seen
                     restores_full_rank += prefix and len(picks) == l
                     resumes_after_fallback += len(picks) < l
@@ -245,8 +245,8 @@ def test_resumed_greedy_equals_a_fresh_scan(l):
                 if fresh is not None:
                     assert design.a.tolist() == fresh.tolist()
                     # the resumed scan's echelon gives the fresh scan's det
-                    resumed = echelon_det(*qform.memo["greedy"][2:])
-                    assert resumed == echelon_det(*fresh_memo["greedy"][2:]) == design.det
+                    resumed = echelon_det(qform.memo["greedy"][2])
+                    assert resumed == echelon_det(fresh_memo["greedy"][2]) == design.det
     assert restores_full_rank and resumes_after_fallback, (restores_full_rank, resumes_after_fallback)
 
 
@@ -376,7 +376,7 @@ def test_design_invariants():
         if design.success:
             assert int_rank_independent([tuple(r) for r in design.a.tolist()])
         assert np.allclose(design.b, optimal_projection(design.a, ch), atol=1e-12)
-        per = [rate_from_q(row, qform) for row in design.a]
+        per = rates_from_q(design.a, qform)
         assert design.report.total == pytest.approx(max(0.0, len(per) * min(per)))
 
 
@@ -620,8 +620,7 @@ def test_design_tail_is_shared_by_a_only_within_its_realization():
                 for design in (sdm, exhaustive):
                     assert not design.b.flags.writeable
                     assert design.b.tobytes() == optimal_projection(design.a, fresh).tobytes()
-                    assert design.report == total_rate(rate_from_q(row, compute_q(fresh))
-                                                       for row in design.a)
+                    assert design.report == total_rate(rates_from_q(design.a, compute_q(fresh)))
                     tails.setdefault(design.a.tobytes(), {})[ch.power] = design.b
             for by_power in tails.values():
                 crossing += len(by_power) > 1
