@@ -65,9 +65,9 @@ class ChannelRealization:
 
     ``h`` is a read-only copy of the input, so quantities derived from it
     can be kept in ``memo`` for the life of the realization. They are
-    computed for several realizations of one matrix at once, as one
-    stacked pass (``ifcore.prepare_inverses``, ``prepare_capacity``); a
-    realization used alone is a stack of one.
+    computed for several realizations at once, as one stacked pass
+    (``ifcore.prepare_inverses``, ``prepare_capacity``); a realization
+    used alone is a stack of one.
     """
 
     h: np.ndarray
@@ -88,16 +88,13 @@ class ChannelRealization:
 
 
 def prepare_capacity(chs) -> None:
-    """Keep in ``memo`` the capacity of each realization of one matrix H
-    that lacks it, from one ``det`` stack of I + P H H^T. A slice's error
-    is kept in place of its capacity."""
+    """Keep in ``memo`` the capacity of each realization (of one size L)
+    that lacks it, from one ``det`` stack of I + P H H^T, each slice of its
+    own H. A slice's error is kept in place of its capacity."""
     todo = [ch for ch in chs if "capacity" not in ch.memo]
     if not todo:
         return
-    h = todo[0].h
-    hh = h @ h.T
-    eye = np.eye(h.shape[0])
-    for ch, d in zip(todo, det(np.array([eye + ch.power * hh for ch in todo]))):
+    for ch, d in zip(todo, det([np.eye(ch.l) + ch.power * (ch.h @ ch.h.T) for ch in todo])):
         # det >= 1 holds exactly; guard against rounding below it
         ch.memo["capacity"] = d if isinstance(d, IfrxError) else (
             0.0 if d <= 1.0 else 0.5 * math.log2(d))

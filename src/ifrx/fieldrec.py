@@ -88,9 +88,9 @@ def combine_messages(a, w, field: PrimeField) -> np.ndarray:
 
 
 def recover_messages(a, u, field: PrimeField) -> np.ndarray:
-    """Undo combine_messages: solve A w = u (mod p) in Python ints by forward
-    elimination of [A | u] and back-substitution into u, and return w as a
-    residue array. Raises NotInvertibleModPError when A is singular mod p."""
+    """Undo combine_messages: solve A w = u (mod p) in Python ints by one
+    Gauss-Jordan sweep of [A | u], and return w as a residue array. Raises
+    NotInvertibleModPError when A is singular mod p."""
     p = field.p
     m = _residues(a, p, "coefficient matrix")
     rhs = _residues(u, p, "message block")
@@ -106,17 +106,11 @@ def recover_messages(a, u, field: PrimeField) -> np.ndarray:
             raise NotInvertibleModPError(f"matrix is singular modulo {p}")
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = pow(aug[col][col], -1, p)
-        # columns left of col are already zero in every row below it
+        # columns left of col are already zero in the pivot row
         prow = [x * inv % p for x in aug[col][col:]]
         aug[col][col:] = prow
-        for r in range(col + 1, n):
+        for r in range(n):
             factor = aug[r][col]
-            if factor:
+            if factor and r != col:
                 aug[r][col:] = [(x - factor * y) % p for x, y in zip(aug[r][col:], prow)]
-    # A is now unit upper triangular: clear it upward in u alone, if u has columns
-    for col in range(n - 1, 0, -1) if len(aug[0]) > n else ():
-        for r in range(col):
-            factor = aug[r][col]
-            if factor:
-                aug[r][n:] = [(x - factor * y) % p for x, y in zip(aug[r][n:], aug[col][n:])]
     return _residue_array([row[n:] for row in aug], p)

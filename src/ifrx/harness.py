@@ -45,6 +45,8 @@ RECORD_COLUMNS = (
     "trial", "method", "snr_db", "rate_min", "rate_sum", "success", "fallback",
     "modp_invertible",
 )
+# the TrialRecord field behind each record column
+_RECORD_FIELDS = ("trial_index", *RECORD_COLUMNS[1:])
 
 
 @dataclass(frozen=True)
@@ -287,21 +289,11 @@ def write_csv(rows, path) -> None:
     """Write aggregates or trial records with a stable schema; identical
     inputs produce byte-identical files."""
     rows = list(rows)
-    is_records = bool(rows) and isinstance(rows[0], TrialRecord)
+    if rows and isinstance(rows[0], TrialRecord):
+        header, fields = RECORD_COLUMNS, _RECORD_FIELDS
+    else:
+        header = fields = AGGREGATE_COLUMNS
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if is_records:
-            writer.writerow(RECORD_COLUMNS)
-            for r in rows:
-                writer.writerow([_fmt(v) for v in (
-                    r.trial_index, r.method, r.snr_db, r.rate_min, r.rate_sum,
-                    r.success, r.fallback, r.modp_invertible,
-                )])
-        else:
-            writer.writerow(AGGREGATE_COLUMNS)
-            for a in rows:
-                writer.writerow([_fmt(v) for v in (
-                    a.method, a.sweep_param, a.sweep_value, a.snr_db, a.avg_rate_min,
-                    a.avg_rate_sum, a.avg_rate_min_success_only, a.success_prob,
-                    a.trials, a.master_seed,
-                )])
+        writer.writerow(header)
+        writer.writerows([_fmt(getattr(r, f)) for f in fields] for r in rows)

@@ -68,41 +68,43 @@ class RateReport:
 
 
 def prepare_inverses(chs, whiteners: bool = True, zf: bool = False) -> None:
-    """Keep in ``memo`` what realizations of one matrix H at several
-    powers lack, from one ``solve_inverse`` stack.
+    """Keep in ``memo`` what realizations (of one size L) lack, from one
+    ``solve_inverse`` stack.
 
-    With ``whiteners``, a realization's slice is H H^T + I/P; its inverse,
-    the whitener, is kept read-only with the form
+    With ``whiteners``, a realization's slice is H H^T + I/P, of its own H;
+    its inverse, the whitener, is kept read-only with the form
     Q = I - H^T (H H^T + I/P)^-1 H, symmetrized after the fact. A failed
-    slice's error is kept in place of both. With ``zf``, the last slice is
-    H^T H, whose inverse gives the squared row norms ||b_m||^2 of the ZF
-    projection (H^T H)^-1 H^T, or None when H^T H is singular. They do not
-    depend on P, so every realization shares them.
+    slice's error is kept in place of both. With ``zf``, the stack ends
+    with one slice H^T H per distinct H, whose inverse gives the squared
+    row norms ||b_m||^2 of the ZF projection (H^T H)^-1 H^T, or None when
+    H^T H is singular. They do not depend on P, so every realization of
+    that H shares them.
     """
-    h = chs[0].h
-    l = h.shape[0]
     todo = [ch for ch in chs if "whitener" not in ch.memo] if whiteners else []
-    gram = zf and any("zf_row_norms" not in ch.memo for ch in chs)
-    if not todo and not gram:
+    grams = {}  # H's bytes -> the realizations of H that lack ZF row norms
+    for ch in chs:
+        if zf and "zf_row_norms" not in ch.memo:
+            grams.setdefault(ch.h.tobytes(), []).append(ch)
+    if not todo and not grams:
         return
-    hh = h @ h.T
-    slices = [hh + np.eye(l) / ch.power for ch in todo] + ([h.T @ h] if gram else [])
-    inverses = solve_inverse(np.array(slices))
-    if gram:
-        inv = inverses.pop()
+    slices = [ch.h @ ch.h.T + np.eye(ch.l) / ch.power for ch in todo]
+    slices += [same[0].h.T @ same[0].h for same in grams.values()]
+    inverses = solve_inverse(slices)
+    for same, inv in zip(grams.values(), inverses[len(todo):]):
+        h = same[0].h
         if isinstance(inv, IfrxError):
             norms = None if isinstance(inv, SingularMatrixError) else inv
         else:
             b = inv @ h.T
-            norms = tuple(float(b[m] @ b[m]) for m in range(l))
-        for ch in chs:
+            norms = tuple(float(b[m] @ b[m]) for m in range(len(h)))
+        for ch in same:
             ch.memo["zf_row_norms"] = norms
     for ch, w in zip(todo, inverses):
         if isinstance(w, IfrxError):
             ch.memo["whitener"] = ch.memo["q"] = w
             continue
         w.setflags(write=False)
-        q = np.eye(l) - h.T @ w @ h
+        q = np.eye(ch.l) - ch.h.T @ w @ ch.h
         ch.memo["whitener"] = w
         ch.memo["q"] = QForm(q=0.5 * (q + q.T))
 

@@ -87,7 +87,10 @@ def _by_slice(name: str):
 
         @functools.wraps(kernel)
         def stacked(m) -> list:
-            stack = np.array(m, dtype=float)
+            try:
+                stack = np.array(m, dtype=float)
+            except (TypeError, ValueError):  # ragged, or entries that are not reals
+                raise InvalidInputError(f"{name} must be an (S, n, n) stack of reals") from None
             if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
                 raise InvalidInputError(f"{name} must be an (S, n, n) stack, got shape {stack.shape}")
             try:
@@ -175,23 +178,20 @@ def det(m) -> list:
     pivots = np.empty((count, n), dtype=np.intp)
     zero = np.zeros(count, dtype=bool)
     at = np.arange(count)
-    for col in range(n):
-        piv = pivots[:, col] = col + np.abs(a[:, col:, col]).argmax(axis=1)
-        # swap rows col and piv (a no-op where they are equal)
-        top = a[:, col].copy()
-        a[:, col] = a[at, piv]
-        a[at, piv] = top
-        if np.count_nonzero(a[:, col, col]) < count:
-            # an exact zero pivot makes the determinant 0, a result and
-            # not an error; the slice becomes the identity for the
-            # remaining steps
-            hit = a[:, col, col] == 0.0
-            zero |= hit
-            a[hit] = np.eye(n)
-        result *= a[:, col, col]
-        if col + 1 < n:
-            factors = a[:, col + 1:, col] / a[:, col, col, None]
-            a[:, col + 1:] -= factors[:, :, None] * a[:, col, None, :]
+    # an exact zero pivot makes the determinant 0, a result and not an
+    # error; that slice's later steps divide by zero and are discarded
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for col in range(n):
+            piv = pivots[:, col] = col + np.abs(a[:, col:, col]).argmax(axis=1)
+            # swap rows col and piv (a no-op where they are equal)
+            top = a[:, col].copy()
+            a[:, col] = a[at, piv]
+            a[at, piv] = top
+            zero |= a[:, col, col] == 0.0
+            result *= a[:, col, col]
+            if col + 1 < n:
+                factors = a[:, col + 1:, col] / a[:, col, col, None]
+                a[:, col + 1:] -= factors[:, :, None] * a[:, col, None, :]
     # each swap flips the sign
     swaps = (pivots != np.arange(n)).sum(axis=1)
     values = np.where(swaps % 2 == 1, -1.0, 1.0) * result

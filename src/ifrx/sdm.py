@@ -92,8 +92,10 @@ def line_candidates(g1, gi, m: int) -> list[np.ndarray]:
     midpoints one rounding. A direction below COORD_EPS in every
     coordinate raises DegenerateDirectionError for the whole pass; a unit
     eigenvector never is one. A line with more than LINE_POINT_LIMIT jump
-    points raises InstanceTooLargeError before any array is built.
+    points raises InstanceTooLargeError before any array is built. The
+    bound ``m`` is an integer (``linalg.int_value``).
     """
+    m = int_value(m, "m")
     g1 = np.asarray(g1, dtype=float)
     gi = np.asarray(gi, dtype=float)
     if g1.ndim != 2 or g1.shape != gi.shape:
@@ -134,11 +136,13 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> None:
     every form whose union covers fewer than J lines walks lines 2 .. J+1
     in ``line_candidates`` passes of at most LINE_POINT_LIMIT jump points
     each. A failed eigensolve is kept as the form's basis, for
-    ``candidate_set`` to raise.
+    ``candidate_set`` to raise. J and M are integers (``linalg.int_value``).
     """
+    lines_j = int_value(lines_j, "lines_j")
+    bound_m = int_value(bound_m, "bound_m")
     bare = [q for q in forms if "basis" not in q.memo]
     if bare:
-        for q, basis in zip(bare, sym_eigen(np.array([q.q for q in bare]))):
+        for q, basis in zip(bare, sym_eigen([q.q for q in bare])):
             q.memo["basis"] = basis
     todo = [q for q in forms if not isinstance(q.memo["basis"], IfrxError)
             and q.memo.get(("union", bound_m), (None, None, 0))[2] < lines_j]

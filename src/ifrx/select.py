@@ -16,7 +16,6 @@ Cholesky factor of Q (Fincke and Pohst, 1985).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ from .errors import InstanceTooLargeError, InvalidInputError, SingularMatrixErro
 from .ifcore import RateReport, compute_q, optimal_projection, rates_from_q, total_rate
 # int_rank_independent stays bound here although greedy does not call it:
 # benchmarks/spans.py wraps this binding, and a zero count beats a missing one
-from .linalg import echelon_add, echelon_det, int_rank_independent  # noqa: F401
+from .linalg import echelon_add, echelon_det, int_rank_independent, int_value  # noqa: F401
 from .sdm import SearchConfig, candidate_set, leading
 
 METHOD_SDM = "sdm"
@@ -72,35 +71,34 @@ def greedy_full_rank(ranked: np.ndarray, memo: dict | None = None) -> np.ndarray
     Rows are read as Python ints in blocks of GREEDY_BLOCK, as the scan
     reaches them. The scan keeps in ``memo`` (a form's, when given) the
     rows it read, its picks and its echelon, from which ``echelon_det``
-    reads det A. The next scan resumes after the longest prefix of its rows
-    that equals the kept rows: greedy's state after a prefix depends on
-    that prefix alone, so the rows picked are the same.
+    reads det A. The next scan replays the kept one while its rows equal
+    the kept rows, as greedy's state after a prefix depends on that prefix
+    alone: such a row is picked, with its kept echelon entry, only if the
+    kept scan picked it. The first row that differs or lies past them ends
+    the replay.
     """
     if ranked.dtype.kind not in "iu":
         raise InvalidInputError(f"candidate rows must be integers, got dtype {ranked.dtype}")
     count, l = ranked.shape
     memo = {} if memo is None else memo
-    rows, start, echelon, chosen = [], 0, [], []
-    if "greedy" in memo:
-        seen, picks, kept = memo["greedy"]
-        while start < min(len(seen), count):
-            if start == len(rows):
-                rows += ranked[start:start + GREEDY_BLOCK].tolist()
-            if rows[start] != seen[start]:
-                break
-            start += 1
-        restored = bisect.bisect_left(picks, start)
-        chosen, echelon = picks[:restored], kept[:restored]
-        if restored == l:
-            return ranked[chosen]
-    for i in range(start, count):
+    seen, picks, kept = memo.get("greedy", ((), (), ()))
+    rows, chosen, echelon = [], [], []
+    for i in range(count):
         if i == len(rows):
             rows += ranked[i:i + GREEDY_BLOCK].tolist()
-        if echelon_add(echelon, rows[i]):
-            chosen.append(i)
-            if len(chosen) == l:
-                memo["greedy"] = rows[:i + 1], chosen, echelon
-                return ranked[chosen]
+        if i < len(seen) and rows[i] == seen[i]:
+            k = len(chosen)
+            if k == len(picks) or picks[k] != i:
+                continue
+            echelon.append(kept[k])
+        else:
+            seen = ()  # the replay ends here
+            if not echelon_add(echelon, rows[i]):
+                continue
+        chosen.append(i)
+        if len(chosen) == l:
+            memo["greedy"] = rows[:i + 1], chosen, echelon
+            return ranked[chosen]
     memo["greedy"] = rows, chosen, echelon
     return None
 
@@ -118,11 +116,13 @@ def sphere_candidates(q: np.ndarray, g: np.ndarray, m: int, radius: float) -> np
     """Every sign-canonical nonzero integer vector a in [-M, M]^L with
     a^T Q a <= radius, as lexicographic int64 rows, enumerated over Q's
     lower factor ``g`` (``_lower_factor(q)``). The bound carries a
-    rounding slack, so a few rows just past the radius may come too.
+    rounding slack, so a few rows just past the radius may come too. The
+    bound ``m`` is an integer (``linalg.int_value``).
 
     Raises InstanceTooLargeError when a level would test more than
     SPHERE_ROW_LIMIT rows.
     """
+    m = int_value(m, "m")
     l = q.shape[0]
     # level 0 expands one empty row into 2M+1, checked before the values or
     # the radius slack, which grows with M^2, are built

@@ -34,6 +34,25 @@ def test_line_candidates_takes_only_stacks():
         line_candidates([[1.0, 0.0]], [[0.0, 1.0]], 0)
 
 
+def test_line_pass_reads_integer_bounds_only():
+    # an m of 1.5 made the jump grid integers instead of half-integers, 2.0
+    # ran and "2" raised a raw TypeError; so did a J or M of 1.5 in the pass
+    g1, gi = [[-0.8, -0.8]], [[-0.8, -0.6]]
+    for m in (1.5, 2.0, "2", None):
+        with pytest.raises(InvalidInputError, match="m must be an integer"):
+            line_candidates(g1, gi, m)
+    got = line_candidates(g1, gi, np.int64(1))
+    assert [c.tolist() for c in got] == [[[1, 1], [1, 0], [0, -1], [-1, -1]]]
+    q = make_qform([[2.0, 0.5], [0.5, 1.0]])
+    for lines_j, bound_m, name in ((1.5, 2, "lines_j"), (1, 1.5, "bound_m"), (1, 2.0, "bound_m")):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+            prepare_lines([q], lines_j, bound_m)
+    # an integer of any type reads as its value, which keys the union
+    prepare_lines([q], np.int64(1), np.uint8(2))
+    assert [k for k in q.memo if k != "basis"] == [("union", 2)]
+    assert type(q.memo[("union", 2)][2]) is int
+
+
 def test_search_config_reads_integer_fields():
     # SearchConfig(2, 1.0) ran an exhaustive design before
     for args in ((2, 1.0), (2.5, 1), ("2", 1), (2, None)):

@@ -242,12 +242,76 @@ def test_resumed_greedy_equals_a_fresh_scan(l):
                     resumes_after_fallback += len(picks) < l
                 design = design_if(ch, cfg, "sdm")
                 assert design.success == (fresh is not None)
+                assert qform.memo["greedy"] == fresh_memo["greedy"]
                 if fresh is not None:
                     assert design.a.tolist() == fresh.tolist()
                     # the resumed scan's echelon gives the fresh scan's det
                     resumed = echelon_det(qform.memo["greedy"][2])
                     assert resumed == echelon_det(fresh_memo["greedy"][2]) == design.det
     assert restores_full_rank and resumes_after_fallback, (restores_full_rank, resumes_after_fallback)
+
+
+def resume(first, second, monkeypatch):
+    """Greedy over ``second`` resumed from its scan of ``first``, checked
+    against a fresh scan of ``second``: the same rows, and a memo equal to
+    the fresh one's (rows read, picks, echelon entries). Returns the
+    resumed scan's rows and its ``echelon_add`` calls."""
+    first, second = np.array(first, dtype=np.int64), np.array(second, dtype=np.int64)
+    fresh_memo, memo = {}, {}
+    fresh = greedy_full_rank(second, fresh_memo)
+    greedy_full_rank(first, memo)
+    calls = []
+    real = select.echelon_add
+    monkeypatch.setattr(select, "echelon_add", lambda e, v: calls.append(v) or real(e, v))
+    got = greedy_full_rank(second, memo)
+    monkeypatch.undo()
+    assert (got is None and fresh is None) or got.tolist() == fresh.tolist()
+    assert memo["greedy"] == fresh_memo["greedy"]
+    return got, calls
+
+
+def test_resumed_greedy_leaves_a_fresh_scans_memo(monkeypatch):
+    # picks at 0, 2 and 4, each followed by a dependent row
+    kept = [[1, 0, 0], [2, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]]
+    # the shared prefix ends before the last kept pick: row 3 is new and
+    # picked, so only rows from 3 on are tested
+    got, calls = resume(kept, kept[:3] + [[0, 1, 1], [0, 0, 1]], monkeypatch)
+    assert got.tolist() == [[1, 0, 0], [0, 1, 0], [0, 1, 1]] and calls == [[0, 1, 1]]
+    # it ends at the last kept pick: row 4 is new and dependent, row 5 picked
+    got, calls = resume(kept, kept[:4] + [[2, 2, 0], [0, 0, 3]], monkeypatch)
+    assert got.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 3]]
+    assert calls == [[2, 2, 0], [0, 0, 3]]
+    # it ends after the last kept pick: the scan is replayed, nothing tested
+    got, calls = resume(kept, kept[:5] + [[5, 5, 5]], monkeypatch)
+    assert got.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] and calls == []
+    # a shorter array that keeps the first two picks, and no third
+    got, calls = resume(kept, kept[:4], monkeypatch)
+    assert got is None and calls == []
+    # a failed scan, then a longer array with the same prefix: the kept
+    # rows are replayed and only the rows past them are tested
+    failed = [[1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 2, 0]]
+    got, calls = resume(failed, failed + [[1, 1, 0], [0, 0, 1], [1, 1, 1]], monkeypatch)
+    assert got.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert calls == [[1, 1, 0], [0, 0, 1]]
+    # a failed scan, then an array that differs in its first row
+    got, calls = resume(failed, [[0, 3, 0]] + failed, monkeypatch)
+    assert got is None and len(calls) == 5
+
+
+def test_resumed_greedy_on_random_prefixes(monkeypatch):
+    # random arrays with a shared prefix of every length, dependent rows
+    # among them, at L = 3 and 4
+    rng = np.random.RandomState(27)
+    outcomes = set()
+    for _ in range(150):
+        l = rng.randint(3, 5)
+        first = rng.randint(-1, 2, size=(rng.randint(1, 10), l))
+        first[rng.rand(len(first)) < 0.4] = first[0]
+        cut = rng.randint(len(first) + 1)
+        second = np.concatenate([first[:cut], rng.randint(-1, 2, size=(rng.randint(0, 8), l))])
+        got, _ = resume(first, second, monkeypatch)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_greedy_reads_only_the_rows_it_scans():
@@ -548,6 +612,16 @@ def test_sphere_needs_a_positive_definite_q(monkeypatch):
     with pytest.raises(SingularMatrixError):
         design_if(ch, SearchConfig(bound_m=2, lines_j=2), "exhaustive")
     assert design_if(ch, SearchConfig(bound_m=2, lines_j=2), "sdm").success
+
+
+def test_sphere_reads_an_integer_bound_only():
+    # a bound of 1.5 or 2.0 raised a raw TypeError
+    q = np.array([[2.0, 0.5], [0.5, 1.0]])
+    g = select._lower_factor(q)
+    for m in (1.5, 2.0, "2", None):
+        with pytest.raises(InvalidInputError, match="m must be an integer"):
+            sphere_candidates(q, g, m, 3.0)
+    assert sphere_candidates(q, g, np.int64(2), 3.0).tolist() == sphere_candidates(q, g, 2, 3.0).tolist()
 
 
 def test_sphere_row_limit(monkeypatch):
