@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IfrxError, InvalidInputError, ParseError, unwrap
+from .errors import IfrxError, InvalidInputError, ParseError
 from .linalg import as_square_matrix, det, int_value, real_value
 
 MASK64 = (1 << 64) - 1
@@ -67,7 +67,9 @@ class ChannelRealization:
     can be kept in ``memo`` for the life of the realization. They are
     computed for several realizations at once, as one stacked pass
     (``ifcore.prepare_inverses``, ``prepare_capacity``); a realization
-    used alone is a stack of one.
+    used alone is a stack of one. Both read H H^T, formed here; an ``h``
+    whose ||H||_F^2, the trace that bounds every entry of H H^T and of
+    H^T H, overflows a float raises InvalidInputError.
     """
 
     h: np.ndarray
@@ -81,6 +83,12 @@ class ChannelRealization:
         object.__setattr__(self, "power", real_value(self.power, "power"))
         if not 0 < self.power < math.inf:
             raise InvalidInputError("power must be positive and finite")
+        with np.errstate(over="ignore"):
+            hht = h @ h.T
+            if not math.isfinite(hht.trace()):
+                raise InvalidInputError("h is too large: H H^T overflows a float")
+        hht.setflags(write=False)
+        self.memo["hht"] = hht
 
     @property
     def l(self) -> int:
@@ -90,20 +98,28 @@ class ChannelRealization:
 def prepare_capacity(chs) -> None:
     """Keep in ``memo`` the capacity of each realization (of one size L)
     that lacks it, from one ``det`` stack of I + P H H^T, each slice of its
-    own H. A slice's error is kept in place of its capacity."""
+    own H. A slice whose entries or determinant leave the float range
+    takes log2 det(I + P H H^T) = L log2 P + log2 det(H H^T + I/P) instead,
+    the last term a sum of log2 |pivot| (``np.linalg.slogdet``)."""
     todo = [ch for ch in chs if "capacity" not in ch.memo]
     if not todo:
         return
-    for ch, d in zip(todo, det([np.eye(ch.l) + ch.power * (ch.h @ ch.h.T) for ch in todo])):
-        # det >= 1 holds exactly; guard against rounding below it
-        ch.memo["capacity"] = d if isinstance(d, IfrxError) else (
-            0.0 if d <= 1.0 else 0.5 * math.log2(d))
+    with np.errstate(over="ignore"):
+        slices = [np.eye(ch.l) + ch.power * ch.memo["hht"] for ch in todo]
+    for ch, d in zip(todo, det(slices)):
+        if isinstance(d, IfrxError) or not math.isfinite(d):
+            # the one error det raises is for a non-finite slice
+            log_det = np.linalg.slogdet(ch.memo["hht"] + np.eye(ch.l) / ch.power)[1]
+            ch.memo["capacity"] = 0.5 * (ch.l * math.log2(ch.power) + log_det / math.log(2))
+        else:
+            # det >= 1 holds exactly; guard against rounding below it
+            ch.memo["capacity"] = 0.0 if d <= 1.0 else 0.5 * math.log2(d)
 
 
 def capacity(ch: ChannelRealization) -> float:
     """Channel capacity (1/2) log2 det(I + P H H^T) in bits per real use."""
     prepare_capacity([ch])
-    return unwrap(ch.memo["capacity"])
+    return ch.memo["capacity"]
 
 
 def parse_matrix_text(text: str) -> np.ndarray:

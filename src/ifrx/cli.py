@@ -83,16 +83,13 @@ def _default_lines(l: int) -> int:
 
 
 def cmd_design(args) -> int:
-    h = load_matrix(args.channel)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise InvalidInputError(f"channel matrix must be square, got {h.shape[0]}x{h.shape[1]}")
-    l = h.shape[0]
+    ch = ChannelRealization(h=load_matrix(args.channel), power=args.power)
+    l = ch.l
     if l < 2:
         raise InvalidInputError(f"channel matrix must be at least 2x2, got {l}x{l}")
     lines = args.lines if args.lines is not None else _default_lines(l)
     if not 1 <= lines <= l - 1:
         raise InvalidInputError(f"--lines must be in [1, {l - 1}] for L = {l}")
-    ch = ChannelRealization(h=h, power=args.power)
     design = design_if(ch, SearchConfig(bound_m=args.bound, lines_j=lines), args.method)
 
     print(f"method: {design.method}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NotInvertibleModPError
-from .linalg import int_rows
+from .linalg import int_rows, int_value
 
 # Miller-Rabin with these bases (the first 12 primes) is exact for every
 # n < 3.18e23 (Sorenson and Webster 2015), which covers every p < 2^64.
@@ -47,12 +47,12 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """F_p for a prime 2 <= p < 2^64."""
+    """F_p for a prime 2 <= p < 2^64, an integer (``linalg.int_value``)."""
 
     p: int
 
     def __post_init__(self):
-        p = operator.index(self.p)
+        p = int_value(self.p, "field modulus")
         object.__setattr__(self, "p", p)
         if p < 2:
             raise InvalidInputError("field modulus must be >= 2")

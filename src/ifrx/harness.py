@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelRealization, capacity, prepare_capacity, sample_channel
-from .errors import IfrxError, InvalidInputError, unwrap
+from .errors import IfrxError, InvalidInputError
 # combine_messages and recover_messages stay bound here although the harness
 # no longer calls them: benchmarks/spans.py wraps these bindings, and a zero
 # count beats a missing one
@@ -121,42 +121,38 @@ class Aggregate:
     master_seed: int
 
 
-def _realization(h: np.ndarray, snr_db: float) -> ChannelRealization | IfrxError:
-    """``h`` at ``snr_db``, or the error making it raised."""
+def _realization(h: np.ndarray, snr_db: float) -> ChannelRealization:
+    """``h`` at ``snr_db``; an SNR point whose power overflows or underflows raises."""
     try:
         power = 10.0 ** (snr_db / 10.0)
     except OverflowError:
-        return InvalidInputError(f"SNR {snr_db:g} dB overflows the transmit power")
-    try:
-        return ChannelRealization(h=h, power=power)
-    except IfrxError as exc:
-        return exc
+        raise InvalidInputError(f"SNR {snr_db:g} dB overflows the transmit power") from None
+    return ChannelRealization(h=h, power=power)
 
 
 def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> dict:
     """Trial ``trial_index``'s channel, drawn from its seeded words, as
-    ``{SNR point: realization, or the IfrxError making it raised}`` over
-    the SNR points of ``cells``, (SNR point, config) pairs, in order of
-    first occurrence. The configs may differ in J and M only; by default
-    the cells are ``cfg`` at each SNR point of its grid.
+    ``{SNR point: realization}`` over the SNR points of ``cells``,
+    (SNR point, config) pairs, in order of first occurrence. The configs
+    may differ in J and M only; by default the cells are ``cfg`` at each
+    SNR point of its grid. An SNR point whose power overflows or underflows
+    raises here.
 
     What the configured methods read is computed here for all SNR points
     at once: one ``solve_inverse`` stack for the whiteners, the forms Q and
     the ZF Gram matrix, one ``det`` stack for capacity, and one eigensolve
-    stack and one line pass per bound M for the SDM design. An SNR point's
-    error is raised only by the cell that reads it.
+    stack and one line pass per bound M for the SDM design. A slice that
+    fails at one SNR point raises only in the cells that read it.
     """
     h = sample_channel(cfg.master_seed, trial_index, cfg.l)
     cells = [(snr, cfg) for snr in cfg.snr_db_grid] if cells is None else list(cells)
     draw = {snr_db: _realization(h, snr_db) for snr_db in dict.fromkeys(snr for snr, _ in cells)}
-    chs = [ch for ch in draw.values() if not isinstance(ch, IfrxError)]
     methods = set(cfg.methods)
-    if chs:
-        prepare_inverses(chs, whiteners=bool(methods & {"if-sdm", "if-exhaustive", "mmse"}),
-                         zf="zf" in methods)
-        if "capacity" in methods:
-            prepare_capacity(chs)
-    forms = [ch.memo["q"] for ch in chs
+    prepare_inverses(draw.values(), whiteners=bool(methods & {"if-sdm", "if-exhaustive", "mmse"}),
+                     zf="zf" in methods)
+    if "capacity" in methods:
+        prepare_capacity(draw.values())
+    forms = [ch.memo["q"] for ch in draw.values()
              if "if-sdm" in methods and not isinstance(ch.memo["q"], IfrxError)]
     if forms:
         lines = {}  # bound M -> the most lines any cell reads
@@ -179,7 +175,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
         draw = draw_trial(cfg, trial_index, [(snr_db, cfg)])
     if snr_db not in draw:
         raise InvalidInputError(f"the trial draw holds no SNR point {snr_db:g} dB")
-    ch = unwrap(draw[snr_db])
+    ch = draw[snr_db]
 
     records = []
     for method in cfg.methods:

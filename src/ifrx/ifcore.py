@@ -87,7 +87,7 @@ def prepare_inverses(chs, whiteners: bool = True, zf: bool = False) -> None:
             grams.setdefault(ch.h.tobytes(), []).append(ch)
     if not todo and not grams:
         return
-    slices = [ch.h @ ch.h.T + np.eye(ch.l) / ch.power for ch in todo]
+    slices = [ch.memo["hht"] + np.eye(ch.l) / ch.power for ch in todo]
     slices += [same[0].h.T @ same[0].h for same in grams.values()]
     inverses = solve_inverse(slices)
     for same, inv in zip(grams.values(), inverses[len(todo):]):

@@ -32,10 +32,9 @@ SYMMETRY_RTOL = 1e-12
 PIVOT_RTOL = 1e-12
 
 
-def as_real_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Validate and return a finite 2-D float array of real entries, each
-    read by the rule of ``real_value``: a string, ``None``, complex or
-    non-finite entry, or a ragged matrix, raises InvalidInputError."""
+def _real_array(m, name: str) -> np.ndarray:
+    """``as_real_matrix`` of any shape and without its finiteness check: a
+    float copy of ``m``, the entries read by the rule of ``real_value``."""
     try:
         arr = np.array(m)
     except ValueError:
@@ -45,7 +44,14 @@ def as_real_matrix(m, name: str = "matrix") -> np.ndarray:
         arr = np.array([real_value(x, f"{name} entry") for x in arr.flat]).reshape(arr.shape)
     elif arr.dtype.kind not in "biuf":
         raise InvalidInputError(f"{name} must hold real numbers, got dtype {arr.dtype}")
-    arr = arr.astype(float, copy=False)
+    return arr.astype(float, copy=False)
+
+
+def as_real_matrix(m, name: str = "matrix") -> np.ndarray:
+    """Validate and return a finite 2-D float array of real entries, each
+    read by the rule of ``real_value``: a string, ``None``, complex or
+    non-finite entry, or a ragged matrix, raises InvalidInputError."""
+    arr = _real_array(m, name)
     if arr.ndim != 2:
         raise InvalidInputError(f"{name} must be a 2-D array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -76,9 +82,9 @@ class EigenBasis:
 def _by_slice(name: str):
     """Decorate ``kernel``, plain numerics on a finite float (S, n, n)
     stack that raise an IfrxError when any slice fails. The decorated
-    kernel reads its argument, ``name`` in errors, as such a stack and runs
-    it whole; if that raises, each slice runs again alone, as a stack of
-    one, and a failing slice's error takes its place in the list."""
+    kernel reads its argument, ``name`` in errors, as such a stack (by
+    ``_real_array``) and runs it whole; if that raises, each slice runs
+    again alone, and a failing slice's error takes its place in the list."""
     def wrap(kernel):
         def run(stack):
             if not np.isfinite(stack).all():
@@ -88,8 +94,8 @@ def _by_slice(name: str):
         @functools.wraps(kernel)
         def stacked(m) -> list:
             try:
-                stack = np.array(m, dtype=float)
-            except (TypeError, ValueError):  # ragged, or entries that are not reals
+                stack = _real_array(m, name)
+            except InvalidInputError:
                 raise InvalidInputError(f"{name} must be an (S, n, n) stack of reals") from None
             if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
                 raise InvalidInputError(f"{name} must be an (S, n, n) stack, got shape {stack.shape}")
@@ -171,7 +177,8 @@ def solve_inverse(m) -> list:
 @_by_slice("m")
 def det(m) -> list:
     """Determinant of each matrix of a stack via elimination with partial
-    pivoting, sign tracked."""
+    pivoting, sign tracked; one whose running product of pivots leaves the
+    float range comes out infinite or NaN."""
     a = m.copy()  # the stack is read again if a slice fails
     count, n = a.shape[:2]
     result = np.ones(count)
@@ -180,7 +187,7 @@ def det(m) -> list:
     at = np.arange(count)
     # an exact zero pivot makes the determinant 0, a result and not an
     # error; that slice's later steps divide by zero and are discarded
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for col in range(n):
             piv = pivots[:, col] = col + np.abs(a[:, col:, col]).argmax(axis=1)
             # swap rows col and piv (a no-op where they are equal)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (DegenerateDirectionError, IfrxError, InstanceTooLargeError,
                      InvalidInputError, unwrap)
 from .ifcore import QForm
-from .linalg import int_value, sym_eigen
+from .linalg import as_real_matrix, int_value, sym_eigen
 
 COORD_EPS = 1e-12
 RHO_MERGE_TOL = 1e-12
@@ -87,18 +87,18 @@ def line_candidates(g1, gi, m: int) -> list[np.ndarray]:
     each search line g1 + rho * gi, as int64 rows in interval order
     (duplicates kept).
 
-    ``g1`` and ``gi`` are (P, L) stacks of P lines, giving a list of P
-    arrays. The stack is one pass: its jump points share one sort and its
-    midpoints one rounding. A direction below COORD_EPS in every
-    coordinate raises DegenerateDirectionError for the whole pass; a unit
-    eigenvector never is one. A line with more than LINE_POINT_LIMIT jump
-    points raises InstanceTooLargeError before any array is built. The
-    bound ``m`` is an integer (``linalg.int_value``).
+    ``g1`` and ``gi`` are (P, L) stacks of P lines (``as_real_matrix``),
+    giving a list of P arrays. The stack is one pass: its jump points share
+    one sort and its midpoints one rounding. A direction below COORD_EPS in
+    every coordinate raises DegenerateDirectionError for the whole pass; a
+    unit eigenvector never is one. A line with more than LINE_POINT_LIMIT
+    jump points raises InstanceTooLargeError before any array is built.
+    The bound ``m`` is an integer (``linalg.int_value``).
     """
     m = int_value(m, "m")
-    g1 = np.asarray(g1, dtype=float)
-    gi = np.asarray(gi, dtype=float)
-    if g1.ndim != 2 or g1.shape != gi.shape:
+    g1 = as_real_matrix(g1, "g1 of the (P, L) stacks")
+    gi = as_real_matrix(gi, "gi of the (P, L) stacks")
+    if g1.shape != gi.shape:
         raise InvalidInputError("g1 and gi must be (P, L) stacks of equal shape")
     if m < 1:
         raise InvalidInputError("m must be >= 1")
@@ -136,10 +136,13 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> None:
     every form whose union covers fewer than J lines walks lines 2 .. J+1
     in ``line_candidates`` passes of at most LINE_POINT_LIMIT jump points
     each. A failed eigensolve is kept as the form's basis, for
-    ``candidate_set`` to raise. J and M are integers (``linalg.int_value``).
+    ``candidate_set`` to raise. J, in [1, L - 1], and M are integers.
     """
     lines_j = int_value(lines_j, "lines_j")
     bound_m = int_value(bound_m, "bound_m")
+    for q in forms:
+        if not 1 <= lines_j <= len(q.q) - 1:
+            raise InvalidInputError(f"lines_j must be in [1, {len(q.q) - 1}] for L = {len(q.q)}")
     bare = [q for q in forms if "basis" not in q.memo]
     if bare:
         for q, basis in zip(bare, sym_eigen([q.q for q in bare])):
@@ -181,9 +184,6 @@ def candidate_set(q: QForm, cfg: SearchConfig) -> np.ndarray:
     """Union of the sign-canonical candidates of the J slowest-ascent
     lines: distinct int64 rows in lexicographic order, a fresh read-only
     array."""
-    l = q.q.shape[0]
-    if cfg.lines_j > l - 1:
-        raise InvalidInputError(f"lines_j must be <= L-1 = {l - 1}")
     prepare_lines([q], cfg.lines_j, cfg.bound_m)
     unwrap(q.memo["basis"])
     arr, first, _ = q.memo[("union", cfg.bound_m)]

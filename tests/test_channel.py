@@ -4,8 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ifrx.channel import ChannelRealization, _words, capacity, parse_matrix_text, sample_channel
+from ifrx.channel import (ChannelRealization, _words, capacity, parse_matrix_text,
+                          prepare_capacity, sample_channel)
 from ifrx.errors import InvalidInputError, ParseError
+from ifrx.ifcore import mmse_rates, zf_rates
+from ifrx.sdm import SearchConfig
+from ifrx.select import design_if
+from oracles import bareiss_det
 
 
 MASK64 = (1 << 64) - 1
@@ -182,6 +187,47 @@ def test_capacity_nonnegative_and_monotone_in_power():
         caps = [capacity(ChannelRealization(h=h, power=p)) for p in (1.0, 10.0, 100.0)]
         assert all(c >= 0.0 for c in caps)
         assert caps[0] <= caps[1] <= caps[2]
+
+
+def exact_capacity(ch):
+    """(1/2) log2 det(I + P H H^T) of the realization's exact binary
+    fractions, from the integer determinant of the scaled matrix."""
+    h = [[Fraction(x) for x in row] for row in ch.h.tolist()]
+    m = [[(i == j) + Fraction(ch.power) * sum(a * b for a, b in zip(h[i], h[j]))
+          for j in range(ch.l)] for i in range(ch.l)]
+    scale = math.lcm(*(x.denominator for row in m for x in row))
+    return 0.5 * (math.log2(bareiss_det([[x * scale for x in row] for row in m]))
+                  - ch.l * math.log2(scale))
+
+
+@pytest.mark.parametrize("l, snr_db", [(8, 600.0), (16, 300.0), (2, 3080.0)])
+def test_capacity_beyond_the_float_range_matches_an_exact_log_determinant(l, snr_db):
+    # the running product of the determinant overflowed: capacity read inf
+    # after a RuntimeWarning, and at 3080 dB the slice I + P H H^T itself
+    # overflowed
+    chs = [ChannelRealization(h=sample_channel(1, t, l), power=10.0 ** (snr_db / 10))
+           for t in range(3)]
+    chs.append(ChannelRealization(h=chs[0].h, power=10.0))
+    prepare_capacity(chs)
+    for ch in chs:
+        assert math.isfinite(ch.memo["capacity"])
+        assert ch.memo["capacity"] == pytest.approx(exact_capacity(ch), rel=1e-12)
+        # a stacked slice reads as it would alone
+        assert capacity(ChannelRealization(h=ch.h, power=ch.power)) == ch.memo["capacity"]
+
+
+def test_an_overflowing_h_is_refused_by_name():
+    # H H^T (or H^T H, for ZF) overflowed: a RuntimeWarning escaped, then
+    # the kernel's "m contains non-finite entries" was raised
+    uses = (lambda ch: design_if(ch, SearchConfig(2, 1), "sdm"),
+            lambda ch: design_if(ch, SearchConfig(2, 1), "exhaustive"),
+            mmse_rates, zf_rates, capacity)
+    for h in ([[1e300, 0.0], [0.0, 1.0]], [[1e154, 1.0], [1e154, 2.0]]):
+        for use in uses:
+            with pytest.raises(InvalidInputError, match="^h is too large"):
+                use(ChannelRealization(h=h, power=1.0))
+    # entries near the limit that H H^T and its trace hold are accepted
+    assert capacity(ChannelRealization(h=[[1e153, 0.0], [0.0, 1e153]], power=1.0)) > 0
 
 
 def test_channel_realization_validation():

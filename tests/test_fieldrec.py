@@ -109,6 +109,10 @@ def test_prime_field_validation():
     PrimeField(2**61 - 1)
     PrimeField(2**64 - 59)  # the largest prime below 2^64
     assert PrimeField(np.int64(257)) == PrimeField(257)
+    # each raised a raw TypeError
+    for not_integer in (257.0, "257"):
+        with pytest.raises(InvalidInputError, match="^field modulus must be an integer"):
+            PrimeField(not_integer)
     # Carmichael number, strong pseudoprime to base 2, and to bases 2, 3, 5, 7
     for bad in (0, 1, 4, 9, 255, 561, 2047, 3215031751, 2**61 + 1, 2**64 - 1):
         with pytest.raises(InvalidInputError):

@@ -488,6 +488,12 @@ def test_a_draw_holds_one_realization_per_snr_point_shared_by_its_cells(monkeypa
     draw = draw_trial(cfg, 0, cells)
     # first-occurrence order, one eigensolve stack of one slice per point
     assert list(draw) == [20.0, 0.0] and calls == [2]
+    assert all(type(ch) is ChannelRealization for ch in draw.values())
+    # a draw held an SNR point whose power overflows or underflows as its error
+    for snr, message in ((4000.0, "^SNR 4000 dB overflows the transmit power$"),
+                         (-4000.0, "^power must be positive and finite$")):
+        with pytest.raises(InvalidInputError, match=message):
+            draw_trial(cfg, 0, [(20.0, cfg), (snr, cfg)])
     forms = {snr: ifrx.ifcore.compute_q(ch) for snr, ch in draw.items()}
     records = [run_trial(sub, snr, 0, draw) for snr, sub in cells]
     # every cell of a point read its one realization and form, and their memos

@@ -365,7 +365,7 @@ def test_every_stacked_slice_is_byte_identical_to_its_single_call():
 def test_a_kernel_takes_only_a_stack():
     for kernel in (solve_inverse, det, sym_eigen):
         for bad in (np.eye(2), np.ones(3), np.ones((2, 2, 3)), np.ones((1, 1, 2, 2)),
-                    [np.eye(2), np.eye(3)], [[[1j]]]):
+                    [np.eye(2), np.eye(3)], [[[1j]]], [[["1", "2"], ["2", "4"]]]):
             with pytest.raises(InvalidInputError, match=r"\(S, n, n\) stack"):
                 kernel(bad)
 

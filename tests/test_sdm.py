@@ -32,6 +32,22 @@ def test_line_candidates_takes_only_stacks():
         line_candidates([[1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]], 1)
     with pytest.raises(InvalidInputError, match="m must be"):
         line_candidates([[1.0, 0.0]], [[0.0, 1.0]], 0)
+    # a NaN coordinate silently gave no candidates, a string a raw ValueError
+    for g1, what in (([[np.nan, 0.2]], "non-finite"), ([["1", "0"]], "real numbers")):
+        with pytest.raises(InvalidInputError, match=f"^g1 .*{what}"):
+            line_candidates(g1, [[1.0, 0.0]], 1)
+
+
+def test_the_line_pass_checks_j_against_l():
+    # J = L raised "g1 and gi must be (P, L) stacks of equal shape", and J
+    # of 0 or -1 returned with no union
+    q = make_qform(np.diag([0.1, 0.2, 0.3]))
+    for lines_j in (3, 0, -1):
+        with pytest.raises(InvalidInputError, match=r"^lines_j must be in \[1, 2\] for L = 3$"):
+            prepare_lines([q], lines_j, 2)
+        assert not q.memo
+    with pytest.raises(InvalidInputError, match=r"^lines_j must be in \[1, 2\]"):
+        candidate_set(q, SearchConfig(bound_m=2, lines_j=3))
 
 
 def test_line_pass_reads_integer_bounds_only():
