@@ -7,10 +7,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IfrxError, InvalidInputError, ParseError
+from .errors import IfrxError, InstanceTooLargeError, InvalidInputError, ParseError
 from .linalg import as_square_matrix, det, int_value, real_value
 
 MASK64 = (1 << 64) - 1
+# entries L^2 of one channel draw (L = 1024), few enough to build at once
+CHANNEL_ENTRY_LIMIT = 2**20
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -41,7 +43,8 @@ def sample_channel(master_seed: int, trial_index: int, l: int) -> np.ndarray:
     then the sine entry, and an odd last sine is dropped. The log stays
     ``math.log``: numpy's differs in the last bit on some inputs. The
     arguments are integers (``linalg.int_value``); the seed and the trial
-    index are read mod 2^64.
+    index are read mod 2^64. More than CHANNEL_ENTRY_LIMIT entries raise
+    InstanceTooLargeError before any array is built.
     """
     master_seed = int_value(master_seed, "master_seed")
     trial_index = int_value(trial_index, "trial_index")
@@ -49,6 +52,9 @@ def sample_channel(master_seed: int, trial_index: int, l: int) -> np.ndarray:
     if l < 1:
         raise InvalidInputError("l must be >= 1")
     n = l * l
+    if n > CHANNEL_ENTRY_LIMIT:
+        raise InstanceTooLargeError(f"an L = {l} channel has {n} entries, "
+                                    f"over the limit {CHANNEL_ENTRY_LIMIT}")
     # (w >> 11) + 1 <= 2^53, so the uniforms are exact in float64
     u = (((_words(master_seed, trial_index, n + n % 2) >> 11) + 1) * 2.0 ** -53).tolist()
     h = []
@@ -83,6 +89,8 @@ class ChannelRealization:
         object.__setattr__(self, "power", real_value(self.power, "power"))
         if not 0 < self.power < math.inf:
             raise InvalidInputError("power must be positive and finite")
+        if 1 / self.power == math.inf:
+            raise InvalidInputError(f"power {self.power:g} is too small: 1/P overflows a float")
         with np.errstate(over="ignore"):
             hht = h @ h.T
             if not math.isfinite(hht.trace()):

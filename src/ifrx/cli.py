@@ -78,16 +78,12 @@ def parse_value_list(text: str, kind=float) -> list:
     return values
 
 
-def _default_lines(l: int) -> int:
-    return min(max(1, math.ceil(l / 2)), max(1, l - 1))
-
-
 def cmd_design(args) -> int:
     ch = ChannelRealization(h=load_matrix(args.channel), power=args.power)
     l = ch.l
     if l < 2:
         raise InvalidInputError(f"channel matrix must be at least 2x2, got {l}x{l}")
-    lines = args.lines if args.lines is not None else _default_lines(l)
+    lines = args.lines if args.lines is not None else -(-l // 2)
     if not 1 <= lines <= l - 1:
         raise InvalidInputError(f"--lines must be in [1, {l - 1}] for L = {l}")
     design = design_if(ch, SearchConfig(bound_m=args.bound, lines_j=lines), args.method)
@@ -108,7 +104,7 @@ def cmd_design(args) -> int:
 def cmd_simulate(args) -> int:
     snr_grid = parse_value_list(args.snr_db, float)
     methods = tuple(tok.strip() for tok in args.methods.split(",") if tok.strip())
-    lines = args.lines if args.lines is not None else _default_lines(args.l)
+    lines = args.lines if args.lines is not None else -(-args.l // 2)
     if args.prime < 0:
         raise InvalidInputError("--prime must be a prime, or 0 to disable the check")
     cfg = ExperimentConfig(

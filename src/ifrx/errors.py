@@ -34,10 +34,9 @@ class NotInvertibleModPError(IfrxError):
 
 
 def unwrap(value):
-    """``value``, or, when it is an IfrxError kept in place of a result
-    (a failed slice of a stacked computation), that error raised. Each
-    raise starts a fresh traceback, so reading a kept error again and
-    again does not grow it."""
+    """``value``, or, when it is the IfrxError a stacked kernel lists in
+    place of a failed slice's result, that error raised with a fresh
+    traceback, which holds no frame of the kernel's run."""
     if isinstance(value, IfrxError):
         raise value.with_traceback(None)
     return value

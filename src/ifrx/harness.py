@@ -22,12 +22,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelRealization, capacity, prepare_capacity, sample_channel
-from .errors import IfrxError, InvalidInputError
+from .errors import InvalidInputError
 # combine_messages and recover_messages stay bound here although the harness
 # no longer calls them: benchmarks/spans.py wraps these bindings, and a zero
 # count beats a missing one
 from .fieldrec import PrimeField, combine_messages, recover_messages  # noqa: F401
-from .ifcore import mmse_rates, prepare_inverses, zf_rates
+from .ifcore import compute_q, mmse_rates, prepare_inverses, zf_rates
 from .linalg import int_value, real_value
 from .select import METHOD_EXHAUSTIVE, METHOD_FALLBACK, METHOD_SDM, design_if
 from .sdm import SearchConfig, prepare_lines
@@ -135,14 +135,14 @@ def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> dict:
     ``{SNR point: realization}`` over the SNR points of ``cells``,
     (SNR point, config) pairs, in order of first occurrence. The configs
     may differ in J and M only; by default the cells are ``cfg`` at each
-    SNR point of its grid. An SNR point whose power overflows or underflows
-    raises here.
+    SNR point of its grid.
 
     What the configured methods read is computed here for all SNR points
     at once: one ``solve_inverse`` stack for the whiteners, the forms Q and
     the ZF Gram matrix, one ``det`` stack for capacity, and one eigensolve
-    stack and one line pass per bound M for the SDM design. A slice that
-    fails at one SNR point raises only in the cells that read it.
+    stack and one line pass per bound M for the SDM design. An SNR point
+    whose power overflows or underflows raises here, and so does the first
+    failing slice of a stack, with the error that slice raises alone.
     """
     h = sample_channel(cfg.master_seed, trial_index, cfg.l)
     cells = [(snr, cfg) for snr in cfg.snr_db_grid] if cells is None else list(cells)
@@ -152,9 +152,8 @@ def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> dict:
                      zf="zf" in methods)
     if "capacity" in methods:
         prepare_capacity(draw.values())
-    forms = [ch.memo["q"] for ch in draw.values()
-             if "if-sdm" in methods and not isinstance(ch.memo["q"], IfrxError)]
-    if forms:
+    if "if-sdm" in methods:
+        forms = [compute_q(ch) for ch in draw.values()]
         lines = {}  # bound M -> the most lines any cell reads
         for _, sub in cells:
             lines[sub.bound_m] = max(lines.get(sub.bound_m, 0), sub.lines_j)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelRealization
-from .errors import IfrxError, InvalidInputError, SingularMatrixError, unwrap
+from .errors import InvalidInputError, SingularMatrixError, unwrap
 from .linalg import as_real_matrix, as_square_matrix, solve_inverse
 
 
@@ -73,12 +73,12 @@ def prepare_inverses(chs, whiteners: bool = True, zf: bool = False) -> None:
 
     With ``whiteners``, a realization's slice is H H^T + I/P, of its own H;
     its inverse, the whitener, is kept read-only with the form
-    Q = I - H^T (H H^T + I/P)^-1 H, symmetrized after the fact. A failed
-    slice's error is kept in place of both. With ``zf``, the stack ends
-    with one slice H^T H per distinct H, whose inverse gives the squared
-    row norms ||b_m||^2 of the ZF projection (H^T H)^-1 H^T, or None when
-    H^T H is singular. They do not depend on P, so every realization of
-    that H shares them.
+    Q = I - H^T (H H^T + I/P)^-1 H, symmetrized after the fact. The first
+    failed whitener slice raises its error, the one it raises alone, before
+    anything is kept. With ``zf``, the stack ends with one slice H^T H per
+    distinct H, whose inverse gives the squared row norms ||b_m||^2 of the
+    ZF projection (H^T H)^-1 H^T, or None when H^T H is singular. They do
+    not depend on P, so every realization of that H shares them.
     """
     todo = [ch for ch in chs if "whitener" not in ch.memo] if whiteners else []
     grams = {}  # H's bytes -> the realizations of H that lack ZF row norms
@@ -90,19 +90,17 @@ def prepare_inverses(chs, whiteners: bool = True, zf: bool = False) -> None:
     slices = [ch.memo["hht"] + np.eye(ch.l) / ch.power for ch in todo]
     slices += [same[0].h.T @ same[0].h for same in grams.values()]
     inverses = solve_inverse(slices)
+    ws = [unwrap(w) for w in inverses[:len(todo)]]
     for same, inv in zip(grams.values(), inverses[len(todo):]):
         h = same[0].h
-        if isinstance(inv, IfrxError):
-            norms = None if isinstance(inv, SingularMatrixError) else inv
+        if isinstance(inv, SingularMatrixError):
+            norms = None
         else:
-            b = inv @ h.T
+            b = unwrap(inv) @ h.T
             norms = tuple(float(b[m] @ b[m]) for m in range(len(h)))
         for ch in same:
             ch.memo["zf_row_norms"] = norms
-    for ch, w in zip(todo, inverses):
-        if isinstance(w, IfrxError):
-            ch.memo["whitener"] = ch.memo["q"] = w
-            continue
+    for ch, w in zip(todo, ws):
         w.setflags(write=False)
         q = np.eye(ch.l) - ch.h.T @ w @ ch.h
         ch.memo["whitener"] = w
@@ -110,11 +108,11 @@ def prepare_inverses(chs, whiteners: bool = True, zf: bool = False) -> None:
 
 
 def _read(ch: ChannelRealization, key: str, **prepare):
-    """``ch.memo[key]``, prepared alone if it is missing; an error kept
-    there is raised."""
+    """``ch.memo[key]``, prepared alone if it is missing, so a failed
+    slice raises on every read."""
     if key not in ch.memo:
         prepare_inverses([ch], **prepare)
-    return unwrap(ch.memo[key])
+    return ch.memo[key]
 
 
 def compute_q(ch: ChannelRealization) -> QForm:

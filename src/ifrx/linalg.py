@@ -103,13 +103,13 @@ def _by_slice(name: str):
                 return list(run(stack))
             except IfrxError:
                 pass
-            # redone outside the except block, so no kept error chains to another's
+            # redone outside the except block, so no listed error chains to another's
             results = []
             for s in range(len(stack)):
                 try:
                     results.append(run(stack[s:s + 1])[0])
                 except IfrxError as exc:
-                    # a memo holding the error keeps no kernel frames alive
+                    # the listed error, raised later by its caller, holds no kernel frames
                     results.append(exc.with_traceback(None))
             return results
         return stacked
@@ -143,25 +143,30 @@ def sym_eigen(q) -> list:
     return [EigenBasis(values=v, vectors=w) for v, w in zip(values, vectors)]
 
 
+def _swap_pivot(a: np.ndarray, col: int) -> np.ndarray:
+    """Partial pivoting at ``col``, in place; returns each slice's pivot row."""
+    at = np.arange(len(a))
+    piv = col + np.abs(a[:, col:, col]).argmax(axis=1)
+    top = a[:, col].copy()
+    a[:, col] = a[at, piv]
+    a[at, piv] = top
+    return piv
+
+
 @_by_slice("m")
 def solve_inverse(m) -> list:
     """Invert a stack of square matrices by Gauss-Jordan with partial
     pivoting. Each slice has its own pivots and threshold, and the update
     skips rows whose factor is zero, so signed zeros come out as a row
     loop leaves them."""
-    count, n = m.shape[:2]
+    n = m.shape[1]
     scale = np.abs(m).max(axis=(1, 2), initial=0.0)
     if not scale.all():
         raise SingularMatrixError("matrix is zero")
     floor = PIVOT_RTOL * scale
     aug = np.concatenate([m, np.broadcast_to(np.eye(n), m.shape)], axis=2)
-    at = np.arange(count)
     for col in range(n):
-        piv = col + np.abs(aug[:, col:, col]).argmax(axis=1)
-        # swap rows col and piv (a no-op where they are equal)
-        top = aug[:, col].copy()
-        aug[:, col] = aug[at, piv]
-        aug[at, piv] = top
+        _swap_pivot(aug, col)
         if (np.abs(aug[:, col, col]) < floor).any():
             raise SingularMatrixError(f"pivot below threshold at column {col}")
         np.divide(aug[:, col], aug[:, col, col, None], out=aug[:, col])
@@ -177,31 +182,26 @@ def solve_inverse(m) -> list:
 @_by_slice("m")
 def det(m) -> list:
     """Determinant of each matrix of a stack via elimination with partial
-    pivoting, sign tracked; one whose running product of pivots leaves the
-    float range comes out infinite or NaN."""
+    pivoting, the product of its pivots kept as a mantissa and a power of
+    two; one whose elimination overflows comes out infinite or NaN."""
     a = m.copy()  # the stack is read again if a slice fails
     count, n = a.shape[:2]
-    result = np.ones(count)
-    pivots = np.empty((count, n), dtype=np.intp)
+    mantissa, exponent = np.ones(count), np.zeros(count, dtype=np.int32)
+    flip = np.zeros(count, dtype=bool)
     zero = np.zeros(count, dtype=bool)
-    at = np.arange(count)
     # an exact zero pivot makes the determinant 0, a result and not an
     # error; that slice's later steps divide by zero and are discarded
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for col in range(n):
-            piv = pivots[:, col] = col + np.abs(a[:, col:, col]).argmax(axis=1)
-            # swap rows col and piv (a no-op where they are equal)
-            top = a[:, col].copy()
-            a[:, col] = a[at, piv]
-            a[at, piv] = top
+            # each swap flips the sign
+            flip ^= _swap_pivot(a, col) != col
             zero |= a[:, col, col] == 0.0
-            result *= a[:, col, col]
+            mantissa, step = np.frexp(mantissa * a[:, col, col])
+            exponent += step
             if col + 1 < n:
                 factors = a[:, col + 1:, col] / a[:, col, col, None]
                 a[:, col + 1:] -= factors[:, :, None] * a[:, col, None, :]
-    # each swap flips the sign
-    swaps = (pivots != np.arange(n)).sum(axis=1)
-    values = np.where(swaps % 2 == 1, -1.0, 1.0) * result
+        values = np.ldexp(np.where(flip, -mantissa, mantissa), exponent)
     values[zero] = 0.0
     return values
 

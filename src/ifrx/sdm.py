@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDirectionError, IfrxError, InstanceTooLargeError,
-                     InvalidInputError, unwrap)
+from .errors import DegenerateDirectionError, InstanceTooLargeError, InvalidInputError, unwrap
 from .ifcore import QForm
 from .linalg import as_real_matrix, int_value, sym_eigen
 
@@ -135,8 +134,8 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> None:
     Forms that lack an eigenbasis get one from one ``sym_eigen`` stack, and
     every form whose union covers fewer than J lines walks lines 2 .. J+1
     in ``line_candidates`` passes of at most LINE_POINT_LIMIT jump points
-    each. A failed eigensolve is kept as the form's basis, for
-    ``candidate_set`` to raise. J, in [1, L - 1], and M are integers.
+    each. A failed eigensolve raises the error its slice raises alone.
+    J, in [1, L - 1], and M are integers.
     """
     lines_j = int_value(lines_j, "lines_j")
     bound_m = int_value(bound_m, "bound_m")
@@ -146,9 +145,8 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> None:
     bare = [q for q in forms if "basis" not in q.memo]
     if bare:
         for q, basis in zip(bare, sym_eigen([q.q for q in bare])):
-            q.memo["basis"] = basis
-    todo = [q for q in forms if not isinstance(q.memo["basis"], IfrxError)
-            and q.memo.get(("union", bound_m), (None, None, 0))[2] < lines_j]
+            q.memo["basis"] = unwrap(basis)
+    todo = [q for q in forms if q.memo.get(("union", bound_m), (None, None, 0))[2] < lines_j]
     if not todo:
         return
     vectors = [q.memo["basis"].vectors for q in todo]
@@ -185,7 +183,6 @@ def candidate_set(q: QForm, cfg: SearchConfig) -> np.ndarray:
     lines: distinct int64 rows in lexicographic order, a fresh read-only
     array."""
     prepare_lines([q], cfg.lines_j, cfg.bound_m)
-    unwrap(q.memo["basis"])
     arr, first, _ = q.memo[("union", cfg.bound_m)]
     arr = arr[first < cfg.lines_j]
     arr.setflags(write=False)

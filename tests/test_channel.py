@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ifrx.channel
 from ifrx.channel import (ChannelRealization, _words, capacity, parse_matrix_text,
                           prepare_capacity, sample_channel)
-from ifrx.errors import InvalidInputError, ParseError
+from ifrx.errors import InstanceTooLargeError, InvalidInputError, ParseError
 from ifrx.ifcore import mmse_rates, zf_rates
 from ifrx.sdm import SearchConfig
 from ifrx.select import design_if
@@ -173,6 +174,18 @@ def test_sample_channel_reads_integer_arguments_only():
     assert np.array_equal(sample_channel(7 - 2**64, 5 + 2**64, 3), expected)
 
 
+def test_sample_channel_refuses_too_many_entries_before_building(monkeypatch):
+    def no_words(*args):
+        raise AssertionError("words drawn")
+
+    monkeypatch.setattr(ifrx.channel, "_words", no_words)
+    for l in (1025, 100_000, 10**20, 10**400):
+        with pytest.raises(InstanceTooLargeError, match=f"^an L = {l} channel has {l * l} "
+                                                        f"entries, over the limit {2**20}$"):
+            sample_channel(1, 0, l)
+    assert ifrx.channel.CHANNEL_ENTRY_LIMIT == 1024**2
+
+
 def test_capacity_examples():
     assert capacity(ChannelRealization(h=np.eye(2), power=1.0)) == pytest.approx(1.0)
     assert capacity(ChannelRealization(h=np.zeros((3, 3)), power=50.0)) == 0.0
@@ -236,6 +249,11 @@ def test_channel_realization_validation():
     for power in (math.inf, math.nan):
         with pytest.raises(InvalidInputError, match="finite"):
             ChannelRealization(h=np.eye(2), power=power)
+    # a subnormal power's 1/P overflowed the whitener slice I/P
+    for power in (1e-310, 5e-324):
+        with pytest.raises(InvalidInputError, match="^power .* is too small: 1/P overflows a float$"):
+            ChannelRealization(h=np.eye(2), power=power)
+    assert ChannelRealization(h=np.eye(2), power=1e-308).power == 1e-308
     with pytest.raises(InvalidInputError):
         ChannelRealization(h=np.ones((2, 3)), power=1.0)
 
@@ -279,3 +297,5 @@ def test_parse_matrix_text_errors_name_lines():
         parse_matrix_text("1 x\n")
     with pytest.raises(ParseError):
         parse_matrix_text("# only comments\n")
+    with pytest.raises(ParseError, match="^line 2: non-finite entry$"):
+        parse_matrix_text("1 2\n3 inf\n")

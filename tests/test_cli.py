@@ -11,7 +11,7 @@ import ifrx.chart
 import ifrx.cli
 from ifrx.channel import ChannelRealization, sample_channel
 from ifrx.cli import MAX_GRID_POINTS, build_parser, main, parse_value_list
-from ifrx.errors import ParseError
+from ifrx.errors import InvalidInputError, ParseError
 from ifrx.sdm import SearchConfig
 from ifrx.select import METHOD_FALLBACK, design_if
 
@@ -58,6 +58,11 @@ def test_parse_value_list():
     for bad, kind in (("0:1e-300:1", float), ("1:1:1e12", int), ("0:1:100000", float)):
         with pytest.raises(ParseError, match=f"more than {MAX_GRID_POINTS} points"):
             parse_value_list(bad, kind)
+    for bad, message in (("30:5:0", "^grid end must not precede its start$"),
+                         ("1,x", "^cannot parse value list '1,x'$"),
+                         (",", "^value list is empty$")):
+        with pytest.raises(ParseError, match=message):
+            parse_value_list(bad)
 
 
 def test_design_identity_exhaustive(identity_channel, capsys):
@@ -138,7 +143,13 @@ def test_simulate_overflowing_snr_exits_1(tmp_path, capsys, snr):
     ["simulate", "--l", "8", "--sweep", "bound", "--sweep-values", "1,1e30"],
     ["design", "--method", "exhaustive", "--bound", str(2**63)],
     ["design", "--method", "sdm", "--bound", str(2**63)],
-], ids=["simulate", "bound-sweep", "design-exhaustive", "design-sdm"])
+    # a channel of L^2 entries past the limit; the default J = ceil(L/2) is
+    # worked in integers, so a 401-digit L does not overflow a float first
+    ["simulate", "--l", "100000"],
+    ["simulate", "--l", str(10**20)],
+    ["simulate", "--l", str(10**400)],
+], ids=["simulate", "bound-sweep", "design-exhaustive", "design-sdm", "l-1e5", "l-1e20",
+        "l-401-digits"])
 def test_huge_bound_exits_1_before_building_arrays(tmp_path, capsys, identity_channel, argv):
     out_csv = tmp_path / "x.csv"
     if argv[0] == "simulate":
@@ -150,6 +161,13 @@ def test_huge_bound_exits_1_before_building_arrays(tmp_path, capsys, identity_ch
     assert err.startswith("ifrx: error:") and "over the limit" in err
     assert "Traceback" not in err
     assert not out_csv.exists()
+
+
+def test_design_validates_lines(identity_channel, capsys):
+    code = main(["design", "--channel", identity_channel, "--power", "4", "--method", "exhaustive",
+                 "--lines", "5"])
+    assert code == 1
+    assert "ifrx: error: --lines must be in [1, 1] for L = 2" in capsys.readouterr().err
 
 
 def test_design_rejects_a_1x1_channel(tmp_path, capsys):
@@ -362,6 +380,18 @@ def test_plot_header_only_exits_1(tmp_path, capsys):
                  "--x", "snr_db", "--y", "avg_rate_min", "--series", "method"])
     assert code == 1
     assert "no data rows" in capsys.readouterr().err
+    # an empty file has no header row either
+    csv_path.write_text("")
+    code = main(["plot", "--in", str(csv_path), "--out", str(tmp_path / "x.svg"),
+                 "--x", "snr_db", "--y", "avg_rate_min", "--series", "method"])
+    assert code == 1
+    assert f"ifrx: error: no header row in {csv_path}" in capsys.readouterr().err
+
+
+def test_render_line_chart_refuses_no_rows():
+    for series in ([], [("mmse", [])]):
+        with pytest.raises(InvalidInputError, match="^no data rows to plot$"):
+            ifrx.chart.render_line_chart(series, x_label="x", y_label="y")
 
 
 def test_plot_missing_column_exits_1(tmp_path, capsys):
@@ -411,6 +441,18 @@ def test_plot_non_finite_value_exits_1(tmp_path, capsys, column, value):
     err = capsys.readouterr().err
     assert err.startswith("ifrx: error:")
     assert f"column {column!r}" in err
+    assert not out_svg.exists()
+
+
+def test_plot_non_numeric_value_exits_1(tmp_path, capsys):
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text("method,snr_db,avg_rate_min\nmmse,0.0,1.0\nmmse,10.0,abc\n")
+    out_svg = tmp_path / "r.svg"
+    code = main(["plot", "--in", str(csv_path), "--out", str(out_svg),
+                 "--x", "snr_db", "--y", "avg_rate_min", "--series", "method"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "ifrx: error: non-numeric value in column 'snr_db' or 'avg_rate_min'\n"
     assert not out_svg.exists()
 
 

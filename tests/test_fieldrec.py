@@ -218,6 +218,10 @@ def test_dimension_validation():
         combine_messages([[1, 0]], [[1]], field)
     with pytest.raises(InvalidInputError):
         combine_messages([[1, 0], [0, 1]], [[1], [1, 2]], field)
+    with pytest.raises(InvalidInputError, match="^coefficient matrix must be square and nonempty$"):
+        recover_messages([[1, 0]], [[1]], field)
+    with pytest.raises(InvalidInputError, match="^coefficient matrix width must match the message"):
+        recover_messages([[1, 0], [0, 1]], [[1]], field)
 
 
 @pytest.mark.parametrize("p", [257, 2**64 - 59])

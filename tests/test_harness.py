@@ -59,6 +59,10 @@ def test_config_validation():
         small_cfg(snr_db_grid=())
     with pytest.raises(InvalidInputError):
         small_cfg(prime_p=15)
+    for kwargs, message in (({"l": 1}, "^l must be >= 2$"), ({"bound_m": 0}, "^bound_m must be >= 1$"),
+                            ({"methods": ()}, "^methods must be nonempty$")):
+        with pytest.raises(InvalidInputError, match=message):
+            small_cfg(**kwargs)
     # prime_p is read by the integer rule too; these raised a raw TypeError
     for value in (257.0, "257"):
         with pytest.raises(InvalidInputError, match="^prime_p must be an integer"):
@@ -491,7 +495,8 @@ def test_a_draw_holds_one_realization_per_snr_point_shared_by_its_cells(monkeypa
     assert all(type(ch) is ChannelRealization for ch in draw.values())
     # a draw held an SNR point whose power overflows or underflows as its error
     for snr, message in ((4000.0, "^SNR 4000 dB overflows the transmit power$"),
-                         (-4000.0, "^power must be positive and finite$")):
+                         (-4000.0, "^power must be positive and finite$"),
+                         (-3100.0, "^power 1e-310 is too small: 1/P overflows a float$")):
         with pytest.raises(InvalidInputError, match=message):
             draw_trial(cfg, 0, [(20.0, cfg), (snr, cfg)])
     forms = {snr: ifrx.ifcore.compute_q(ch) for snr, ch in draw.items()}
@@ -549,12 +554,12 @@ def rank_deficient(seed, trial, l):
     return h
 
 
-def test_a_failed_eigensolve_raises_only_in_its_own_cell(monkeypatch):
+def test_a_draw_raises_its_failed_eigensolve(monkeypatch):
     cfg = small_cfg(l=4, snr_db_grid=(0.0, 10.0, 20.0), trials=1, lines_j=3, bound_m=2,
                     methods=("mmse", "if-sdm"))
     expected = {snr: run_trial(cfg, snr, 0) for snr in cfg.snr_db_grid}
     # the form the 10 dB cell decomposes, exactly symmetric, so eigh sees it as is
-    target = ifrx.ifcore.compute_q(unwrap(draw_trial(cfg, 0)[10.0])).q
+    target = ifrx.ifcore.compute_q(draw_trial(cfg, 0)[10.0]).q
     inner = np.linalg.eigh
     calls = []
 
@@ -565,26 +570,33 @@ def test_a_failed_eigensolve_raises_only_in_its_own_cell(monkeypatch):
         return inner(a)
 
     monkeypatch.setattr(np.linalg, "eigh", fails_at_10_db)
-    draw = draw_trial(cfg, 0)
+    with pytest.raises(ConvergenceError, match="^eigh did not converge: Eigenvalues"):
+        draw_trial(cfg, 0)
     # one stacked call, then each of the three slices alone, as a stack of one
     assert calls == [3, 1, 1, 1]
-    for snr in (0.0, 20.0):
-        assert run_trial(cfg, snr, 0, draw) == expected[snr]
     with pytest.raises(ConvergenceError, match="^eigh did not converge: Eigenvalues"):
-        run_trial(cfg, 10.0, 0, draw)
+        run_sweep(cfg, "snr", cfg.snr_db_grid)
+    # a cell drawn alone raises only at the failing point
+    for snr in (0.0, 20.0):
+        assert run_trial(cfg, snr, 0) == expected[snr]
+    with pytest.raises(ConvergenceError, match="^eigh did not converge: Eigenvalues"):
+        run_trial(cfg, 10.0, 0)
     # the 10 dB MMSE rates read no eigenbasis
-    assert mmse_rates(unwrap(draw[10.0])) == mmse_rates(
+    assert mmse_rates(draw_trial(replace(cfg, methods=("mmse",)), 0)[10.0]) == mmse_rates(
         ChannelRealization(h=sample_channel(cfg.master_seed, 0, cfg.l), power=10.0))
 
 
-def test_a_singular_whitener_raises_only_in_its_own_cell(monkeypatch):
+def test_a_draw_raises_its_singular_whitener(monkeypatch):
     monkeypatch.setattr(ifrx.harness, "sample_channel", rank_deficient)
     cfg = small_cfg(l=4, snr_db_grid=(0.0, 300.0), trials=1, lines_j=3, bound_m=2,
                     methods=("if-sdm", "mmse", "zf", "capacity"))
-    draw = draw_trial(cfg, 0)
-    assert run_trial(cfg, 0.0, 0, draw) == run_trial(cfg, 0.0, 0)
     with pytest.raises(SingularMatrixError, match="^pivot below threshold at column 3$"):
-        run_trial(cfg, 300.0, 0, draw)
+        draw_trial(cfg, 0)
+    # a cell drawn alone raises only at the failing point
+    healthy = replace(cfg, snr_db_grid=(0.0,))
+    assert run_trial(cfg, 0.0, 0) == run_trial(healthy, 0.0, 0, draw_trial(healthy, 0))
+    with pytest.raises(SingularMatrixError, match="^pivot below threshold at column 3$"):
+        run_trial(cfg, 300.0, 0)
     with pytest.raises(SingularMatrixError, match="^pivot below threshold at column 3$"):
         run_sweep(cfg, "snr", [0.0, 300.0])
 
@@ -608,3 +620,7 @@ def test_zf_and_capacity_at_120_db_never_form_a_whitener(monkeypatch):
     # a method that reads the whitener raises from it
     with pytest.raises(SingularMatrixError):
         run_sweep(replace(cfg, methods=("zf", "capacity", "mmse")), "snr", [100.0, 120.0])
+    # capacity alone inverts nothing
+    stacks.clear()
+    draw = draw_trial(replace(cfg, methods=("capacity",)), 0)
+    assert stacks == [] and all("capacity" in ch.memo for ch in draw.values())

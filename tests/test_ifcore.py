@@ -298,7 +298,8 @@ def test_every_method_at_200_db_gives_finite_rates_or_a_typed_error():
 
 
 def test_a_kept_error_is_raised_with_a_fresh_traceback_on_every_read():
-    # the whitener of this channel fails; the error is kept in the memo
+    # the whitener of this channel fails; no memo keeps the error, so every
+    # read computes the slice again and raises it afresh
     ch = ChannelRealization(h=np.ones((3, 3)), power=1e30)
     depths = []
     for _ in range(3):

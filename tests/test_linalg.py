@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from ifrx.channel import ChannelRealization, sample_channel
 from ifrx.errors import ConvergenceError, InvalidInputError, SingularMatrixError, unwrap
 from ifrx.ifcore import compute_q
-from ifrx.linalg import PIVOT_RTOL, det, int_rank_independent, int_rows, solve_inverse, sym_eigen
+from ifrx.linalg import (PIVOT_RTOL, det, int_rank_independent, int_rows, real_value,
+                          solve_inverse, sym_eigen)
 
 
 def random_symmetric(rng, n):
@@ -98,6 +100,36 @@ def test_det_examples():
         det(np.ones((1, 2, 3)))
 
 
+def fraction_det(m):
+    """Oracle: the determinant of a float matrix in exact rational arithmetic."""
+    m = [[Fraction(x) for x in row] for row in m]
+    total = Fraction(1)
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            total = -total
+        total *= m[col][col]
+        for r in range(col + 1, len(m)):
+            factor = m[r][col] / m[col][col]
+            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return total
+
+
+def test_det_of_a_finite_determinant_whose_pivot_product_overflows_midway():
+    # the running product of pivots 1e200 * 1e200 came out inf
+    rng = np.random.RandomState(5)
+    # columns scaled, so each pivot is a column's scale times an O(1) value
+    scaled = rng.standard_normal((3, 3)) @ np.diag([1e200, 1e200, 1e-200])
+    stack = [np.diag([1e200, 1e200, 1e-200]), np.diag([1e-200, 1e-200, 1e200]), scaled]
+    for m, got in zip(stack, det(stack)):
+        expected = fraction_det(m.tolist())
+        assert math.isfinite(got) and abs(got - expected) <= 1e-12 * abs(expected)
+    assert det([np.diag([1e200, 1e200])]) == [np.inf]
+
+
 def cofactor_det(m):
     n = len(m)
     if n == 1:
@@ -144,7 +176,15 @@ def test_int_rank_examples():
         int_rank_independent([(1, 0), (1, 0, 0)])
     with pytest.raises(InvalidInputError):
         int_rank_independent([])
+    with pytest.raises(InvalidInputError, match="^3 vectors of length 2 can never be independent$"):
+        int_rank_independent([(1, 0), (0, 1), (1, 1)])
 
+
+
+def test_real_value_refuses_an_integer_beyond_the_float_range():
+    with pytest.raises(InvalidInputError, match="^x must be a real number, got 1000"):
+        real_value(10**400, "x")
+    assert real_value(10**300, "x") == 1e300
 
 
 def test_int_rank_rejects_non_integer_entries():
