@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IfrxError, InstanceTooLargeError, InvalidInputError, ParseError
+from .errors import InstanceTooLargeError, InvalidInputError, ParseError, SingularMatrixError
 from .linalg import as_square_matrix, det, int_value, real_value
 
 MASK64 = (1 << 64) - 1
@@ -108,20 +108,25 @@ def prepare_capacity(chs) -> None:
     that lacks it, from one ``det`` stack of I + P H H^T, each slice of its
     own H. A slice whose entries or determinant leave the float range
     takes log2 det(I + P H H^T) = L log2 P + log2 det(H H^T + I/P) instead,
-    the last term a sum of log2 |pivot| (``np.linalg.slogdet``)."""
+    the last term a sum of log2 |pivot| (``np.linalg.slogdet``), and
+    raises SingularMatrixError where that determinant rounds to zero."""
     todo = [ch for ch in chs if "capacity" not in ch.memo]
     if not todo:
         return
     with np.errstate(over="ignore"):
         slices = [np.eye(ch.l) + ch.power * ch.memo["hht"] for ch in todo]
-    for ch, d in zip(todo, det(slices)):
-        if isinstance(d, IfrxError) or not math.isfinite(d):
-            # the one error det raises is for a non-finite slice
-            log_det = np.linalg.slogdet(ch.memo["hht"] + np.eye(ch.l) / ch.power)[1]
-            ch.memo["capacity"] = 0.5 * (ch.l * math.log2(ch.power) + log_det / math.log(2))
-        else:
+    finite = [bool(np.isfinite(s).all()) for s in slices]
+    dets = iter(det([s for s, ok in zip(slices, finite) if ok]) if any(finite) else ())
+    for ch, ok in zip(todo, finite):
+        d = next(dets) if ok else math.inf
+        if math.isfinite(d):
             # det >= 1 holds exactly; guard against rounding below it
             ch.memo["capacity"] = 0.0 if d <= 1.0 else 0.5 * math.log2(d)
+            continue
+        sign, log_det = np.linalg.slogdet(ch.memo["hht"] + np.eye(ch.l) / ch.power)
+        if not sign > 0:
+            raise SingularMatrixError(f"det(H H^T + I/P) rounds to zero at P = {ch.power:g}")
+        ch.memo["capacity"] = 0.5 * (ch.l * math.log2(ch.power) + log_det / math.log(2))
 
 
 def capacity(ch: ChannelRealization) -> float:

@@ -32,11 +32,3 @@ class InstanceTooLargeError(IfrxError):
 class NotInvertibleModPError(IfrxError):
     """An integer matrix is singular over the requested prime field."""
 
-
-def unwrap(value):
-    """``value``, or, when it is the IfrxError a stacked kernel lists in
-    place of a failed slice's result, that error raised with a fresh
-    traceback, which holds no frame of the kernel's run."""
-    if isinstance(value, IfrxError):
-        raise value.with_traceback(None)
-    return value

@@ -141,8 +141,9 @@ def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> dict:
     at once: one ``solve_inverse`` stack for the whiteners, the forms Q and
     the ZF Gram matrix, one ``det`` stack for capacity, and one eigensolve
     stack and one line pass per bound M for the SDM design. An SNR point
-    whose power overflows or underflows raises here, and so does the first
-    failing slice of a stack, with the error that slice raises alone.
+    whose power overflows or underflows raises here, and so does a failing
+    stack: the first singular whitener slice with its own error, and a
+    failed eigensolve for every point.
     """
     h = sample_channel(cfg.master_seed, trial_index, cfg.l)
     cells = [(snr, cfg) for snr in cfg.snr_db_grid] if cells is None else list(cells)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelRealization
-from .errors import InvalidInputError, SingularMatrixError, unwrap
+from .errors import InvalidInputError, SingularMatrixError
 from .linalg import as_real_matrix, as_square_matrix, solve_inverse
 
 
@@ -74,11 +74,12 @@ def prepare_inverses(chs, whiteners: bool = True, zf: bool = False) -> None:
     With ``whiteners``, a realization's slice is H H^T + I/P, of its own H;
     its inverse, the whitener, is kept read-only with the form
     Q = I - H^T (H H^T + I/P)^-1 H, symmetrized after the fact. The first
-    failed whitener slice raises its error, the one it raises alone, before
-    anything is kept. With ``zf``, the stack ends with one slice H^T H per
-    distinct H, whose inverse gives the squared row norms ||b_m||^2 of the
-    ZF projection (H^T H)^-1 H^T, or None when H^T H is singular. They do
-    not depend on P, so every realization of that H shares them.
+    singular whitener slice raises its listed error before anything is
+    kept. With ``zf``, the stack ends with one slice H^T H per distinct H,
+    whose inverse gives the squared row norms ||b_m||^2 of the ZF
+    projection (H^T H)^-1 H^T, or None when ``solve_inverse`` lists H^T H
+    as singular. They do not depend on P, so every realization of that H
+    shares them.
     """
     todo = [ch for ch in chs if "whitener" not in ch.memo] if whiteners else []
     grams = {}  # H's bytes -> the realizations of H that lack ZF row norms
@@ -90,13 +91,16 @@ def prepare_inverses(chs, whiteners: bool = True, zf: bool = False) -> None:
     slices = [ch.memo["hht"] + np.eye(ch.l) / ch.power for ch in todo]
     slices += [same[0].h.T @ same[0].h for same in grams.values()]
     inverses = solve_inverse(slices)
-    ws = [unwrap(w) for w in inverses[:len(todo)]]
+    ws = inverses[:len(todo)]
+    for w in ws:
+        if isinstance(w, SingularMatrixError):
+            raise w
     for same, inv in zip(grams.values(), inverses[len(todo):]):
         h = same[0].h
         if isinstance(inv, SingularMatrixError):
             norms = None
         else:
-            b = unwrap(inv) @ h.T
+            b = inv @ h.T
             norms = tuple(float(b[m] @ b[m]) for m in range(len(h)))
         for ch in same:
             ch.memo["zf_row_norms"] = norms
@@ -155,13 +159,22 @@ def total_rate(per_stream) -> RateReport:
     return RateReport(per_stream=rates, total=max(0.0, len(rates) * min(rates)))
 
 
+def _zf_rate(power: float, norm: float) -> float:
+    """(1/2) log2(P / ||b_m||^2), as a difference of logs where the ratio
+    leaves the float range."""
+    ratio = power / norm
+    if 0.0 < ratio < math.inf:
+        return 0.5 * math.log2(ratio)
+    return 0.5 * (math.log2(power) - math.log2(norm))
+
+
 def zf_rates(ch: ChannelRealization) -> RateReport:
     """Zero-forcing rates; the interference residual is exactly zero, so
     R_m = (1/2) log2(P / ||b_m||^2). Singular H^T H is flagged, not inverted."""
     norms = _read(ch, "zf_row_norms", whiteners=False, zf=True)
     if norms is None:
         return RateReport(per_stream=(0.0,) * ch.l, total=0.0, singular=True)
-    return total_rate(0.5 * math.log2(ch.power / norm) for norm in norms)
+    return total_rate(_zf_rate(ch.power, norm) for norm in norms)
 
 
 def mmse_rates(ch: ChannelRealization) -> RateReport:

@@ -8,16 +8,15 @@ integer echelon step on plain lists for rank decisions that must not
 hinge on float thresholds, with the exact determinant a full echelon
 yields.
 
-The three float kernels take an (S, n, n) stack of independent slices
-and give a list of per-slice results. Every slice gets the bytes it would
-get in a stack of one, and a slice that fails does not stop the others:
-a stack that raises is redone one slice at a time, and each failing
-slice's IfrxError takes its place in the list.
+The three float kernels take a finite (S, n, n) stack of independent
+slices, run it in one pass and give a list of per-slice results; every
+slice gets the bytes it would get in a stack of one. ``solve_inverse``
+lists a singular slice's SingularMatrixError in its place; ``det`` and
+``sym_eigen`` raise for the whole stack.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
@@ -26,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, IfrxError, InvalidInputError, SingularMatrixError
+from .errors import ConvergenceError, InvalidInputError, SingularMatrixError
 
 SYMMETRY_RTOL = 1e-12
 PIVOT_RTOL = 1e-12
@@ -79,44 +78,20 @@ class EigenBasis:
     vectors: np.ndarray
 
 
-def _by_slice(name: str):
-    """Decorate ``kernel``, plain numerics on a finite float (S, n, n)
-    stack that raise an IfrxError when any slice fails. The decorated
-    kernel reads its argument, ``name`` in errors, as such a stack (by
-    ``_real_array``) and runs it whole; if that raises, each slice runs
-    again alone, and a failing slice's error takes its place in the list."""
-    def wrap(kernel):
-        def run(stack):
-            if not np.isfinite(stack).all():
-                raise InvalidInputError(f"{name} contains non-finite entries")
-            return kernel(stack)
-
-        @functools.wraps(kernel)
-        def stacked(m) -> list:
-            try:
-                stack = _real_array(m, name)
-            except InvalidInputError:
-                raise InvalidInputError(f"{name} must be an (S, n, n) stack of reals") from None
-            if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-                raise InvalidInputError(f"{name} must be an (S, n, n) stack, got shape {stack.shape}")
-            try:
-                return list(run(stack))
-            except IfrxError:
-                pass
-            # redone outside the except block, so no listed error chains to another's
-            results = []
-            for s in range(len(stack)):
-                try:
-                    results.append(run(stack[s:s + 1])[0])
-                except IfrxError as exc:
-                    # the listed error, raised later by its caller, holds no kernel frames
-                    results.append(exc.with_traceback(None))
-            return results
-        return stacked
-    return wrap
+def _stack(m, name: str) -> np.ndarray:
+    """``m``, ``name`` in errors, read as a finite float (S, n, n) stack
+    (by ``_real_array``): a fresh array a kernel may work in place."""
+    try:
+        stack = _real_array(m, name)
+    except InvalidInputError:
+        raise InvalidInputError(f"{name} must be an (S, n, n) stack of reals") from None
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise InvalidInputError(f"{name} must be an (S, n, n) stack, got shape {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    return stack
 
 
-@_by_slice("q")
 def sym_eigen(q) -> list:
     """Eigendecompose a stack of symmetric matrices with LAPACK
     (``np.linalg.eigh``).
@@ -124,8 +99,10 @@ def sym_eigen(q) -> list:
     Each slice must be symmetric within ``SYMMETRY_RTOL`` relative to its
     Frobenius norm; its symmetric part is decomposed, and LAPACK returns
     the eigenvalues in ascending order. Deterministic: the same slice
-    always yields the same basis, in any stack.
+    always yields the same basis, in any stack. An asymmetric slice or a
+    LAPACK failure raises for the whole stack.
     """
+    q = _stack(q, "q")
     count, n = q.shape[:2]
     if (q != q.swapaxes(1, 2)).any():
         # an exactly symmetric slice passes; the others are measured one by one
@@ -135,7 +112,7 @@ def sym_eigen(q) -> list:
     try:
         values, vectors = np.linalg.eigh(0.5 * (q + q.swapaxes(1, 2)))
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigh did not converge: {exc}") from exc.with_traceback(None)
+        raise ConvergenceError(f"eigh did not converge: {exc}") from exc
     # sign rule: largest-|coord| entry positive, argmax takes the lowest index on ties
     peak = np.abs(vectors).argmax(axis=1)
     top = vectors[np.arange(count)[:, None], peak, np.arange(n)]
@@ -153,38 +130,43 @@ def _swap_pivot(a: np.ndarray, col: int) -> np.ndarray:
     return piv
 
 
-@_by_slice("m")
 def solve_inverse(m) -> list:
     """Invert a stack of square matrices by Gauss-Jordan with partial
     pivoting. Each slice has its own pivots and threshold, and the update
     skips rows whose factor is zero, so signed zeros come out as a row
-    loop leaves them."""
+    loop leaves them. A zero slice, one with a pivot below its threshold
+    (the first such column named) or one whose inverse leaves the float
+    range gets a SingularMatrixError in its place; its remaining steps
+    run on, discarded, with numpy's warnings off."""
+    m = _stack(m, "m")
     n = m.shape[1]
     scale = np.abs(m).max(axis=(1, 2), initial=0.0)
-    if not scale.all():
-        raise SingularMatrixError("matrix is zero")
+    failed = [None if s else SingularMatrixError("matrix is zero") for s in scale.tolist()]
     floor = PIVOT_RTOL * scale
     aug = np.concatenate([m, np.broadcast_to(np.eye(n), m.shape)], axis=2)
-    for col in range(n):
-        _swap_pivot(aug, col)
-        if (np.abs(aug[:, col, col]) < floor).any():
-            raise SingularMatrixError(f"pivot below threshold at column {col}")
-        np.divide(aug[:, col], aug[:, col, col, None], out=aug[:, col])
-        # eliminate the column from every other row with a nonzero entry
-        # there; skipping zero factors keeps signed zeros as a row loop would
-        factors = aug[:, :, col].copy()
-        factors[:, col] = 0.0
-        update = factors[:, :, None] * aug[:, col, None, :]
-        np.subtract(aug, update, out=aug, where=(factors != 0.0)[:, :, None])
-    return aug[:, :, n:]
+    with np.errstate(all="ignore"):
+        for col in range(n):
+            _swap_pivot(aug, col)
+            for s in np.flatnonzero(np.abs(aug[:, col, col]) < floor).tolist():
+                failed[s] = failed[s] or SingularMatrixError(f"pivot below threshold at column {col}")
+            np.divide(aug[:, col], aug[:, col, col, None], out=aug[:, col])
+            # eliminate the column from every other row with a nonzero entry
+            # there; skipping zero factors keeps signed zeros as a row loop would
+            factors = aug[:, :, col].copy()
+            factors[:, col] = 0.0
+            update = factors[:, :, None] * aug[:, col, None, :]
+            np.subtract(aug, update, out=aug, where=(factors != 0.0)[:, :, None])
+    inverses = aug[:, :, n:]
+    finite = np.isfinite(inverses).all(axis=(1, 2)).tolist()
+    return [err or (inv if ok else SingularMatrixError("inverse leaves the float range"))
+            for err, inv, ok in zip(failed, inverses, finite)]
 
 
-@_by_slice("m")
 def det(m) -> list:
     """Determinant of each matrix of a stack via elimination with partial
     pivoting, the product of its pivots kept as a mantissa and a power of
     two; one whose elimination overflows comes out infinite or NaN."""
-    a = m.copy()  # the stack is read again if a slice fails
+    a = _stack(m, "m")
     count, n = a.shape[:2]
     mantissa, exponent = np.ones(count), np.zeros(count, dtype=np.int32)
     flip = np.zeros(count, dtype=bool)
@@ -203,7 +185,7 @@ def det(m) -> list:
                 a[:, col + 1:] -= factors[:, :, None] * a[:, col, None, :]
         values = np.ldexp(np.where(flip, -mantissa, mantissa), exponent)
     values[zero] = 0.0
-    return values
+    return list(values)
 
 
 def echelon_add(echelon: list, v: list) -> bool:

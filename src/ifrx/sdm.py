@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, InstanceTooLargeError, InvalidInputError, unwrap
+from .errors import DegenerateDirectionError, InstanceTooLargeError, InvalidInputError
 from .ifcore import QForm
 from .linalg import as_real_matrix, int_value, sym_eigen
 
@@ -134,7 +134,7 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> None:
     Forms that lack an eigenbasis get one from one ``sym_eigen`` stack, and
     every form whose union covers fewer than J lines walks lines 2 .. J+1
     in ``line_candidates`` passes of at most LINE_POINT_LIMIT jump points
-    each. A failed eigensolve raises the error its slice raises alone.
+    each. A failed eigensolve raises for every form of the stack.
     J, in [1, L - 1], and M are integers.
     """
     lines_j = int_value(lines_j, "lines_j")
@@ -145,7 +145,7 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> None:
     bare = [q for q in forms if "basis" not in q.memo]
     if bare:
         for q, basis in zip(bare, sym_eigen([q.q for q in bare])):
-            q.memo["basis"] = unwrap(basis)
+            q.memo["basis"] = basis
     todo = [q for q in forms if q.memo.get(("union", bound_m), (None, None, 0))[2] < lines_j]
     if not todo:
         return

@@ -7,7 +7,7 @@ import pytest
 import ifrx.channel
 from ifrx.channel import (ChannelRealization, _words, capacity, parse_matrix_text,
                           prepare_capacity, sample_channel)
-from ifrx.errors import InstanceTooLargeError, InvalidInputError, ParseError
+from ifrx.errors import InstanceTooLargeError, InvalidInputError, ParseError, SingularMatrixError
 from ifrx.ifcore import mmse_rates, zf_rates
 from ifrx.sdm import SearchConfig
 from ifrx.select import design_if
@@ -227,6 +227,17 @@ def test_capacity_beyond_the_float_range_matches_an_exact_log_determinant(l, snr
         assert ch.memo["capacity"] == pytest.approx(exact_capacity(ch), rel=1e-12)
         # a stacked slice reads as it would alone
         assert capacity(ChannelRealization(h=ch.h, power=ch.power)) == ch.memo["capacity"]
+
+
+def test_capacity_whose_fallback_determinant_rounds_to_zero_raises():
+    # I + P H H^T overflows, and det(H H^T + I/P) of a rank-deficient H
+    # loses I/P: capacity read -inf
+    ch = ChannelRealization(h=[[1.0, 2.0], [2.0, 4.0]], power=1e308)
+    with pytest.raises(SingularMatrixError, match=r"^det\(H H\^T \+ I/P\) rounds to zero at P = 1e\+308$"):
+        capacity(ch)
+    assert "capacity" not in ch.memo
+    # a full-rank H past the float range is still finite
+    assert math.isfinite(capacity(ChannelRealization(h=[[1.0, 2.0], [3.0, 4.0]], power=1e308)))
 
 
 def test_an_overflowing_h_is_refused_by_name():

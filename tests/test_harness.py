@@ -9,7 +9,7 @@ import ifrx.harness
 import ifrx.ifcore
 import ifrx.sdm
 from ifrx.channel import ChannelRealization, sample_channel
-from ifrx.errors import ConvergenceError, IfrxError, InvalidInputError, SingularMatrixError, unwrap
+from ifrx.errors import ConvergenceError, IfrxError, InvalidInputError, SingularMatrixError
 from ifrx.fieldrec import PrimeField
 from ifrx.harness import (
     Aggregate,
@@ -391,7 +391,7 @@ def test_mod_p_flags_of_a_shared_draw_match_a_round_trip():
             records = run_trial(sub, snr, t, draw)
             # a cell drawn on its own gets the same records
             assert records == run_trial(sub, snr, t)
-            ch = unwrap(draw[snr])
+            ch = draw[snr]
             for rec, tag in zip(records, (METHOD_SDM, METHOD_EXHAUSTIVE)):
                 a = design_if(ch, SearchConfig(sub.bound_m, sub.lines_j), tag).a
                 expected = round_trip_invertible(a, field, random.Random(t))
@@ -471,7 +471,7 @@ def test_a_draw_keeps_one_union_per_bound_covering_its_largest_j():
              for m in (1, 3) for j in range(1, 6) for snr in cfg.snr_db_grid]
     draw = draw_trial(cfg, 0, cells)
     for snr in cfg.snr_db_grid:
-        memo = ifrx.ifcore.compute_q(unwrap(draw[snr])).memo
+        memo = ifrx.ifcore.compute_q(draw[snr]).memo
         assert set(memo) == {"basis", ("union", 1), ("union", 3)}
         assert memo[("union", 1)][2] == memo[("union", 3)][2] == 5
 
@@ -493,7 +493,7 @@ def test_a_draw_holds_one_realization_per_snr_point_shared_by_its_cells(monkeypa
     # first-occurrence order, one eigensolve stack of one slice per point
     assert list(draw) == [20.0, 0.0] and calls == [2]
     assert all(type(ch) is ChannelRealization for ch in draw.values())
-    # a draw held an SNR point whose power overflows or underflows as its error
+    # an SNR point whose power overflows or underflows raises when the draw is made
     for snr, message in ((4000.0, "^SNR 4000 dB overflows the transmit power$"),
                          (-4000.0, "^power must be positive and finite$"),
                          (-3100.0, "^power 1e-310 is too small: 1/P overflows a float$")):
@@ -572,8 +572,8 @@ def test_a_draw_raises_its_failed_eigensolve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fails_at_10_db)
     with pytest.raises(ConvergenceError, match="^eigh did not converge: Eigenvalues"):
         draw_trial(cfg, 0)
-    # one stacked call, then each of the three slices alone, as a stack of one
-    assert calls == [3, 1, 1, 1]
+    # one stacked call raises for every point, and no slice runs again
+    assert calls == [3]
     with pytest.raises(ConvergenceError, match="^eigh did not converge: Eigenvalues"):
         run_sweep(cfg, "snr", cfg.snr_db_grid)
     # a cell drawn alone raises only at the failing point

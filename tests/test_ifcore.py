@@ -202,6 +202,23 @@ def test_zf_rates_examples():
     assert singular.total == 0.0
 
 
+def test_zf_rates_past_the_float_range_of_p_over_a_row_norm():
+    # P / ||b_m||^2 overflowed: each rate read inf, and so did the CSV of
+    # simulate --l 2 --snr-db 3080 --methods zf
+    rep = zf_rates(ChannelRealization(h=10.0 * np.eye(2), power=1e308))
+    norm = 0.1 * 0.1
+    expected = 0.5 * (math.log2(1e308) - math.log2(norm))
+    assert rep.per_stream == (expected, expected) and rep.total == 2 * expected
+    assert not rep.singular and math.isfinite(rep.sum_form)
+    # where the ratio is finite, the rate is still its log
+    rep = zf_rates(ChannelRealization(h=10.0 * np.eye(2), power=1e300))
+    assert rep.per_stream == (0.5 * math.log2(1e300 / norm),) * 2
+    # H^T H whose inverse overflows a float is flagged singular: the
+    # rates read (nan, nan), not flagged
+    tiny = zf_rates(ChannelRealization(h=1e-160 * np.eye(2), power=1.0))
+    assert tiny.singular and tiny.per_stream == (0.0, 0.0) and tiny.total == 0.0
+
+
 def test_zf_row_norms_computed_once_per_realization(monkeypatch):
     import ifrx.ifcore
 

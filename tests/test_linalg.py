@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ifrx.channel import ChannelRealization, sample_channel
-from ifrx.errors import ConvergenceError, InvalidInputError, SingularMatrixError, unwrap
+from ifrx.errors import ConvergenceError, InvalidInputError, SingularMatrixError
 from ifrx.ifcore import compute_q
 from ifrx.linalg import (PIVOT_RTOL, det, int_rank_independent, int_rows, real_value,
                           solve_inverse, sym_eigen)
@@ -19,8 +19,13 @@ def random_symmetric(rng, n):
 
 def alone(kernel):
     """``kernel`` on one matrix as a stack of one: the slice's result, or
-    its error raised."""
-    return lambda m: unwrap(kernel(np.array(m, dtype=float)[None])[0])
+    its listed error raised."""
+    def run(m):
+        got = kernel(np.array(m, dtype=float)[None])[0]
+        if isinstance(got, Exception):
+            raise got
+        return got
+    return run
 
 
 def test_sym_eigen_diagonal():
@@ -380,26 +385,30 @@ def kernel_stacks():
 
 
 def test_every_stacked_slice_is_byte_identical_to_its_single_call():
-    # each slice against the same matrix as a stack of one, and against the
-    # row-loop reference
+    # each slice of a finite stack against the same matrix as a stack of
+    # one, and against the row-loop reference; only solve_inverse lists a
+    # failed slice, and a stack with a non-finite slice raises whole
     kernels = {
         "solve": (solve_inverse, reference_solve_inverse),
         "det": (det, reference_det),
         "eig": (sym_eigen, reference_sym_eigen),
     }
-    failed = {"solve": 0, "det": 0, "eig": 0}
+    listed, raised = 0, {"solve": 0, "det": 0, "eig": 0}
     for kind, stack in kernel_stacks():
         kernel, reference = kernels[kind]
+        if not np.isfinite(stack).all():
+            with pytest.raises(InvalidInputError, match=r"^(m|q) contains non-finite entries$"):
+                kernel(stack)
+            raised[kind] += 1
+            continue
         got = kernel(stack)
         assert isinstance(got, list) and len(got) == len(stack)
         for m, slice_result in zip(stack, got):
             single = outcome(alone(kernel), m)
-            assert stacked_outcome(slice_result) == single
-            if np.all(np.isfinite(m)):
-                assert single == outcome(reference, m)
-            failed[kind] += isinstance(slice_result, Exception)
-    # every kernel saw failing slices beside good ones
-    assert all(count > 10 for count in failed.values())
+            assert stacked_outcome(slice_result) == single == outcome(reference, m)
+            listed += isinstance(slice_result, Exception)
+    # singular whiteners and Gram matrices were listed beside healthy slices
+    assert listed > 10 and all(count > 10 for count in raised.values())
 
 
 def test_a_kernel_takes_only_a_stack():
@@ -410,7 +419,7 @@ def test_a_kernel_takes_only_a_stack():
                 kernel(bad)
 
 
-def test_sym_eigen_redoes_a_failed_stack_one_slice_at_a_time(monkeypatch):
+def test_sym_eigen_raises_a_failed_stack_in_its_one_call(monkeypatch):
     inner = np.linalg.eigh
     calls = []
     bad = np.diag([1.0, 2.0, 3.0])
@@ -423,12 +432,15 @@ def test_sym_eigen_redoes_a_failed_stack_one_slice_at_a_time(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fails_on_bad)
     good = np.diag([3.0, 1.0, 2.0])
-    got = sym_eigen(np.array([good, bad, good]))
-    assert calls == [(3, 3, 3), (1, 3, 3), (1, 3, 3), (1, 3, 3)]
-    assert isinstance(got[1], ConvergenceError)
-    assert str(got[1]) == "eigh did not converge: Eigenvalues did not converge"
-    assert isinstance(got[1].__cause__, np.linalg.LinAlgError)
-    for basis in (got[0], got[2]):
+    with pytest.raises(ConvergenceError, match="^eigh did not converge: Eigenvalues did not converge$") \
+            as info:
+        sym_eigen(np.array([good, bad, good]))
+    # one stacked call and no slice run again
+    assert calls == [(3, 3, 3)]
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    got = sym_eigen(np.array([good, good]))
+    assert calls[1:] == [(2, 3, 3)]
+    for basis in got:
         assert basis.vectors.tobytes() == sym_eigen(good[None])[0].vectors.tobytes()
 
 
@@ -443,28 +455,32 @@ def test_a_kept_error_holds_no_other_slice_and_no_frames(monkeypatch):
         return inner(a)
 
     monkeypatch.setattr(np.linalg, "eigh", fails_on_one_slice)
-    failing = {
-        solve_inverse: (np.zeros((2, 2)), np.ones((2, 2)), SingularMatrixError, SingularMatrixError),
-        det: (np.full((2, 2), np.nan), np.full((2, 2), np.inf), InvalidInputError, InvalidInputError),
-        sym_eigen: (lapack_fails, np.array([[1.0, 2.0], [0.0, 1.0]]), ConvergenceError,
-                    InvalidInputError),
+    # solve_inverse keeps a singular slice's error in its place, never
+    # raised; the subnormal slice's floor underflows to 0 and its inverse
+    # overflows
+    stack = np.array([good, np.zeros((2, 2)), good, np.ones((2, 2)), good, 1e-320 * np.eye(2)])
+    before = stack.copy()
+    got = solve_inverse(stack)
+    assert stack.tobytes() == before.tobytes()
+    for s in (0, 2, 4):
+        assert got[s].tobytes() == solve_inverse(good[None])[0].tobytes()
+    assert [str(err) for err in got[1::2]] == [
+        "matrix is zero", "pivot below threshold at column 1", "inverse leaves the float range"]
+    for err in got[1::2]:
+        assert type(err) is SingularMatrixError
+        assert err.__traceback__ is None and err.__cause__ is None and err.__context__ is None
+    # det and sym_eigen keep no error: a stack with a failing slice raises whole
+    raising = {
+        det: ((np.full((2, 2), np.nan), InvalidInputError, "^m contains non-finite entries$"),
+              (np.full((2, 2), np.inf), InvalidInputError, "^m contains non-finite entries$")),
+        sym_eigen: ((lapack_fails, ConvergenceError, "^eigh did not converge: Eigenvalues"),
+                    (np.array([[1.0, 2.0], [0.0, 1.0]]), InvalidInputError,
+                     "^q is not symmetric within tolerance$")),
     }
-    for kernel, (first, second, *kinds) in failing.items():
-        stack = np.array([good, first, good, second, good])
-        before = stack.copy()
-        got = kernel(stack)
-        assert [type(got[1]), type(got[3])] == kinds
-        # the caller's stack is unchanged, and each healthy slice is as alone
-        assert stack.tobytes() == before.tobytes()
-        for s in (0, 2, 4):
-            assert stacked_outcome(got[s]) == stacked_outcome(kernel(good[None])[0])
-        for s in (1, 3):
-            err = got[s]
-            assert err.__traceback__ is None
-            # a LAPACK failure chains to its own LinAlgError, frames cleared;
-            # no error chains to another slice's
-            cause = err.__cause__
-            assert err.__context__ is cause
-            if cause is not None:
-                assert isinstance(err, ConvergenceError)
-                assert cause.__traceback__ is None and cause.__context__ is None
+    for kernel, cases in raising.items():
+        for bad, kind, message in cases:
+            stack = np.array([good, bad, good])
+            before = stack.copy()
+            with pytest.raises(kind, match=message):
+                kernel(stack)
+            assert np.array_equal(stack, before, equal_nan=True)
