@@ -75,7 +75,8 @@ class ChannelRealization:
     (``ifcore.prepare_inverses``, ``prepare_capacity``); a realization
     used alone is a stack of one. Both read H H^T, formed here; an ``h``
     whose ||H||_F^2, the trace that bounds every entry of H H^T and of
-    H^T H, overflows a float raises InvalidInputError.
+    H^T H, overflows a float raises InvalidInputError, and so does one
+    whose whitener slice H H^T + I/P does at this power.
     """
 
     h: np.ndarray
@@ -95,6 +96,10 @@ class ChannelRealization:
             hht = h @ h.T
             if not math.isfinite(hht.trace()):
                 raise InvalidInputError("h is too large: H H^T overflows a float")
+            # the whitener slice adds 1/P to the diagonal alone
+            if max(hht.diagonal().tolist()) + 1 / self.power == math.inf:
+                raise InvalidInputError(f"h is too large at power {self.power:g}: "
+                                        "H H^T + I/P overflows a float")
         hht.setflags(write=False)
         self.memo["hht"] = hht
 

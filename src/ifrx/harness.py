@@ -4,10 +4,12 @@ One trial draws a single channel shared by every requested method, so the
 per-method curves differ only through the receivers, never the noise of
 the draw. A trial's channel is a pure function of (master_seed, trial
 index), which makes aggregates independent of execution order. A sweep
-draws each trial index once and runs every (sweep value, SNR point) cell
-of it on that draw: the channel's Q, its eigenbasis and, per bound M, one
-union of line candidates over the most lines any cell reads are computed
-once, stacked over the SNR points, and shared by all cells and methods.
+draws each trial index once and runs every cell, an (SNR point, search
+config) pair, on that draw: the channel's Q, its eigenbasis and, per
+bound M, one union of line candidates over the most lines any cell reads
+are computed once, stacked over the SNR points, and shared by all cells
+and methods; the first SDM design that reads a union ranks it for all of
+them.
 Whether an IF design's A is invertible mod p, the only finite-field
 result a trial records, is det A mod p != 0, with det A read exactly from
 greedy's own integer echelon (``IfDesign.det``): no elimination over F_p
@@ -17,7 +19,7 @@ runs and no messages are drawn.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,10 +79,7 @@ class ExperimentConfig:
             raise InvalidInputError("snr_db_grid must be nonempty")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
-        if self.bound_m < 1:
-            raise InvalidInputError("bound_m must be >= 1")
-        if not 1 <= self.lines_j <= self.l - 1:
-            raise InvalidInputError(f"lines_j must be in [1, {self.l - 1}]")
+        self.search()
         if not 0 <= self.master_seed < 2**64:
             raise InvalidInputError("master_seed must be a nonnegative 64-bit value")
         if not self.methods:
@@ -93,6 +92,16 @@ class ExperimentConfig:
         if self.prime_p is not None:
             object.__setattr__(self, "prime_p", int_value(self.prime_p, "prime_p"))
             PrimeField(self.prime_p)  # validates the prime
+
+    def search(self, **change) -> SearchConfig:
+        """The search config of the bound M and line count J, with the
+        fields named in ``change`` replaced: M >= 1 and 1 <= J <= L - 1."""
+        search = {"bound_m": self.bound_m, "lines_j": self.lines_j, **change}
+        if search["bound_m"] < 1:
+            raise InvalidInputError("bound_m must be >= 1")
+        if not 1 <= search["lines_j"] <= self.l - 1:
+            raise InvalidInputError(f"lines_j must be in [1, {self.l - 1}]")
+        return SearchConfig(**search)
 
 
 @dataclass(frozen=True)
@@ -133,9 +142,9 @@ def _realization(h: np.ndarray, snr_db: float) -> ChannelRealization:
 def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> dict:
     """Trial ``trial_index``'s channel, drawn from its seeded words, as
     ``{SNR point: realization}`` over the SNR points of ``cells``,
-    (SNR point, config) pairs, in order of first occurrence. The configs
-    may differ in J and M only; by default the cells are ``cfg`` at each
-    SNR point of its grid.
+    (SNR point, search config) pairs, in order of first occurrence; a
+    config is read for its bound M and line count J only. By default the
+    cells are ``cfg``'s search config at each SNR point of its grid.
 
     What the configured methods read is computed here for all SNR points
     at once: one ``solve_inverse`` stack for the whiteners, the forms Q and
@@ -146,7 +155,9 @@ def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> dict:
     failed eigensolve for every point.
     """
     h = sample_channel(cfg.master_seed, trial_index, cfg.l)
-    cells = [(snr, cfg) for snr in cfg.snr_db_grid] if cells is None else list(cells)
+    if cells is None:
+        cells = [(snr, cfg.search()) for snr in cfg.snr_db_grid]
+    cells = list(cells)
     draw = {snr_db: _realization(h, snr_db) for snr_db in dict.fromkeys(snr for snr, _ in cells)}
     methods = set(cfg.methods)
     prepare_inverses(draw.values(), whiteners=bool(methods & {"if-sdm", "if-exhaustive", "mmse"}),
@@ -156,23 +167,26 @@ def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> dict:
     if "if-sdm" in methods:
         forms = [compute_q(ch) for ch in draw.values()]
         lines = {}  # bound M -> the most lines any cell reads
-        for _, sub in cells:
-            lines[sub.bound_m] = max(lines.get(sub.bound_m, 0), sub.lines_j)
+        for _, search in cells:
+            lines[search.bound_m] = max(lines.get(search.bound_m, 0), search.lines_j)
         for bound_m, lines_j in lines.items():
             prepare_lines(forms, lines_j, bound_m)
     return draw
 
 
 def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
-              draw: dict | None = None) -> list[TrialRecord]:
+              draw: dict | None = None, search: SearchConfig | None = None) -> list[TrialRecord]:
     """Evaluate every configured method on one shared channel draw.
 
-    ``draw`` is the trial index's draw when a sweep shares it between
+    The IF designs search by ``search``, by default ``cfg``'s own M and
+    J. ``draw`` is the trial index's draw when a sweep shares it between
     cells, and must serve this cell; without one, the channel is drawn
     here for this cell alone. Either way the records are the same.
     """
+    if search is None:
+        search = cfg.search()
     if draw is None:
-        draw = draw_trial(cfg, trial_index, [(snr_db, cfg)])
+        draw = draw_trial(cfg, trial_index, [(snr_db, search)])
     if snr_db not in draw:
         raise InvalidInputError(f"the trial draw holds no SNR point {snr_db:g} dB")
     ch = draw[snr_db]
@@ -182,7 +196,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
         success, fallback, modp = True, False, None
         if method in ("if-sdm", "if-exhaustive"):
             tag = METHOD_SDM if method == "if-sdm" else METHOD_EXHAUSTIVE
-            design = design_if(ch, SearchConfig(cfg.bound_m, cfg.lines_j), tag)
+            design = design_if(ch, search, tag)
             if cfg.prime_p is not None:
                 modp = design.det % cfg.prime_p != 0
             rate_min, rate_sum = design.report.total, design.report.sum_form
@@ -244,24 +258,25 @@ def run_sweep(cfg: ExperimentConfig, sweep: str, values) -> list[Aggregate]:
     if not values:
         raise InvalidInputError("sweep values must be nonempty")
 
-    cells = []  # (value, snr, config) in output order
+    own = cfg.search()
+    cells = []  # (value, snr, search config) in output order
     for value in values:
         if sweep == "snr":
             value = real_value(value, f"{sweep} value")
-            cells.append((value, value, cfg))
+            cells.append((value, value, own))
             continue
         value = int_value(value, f"{sweep} value")
-        sub = replace(cfg, **{sweep: value})
-        cells.extend((value, snr, sub) for snr in cfg.snr_db_grid)
+        search = cfg.search(**{sweep: value})
+        cells.extend((value, snr, search) for snr in cfg.snr_db_grid)
 
     # per cell and method: rate_min, rate_sum, successes, rate_min of the successes
     totals = [{m: [0.0, 0.0, 0, 0.0] for m in cfg.methods} for _ in cells]
-    served = [(snr, sub) for _, snr, sub in cells]
+    served = [(snr, search) for _, snr, search in cells]
     for t in range(cfg.trials):
         # the draw, and all it computes, lives for one trial index only
         draw = draw_trial(cfg, t, served)
-        for (_, snr, sub), by_method in zip(cells, totals):
-            _add(by_method, run_trial(sub, snr, t, draw))
+        for (_, snr, search), by_method in zip(cells, totals):
+            _add(by_method, run_trial(cfg, snr, t, draw, search))
 
     return [
         _aggregate(by_method[m], cfg, sweep, value, snr, m)

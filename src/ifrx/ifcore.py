@@ -35,9 +35,10 @@ class QForm:
 
     ``q`` is a read-only copy of the input, a finite real square matrix
     (``linalg.as_square_matrix``), so quantities derived from it
-    (the eigenbasis and, per bound M, one union of line candidates) can be
-    kept in ``memo`` for the life of the form; ``sdm.prepare_lines`` fills
-    both for several forms at once. The form holds no reference back to
+    can be kept in ``memo`` for the life of the form: the eigenbasis and,
+    per bound M, one union of line candidates, which ``sdm.prepare_lines``
+    fills for several forms at once, that union's (f, lex) order, and the
+    rate of each designed row. The form holds no reference back to
     its channel, whose memo holds the form.
     """
 
@@ -149,6 +150,20 @@ def rates_from_q(a, q: QForm) -> list[float]:
     if arr.shape[1] != q.q.shape[0] or not arr.any(axis=1).all():
         raise InvalidInputError(f"each a_m must be a nonzero vector of length {q.q.shape[0]}")
     return [_rate_from_energy(float(a_m @ q.q @ a_m)) for a_m in arr]
+
+
+def kept_rates(a: np.ndarray, q: QForm) -> list[float]:
+    """``rates_from_q`` of an (n, L) nonzero integer array the package
+    built, such as greedy's A, read without the input reader. Each
+    distinct row is rated once per form, on the float row ``rates_from_q``
+    reads, and kept in ``q.memo["rates"]``."""
+    rates = q.memo.setdefault("rates", {})
+    rows = list(map(tuple, a.tolist()))
+    if not rates.keys() >= set(rows):
+        for row, a_m in zip(rows, a.astype(float)):
+            if row not in rates:
+                rates[row] = _rate_from_energy(float(a_m @ q.q @ a_m))
+    return [rates[row] for row in rows]
 
 
 def total_rate(per_stream) -> RateReport:

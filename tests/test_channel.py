@@ -254,6 +254,19 @@ def test_an_overflowing_h_is_refused_by_name():
     assert capacity(ChannelRealization(h=[[1e153, 0.0], [0.0, 1e153]], power=1.0)) > 0
 
 
+def test_a_whitener_slice_past_the_float_range_is_refused_by_name():
+    # H H^T and its trace fit, but H H^T + I/P did not: a RuntimeWarning
+    # escaped from the whitener stack, then the kernel's "m contains
+    # non-finite entries" was raised
+    h = [[1.3e154, 0.0], [0.0, 1.0]]
+    with pytest.raises(InvalidInputError,
+                       match=r"^h is too large at power 1e-308: H H\^T \+ I/P overflows a float$"):
+        mmse_rates(ChannelRealization(h=h, power=1e-308))
+    # the same h where 1/P leaves room, and a small h at that power, are accepted
+    assert mmse_rates(ChannelRealization(h=h, power=1e-300)).total >= 0
+    assert mmse_rates(ChannelRealization(h=np.eye(2), power=1e-308)).total == 0.0
+
+
 def test_channel_realization_validation():
     with pytest.raises(InvalidInputError):
         ChannelRealization(h=np.eye(2), power=0.0)

@@ -136,7 +136,7 @@ def test_aggregate_success_counting(monkeypatch):
     script = {"if-sdm": [(2.0, True), (4.0, True), (0.0, False), (2.0, True)],
               "zf": [(1.0, False), (0.5, False), (0.0, False), (0.5, False)]}
 
-    def scripted(cfg, snr_db, t, draw):
+    def scripted(cfg, snr_db, t, draw, search):
         return [TrialRecord(t, snr_db, m, script[m][t][0], 2 * script[m][t][0], script[m][t][1],
                             False) for m in cfg.methods]
     monkeypatch.setattr(ifrx.harness, "run_trial", scripted)
@@ -162,8 +162,8 @@ def test_run_sweep_keeps_no_record_past_its_trial_index(monkeypatch):
         refs.append([])
         return inner_draw(cfg, t, cells)
 
-    def running(cfg, snr_db, t, draw):
-        records = inner_trial(cfg, snr_db, t, draw)
+    def running(cfg, snr_db, t, draw, search):
+        records = inner_trial(cfg, snr_db, t, draw, search)
         refs[t].extend(map(weakref.ref, records))
         return records
     monkeypatch.setattr(ifrx.harness, "draw_trial", drawing)
@@ -209,6 +209,24 @@ def test_run_sweep_rejects_bad_input():
 def test_run_sweep_rejects_non_integer_values(sweep):
     with pytest.raises(InvalidInputError, match=f"^{sweep} value must be an integer, got 1.5"):
         run_sweep(small_cfg(methods=("mmse",)), sweep, [1, 1.5])
+
+
+@pytest.mark.parametrize("methods", [("if-sdm", "mmse"), ("mmse", "zf")])
+def test_run_sweep_refuses_out_of_range_values_with_or_without_the_line_pass(methods):
+    # a sweep cell is an SNR point and a search config, no longer a whole
+    # config; its values keep the config's rules and messages
+    cfg = small_cfg(l=4, lines_j=1, trials=1, methods=methods)
+    for sweep, bad, message in (("lines_j", 4, r"^lines_j must be in \[1, 3\]$"),
+                                ("lines_j", 0, r"^lines_j must be in \[1, 3\]$"),
+                                ("bound_m", 0, "^bound_m must be >= 1$"),
+                                ("bound_m", -3, "^bound_m must be >= 1$")):
+        for values in ([bad], [1, bad, 2]):
+            with pytest.raises(InvalidInputError, match=message):
+                run_sweep(cfg, sweep, values)
+        # the config's own field keeps the same rule and message
+        with pytest.raises(InvalidInputError, match=message):
+            replace(cfg, **{sweep: bad})
+    assert len(run_sweep(cfg, "lines_j", [3])) == len(methods)
 
 
 @pytest.mark.parametrize("sweep", ["lines_j", "bound_m"])
