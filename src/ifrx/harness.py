@@ -6,10 +6,9 @@ the draw. A trial's channel is a pure function of (master_seed, trial
 index), which makes aggregates independent of execution order. A sweep
 draws each trial index once and runs every cell, an (SNR point, search
 config) pair, on that draw: the channel's Q, its eigenbasis and, per
-bound M, one union of line candidates over the most lines any cell reads
-are computed once, stacked over the SNR points, and shared by all cells
-and methods; the first SDM design that reads a union ranks it for all of
-them.
+bound M, one union of line candidates over the most lines any cell reads,
+ranked once as it is built, are computed once, stacked over the SNR
+points, and shared by all cells and methods.
 Whether an IF design's A is invertible mod p, the only finite-field
 result a trial records, is det A mod p != 0, with det A read exactly from
 greedy's own integer echelon (``IfDesign.det``): no elimination over F_p
@@ -51,6 +50,17 @@ RECORD_COLUMNS = (
 _RECORD_FIELDS = ("trial_index", *RECORD_COLUMNS[1:])
 
 
+def _sequence(values, name: str, items: str) -> tuple:
+    """``values`` as a tuple; a str, bytes or non-iterable raises InvalidInputError."""
+    try:
+        seq = None if isinstance(values, (str, bytes)) else tuple(values)
+    except TypeError:
+        seq = None
+    if seq is None:
+        raise InvalidInputError(f"{name} must be a sequence of {items}")
+    return seq
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     l: int
@@ -65,14 +75,9 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("l", "trials", "bound_m", "lines_j", "master_seed"):
             object.__setattr__(self, name, int_value(getattr(self, name), name))
-        try:
-            grid = None if isinstance(self.snr_db_grid, (str, bytes)) else tuple(self.snr_db_grid)
-        except TypeError:
-            grid = None
-        if grid is None:
-            raise InvalidInputError("snr_db_grid must be a sequence of SNR points")
+        grid = _sequence(self.snr_db_grid, "snr_db_grid", "SNR points")
         object.__setattr__(self, "snr_db_grid", tuple(real_value(s, "snr_db_grid entry") for s in grid))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "methods", _sequence(self.methods, "methods", "method names"))
         if self.l < 2:
             raise InvalidInputError("l must be >= 2")
         if not self.snr_db_grid:
@@ -95,10 +100,10 @@ class ExperimentConfig:
 
     def search(self, **change) -> SearchConfig:
         """The search config of the bound M and line count J, with the
-        fields named in ``change`` replaced: M >= 1 and 1 <= J <= L - 1."""
-        search = {"bound_m": self.bound_m, "lines_j": self.lines_j, **change}
-        if search["bound_m"] < 1:
-            raise InvalidInputError("bound_m must be >= 1")
+        fields named in ``change`` replaced, each read as an integer:
+        1 <= J <= L - 1, and ``SearchConfig`` checks M >= 1."""
+        search = {k: int_value(v, k) for k, v in
+                  {"bound_m": self.bound_m, "lines_j": self.lines_j, **change}.items()}
         if not 1 <= search["lines_j"] <= self.l - 1:
             raise InvalidInputError(f"lines_j must be in [1, {self.l - 1}]")
         return SearchConfig(**search)
@@ -158,7 +163,8 @@ def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> dict:
     if cells is None:
         cells = [(snr, cfg.search()) for snr in cfg.snr_db_grid]
     cells = list(cells)
-    draw = {snr_db: _realization(h, snr_db) for snr_db in dict.fromkeys(snr for snr, _ in cells)}
+    points = dict.fromkeys(real_value(snr, "snr_db") for snr, _ in cells)
+    draw = {snr_db: _realization(h, snr_db) for snr_db in points}
     methods = set(cfg.methods)
     prepare_inverses(draw.values(), whiteners=bool(methods & {"if-sdm", "if-exhaustive", "mmse"}),
                      zf="zf" in methods)
@@ -183,6 +189,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
     cells, and must serve this cell; without one, the channel is drawn
     here for this cell alone. Either way the records are the same.
     """
+    snr_db = real_value(snr_db, "snr_db")
     if search is None:
         search = cfg.search()
     if draw is None:
@@ -254,7 +261,7 @@ def run_sweep(cfg: ExperimentConfig, sweep: str, values) -> list[Aggregate]:
     """
     if sweep not in SWEEPS:
         raise InvalidInputError(f"unknown sweep {sweep!r}")
-    values = list(values)
+    values = _sequence(values, "sweep values", "values")
     if not values:
         raise InvalidInputError("sweep values must be nonempty")
 

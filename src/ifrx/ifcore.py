@@ -36,9 +36,9 @@ class QForm:
     ``q`` is a read-only copy of the input, a finite real square matrix
     (``linalg.as_square_matrix``), so quantities derived from it
     can be kept in ``memo`` for the life of the form: the eigenbasis and,
-    per bound M, one union of line candidates, which ``sdm.prepare_lines``
-    fills for several forms at once, that union's (f, lex) order, and the
-    rate of each designed row. The form holds no reference back to
+    per bound M, one union of line candidates in (f, lex) order, which
+    ``sdm.prepare_lines`` fills and ranks for several forms at once, and
+    the rate of each designed row. The form holds no reference back to
     its channel, whose memo holds the form.
     """
 

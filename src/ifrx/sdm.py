@@ -124,17 +124,31 @@ def line_candidates(g1, gi, m: int) -> list[np.ndarray]:
     return [cands[a:b] for a, b in zip([0] + ends, ends)]
 
 
+def _row_f(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return ((a @ q) * a).sum(axis=1)
+
+
+def rank_candidates(arr: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Rows of a lexicographically sorted candidate array ascending by
+    f(t) = t^T Q t. The sort is stable, so equal-f ties stay lexicographic."""
+    return arr[np.argsort(_row_f(arr, q), kind="stable")]
+
+
 def prepare_lines(forms, lines_j: int, bound_m: int) -> None:
     """Keep in each form's ``memo`` (forms all of one size L) its union for
     bound M, ``memo[("union", M)]``: the distinct sign-canonical rows of
-    lines 2 .. J+1 in lexicographic order, the first line holding each row
-    (numbered from 0 for line 2, so J's set holds the rows numbered below
-    J), and the J covered.
+    lines 2 .. J+1 in (f, lex) order, read-only, the first line holding
+    each row (numbered from 0 for line 2, so J's set holds the rows
+    numbered below J), and the J covered.
 
     Forms that lack an eigenbasis get one from one ``sym_eigen`` stack, and
     every form whose union covers fewer than J lines walks lines 2 .. J+1
     in ``line_candidates`` passes of at most LINE_POINT_LIMIT jump points
-    each. A failed eigensolve raises for every form of the stack.
+    each. A union is ranked once, by one stable sort of f over its
+    lexicographic rows after its form's lines are released. f over it has,
+    row for row, the bits of f over J's rows alone (at two rows or more),
+    so J's rows masked out of it are ranked as ``rank_candidates`` ranks
+    them. A failed eigensolve raises for every form of the stack.
     J, in [1, L - 1], and M are integers.
     """
     lines_j = int_value(lines_j, "lines_j")
@@ -158,15 +172,15 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> None:
     step = max(1, LINE_POINT_LIMIT // (g1.shape[1] * (2 * bound_m + 2)))
     lines = [cands for start in range(0, len(g1), step)
              for cands in line_candidates(g1[start:start + step], gi[start:start + step], bound_m)]
-    for k, q in enumerate(todo):
-        own = lines[k * lines_j:(k + 1) * lines_j]
-        arr = np.concatenate(own)
+    for q in todo:
+        first = np.repeat(np.arange(lines_j), list(map(len, lines[:lines_j])))
+        arr = np.concatenate(lines[:lines_j])
+        del lines[:lines_j]  # the form's lines, released before its union is ranked
         arr *= np.where(leading(arr) < 0, -1, 1)[:, None]
         # the sort is stable, so the copies of a row keep line order and the
         # one kept comes from the earliest line
         order = np.lexsort(arr.T[::-1])
-        arr = arr[order]
-        first = np.repeat(np.arange(lines_j), list(map(len, own)))[order]
+        arr, first = arr[order], first[order]
         distinct = np.ones(len(arr), dtype=bool)
         distinct[1:] = (arr[1:] != arr[:-1]).any(axis=1)
         arr, first = arr[distinct], first[distinct]
@@ -175,6 +189,9 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> None:
         below_zero = len(arr) and arr[0].tolist() <= [0] * arr.shape[1]
         if below_zero or np.abs(arr).max(initial=0) > bound_m:
             raise RuntimeError("candidate set holds a zero, out-of-box or non-canonical vector")
+        order = np.argsort(_row_f(arr, q.q), kind="stable")
+        arr, first = arr[order], first[order]
+        arr.setflags(write=False)
         q.memo[("union", bound_m)] = arr, first, lines_j
 
 
@@ -185,5 +202,6 @@ def candidate_set(q: QForm, cfg: SearchConfig) -> np.ndarray:
     prepare_lines([q], cfg.lines_j, cfg.bound_m)
     arr, first, _ = q.memo[("union", cfg.bound_m)]
     arr = arr[first < cfg.lines_j]
+    arr = arr[np.lexsort(arr.T[::-1])]
     arr.setflags(write=False)
     return arr

@@ -23,12 +23,13 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import InstanceTooLargeError, InvalidInputError, SingularMatrixError
-from .ifcore import QForm, RateReport, compute_q, kept_rates, optimal_projection, total_rate
+from .ifcore import RateReport, compute_q, kept_rates, optimal_projection, total_rate
 # int_rank_independent and candidate_set stay bound here although no design
 # calls them: benchmarks/spans.py wraps these bindings, and a zero count
 # beats a missing one
 from .linalg import echelon_add, echelon_det, int_rank_independent, int_value  # noqa: F401
-from .sdm import SearchConfig, candidate_set, leading, prepare_lines  # noqa: F401
+from .sdm import (SearchConfig, _row_f, candidate_set, leading, prepare_lines,  # noqa: F401
+                  rank_candidates)
 
 METHOD_SDM = "sdm"
 METHOD_EXHAUSTIVE = "exhaustive"
@@ -53,38 +54,6 @@ class IfDesign:
     success: bool
     method: str
     det: int
-
-
-def _row_f(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return ((a @ q) * a).sum(axis=1)
-
-
-def rank_candidates(arr: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Rows of a lexicographically sorted candidate array ascending by
-    f(t) = t^T Q t. The sort is stable, so equal-f ties stay lexicographic."""
-    return arr[np.argsort(_row_f(arr, q), kind="stable")]
-
-
-def _ranked_union(qform: QForm, cfg: SearchConfig) -> np.ndarray:
-    """``rank_candidates(candidate_set(qform, cfg), qform.q)``, masked out
-    of the (f, lex) order of the form's whole union for bound M.
-
-    That order is one stable sort of f over the union, kept in the form's
-    memo as ``("ranked", M)`` with the J the union covers, and sorted again
-    only when the union grows. Its rows whose first line is below J keep
-    their relative order: f over the union has, row for row, the bits of
-    f over J's rows alone (at two rows or more; one row needs no order).
-    A J that reads the whole union gets the kept read-only array itself.
-    """
-    prepare_lines([qform], cfg.lines_j, cfg.bound_m)
-    arr, first, covered = qform.memo[("union", cfg.bound_m)]
-    kept = qform.memo.get(("ranked", cfg.bound_m))
-    if kept is None or kept[2] != covered:
-        order = np.argsort(_row_f(arr, qform.q), kind="stable")
-        kept = qform.memo[("ranked", cfg.bound_m)] = arr[order], first[order], covered
-        kept[0].setflags(write=False)
-    ranked, ranked_first, _ = kept
-    return ranked if cfg.lines_j == covered else ranked[ranked_first < cfg.lines_j]
 
 
 def greedy_full_rank(ranked: np.ndarray, memo: dict | None = None) -> np.ndarray | None:
@@ -216,8 +185,13 @@ def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesig
         raise InvalidInputError(f"unknown method {method!r}")
     qform = compute_q(ch)
     if method == METHOD_SDM:
+        prepare_lines([qform], cfg.lines_j, cfg.bound_m)
         memo = qform.memo
-        a = greedy_full_rank(_ranked_union(qform, cfg), memo)
+        # the union in rank order, J's rows masked out of it when it covers more
+        ranked, first, covered = memo[("union", cfg.bound_m)]
+        if cfg.lines_j < covered:
+            ranked = ranked[first < cfg.lines_j]
+        a = greedy_full_rank(ranked, memo)
     else:
         memo = {}
         a = _exhaustive_rows(qform.q, cfg.bound_m, memo)

@@ -1,4 +1,5 @@
-"""Seeded contract check of the library surface on extreme channels.
+"""Seeded contract checks of the library surface on extreme channels and
+of the command line on extreme argv lists.
 
 Every call on a ``ChannelRealization`` returns finite values or raises an
 ``IfrxError``. The channels are drawn with stdlib ``random`` from fixed
@@ -6,13 +7,23 @@ seeds: ``h`` at scales 1e-300 to 1e300, full rank, rank-deficient, zero,
 or with one column scaled by 1e-200, and P from 1e-10 to 1e308. No input
 is filtered out, and pyproject's ``filterwarnings = ["error"]`` fails the
 test on any warning that escapes.
+
+``cli.main`` on a ``simulate`` or ``design`` argv list whose flags are
+drawn from valid, bad, huge, non-finite and empty values returns 0, 1 or
+2, and no exception or warning escapes it; a ``simulate`` that returns 0
+writes no ``inf`` or ``nan``. A huge value is one the program refuses or
+finishes at once: an ``--l`` past the channel limit, say, not a
+``--trials`` it would honour for hours.
 """
 
 import math
 import random
+import re
+import warnings
 
 import numpy as np
 
+from ifrx import cli
 from ifrx.channel import ChannelRealization, capacity
 from ifrx.errors import IfrxError
 from ifrx.harness import METHODS, ExperimentConfig, run_trial
@@ -83,3 +94,96 @@ def test_every_call_on_an_extreme_channel_is_finite_or_a_typed_error():
     assert broken == []
     # both outcomes occur
     assert raised > 100 and finite > 100
+
+
+ARGV_LISTS = 400
+HUGE = "9" * 25
+NON_FINITE_CELL = re.compile(r"(^|,)-?(inf|nan)(,|$)", re.MULTILINE)
+# flag -> (values valid together, values to perturb it with: bad, huge,
+# non-finite, empty, or valid only with some other flags)
+SIMULATE_FLAGS = {
+    "--l": (["3", "4"], ["", "0", "1", "2", "-2", "2.5", "abc", "nan", "1e3", "1025", HUGE]),
+    "--snr-db": (["0", "10,20", "0:10:20", "-10,30"],
+                 ["", ",", "nan", "inf", "-inf", "0,nan", "1e400", "-1e308", "3080", "-3100",
+                  "0:0:1", "1:1:0", "0:1", "a:b:c", "0:1e-300:1", "0:1:inf", "1" + "0" * 400]),
+    "--trials": (["1", "2"], ["", "0", "-1", "1.5", "abc", "nan", "1e30"]),
+    "--bound": (["1", "2", "3"], ["", "0", "-1", "2.0", "abc", "1000000", HUGE]),
+    "--lines": (["1", "2"], ["", "0", "-1", "3", "4", "99", "1.0", HUGE]),
+    "--seed": (["1", "7", str(2**64 - 1)], ["", "-1", str(2**64), HUGE, "1.5", "abc"]),
+    "--methods": (["if-sdm", "mmse,zf", "capacity", "if-sdm,if-exhaustive,mmse,zf,capacity"],
+                  ["", ",", "ml", "mmse,mmse", "if-sdm,,zf", "nan"]),
+    "--sweep": (["snr", "lines", "bound"], ["", "power", "nan"]),
+    "--sweep-values": (["1,2", "1:1:2"], ["", ",", "nan", "inf", "0", "-1", "1.5", "0,10", "1:1:3",
+                                          HUGE, "1:1:" + HUGE, "1e400"]),
+    "--prime": (["0", "2", "257"], ["", "-1", "1", "15", "257.0", "abc", HUGE, str(2**64 + 13)]),
+}
+DESIGN_FLAGS = {
+    "--power": (["1", "100", "1e6"],
+                ["", "0", "-1", "abc", "nan", "inf", "1e-308", "5e-324", "1e308", "1e400"]),
+    "--bound": (["1", "2", "3"], ["", "0", "-1", "2.0", "1000000", HUGE]),
+    "--lines": (["1", "2"], ["", "0", "-1", "3", "99", HUGE]),
+    "--method": (["sdm", "exhaustive"], ["", "foo"]),
+}
+CHANNELS_TEXT = {
+    "good2": "0.9 0.3\n-0.2 1.1\n",
+    "good3": "1 2 0\n0 1 3\n2 0 1\n",
+    "empty": "",
+    "words": "a b\nc d\n",
+    "nan": "nan 1\n1 1\n",
+    "huge": "1e300 0\n0 1\n",
+    "ragged": "1 2\n3\n",
+    "one": "5\n",
+    "zero": "0 0\n0 0\n",
+}
+
+
+def draw_argv(rng: random.Random, tmp_path) -> list[str]:
+    """A ``simulate`` or ``design`` argv list with zero to three flags
+    perturbed: given a value to perturb it with, or left out."""
+    command = rng.choice(("simulate", "design"))
+    if command == "simulate":
+        flags = dict(SIMULATE_FLAGS, **{"--out": ([str(tmp_path / "out.csv")],
+                                                  ["", str(tmp_path), str(tmp_path / "no" / "o.csv")])})
+    else:
+        channels = [str(tmp_path / f"{name}.txt") for name in CHANNELS_TEXT]
+        flags = dict(DESIGN_FLAGS, **{"--channel": (channels[:2], channels[2:]
+                                                    + [str(tmp_path / "missing.txt")])})
+    perturbed = set(rng.sample(sorted(flags), rng.choice((0, 1, 1, 2, 3))))
+    argv = [command]
+    for flag, (valid, bad) in flags.items():
+        if flag not in perturbed:
+            argv.append(f"{flag}={rng.choice(valid)}")
+        elif flag == "--trials" or rng.random() < 0.8:
+            # joined, so a value such as -1e308 reaches the flag; --trials
+            # is never left out, as its default of 1000 runs for seconds
+            argv.append(f"{flag}={rng.choice(bad)}")
+    return argv
+
+
+def test_every_cli_argv_list_exits_0_1_or_2_and_writes_finite_rates(tmp_path, capsys):
+    for name, text in CHANNELS_TEXT.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    out = tmp_path / "out.csv"
+    rng = random.Random(20261)
+    broken, codes = [], {}
+    for _ in range(ARGV_LISTS):
+        argv = draw_argv(rng, tmp_path)
+        out.unlink(missing_ok=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # any escape breaks the contract
+                code = repr(exc)
+        if caught:
+            broken.append((argv, [str(w.message) for w in caught]))
+        if code not in (0, 1, 2):
+            broken.append((argv, code))
+        elif code == 0 and argv[0] == "simulate" and NON_FINITE_CELL.search(out.read_text()):
+            broken.append((argv, out.read_text()))
+        codes[argv[0], code] = codes.get((argv[0], code), 0) + 1
+        capsys.readouterr()
+    assert broken == []
+    # both commands both succeed and fail
+    assert all(codes.get(key, 0) > 20 for key in (("simulate", 0), ("simulate", 1),
+                                                  ("design", 0), ("design", 1))), codes

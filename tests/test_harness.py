@@ -60,7 +60,9 @@ def test_config_validation():
     with pytest.raises(InvalidInputError):
         small_cfg(prime_p=15)
     for kwargs, message in (({"l": 1}, "^l must be >= 2$"), ({"bound_m": 0}, "^bound_m must be >= 1$"),
-                            ({"methods": ()}, "^methods must be nonempty$")):
+                            ({"methods": ()}, "^methods must be nonempty$"),
+                            # None raised a raw TypeError
+                            ({"methods": None}, "^methods must be a sequence of method names$")):
         with pytest.raises(InvalidInputError, match=message):
             small_cfg(**kwargs)
     # prime_p is read by the integer rule too; these raised a raw TypeError
@@ -79,6 +81,12 @@ def test_config_validation():
             small_cfg(**{name: value})
     cfg = small_cfg(l=np.int64(4), master_seed=np.uint64(2**64 - 1))
     assert type(cfg.l) is int and type(cfg.master_seed) is int
+    # a search config's values are read by that rule before J is checked;
+    # these were compared first and raised a raw TypeError
+    for name, value in (("bound_m", "2"), ("lines_j", None), ("lines_j", 1.0)):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+            cfg.search(**{name: value})
+    assert cfg.search(bound_m=np.int64(3), lines_j=True) == SearchConfig(bound_m=3, lines_j=1)
 
 
 def test_config_rejects_seeds_outside_64_bits():
@@ -203,6 +211,9 @@ def test_run_sweep_rejects_bad_input():
         run_sweep(cfg, "power", [1.0])
     with pytest.raises(InvalidInputError):
         run_sweep(cfg, "snr", [])
+    # None raised a raw TypeError
+    with pytest.raises(InvalidInputError, match="^sweep values must be a sequence of values$"):
+        run_sweep(cfg, "snr", None)
 
 
 @pytest.mark.parametrize("sweep", ["lines_j", "bound_m"])
@@ -261,6 +272,11 @@ def test_snr_points_are_read_by_the_real_rule():
     for value in ("abc", None, "10", 10j):
         with pytest.raises(InvalidInputError, match="^snr value must be a real number"):
             run_sweep(cfg, "snr", [value])
+        # a trial's own point, or a draw's, raised a raw TypeError at snr_db / 10
+        with pytest.raises(InvalidInputError, match="^snr_db must be a real number"):
+            run_trial(cfg, value, 0)
+        with pytest.raises(InvalidInputError, match="^snr_db must be a real number"):
+            draw_trial(cfg, 0, [(value, cfg.search())])
     aggs = run_sweep(cfg, "snr", [np.float64(10.0), 20])
     assert [(a.sweep_value, a.snr_db) for a in aggs] == [(10.0, 10.0), (20.0, 20.0)]
     assert all(type(a.sweep_value) is float for a in aggs)
@@ -492,6 +508,12 @@ def test_a_draw_keeps_one_union_per_bound_covering_its_largest_j():
         memo = ifrx.ifcore.compute_q(draw[snr]).memo
         assert set(memo) == {"basis", ("union", 1), ("union", 3)}
         assert memo[("union", 1)][2] == memo[("union", 3)][2] == 5
+    # the J sweep's designs read those unions and keep no second copy
+    for snr, search in cells:
+        run_trial(cfg, snr, 0, draw, search)
+    for snr in cfg.snr_db_grid:
+        memo = ifrx.ifcore.compute_q(draw[snr]).memo
+        assert {k for k in memo if isinstance(k, tuple)} == {("union", 1), ("union", 3)}
 
 
 def test_run_trial_refuses_a_draw_without_its_snr_point():

@@ -7,7 +7,7 @@ from ifrx.channel import ChannelRealization
 from ifrx.errors import DegenerateDirectionError, InstanceTooLargeError, InvalidInputError
 from ifrx.ifcore import compute_q
 from ifrx.linalg import sym_eigen
-from ifrx.sdm import SearchConfig, candidate_set, line_candidates, prepare_lines
+from ifrx.sdm import SearchConfig, candidate_set, line_candidates, prepare_lines, rank_candidates
 from oracles import (
     as_tuples,
     canonical_sign,
@@ -215,6 +215,9 @@ def test_candidate_set_past_the_held_union_walks_the_lines_again():
         assert got.tobytes() == reference_candidate_set(q, j, 2).tobytes()
         assert set(form.memo) == {"basis", ("union", 2)}
         assert form.memo[("union", 2)][2] == covered
+        # a grown union is ranked again, as it is built
+        ranked = rank_candidates(reference_candidate_set(q, covered, 2), q)
+        assert form.memo[("union", 2)][0].tobytes() == ranked.tobytes()
 
 
 def test_line_pass_refuses_a_line_past_the_point_limit(monkeypatch):
@@ -253,7 +256,9 @@ def test_line_pass_walks_its_lines_in_stacks_under_the_point_limit(monkeypatch):
         ref_arr, ref_first, _ = ref.memo[("union", 2)]
         assert covered == 5
         assert arr.tobytes() == ref_arr.tobytes() and first.tolist() == ref_first.tolist()
-        assert arr.tobytes() == reference_candidate_set(q, 5, 2).tobytes()
+        # the union is kept in rank order
+        assert arr.tobytes() == rank_candidates(reference_candidate_set(q, 5, 2), q).tobytes()
+        assert not arr.flags.writeable
 
 
 def test_line_candidates_bit_identical_to_scalar_loop():

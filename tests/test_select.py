@@ -19,7 +19,7 @@ from ifrx.ifcore import (
     total_rate,
 )
 from ifrx.linalg import echelon_det, int_rank_independent
-from ifrx.sdm import SearchConfig, candidate_set, leading, prepare_lines
+from ifrx.sdm import SearchConfig, _row_f, candidate_set, leading, prepare_lines
 from ifrx.select import design_if, greedy_full_rank, rank_candidates, sphere_candidates
 from oracles import as_tuples, bareiss_det, make_qform
 
@@ -675,14 +675,17 @@ def test_exhaustive_design_reads_neither_lines_nor_sdm(monkeypatch):
 
 
 @pytest.mark.parametrize("l", [4, 8])
-def test_the_ranked_union_and_kept_rates_keep_the_per_j_bits(l):
-    # an SDM design masks J's rows out of the (f, lex) order of the whole
-    # union, and rates each row of A once per form: both rest on f and the
+def test_the_ranked_union_and_kept_rates_keep_the_per_j_bits(l, monkeypatch):
+    # an SDM design masks J's rows out of the union it keeps in (f, lex)
+    # order, and rates each row of A once per form: both rest on f and the
     # rate having the bits of the per-J arrays, row for row (a one-row f,
     # through gemv, need not; one row needs no order)
     def bits(rates):
         return np.array(rates).tobytes()
 
+    handed, real = [], select.greedy_full_rank
+    monkeypatch.setattr(select, "greedy_full_rank",
+                        lambda ranked, memo=None: handed.append(ranked) or real(ranked, memo))
     masked = 0
     for t in range(5):
         h = sample_channel(71, t, l)
@@ -692,24 +695,25 @@ def test_the_ranked_union_and_kept_rates_keep_the_per_j_bits(l):
                 form = compute_q(ch)
                 # one union for all J, as a sweep's draw holds it
                 prepare_lines([form], l - 1, m)
+                union, first, _ = form.memo[("union", m)]
+                # the lexicographic union, whose f the line pass sorted
+                lex = np.lexsort(union.T[::-1])
                 for j in range(1, l):
                     cfg = SearchConfig(bound_m=m, lines_j=j)
-                    got = select._ranked_union(form, cfg)
+                    a = design_if(ch, cfg, "sdm").a
+                    got = handed.pop()
                     own = candidate_set(form, cfg)
                     want = rank_candidates(own, form.q)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-                    union, first, _ = form.memo[("union", m)]
                     if len(own) > 1:
-                        whole = select._row_f(union, form.q)[first < j]
-                        assert whole.tobytes() == select._row_f(own, form.q).tobytes()
+                        whole = _row_f(union[lex], form.q)[first[lex] < j]
+                        assert whole.tobytes() == _row_f(own, form.q).tobytes()
                     masked += len(got) < len(union)
-                    a = design_if(ch, cfg, "sdm").a
                     assert bits(kept_rates(a, form)) == bits(rates_from_q(a, form))
                 # every union row, rated in its own array against the rates
                 # kept from the designs' rows
-                rows = form.memo[("union", m)][0]
-                assert bits(kept_rates(rows, form)) == bits(rates_from_q(rows, form))
-    assert masked
+                assert bits(kept_rates(union, form)) == bits(rates_from_q(union, form))
+    assert masked and not handed
 
 
 def test_design_tail_is_shared_by_a_only_within_its_realization():
