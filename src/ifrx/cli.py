@@ -161,6 +161,10 @@ def cmd_plot(args) -> int:
                 rows.append(row)
         except UnicodeDecodeError as exc:
             raise ParseError(f"{args.in_csv} is not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            # the DictReader's own line_num stops at the last row it returned
+            raise ParseError(f"line {reader.reader.line_num} of {args.in_csv} is not CSV "
+                             f"({exc})") from None
     if not rows:
         raise InvalidInputError(f"no data rows in {args.in_csv}")
 

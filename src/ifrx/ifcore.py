@@ -35,11 +35,12 @@ class QForm:
 
     ``q`` is a read-only copy of the input, a finite real square matrix
     (``linalg.as_square_matrix``), so quantities derived from it
-    can be kept in ``memo`` for the life of the form: the eigenbasis and,
+    can be kept in ``memo`` for the life of the form: the eigenbasis;
     per bound M, one union of line candidates in (f, lex) order, which
-    ``sdm.prepare_lines`` fills and ranks for several forms at once, and
-    the rate of each designed row. The form holds no reference back to
-    its channel, whose memo holds the form.
+    ``sdm.prepare_lines`` fills and ranks for several forms at once; and
+    the last SDM design's greedy scan, which ``select.greedy_full_rank``
+    replays. The form holds no reference back to its channel, whose memo
+    holds the form.
     """
 
     q: np.ndarray
@@ -143,27 +144,20 @@ def _rate_from_energy(e: float) -> float:
 
 
 def rates_from_q(a, q: QForm) -> list[float]:
-    """Rate (1/2) log2(1 / (a_m^T Q a_m)) of each row a_m of an (n, L)
-    array of finite reals (``linalg.as_real_matrix``), with the optimal
-    projection baked in."""
+    """``kept_rates`` of an (n, L) array of finite reals
+    (``linalg.as_real_matrix``), its rows checked first to be nonzero and
+    of length L."""
     arr = as_real_matrix(a, "a")
     if arr.shape[1] != q.q.shape[0] or not arr.any(axis=1).all():
         raise InvalidInputError(f"each a_m must be a nonzero vector of length {q.q.shape[0]}")
-    return [_rate_from_energy(float(a_m @ q.q @ a_m)) for a_m in arr]
+    return kept_rates(arr, q)
 
 
 def kept_rates(a: np.ndarray, q: QForm) -> list[float]:
-    """``rates_from_q`` of an (n, L) nonzero integer array the package
-    built, such as greedy's A, read without the input reader. Each
-    distinct row is rated once per form, on the float row ``rates_from_q``
-    reads, and kept in ``q.memo["rates"]``."""
-    rates = q.memo.setdefault("rates", {})
-    rows = list(map(tuple, a.tolist()))
-    if not rates.keys() >= set(rows):
-        for row, a_m in zip(rows, a.astype(float)):
-            if row not in rates:
-                rates[row] = _rate_from_energy(float(a_m @ q.q @ a_m))
-    return [rates[row] for row in rows]
+    """Rate (1/2) log2(1 / (a_m^T Q a_m)) of each row a_m of an (n, L)
+    array, with the optimal projection baked in. The rows are nonzero and
+    of length L, as in greedy's A, and are not read by the input reader."""
+    return [_rate_from_energy(float(a_m @ q.q @ a_m)) for a_m in a.astype(float)]
 
 
 def total_rate(per_stream) -> RateReport:

@@ -1,12 +1,12 @@
 """Dense real linear algebra and exact integer rank testing.
 
-Everything here is sized for the small matrices this package handles
-(L <= 32): a LAPACK symmetric eigensolver with canonical signs, Gaussian
-elimination with partial pivoting for inverses and determinants, the
-readers of exact integer and of real input, and an exact fraction-free
-integer echelon step on plain lists for rank decisions that must not
-hinge on float thresholds, with the exact determinant a full echelon
-yields.
+Everything here is sized for the matrices this package handles, L x L
+with L <= 1,024 (``channel.CHANNEL_ENTRY_LIMIT`` entries): a LAPACK
+symmetric eigensolver with canonical signs, Gaussian elimination with
+partial pivoting for inverses and determinants, the readers of exact
+integer and of real input, and an exact fraction-free integer echelon
+step on plain lists for rank decisions that must not hinge on float
+thresholds, with the exact determinant a full echelon yields.
 
 The three float kernels take a finite (S, n, n) stack of independent
 slices, run it in one pass and give a list of per-slice results; every

@@ -213,6 +213,16 @@ def exact_capacity(ch):
                   - ch.l * math.log2(scale))
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4")
+@pytest.mark.parametrize("power", [1e20, 1e30])
+def test_capacity_of_a_rank_one_channel_at_high_power(power):
+    # H H^T = [[5, 10], [10, 20]] has det 0, so det(I + P H H^T) is 1 + 25P;
+    # the float determinant loses the I and capacity reads 0.0 (exact: 35.54
+    # and 52.15 bits)
+    ch = ChannelRealization(h=[[1, 2], [2, 4]], power=power)
+    assert capacity(ch) == pytest.approx(exact_capacity(ch), rel=1e-12)
+
+
 @pytest.mark.parametrize("l, snr_db", [(8, 600.0), (16, 300.0), (2, 3080.0)])
 def test_capacity_beyond_the_float_range_matches_an_exact_log_determinant(l, snr_db):
     # the running product of the determinant overflowed: capacity read inf

@@ -412,6 +412,18 @@ def test_plot_non_utf8_file_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"ifrx: error: {csv_path} is not UTF-8 text")
 
 
+def test_plot_field_past_the_csv_limit_exits_1(tmp_path, capsys):
+    # csv refuses a field of more than csv.field_size_limit() characters
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text("method,snr_db,avg_rate_min\nmmse,0.0,1.0\n" + "m" * 200_000 + ",10.0,2.0\n")
+    out_svg = tmp_path / "r.svg"
+    code = main(["plot", "--in", str(csv_path), "--out", str(out_svg),
+                 "--x", "snr_db", "--y", "avg_rate_min", "--series", "method"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"ifrx: error: line 3 of {csv_path} is not CSV")
+    assert not out_svg.exists()
+
+
 @pytest.mark.parametrize("row", ["1", "mmse,10.0", "mmse,10.0,1.5,2"])
 def test_plot_row_without_one_field_per_column_exits_1(tmp_path, capsys, row):
     # a short row read as None: a TypeError, or a series named None

@@ -135,6 +135,16 @@ def test_det_of_a_finite_determinant_whose_pivot_product_overflows_midway():
     assert det([np.diag([1e200, 1e200])]) == [np.inf]
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4")
+def test_det_keeps_the_term_an_underflowing_multiplier_drops():
+    # rows scaled 1e-200 and 1e200 apart: the multiplier 1e-200 / 1e200
+    # flushes to 0, and the term it carries, as large as the row it should
+    # update, is dropped (6.048e199 where the determinant is 1.487e200)
+    m = np.diag([1e-200, 1e200, 1e200]) @ np.random.RandomState(5).standard_normal((3, 3))
+    expected = fraction_det(m.tolist())
+    assert abs(alone(det)(m) - expected) <= 1e-12 * abs(expected)
+
+
 def cofactor_det(m):
     n = len(m)
     if n == 1:

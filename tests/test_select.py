@@ -12,7 +12,6 @@ from ifrx.errors import InstanceTooLargeError, InvalidInputError, SingularMatrix
 from ifrx.harness import ExperimentConfig, run_sweep
 from ifrx.ifcore import (
     compute_q,
-    kept_rates,
     mmse_rates,
     optimal_projection,
     rates_from_q,
@@ -677,12 +676,9 @@ def test_exhaustive_design_reads_neither_lines_nor_sdm(monkeypatch):
 @pytest.mark.parametrize("l", [4, 8])
 def test_the_ranked_union_and_kept_rates_keep_the_per_j_bits(l, monkeypatch):
     # an SDM design masks J's rows out of the union it keeps in (f, lex)
-    # order, and rates each row of A once per form: both rest on f and the
-    # rate having the bits of the per-J arrays, row for row (a one-row f,
-    # through gemv, need not; one row needs no order)
-    def bits(rates):
-        return np.array(rates).tobytes()
-
+    # order, which rests on f having the bits of the per-J arrays, row for
+    # row (a one-row f, through gemv, need not; one row needs no order);
+    # each design's rates are those of its own A on a fresh realization
     handed, real = [], select.greedy_full_rank
     monkeypatch.setattr(select, "greedy_full_rank",
                         lambda ranked, memo=None: handed.append(ranked) or real(ranked, memo))
@@ -691,7 +687,8 @@ def test_the_ranked_union_and_kept_rates_keep_the_per_j_bits(l, monkeypatch):
         h = sample_channel(71, t, l)
         for snr in (0.0, 20.0, 40.0, 60.0):
             for m in (1, 2, 3):
-                ch = ChannelRealization(h=h, power=10.0 ** (snr / 10))
+                power = 10.0 ** (snr / 10)
+                ch = ChannelRealization(h=h, power=power)
                 form = compute_q(ch)
                 # one union for all J, as a sweep's draw holds it
                 prepare_lines([form], l - 1, m)
@@ -700,7 +697,7 @@ def test_the_ranked_union_and_kept_rates_keep_the_per_j_bits(l, monkeypatch):
                 lex = np.lexsort(union.T[::-1])
                 for j in range(1, l):
                     cfg = SearchConfig(bound_m=m, lines_j=j)
-                    a = design_if(ch, cfg, "sdm").a
+                    design = design_if(ch, cfg, "sdm")
                     got = handed.pop()
                     own = candidate_set(form, cfg)
                     want = rank_candidates(own, form.q)
@@ -709,10 +706,8 @@ def test_the_ranked_union_and_kept_rates_keep_the_per_j_bits(l, monkeypatch):
                         whole = _row_f(union[lex], form.q)[first[lex] < j]
                         assert whole.tobytes() == _row_f(own, form.q).tobytes()
                     masked += len(got) < len(union)
-                    assert bits(kept_rates(a, form)) == bits(rates_from_q(a, form))
-                # every union row, rated in its own array against the rates
-                # kept from the designs' rows
-                assert bits(kept_rates(union, form)) == bits(rates_from_q(union, form))
+                    fresh = compute_q(ChannelRealization(h=h, power=power))
+                    assert design.report == total_rate(rates_from_q(design.a, fresh))
     assert masked and not handed
 
 
