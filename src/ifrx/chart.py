@@ -6,10 +6,14 @@ produces the same bytes.
 
 from __future__ import annotations
 
+import re
+
 from .errors import InvalidInputError
 
 WIDTH, HEIGHT = 800, 600
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 80, 180, 50, 60
+# the characters XML 1.0 allows in no document, escaped or not
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e",
@@ -33,11 +37,16 @@ def render_line_chart(series, x_label: str = "", y_label: str = "", title: str =
     """Build an 800x600 SVG with one polyline per series (point markers for
     singletons), min/max axis ticks, and a legend.
 
-    ``series`` is a list of (name, [(x, y), ...]) pairs in draw order.
+    ``series`` is a list of (name, [(x, y), ...]) pairs in draw order. Text
+    holding a character XML 1.0 does not allow raises InvalidInputError.
     """
     series = [(name, list(pts)) for name, pts in series]
     if not series or all(not pts for _, pts in series):
         raise InvalidInputError("no data rows to plot")
+    texts = [("title", title), ("x-axis label", x_label), ("y-axis label", y_label)]
+    for what, text in texts + [("series name", str(name)) for name, _ in series]:
+        if bad := _NOT_XML.search(text):
+            raise InvalidInputError(f"{what} holds U+{ord(bad[0]):04X}, which XML 1.0 forbids")
     xs = [x for _, pts in series for x, _ in pts]
     ys = [y for _, pts in series for _, y in pts]
     x_min, x_max = min(xs), max(xs)

@@ -17,6 +17,7 @@ from .channel import ChannelRealization, load_matrix
 from .chart import render_line_chart
 from .errors import IfrxError, InvalidInputError, ParseError
 from .harness import DEFAULT_PRIME, ExperimentConfig, run_sweep, write_csv
+from .ifcore import optimal_projection
 from .sdm import SearchConfig
 from .select import METHOD_FALLBACK, design_if
 
@@ -94,7 +95,7 @@ def cmd_design(args) -> int:
     for row in design.a:
         print("  " + " ".join(str(int(c)) for c in row))
     print("B (projection rows):")
-    for row in design.b:
+    for row in optimal_projection(design.a, ch):
         print("  " + " ".join(f"{v:.6g}" for v in row))
     print("per-stream rates: " + " ".join(f"{r:.6f}" for r in design.report.per_stream))
     print(f"R_total: {design.report.total:.6f}")

@@ -23,10 +23,10 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import InstanceTooLargeError, InvalidInputError, SingularMatrixError
-from .ifcore import RateReport, compute_q, kept_rates, optimal_projection, total_rate
-# int_rank_independent and candidate_set stay bound here although no design
-# calls them: benchmarks/spans.py wraps these bindings, and a zero count
-# beats a missing one
+# optimal_projection, int_rank_independent and candidate_set stay bound
+# here although no design calls them: benchmarks/spans.py wraps these
+# bindings, and a zero count beats a missing one
+from .ifcore import RateReport, compute_q, kept_rates, optimal_projection, total_rate  # noqa: F401
 from .linalg import echelon_add, echelon_det, int_rank_independent, int_value  # noqa: F401
 from .sdm import (SearchConfig, _row_f, candidate_set, leading, prepare_lines,  # noqa: F401
                   rank_candidates)
@@ -45,11 +45,10 @@ GREEDY_BLOCK = 32
 
 @dataclass(frozen=True)
 class IfDesign:
-    """A designed receiver: integer rows, projection, rates, and how we got
-    it. ``det`` is det A, exact, from greedy's echelon (1 for the fallback)."""
+    """A designed receiver: integer rows A, their rates, det A (exact, from
+    greedy's echelon; 1 for the fallback) and how we got them, no projection."""
 
     a: np.ndarray
-    b: np.ndarray
     report: RateReport
     success: bool
     method: str
@@ -196,17 +195,7 @@ def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesig
         memo = {}
         a = _exhaustive_rows(qform.q, cfg.bound_m, memo)
     if a is None:
-        a = np.eye(ch.l, dtype=np.int64)
-        tag, success = METHOD_FALLBACK, False
+        a, tag, ok, det = np.eye(ch.l, dtype=np.int64), METHOD_FALLBACK, False, 1
     else:
-        tag, success = method, True
-    # the projection, rates and det depend on A (and the channel) alone, so
-    # the designs of one realization that agree on A share them
-    key = ("design", a.tobytes())
-    if key not in ch.memo:
-        b = optimal_projection(a, ch)
-        b.setflags(write=False)
-        det = echelon_det(memo["greedy"][2]) if success else 1
-        ch.memo[key] = b, total_rate(kept_rates(a, qform)), det
-    b, report, det = ch.memo[key]
-    return IfDesign(a=a, b=b, report=report, success=success, method=tag, det=det)
+        tag, ok, det = method, True, echelon_det(memo["greedy"][2])
+    return IfDesign(a=a, report=total_rate(kept_rates(a, qform)), success=ok, method=tag, det=det)

@@ -9,9 +9,10 @@ import pytest
 
 import ifrx.chart
 import ifrx.cli
-from ifrx.channel import ChannelRealization, sample_channel
+from ifrx.channel import ChannelRealization, load_matrix, sample_channel
 from ifrx.cli import MAX_GRID_POINTS, build_parser, main, parse_value_list
 from ifrx.errors import InvalidInputError, ParseError
+from ifrx.ifcore import optimal_projection
 from ifrx.sdm import SearchConfig
 from ifrx.select import METHOD_FALLBACK, design_if
 
@@ -206,6 +207,26 @@ def test_design_fallback_exits_2(tmp_path, capsys):
     assert code == 2
     assert "success: no" in out
     assert "mmse-identity-fallback" in out
+
+
+@pytest.mark.parametrize("fallback,argv,code", [
+    (False, ["--method", "sdm"], 0),
+    (False, ["--method", "exhaustive"], 0),
+    (True, ["--bound", "1", "--lines", "1"], 2),
+])
+def test_design_prints_the_projection_of_the_a_it_prints(tmp_path, capsys, fallback, argv, code):
+    # the README's library channel, or one whose design falls back
+    h = find_fallback_channel() if fallback else [[0.9, 0.3], [-0.2, 1.1]]
+    path = tmp_path / "h.txt"
+    path.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in h) + "\n")
+    assert main(["design", "--channel", str(path), "--power", "100"] + argv) == code
+    lines = capsys.readouterr().out.splitlines()
+    top = lines.index("A (integer rows):") + 1
+    ch = ChannelRealization(h=load_matrix(str(path)), power=100.0)
+    a = [[int(c) for c in line.split()] for line in lines[top:top + ch.l]]
+    assert lines[top + ch.l] == "B (projection rows):"
+    want = ["  " + " ".join(f"{v:.6g}" for v in row) for row in optimal_projection(a, ch)]
+    assert lines[top + ch.l + 1:top + 2 * ch.l + 1] == want
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -421,6 +442,24 @@ def test_plot_field_past_the_csv_limit_exits_1(tmp_path, capsys):
                  "--x", "snr_db", "--y", "avg_rate_min", "--series", "method"])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"ifrx: error: line 3 of {csv_path} is not CSV")
+    assert not out_svg.exists()
+
+
+@pytest.mark.parametrize("series,title,what", [
+    ("mm\x01se", "", "series name holds U+0001"),
+    (None, "a\x07b", "title holds U+0007"),
+])
+def test_plot_text_xml_does_not_allow_exits_1(tmp_path, capsys, series, title, what):
+    # the SVG such a character reached was not well-formed XML
+    csv_path = Path(__file__).parent / "data" / "sdm_snr_l8.csv"
+    if series is not None:
+        csv_path = tmp_path / "r.csv"
+        csv_path.write_text(f"method,snr_db,avg_rate_min\n{series},0.0,1.0\n{series},10.0,2.0\n")
+    out_svg = tmp_path / "r.svg"
+    code = main(["plot", "--in", str(csv_path), "--out", str(out_svg), "--x", "snr_db",
+                 "--y", "avg_rate_min", "--series", "method", "--title", title])
+    assert code == 1
+    assert capsys.readouterr().err == f"ifrx: error: {what}, which XML 1.0 forbids\n"
     assert not out_svg.exists()
 
 
