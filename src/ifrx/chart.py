@@ -6,6 +6,7 @@ produces the same bytes.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import InvalidInputError
@@ -33,6 +34,31 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
+def _scale(lo: float, hi: float, start: float, length: float):
+    """Map [lo, hi] onto [start, start + length]; a single value maps to the
+    middle. Where hi - lo overflows a float, the map works on halved
+    operands; a finite span does not, as halving rounds near the subnormal
+    range."""
+    span = hi - lo
+    if span == 0:
+        return lambda v: start + length / 2
+    if math.isinf(span):
+        return lambda v: start + (v / 2 - lo / 2) / (hi / 2 - lo / 2) * length
+    return lambda v: start + (v - lo) / span * length
+
+
+def _text(x, y, size: int, body: str, anchor: str = "", transform: str = "") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{transform}>{_escape(body)}</text>')
+
+
+def _line(x1, y1, x2, y2, color: str = "black", width: int = 0) -> str:
+    width = f' stroke-width="{width}"' if width else ""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{color}"{width}/>'
+
+
 def render_line_chart(series, x_label: str = "", y_label: str = "", title: str = "") -> str:
     """Build an 800x600 SVG with one polyline per series (point markers for
     singletons), min/max axis ticks, and a legend.
@@ -53,21 +79,11 @@ def render_line_chart(series, x_label: str = "", y_label: str = "", title: str =
     y_min, y_max = min(ys), max(ys)
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-
-    def sx(x: float) -> float:
-        span = x_max - x_min
-        if span == 0:
-            return MARGIN_LEFT + plot_w / 2
-        return MARGIN_LEFT + (x - x_min) / span * plot_w
-
-    def sy(y: float) -> float:
-        span = y_max - y_min
-        if span == 0:
-            return MARGIN_TOP + plot_h / 2
-        return MARGIN_TOP + plot_h - (y - y_min) / span * plot_h
-
     left, right = MARGIN_LEFT, MARGIN_LEFT + plot_w
     top, bottom = MARGIN_TOP, MARGIN_TOP + plot_h
+    sx = _scale(x_min, x_max, left, plot_w)
+    sy = _scale(y_min, y_max, bottom, -plot_h)
+    mid_y = (top + bottom) // 2
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}" '
@@ -75,43 +91,23 @@ def render_line_chart(series, x_label: str = "", y_label: str = "", title: str =
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{WIDTH / 2:.0f}" y="28" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="18">{_escape(title)}</text>'
-        )
+        parts.append(_text(WIDTH // 2, 28, 18, title, "middle"))
     # axes
-    parts.append(
-        f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="black"/>'
-    )
+    parts.append(_line(left, bottom, right, bottom))
+    parts.append(_line(left, top, left, bottom))
     # min/max ticks with numeric labels
     for x_val in (x_min, x_max):
-        px = sx(x_val)
-        parts.append(f'<line x1="{_fmt(px)}" y1="{bottom}" x2="{_fmt(px)}" y2="{bottom + 6}" stroke="black"/>')
-        parts.append(
-            f'<text x="{_fmt(px)}" y="{bottom + 22}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{x_val:.6g}</text>'
-        )
+        px = _fmt(sx(x_val))
+        parts.append(_line(px, bottom, px, bottom + 6))
+        parts.append(_text(px, bottom + 22, 12, f"{x_val:.6g}", "middle"))
     for y_val in (y_min, y_max):
         py = sy(y_val)
-        parts.append(f'<line x1="{left - 6}" y1="{_fmt(py)}" x2="{left}" y2="{_fmt(py)}" stroke="black"/>')
-        parts.append(
-            f'<text x="{left - 10}" y="{_fmt(py + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{y_val:.6g}</text>'
-        )
+        parts.append(_line(left - 6, _fmt(py), left, _fmt(py)))
+        parts.append(_text(left - 10, _fmt(py + 4), 12, f"{y_val:.6g}", "end"))
     if x_label:
-        parts.append(
-            f'<text x="{(left + right) / 2:.0f}" y="{HEIGHT - 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{_escape(x_label)}</text>'
-        )
+        parts.append(_text((left + right) // 2, HEIGHT - 14, 14, x_label, "middle"))
     if y_label:
-        parts.append(
-            f'<text x="20" y="{(top + bottom) / 2:.0f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14" '
-            f'transform="rotate(-90 20 {(top + bottom) / 2:.0f})">{_escape(y_label)}</text>'
-        )
+        parts.append(_text(20, mid_y, 14, y_label, "middle", f"rotate(-90 20 {mid_y})"))
 
     legend_x = right + 16
     for idx, (name, pts) in enumerate(series):
@@ -122,11 +118,8 @@ def render_line_chart(series, x_label: str = "", y_label: str = "", title: str =
         for x, y in pts:
             parts.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3" fill="{color}"/>')
         ly = top + 14 + idx * 20
-        parts.append(f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 24}" y2="{ly}" stroke="{color}" stroke-width="2"/>')
-        parts.append(
-            f'<text x="{legend_x + 30}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{_escape(str(name))}</text>'
-        )
+        parts.append(_line(legend_x, ly, legend_x + 24, ly, color, 2))
+        parts.append(_text(legend_x + 30, ly + 4, 12, str(name)))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

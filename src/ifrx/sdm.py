@@ -134,7 +134,7 @@ def rank_candidates(arr: np.ndarray, q: np.ndarray) -> np.ndarray:
     return arr[np.argsort(_row_f(arr, q), kind="stable")]
 
 
-def prepare_lines(forms, lines_j: int, bound_m: int) -> None:
+def prepare_lines(forms, lines_j: int, bound_m: int) -> list[np.ndarray]:
     """Keep in each form's ``memo`` (forms all of one size L) its union for
     bound M, ``memo[("union", M)]``: the distinct sign-canonical rows of
     lines 2 .. J+1 in (f, lex) order, read-only, the first line holding
@@ -150,6 +150,10 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> None:
     so J's rows masked out of it are ranked as ``rank_candidates`` ranks
     them. A failed eigensolve raises for every form of the stack.
     J, in [1, L - 1], and M are integers.
+
+    Returns J's rows of each form in (f, lex) order: the union itself when
+    it covers exactly J lines, else a fresh array of its rows numbered
+    below J. This is the one place J's mask is written.
     """
     lines_j = int_value(lines_j, "lines_j")
     bound_m = int_value(bound_m, "bound_m")
@@ -161,47 +165,46 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> None:
         for q, basis in zip(bare, sym_eigen([q.q for q in bare])):
             q.memo["basis"] = basis
     todo = [q for q in forms if q.memo.get(("union", bound_m), (None, None, 0))[2] < lines_j]
-    if not todo:
-        return
-    vectors = [q.memo["basis"].vectors for q in todo]
-    g1 = np.repeat([v[:, 0] for v in vectors], lines_j, axis=0)
-    gi = np.concatenate([v[:, 1:lines_j + 1].T for v in vectors])
-    # stacks of at most LINE_POINT_LIMIT jump points in all, so the passes'
-    # working memory does not grow with the lines; no line's result reads
-    # its stack
-    step = max(1, LINE_POINT_LIMIT // (g1.shape[1] * (2 * bound_m + 2)))
-    lines = [cands for start in range(0, len(g1), step)
-             for cands in line_candidates(g1[start:start + step], gi[start:start + step], bound_m)]
-    for q in todo:
-        first = np.repeat(np.arange(lines_j), list(map(len, lines[:lines_j])))
-        arr = np.concatenate(lines[:lines_j])
-        del lines[:lines_j]  # the form's lines, released before its union is ranked
-        arr *= np.where(leading(arr) < 0, -1, 1)[:, None]
-        # the sort is stable, so the copies of a row keep line order and the
-        # one kept comes from the earliest line
-        order = np.lexsort(arr.T[::-1])
-        arr, first = arr[order], first[order]
-        distinct = np.ones(len(arr), dtype=bool)
-        distinct[1:] = (arr[1:] != arr[:-1]).any(axis=1)
-        arr, first = arr[distinct], first[distinct]
-        # rows in lexicographic order all lie above the zero row, nonzero with
-        # a positive leading coordinate, when the first one does
-        below_zero = len(arr) and arr[0].tolist() <= [0] * arr.shape[1]
-        if below_zero or np.abs(arr).max(initial=0) > bound_m:
-            raise RuntimeError("candidate set holds a zero, out-of-box or non-canonical vector")
-        order = np.argsort(_row_f(arr, q.q), kind="stable")
-        arr, first = arr[order], first[order]
-        arr.setflags(write=False)
-        q.memo[("union", bound_m)] = arr, first, lines_j
+    if todo:
+        vectors = [q.memo["basis"].vectors for q in todo]
+        g1 = np.repeat([v[:, 0] for v in vectors], lines_j, axis=0)
+        gi = np.concatenate([v[:, 1:lines_j + 1].T for v in vectors])
+        # stacks of at most LINE_POINT_LIMIT jump points in all, so the passes'
+        # working memory does not grow with the lines; no line's result reads
+        # its stack
+        step = max(1, LINE_POINT_LIMIT // (g1.shape[1] * (2 * bound_m + 2)))
+        lines = [cands for start in range(0, len(g1), step) for cands in
+                 line_candidates(g1[start:start + step], gi[start:start + step], bound_m)]
+        for q in todo:
+            first = np.repeat(np.arange(lines_j), list(map(len, lines[:lines_j])))
+            arr = np.concatenate(lines[:lines_j])
+            del lines[:lines_j]  # the form's lines, released before its union is ranked
+            arr *= np.where(leading(arr) < 0, -1, 1)[:, None]
+            # the sort is stable, so the copies of a row keep line order and the
+            # one kept comes from the earliest line
+            order = np.lexsort(arr.T[::-1])
+            arr, first = arr[order], first[order]
+            distinct = np.ones(len(arr), dtype=bool)
+            distinct[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+            arr, first = arr[distinct], first[distinct]
+            # rows in lexicographic order all lie above the zero row, nonzero with
+            # a positive leading coordinate, when the first one does
+            below_zero = len(arr) and arr[0].tolist() <= [0] * arr.shape[1]
+            if below_zero or np.abs(arr).max(initial=0) > bound_m:
+                raise RuntimeError("candidate set holds a zero, out-of-box or non-canonical vector")
+            order = np.argsort(_row_f(arr, q.q), kind="stable")
+            arr, first = arr[order], first[order]
+            arr.setflags(write=False)
+            q.memo[("union", bound_m)] = arr, first, lines_j
+    unions = [q.memo[("union", bound_m)] for q in forms]
+    return [arr if covered == lines_j else arr[first < lines_j] for arr, first, covered in unions]
 
 
 def candidate_set(q: QForm, cfg: SearchConfig) -> np.ndarray:
     """Union of the sign-canonical candidates of the J slowest-ascent
-    lines: distinct int64 rows in lexicographic order, a fresh read-only
-    array."""
-    prepare_lines([q], cfg.lines_j, cfg.bound_m)
-    arr, first, _ = q.memo[("union", cfg.bound_m)]
-    arr = arr[first < cfg.lines_j]
+    lines, distinct int64 rows in lexicographic order: the rows
+    ``prepare_lines`` returns for J, lexsorted into a fresh read-only array."""
+    arr = prepare_lines([q], cfg.lines_j, cfg.bound_m)[0]
     arr = arr[np.lexsort(arr.T[::-1])]
     arr.setflags(write=False)
     return arr

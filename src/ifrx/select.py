@@ -178,19 +178,15 @@ def _exhaustive_rows(q: np.ndarray, m: int, memo: dict) -> np.ndarray | None:
 
 
 def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesign:
-    """End-to-end design: build the candidate set, sort, pick greedily,
-    fall back to the identity matrix when greedy cannot reach full rank."""
+    """End-to-end design: pick greedily from the ranked candidates (the SDM
+    design takes J's rows in (f, lex) order from ``prepare_lines``), fall
+    back to the identity matrix when greedy cannot reach full rank."""
     if method not in (METHOD_SDM, METHOD_EXHAUSTIVE):
         raise InvalidInputError(f"unknown method {method!r}")
     qform = compute_q(ch)
     if method == METHOD_SDM:
-        prepare_lines([qform], cfg.lines_j, cfg.bound_m)
         memo = qform.memo
-        # the union in rank order, J's rows masked out of it when it covers more
-        ranked, first, covered = memo[("union", cfg.bound_m)]
-        if cfg.lines_j < covered:
-            ranked = ranked[first < cfg.lines_j]
-        a = greedy_full_rank(ranked, memo)
+        a = greedy_full_rank(prepare_lines([qform], cfg.lines_j, cfg.bound_m)[0], memo)
     else:
         memo = {}
         a = _exhaustive_rows(qform.q, cfg.bound_m, memo)

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import xml.dom.minidom
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -391,6 +392,24 @@ def test_plot_single_row_uses_markers(tmp_path, capsys):
     svg = out_svg.read_text()
     assert "<polyline" not in svg
     assert svg.count("<circle") == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("rows", ["a,-1e308,1.0\na,1e308,2.0\nb,0,1.5",
+                                  "a,0,-1e308\na,1,1e308\nb,0.5,1.5"], ids=["x", "y"])
+def test_plot_span_past_the_float_range(tmp_path, capsys, rows):
+    # max - min overflowed to inf, and the SVG drew nan coordinates
+    csv_path = tmp_path / "span.csv"
+    csv_path.write_text(f"method,snr_db,avg_rate_min\n{rows}\n")
+    out_svg = tmp_path / "span.svg"
+    code = main(["plot", "--in", str(csv_path), "--out", str(out_svg),
+                 "--x", "snr_db", "--y", "avg_rate_min", "--series", "method"])
+    assert code == 0
+    svg = out_svg.read_text()
+    assert "nan" not in svg and "inf" not in svg
+    xml.dom.minidom.parse(str(out_svg))
+    # series b's point lies midway along both axes, one of which overflowed
+    assert '<circle cx="350.00" cy="295.00" r="3" fill="#d62728"/>' in svg
     capsys.readouterr()
 
 

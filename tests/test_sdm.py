@@ -196,12 +196,20 @@ def test_candidate_set_equals_the_per_call_reference_in_any_j_order():
                     # so a later call asks past the union it holds
                     prepare_lines([form], max(1, order[0] - 1), m)
                     for j in order:
+                        # J's rows in rank order, walked here when J is past the kept union
+                        rows = prepare_lines([form], int(j), m)[0]
+                        union, _, covered = form.memo[("union", m)]
+                        assert rows.tobytes() == rank_candidates(expected[j], q).tobytes()
+                        if covered == j:
+                            assert rows is union and not rows.flags.writeable
+                        else:
+                            assert not np.shares_memory(rows, union)
                         got = candidate_set(form, SearchConfig(bound_m=m, lines_j=int(j)))
                         want = expected[j]
                         assert got.dtype == want.dtype == np.int64
                         assert got.shape == want.shape and got.tobytes() == want.tobytes()
                         assert got.flags.c_contiguous and not got.flags.writeable
-                        assert not np.shares_memory(got, form.memo[("union", m)][0])
+                        assert not np.shares_memory(got, union)
 
 
 def test_candidate_set_past_the_held_union_walks_the_lines_again():
