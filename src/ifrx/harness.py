@@ -7,8 +7,10 @@ index), which makes aggregates independent of execution order. A sweep
 draws each trial index once and runs every cell, an (SNR point, search
 config) pair, on that draw: the channel's Q, its eigenbasis and, per
 bound M, one union of line candidates over the most lines any cell reads,
-ranked once as it is built, are computed once, stacked over the SNR
-points, and shared by all cells and methods.
+ranked once by its own Q, are computed once per SNR point, stacked over
+the points, and shared by all cells and methods. Q's eigenvectors do not
+depend on the power, so the points' unions typically come from one line
+pass per bound M (``sdm.prepare_lines``).
 Whether an IF design's A is invertible mod p, the only finite-field
 result a trial records, is det A mod p != 0, with det A read exactly from
 greedy's own integer echelon (``IfDesign.det``): no elimination over F_p
@@ -154,7 +156,9 @@ def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> dict:
     What the configured methods read is computed here for all SNR points
     at once: one ``solve_inverse`` stack for the whiteners, the forms Q and
     the ZF Gram matrix, one ``det`` stack for capacity, and one eigensolve
-    stack and one line pass per bound M for the SDM design. An SNR point
+    stack and, per bound M, one line pass per group of SNR points whose
+    eigenvectors agree within ``sdm.prepare_lines``' share radius
+    (typically one group) for the SDM design. An SNR point
     whose power overflows or underflows raises here, and so does a failing
     stack: the first singular whitener slice with its own error, and a
     failed eigensolve for every point.

@@ -37,7 +37,9 @@ class QForm:
     (``linalg.as_square_matrix``), so quantities derived from it
     can be kept in ``memo`` for the life of the form: the eigenbasis;
     per bound M, one union of line candidates in (f, lex) order, which
-    ``sdm.prepare_lines`` fills and ranks for several forms at once; and
+    ``sdm.prepare_lines`` fills for several forms at once, from one line
+    pass for the forms whose eigenvectors agree within its share radius,
+    and ranks by each form's own f; and
     the last SDM design's greedy scan, which ``select.greedy_full_rank``
     replays. The form holds no reference back to its channel, whose memo
     holds the form.
@@ -137,10 +139,11 @@ def optimal_projection(a, ch: ChannelRealization) -> np.ndarray:
 
 
 def _rate_from_energy(e: float) -> float:
-    """(1/2) log2(1 / e) for e = a^T Q a, which rounds to <= 0 at high SNR."""
+    """(1/2) log2(1 / e) for e = a^T Q a, which rounds to <= 0 at high SNR;
+    e = 1 gives 0.0, not -0.0."""
     if not e > 0:
         raise SingularMatrixError(f"quadratic form value {e:.3g} is not positive")
-    return -0.5 * math.log2(e)
+    return -0.5 * math.log2(e) + 0.0
 
 
 def rates_from_q(a, q: QForm) -> list[float]:

@@ -134,6 +134,37 @@ def rank_candidates(arr: np.ndarray, q: np.ndarray) -> np.ndarray:
     return arr[np.argsort(_row_f(arr, q), kind="stable")]
 
 
+def _share_radius(g1: np.ndarray, gi: np.ndarray, m: int) -> float:
+    """Radius r within which a (P, L) stack of lines g1 + rho * gi keeps
+    its rows: lines whose g1 and gi lie within r of these entrywise give,
+    line for line, the rows ``line_candidates`` gives for these.
+
+    Moving g1[k] and gi[k] by at most r <= |gi[k]| / 2 moves the jump point
+    rho = (c - g1[k]) / gi[k] by at most r * 2 (1 + |rho|) / |gi[k]|. So
+    while every two consecutive jump points of a line stay more than
+    RHO_MERGE_TOL plus a rounding slack of 64 eps (1 + |rho|) / min |gi|
+    apart, the jump points keep their order, none merges, and no midpoint
+    rounds across a half-integer, in either pass. r is 0 when a gap lies
+    within that, and at most min |gi[k]| - COORD_EPS, so no coordinate
+    turns inactive; a line with an inactive coordinate gives r = 0.
+    """
+    mags = np.abs(gi)
+    least = mags.min(axis=1)
+    cap = min(least.min() / 2, least.min() - COORD_EPS)
+    if cap <= 0:
+        return 0.0
+    grid = np.arange(2 * m + 2) - (m + 0.5)
+    # the raw jump points of _jumps, ascending within each line
+    rho = ((grid - g1[:, :, None]) / gi[:, :, None]).reshape(len(gi), -1)
+    order = np.argsort(rho, axis=1)
+    rho = np.take_along_axis(rho, order, axis=1)
+    size = 1 + np.abs(rho)
+    move = 2 * size / mags[np.arange(len(gi))[:, None], order // len(grid)]
+    slack = 64 * np.finfo(float).eps * np.maximum(size[:, :-1], size[:, 1:]) / least[:, None]
+    ratio = (np.diff(rho, axis=1) - RHO_MERGE_TOL - slack) / (move[:, :-1] + move[:, 1:])
+    return max(0.0, min(float(cap), float(ratio.min())))
+
+
 def prepare_lines(forms, lines_j: int, bound_m: int) -> list[np.ndarray]:
     """Keep in each form's ``memo`` (forms all of one size L) its union for
     bound M, ``memo[("union", M)]``: the distinct sign-canonical rows of
@@ -141,15 +172,21 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> list[np.ndarray]:
     each row (numbered from 0 for line 2, so J's set holds the rows
     numbered below J), and the J covered.
 
-    Forms that lack an eigenbasis get one from one ``sym_eigen`` stack, and
-    every form whose union covers fewer than J lines walks lines 2 .. J+1
-    in ``line_candidates`` passes of at most LINE_POINT_LIMIT jump points
-    each. A union is ranked once, by one stable sort of f over its
-    lexicographic rows after its form's lines are released. f over it has,
-    row for row, the bits of f over J's rows alone (at two rows or more),
-    so J's rows masked out of it are ranked as ``rank_candidates`` ranks
-    them. A failed eigensolve raises for every form of the stack.
-    J, in [1, L - 1], and M are integers.
+    Forms that lack an eigenbasis get one from one ``sym_eigen`` stack.
+    Then the first form whose union covers fewer than J lines walks lines
+    2 .. J+1 in ``line_candidates`` passes of at most LINE_POINT_LIMIT jump
+    points each, and its rows are made sign-canonical, deduplicated in
+    lexicographic order and checked, with its lines released. Every other
+    such form whose eigenvectors 1 .. J+1 equal these, or lie within the
+    lines' ``_share_radius`` entrywise, would walk the same rows, and takes
+    this union too; the rest start the next group. Q's eigenvectors do not
+    depend on the transmit power, so a draw's SNR points mostly form one
+    group per bound M. Each form's union is ranked once, after the last
+    group's pass, by one stable sort of its own f over the group's
+    lexicographic rows. f over it has, row for row, the bits of f over
+    J's rows alone (at two rows or more), so J's rows masked out of it are
+    ranked as ``rank_candidates`` ranks them. A failed eigensolve raises
+    for every form of the stack. J, in [1, L - 1], and M are integers.
 
     Returns J's rows of each form in (f, lex) order: the union itself when
     it covers exactly J lines, else a fresh array of its rows numbered
@@ -165,37 +202,51 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> list[np.ndarray]:
         for q, basis in zip(bare, sym_eigen([q.q for q in bare])):
             q.memo["basis"] = basis
     todo = [q for q in forms if q.memo.get(("union", bound_m), (None, None, 0))[2] < lines_j]
-    if todo:
-        vectors = [q.memo["basis"].vectors for q in todo]
-        g1 = np.repeat([v[:, 0] for v in vectors], lines_j, axis=0)
-        gi = np.concatenate([v[:, 1:lines_j + 1].T for v in vectors])
-        # stacks of at most LINE_POINT_LIMIT jump points in all, so the passes'
+    groups = []  # a lexicographic union, its rows' first lines, and the forms taking it
+    while todo:
+        lead = todo[0].memo["basis"].vectors[:, :lines_j + 1]
+        g1 = np.repeat(lead[None, :, 0], lines_j, axis=0)
+        gi = np.ascontiguousarray(lead[:, 1:].T)  # row-major: the pass gathers its rows
+        # stacks of at most LINE_POINT_LIMIT jump points in all, so the pass's
         # working memory does not grow with the lines; no line's result reads
         # its stack
         step = max(1, LINE_POINT_LIMIT // (g1.shape[1] * (2 * bound_m + 2)))
-        lines = [cands for start in range(0, len(g1), step) for cands in
+        stacks = range(0, lines_j, step)
+        lines = [cands for start in stacks for cands in
                  line_candidates(g1[start:start + step], gi[start:start + step], bound_m)]
-        for q in todo:
-            first = np.repeat(np.arange(lines_j), list(map(len, lines[:lines_j])))
-            arr = np.concatenate(lines[:lines_j])
-            del lines[:lines_j]  # the form's lines, released before its union is ranked
-            arr *= np.where(leading(arr) < 0, -1, 1)[:, None]
-            # the sort is stable, so the copies of a row keep line order and the
-            # one kept comes from the earliest line
-            order = np.lexsort(arr.T[::-1])
-            arr, first = arr[order], first[order]
-            distinct = np.ones(len(arr), dtype=bool)
-            distinct[1:] = (arr[1:] != arr[:-1]).any(axis=1)
-            arr, first = arr[distinct], first[distinct]
-            # rows in lexicographic order all lie above the zero row, nonzero with
-            # a positive leading coordinate, when the first one does
-            below_zero = len(arr) and arr[0].tolist() <= [0] * arr.shape[1]
-            if below_zero or np.abs(arr).max(initial=0) > bound_m:
-                raise RuntimeError("candidate set holds a zero, out-of-box or non-canonical vector")
+        first = np.repeat(np.arange(lines_j), list(map(len, lines)))
+        arr = np.concatenate(lines)
+        del lines  # released before the next group's pass
+        arr *= np.where(leading(arr) < 0, -1, 1)[:, None]
+        # the sort is stable, so the copies of a row keep line order and the
+        # one kept comes from the earliest line
+        order = np.lexsort(arr.T[::-1])
+        arr, first = arr[order], first[order]
+        distinct = np.ones(len(arr), dtype=bool)
+        distinct[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+        arr, first = arr[distinct], first[distinct]
+        # rows in lexicographic order all lie above the zero row, nonzero with
+        # a positive leading coordinate, when the first one does
+        below_zero = len(arr) and arr[0].tolist() <= [0] * arr.shape[1]
+        if below_zero or np.abs(arr).max(initial=0) > bound_m:
+            raise RuntimeError("candidate set holds a zero, out-of-box or non-canonical vector")
+        near = [True]
+        if len(todo) > 1:
+            r = min(_share_radius(g1[start:start + step], gi[start:start + step], bound_m)
+                    for start in stacks)
+            near += [np.abs(q.memo["basis"].vectors[:, :lines_j + 1] - lead).max() <= r
+                     for q in todo[1:]]
+        groups.append((arr, first, [q for q, shares in zip(todo, near) if shares]))
+        todo = [q for q, shares in zip(todo, near) if not shares]
+    # ranked after every pass, so no pass runs beside ranked copies, and each
+    # group's lexicographic union is released once its forms are ranked
+    while groups:
+        arr, first, share = groups.pop()
+        for q in share:
             order = np.argsort(_row_f(arr, q.q), kind="stable")
-            arr, first = arr[order], first[order]
-            arr.setflags(write=False)
-            q.memo[("union", bound_m)] = arr, first, lines_j
+            ranked = arr[order]
+            ranked.setflags(write=False)
+            q.memo[("union", bound_m)] = ranked, first[order], lines_j
     unions = [q.memo[("union", bound_m)] for q in forms]
     return [arr if covered == lines_j else arr[first < lines_j] for arr, first, covered in unions]
 

@@ -76,6 +76,14 @@ def test_design_identity_exhaustive(identity_channel, capsys):
     assert "success: yes" in out
 
 
+def test_design_of_a_zero_channel_prints_no_negative_zero_rate(tmp_path, capsys):
+    # a row of energy 1 printed its rate as -0.000000
+    path = tmp_path / "zero.txt"
+    path.write_text("0 0\n0 0\n")
+    assert main(["design", "--channel", str(path), "--power", "1"]) == 0
+    assert "per-stream rates: 0.000000 -0.500000\n" in capsys.readouterr().out
+
+
 def test_design_nonsquare_file_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("1 0 0\n0 1 0\n")

@@ -24,6 +24,13 @@ def random_channel(rng, l, power):
     return ChannelRealization(h=rng.standard_normal((l, l)), power=power)
 
 
+def test_a_row_of_energy_one_rates_positive_zero():
+    # (1/2) log2(1 / 1) came out as -0.0, which prints as -0.000000
+    rates = rates_from_q([[1.0, 0.0], [1.0, 1.0]], QForm(q=np.eye(2)))
+    assert [math.copysign(1.0, r) for r in rates] == [1.0, -1.0]
+    assert rates == [0.0, -0.5]
+
+
 def test_compute_q_identity_channel():
     q = compute_q(ChannelRealization(h=np.eye(2), power=1.0))
     assert np.allclose(q.q, 0.5 * np.eye(2), atol=1e-12)

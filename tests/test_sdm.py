@@ -5,9 +5,11 @@ import pytest
 
 from ifrx.channel import ChannelRealization
 from ifrx.errors import DegenerateDirectionError, InstanceTooLargeError, InvalidInputError
+from ifrx.harness import ExperimentConfig, draw_trial
 from ifrx.ifcore import compute_q
 from ifrx.linalg import sym_eigen
-from ifrx.sdm import SearchConfig, candidate_set, line_candidates, prepare_lines, rank_candidates
+from ifrx.sdm import (SearchConfig, _share_radius, candidate_set, line_candidates, prepare_lines,
+                      rank_candidates)
 from oracles import (
     as_tuples,
     canonical_sign,
@@ -257,8 +259,9 @@ def test_line_pass_walks_its_lines_in_stacks_under_the_point_limit(monkeypatch):
                         lambda g1, gi, m: heights.append(len(g1)) or inner(g1, gi, m))
     forms = [make_qform(q) for q in qs]
     prepare_lines(forms, 5, 2)
-    # 3 forms x 5 lines, split across forms where a stack fills
-    assert heights == [4, 4, 4, 3]
+    # 3 forms of distinct channels x 5 lines: each form walks its own lines
+    # in stacks of at most four, and releases them before the next pass
+    assert heights == [4, 1] * 3
     for q, form, ref in zip(qs, forms, whole):
         arr, first, covered = form.memo[("union", 2)]
         ref_arr, ref_first, _ = ref.memo[("union", 2)]
@@ -267,6 +270,91 @@ def test_line_pass_walks_its_lines_in_stacks_under_the_point_limit(monkeypatch):
         # the union is kept in rank order
         assert arr.tobytes() == rank_candidates(reference_candidate_set(q, 5, 2), q).tobytes()
         assert not arr.flags.writeable
+
+
+def test_a_draw_walks_one_line_pass_per_bound(monkeypatch):
+    import ifrx.sdm
+
+    passes = []
+    inner = ifrx.sdm.line_candidates
+    monkeypatch.setattr(ifrx.sdm, "line_candidates",
+                        lambda g1, gi, m: passes.append((m, len(g1))) or inner(g1, gi, m))
+    cfg = ExperimentConfig(l=8, snr_db_grid=(0.0, 10.0, 20.0, 30.0), trials=1, bound_m=2,
+                           lines_j=4, master_seed=5, methods=("if-sdm",))
+    cells = [(snr, cfg.search(**change)) for change in ({}, {"bound_m": 5, "lines_j": 3})
+             for snr in cfg.snr_db_grid]
+    for trial in range(3):
+        passes.clear()
+        draw = draw_trial(cfg, trial, cells)
+        # Q's eigenvectors do not depend on the power: per bound, the four
+        # points share one pass over one form's J lines
+        assert passes == [(2, 4), (5, 3)]
+        for snr in cfg.snr_db_grid:
+            form = compute_q(draw[snr])
+            for m, j in ((2, 4), (5, 3)):
+                alone = make_qform(form.q)
+                prepare_lines([alone], j, m)
+                got, want = form.memo[("union", m)], alone.memo[("union", m)]
+                assert [got[0].tobytes(), got[1].tobytes(), got[2]] \
+                    == [want[0].tobytes(), want[1].tobytes(), want[2]]
+
+
+def own_lines(vectors, j, m):
+    """Each line 2 .. J+1 of an eigenbasis as its own ``line_candidates``
+    pass gives it, and the lines' share radius."""
+    g1, gi = np.repeat(vectors[None, :, 0], j, axis=0), vectors[:, 1:j + 1].T
+    return [c.tobytes() for c in line_candidates(g1, gi, m)], _share_radius(g1, gi, m)
+
+
+@pytest.mark.parametrize("l, j", [(4, 3), (8, 4)])
+@pytest.mark.parametrize("m", [2, 200])
+def test_forms_share_a_line_pass_only_within_the_radius(monkeypatch, l, j, m):
+    import ifrx.sdm
+
+    walked = []
+    inner = ifrx.sdm.line_candidates
+    monkeypatch.setattr(ifrx.sdm, "line_candidates",
+                        lambda g1, gi, bound: walked.append(g1[0].tobytes()) or inner(g1, gi, bound))
+    rng = np.random.RandomState(34 * l + m)
+    shared = 0
+    for _ in range(8):
+        h = rng.standard_normal((l, l))
+        forms = [compute_q(ChannelRealization(h=h, power=10.0 ** (snr / 10))) for snr in (0, 20, 40, 60)]
+        walked.clear()
+        prepare_lines(forms, j, m)
+        bases = [f.memo["basis"].vectors[:, :j + 1] for f in forms]
+        lines, radii = zip(*(own_lines(b, j, m) for b in bases))
+        for b, r, rows in zip(bases, radii, lines):
+            # a basis anywhere within the radius walks the same rows
+            if r > 0:
+                near = b + 0.99 * r * rng.choice([-1.0, 1.0], size=b.shape)
+                assert own_lines(near, j, m)[0] == rows
+        for k, b in enumerate(bases):
+            near = [i for i in range(len(bases)) if np.abs(b - bases[i]).max() <= radii[i]]
+            # a form within another form's radius walks that form's rows
+            assert all(lines[k] == lines[i] for i in near)
+            if b[:, 0].tobytes() not in walked:
+                # a form that walked no lines took the union of an earlier
+                # walked form, within whose radius it lies
+                shared += 1
+                assert any(i < k and bases[i][:, 0].tobytes() in walked for i in near)
+    # most of the 24 later forms share
+    assert shared >= 12
+
+
+@pytest.mark.parametrize("master_seed", [74, 83, 90, 115, 172, 192])
+def test_the_radius_keeps_each_points_own_candidates(master_seed):
+    # on these draws the 60 dB form's own lines give other rows than the
+    # 0 dB form's, so a draw that handed every point the first point's
+    # union, with no radius, changed one union (though no CSV byte)
+    cfg = ExperimentConfig(l=4, snr_db_grid=(0.0, 20.0, 40.0, 60.0), trials=1, bound_m=200,
+                           lines_j=3, master_seed=master_seed, methods=("if-sdm",))
+    search = cfg.search()
+    draw = draw_trial(cfg, 0)
+    alone = [candidate_set(make_qform(compute_q(draw[snr]).q), search) for snr in cfg.snr_db_grid]
+    assert any(set(as_tuples(a)) != set(as_tuples(alone[0])) for a in alone[1:])
+    for snr, want in zip(cfg.snr_db_grid, alone):
+        assert candidate_set(compute_q(draw[snr]), search).tobytes() == want.tobytes()
 
 
 def test_line_candidates_bit_identical_to_scalar_loop():
