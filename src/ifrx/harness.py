@@ -157,7 +157,7 @@ def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> dict:
     at once: one ``solve_inverse`` stack for the whiteners, the forms Q and
     the ZF Gram matrix, one ``det`` stack for capacity, and one eigensolve
     stack and, per bound M, one line pass per group of SNR points whose
-    eigenvectors agree within ``sdm.prepare_lines``' share radius
+    eigenvectors agree within ``sdm.line_candidates``' share radius
     (typically one group) for the SDM design. An SNR point
     whose power overflows or underflows raises here, and so does a failing
     stack: the first singular whitener slice with its own error, and a

@@ -23,7 +23,7 @@ from .linalg import as_real_matrix, int_value, sym_eigen
 COORD_EPS = 1e-12
 RHO_MERGE_TOL = 1e-12
 # jump points, L * (2M+2), that one line may have, and that one stack of
-# lines in prepare_lines may have in all
+# lines in line_candidates may have in all
 LINE_POINT_LIMIT = 2**20
 
 
@@ -49,17 +49,30 @@ def leading(arr: np.ndarray) -> np.ndarray:
     return arr[np.arange(len(arr)), (arr != 0).argmax(axis=1)]
 
 
-def _jumps(g1: np.ndarray, gi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Merged jump points of a (P, L) stack of lines: the rhos, ascending
-    within each line, and the line each belongs to.
+def _jumps(g1: np.ndarray, gi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Merged jump points of a (P, L) stack of lines, the rhos ascending
+    within each line, the line each belongs to, and the stack's share
+    radius r.
 
     All rhos go through one stable sort keyed by (line, rho); built
     coordinate-major within each line, like a loop over k, ties keep that
     order. A rho is kept only if it lies more than RHO_MERGE_TOL past the
     last kept rho of its line, as a sequential merge keeps it, chains of
     near-duplicates included.
+
+    Lines whose g1 and gi lie within r of these entrywise give, line for
+    line, the rows ``line_candidates`` gives for these. Moving g1[k] and
+    gi[k] by at most r <= |gi[k]| / 2 moves the raw jump point
+    rho = (c - g1[k]) / gi[k] by at most r * 2 (1 + |rho|) / |gi[k]|. So
+    while every two consecutive raw jump points of a line stay more than
+    RHO_MERGE_TOL plus a rounding slack of 64 eps (1 + |rho|) / min |gi|
+    apart, the jump points keep their order, none merges, and no midpoint
+    rounds across a half-integer, in either pass. r is 0 when a gap lies
+    within that, and at most min |gi[k]| - COORD_EPS, so no coordinate
+    turns inactive; a line with an inactive coordinate gives r = 0.
     """
-    active = ~(np.abs(gi) < COORD_EPS)
+    mags = np.abs(gi)
+    active = ~(mags < COORD_EPS)
     if not active.any(axis=1).all():
         raise DegenerateDirectionError("every coordinate of the direction is below threshold")
     # the half-integers -M-1/2 .. M+1/2, where the rounding of a coordinate can jump
@@ -69,30 +82,54 @@ def _jumps(g1: np.ndarray, gi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarr
     line = np.repeat(line, len(grid))
     order = np.lexsort((rho, line))
     rho, line = rho[order], line[order]
+    cap = min(mags.min() / 2, mags.min() - COORD_EPS)
+    radius = 0.0
+    if cap > 0:
+        # every coordinate is active, so row p holds line p's L (2M+2) raw
+        # rhos, the one at j from gi.flat[order[j] // (2M+2)]; each array is
+        # released once read, so the radius holds no more of them at once
+        # than the sort
+        move = mags.ravel()[order // len(grid)].reshape(len(gi), -1)
+        del order
+        raw = rho.reshape(move.shape)
+        size = 1 + np.abs(raw)
+        move = 2 * size / move
+        slack = np.maximum(size[:, :-1], size[:, 1:]) * (64 * np.finfo(float).eps)
+        slack /= mags.min(axis=1)[:, None]
+        del size
+        ratio = raw[:, 1:] - raw[:, :-1] - RHO_MERGE_TOL - slack
+        del slack
+        ratio /= move[:, :-1] + move[:, 1:]
+        radius = max(0.0, min(float(cap), float(ratio.min())))
+        del move, ratio
     keep = np.ones(len(rho), dtype=bool)
     keep[1:] = (line[1:] != line[:-1]) | (rho[1:] - rho[:-1] > RHO_MERGE_TOL)
-    # a rho within the tolerance of its predecessor is measured against
-    # the last kept rho instead; a line's first rho is always kept
+    # a rho within the tolerance of its predecessor is measured against the
+    # last kept rho instead: the predecessor if it is kept, else the one the
+    # predecessor was measured against; a line's first rho is always kept
+    last = 0
     for i in np.flatnonzero(~keep).tolist():
-        last = i - 1
-        while not keep[last]:
-            last -= 1
+        if keep[i - 1]:
+            last = i - 1
         keep[i] = rho[i] - rho[last] > RHO_MERGE_TOL
-    return rho[keep], line[keep]
+    return rho[keep], line[keep], radius
 
 
-def line_candidates(g1, gi, m: int) -> list[np.ndarray]:
+def line_candidates(g1, gi, m: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Nearest in-box nonzero integer point for every interval midpoint of
-    each search line g1 + rho * gi, as int64 rows in interval order
-    (duplicates kept).
+    each search line g1 + rho * gi: the int64 rows of all P lines, in line
+    then interval order (duplicates kept), the line each row comes from,
+    and the lines' share radius (``_jumps``), the smallest over the stacks
+    they are walked in (inf for P = 0).
 
     ``g1`` and ``gi`` are (P, L) stacks of P lines (``as_real_matrix``),
-    giving a list of P arrays. The stack is one pass: its jump points share
-    one sort and its midpoints one rounding. A direction below COORD_EPS in
-    every coordinate raises DegenerateDirectionError for the whole pass; a
-    unit eigenvector never is one. A line with more than LINE_POINT_LIMIT
-    jump points raises InstanceTooLargeError before any array is built.
-    The bound ``m`` is an integer (``linalg.int_value``).
+    walked in stacks of at most LINE_POINT_LIMIT jump points in all, so the
+    pass's working memory does not grow with P. A stack's jump points
+    share one sort and its midpoints one rounding. A direction below
+    COORD_EPS in every coordinate raises DegenerateDirectionError for the
+    whole pass; a unit eigenvector never is one. A line with more than
+    LINE_POINT_LIMIT jump points raises InstanceTooLargeError before any
+    array is built. The bound ``m`` is an integer (``linalg.int_value``).
     """
     m = int_value(m, "m")
     g1 = as_real_matrix(g1, "g1 of the (P, L) stacks")
@@ -105,23 +142,28 @@ def line_candidates(g1, gi, m: int) -> list[np.ndarray]:
     if points > LINE_POINT_LIMIT:
         raise InstanceTooLargeError(f"a search line at L = {g1.shape[1]}, M = {m} has {points} "
                                     f"jump points, over the limit {LINE_POINT_LIMIT}")
-    rho, line = _jumps(g1, gi, m)
-    # consecutive jump points of one line bound one of its intervals
-    inner = line[1:] == line[:-1]
-    mids = (0.5 * (rho[:-1] + rho[1:]))[inner]
-    owner = line[:-1][inner]
-    # g1 + mid * gi rounded half away from zero, worked in place and
-    # filtered before the integer copy, so the pass holds few arrays of
-    # all its midpoints at once
-    x = gi[owner]
-    x *= mids[:, None]
-    x += g1[owner]
-    x += np.copysign(0.5, x)
-    np.trunc(x, out=x)
-    keep = (np.abs(x) <= m).all(axis=1) & x.any(axis=1)
-    cands = x[keep].astype(np.int64)
-    ends = np.cumsum(np.bincount(owner[keep], minlength=len(g1))).tolist()
-    return [cands[a:b] for a, b in zip([0] + ends, ends)]
+    step = max(1, LINE_POINT_LIMIT // max(points, 1))
+    rows, lines, radius = [np.empty((0, g1.shape[1]), np.int64)], [np.empty(0, np.intp)], np.inf
+    for start in range(0, len(g1), step):
+        rho, line, r = _jumps(g1[start:start + step], gi[start:start + step], m)
+        # consecutive jump points of one line bound one of its intervals
+        inner = line[1:] == line[:-1]
+        mids = (0.5 * (rho[:-1] + rho[1:]))[inner]
+        owner = line[:-1][inner] + start
+        # g1 + mid * gi rounded half away from zero, worked in place and
+        # filtered before the integer copy, so the pass holds few arrays of
+        # all its midpoints at once
+        x = gi[owner]
+        x *= mids[:, None]
+        x += g1[owner]
+        x += np.copysign(0.5, x)
+        np.trunc(x, out=x)
+        keep = (np.abs(x) <= m).all(axis=1) & x.any(axis=1)
+        rows.append(x[keep].astype(np.int64))
+        lines.append(owner[keep])
+        radius = min(radius, r)
+        del x  # released before the next stack's pass
+    return np.concatenate(rows), np.concatenate(lines), radius
 
 
 def _row_f(a: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -134,37 +176,6 @@ def rank_candidates(arr: np.ndarray, q: np.ndarray) -> np.ndarray:
     return arr[np.argsort(_row_f(arr, q), kind="stable")]
 
 
-def _share_radius(g1: np.ndarray, gi: np.ndarray, m: int) -> float:
-    """Radius r within which a (P, L) stack of lines g1 + rho * gi keeps
-    its rows: lines whose g1 and gi lie within r of these entrywise give,
-    line for line, the rows ``line_candidates`` gives for these.
-
-    Moving g1[k] and gi[k] by at most r <= |gi[k]| / 2 moves the jump point
-    rho = (c - g1[k]) / gi[k] by at most r * 2 (1 + |rho|) / |gi[k]|. So
-    while every two consecutive jump points of a line stay more than
-    RHO_MERGE_TOL plus a rounding slack of 64 eps (1 + |rho|) / min |gi|
-    apart, the jump points keep their order, none merges, and no midpoint
-    rounds across a half-integer, in either pass. r is 0 when a gap lies
-    within that, and at most min |gi[k]| - COORD_EPS, so no coordinate
-    turns inactive; a line with an inactive coordinate gives r = 0.
-    """
-    mags = np.abs(gi)
-    least = mags.min(axis=1)
-    cap = min(least.min() / 2, least.min() - COORD_EPS)
-    if cap <= 0:
-        return 0.0
-    grid = np.arange(2 * m + 2) - (m + 0.5)
-    # the raw jump points of _jumps, ascending within each line
-    rho = ((grid - g1[:, :, None]) / gi[:, :, None]).reshape(len(gi), -1)
-    order = np.argsort(rho, axis=1)
-    rho = np.take_along_axis(rho, order, axis=1)
-    size = 1 + np.abs(rho)
-    move = 2 * size / mags[np.arange(len(gi))[:, None], order // len(grid)]
-    slack = 64 * np.finfo(float).eps * np.maximum(size[:, :-1], size[:, 1:]) / least[:, None]
-    ratio = (np.diff(rho, axis=1) - RHO_MERGE_TOL - slack) / (move[:, :-1] + move[:, 1:])
-    return max(0.0, min(float(cap), float(ratio.min())))
-
-
 def prepare_lines(forms, lines_j: int, bound_m: int) -> list[np.ndarray]:
     """Keep in each form's ``memo`` (forms all of one size L) its union for
     bound M, ``memo[("union", M)]``: the distinct sign-canonical rows of
@@ -174,12 +185,11 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> list[np.ndarray]:
 
     Forms that lack an eigenbasis get one from one ``sym_eigen`` stack.
     Then the first form whose union covers fewer than J lines walks lines
-    2 .. J+1 in ``line_candidates`` passes of at most LINE_POINT_LIMIT jump
-    points each, and its rows are made sign-canonical, deduplicated in
-    lexicographic order and checked, with its lines released. Every other
-    such form whose eigenvectors 1 .. J+1 equal these, or lie within the
-    lines' ``_share_radius`` entrywise, would walk the same rows, and takes
-    this union too; the rest start the next group. Q's eigenvectors do not
+    2 .. J+1 in one ``line_candidates`` call, and its rows are made
+    sign-canonical, deduplicated in lexicographic order and checked. Every
+    such form whose eigenvectors 1 .. J+1 lie within the share radius of
+    that call entrywise, the first form included, would walk the same rows,
+    and takes this union; the rest start the next group. Q's eigenvectors do not
     depend on the transmit power, so a draw's SNR points mostly form one
     group per bound M. Each form's union is ranked once, after the last
     group's pass, by one stable sort of its own f over the group's
@@ -207,16 +217,7 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> list[np.ndarray]:
         lead = todo[0].memo["basis"].vectors[:, :lines_j + 1]
         g1 = np.repeat(lead[None, :, 0], lines_j, axis=0)
         gi = np.ascontiguousarray(lead[:, 1:].T)  # row-major: the pass gathers its rows
-        # stacks of at most LINE_POINT_LIMIT jump points in all, so the pass's
-        # working memory does not grow with the lines; no line's result reads
-        # its stack
-        step = max(1, LINE_POINT_LIMIT // (g1.shape[1] * (2 * bound_m + 2)))
-        stacks = range(0, lines_j, step)
-        lines = [cands for start in stacks for cands in
-                 line_candidates(g1[start:start + step], gi[start:start + step], bound_m)]
-        first = np.repeat(np.arange(lines_j), list(map(len, lines)))
-        arr = np.concatenate(lines)
-        del lines  # released before the next group's pass
+        arr, first, radius = line_candidates(g1, gi, bound_m)
         arr *= np.where(leading(arr) < 0, -1, 1)[:, None]
         # the sort is stable, so the copies of a row keep line order and the
         # one kept comes from the earliest line
@@ -230,12 +231,9 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> list[np.ndarray]:
         below_zero = len(arr) and arr[0].tolist() <= [0] * arr.shape[1]
         if below_zero or np.abs(arr).max(initial=0) > bound_m:
             raise RuntimeError("candidate set holds a zero, out-of-box or non-canonical vector")
-        near = [True]
-        if len(todo) > 1:
-            r = min(_share_radius(g1[start:start + step], gi[start:start + step], bound_m)
-                    for start in stacks)
-            near += [np.abs(q.memo["basis"].vectors[:, :lines_j + 1] - lead).max() <= r
-                     for q in todo[1:]]
+        # the lead form itself lies within any radius
+        near = [np.abs(q.memo["basis"].vectors[:, :lines_j + 1] - lead).max() <= radius
+                for q in todo]
         groups.append((arr, first, [q for q, shares in zip(todo, near) if shares]))
         todo = [q for q, shares in zip(todo, near) if not shares]
     # ranked after every pass, so no pass runs beside ranked copies, and each

@@ -1,6 +1,7 @@
 """Reference formulas the tests check the package against."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -64,6 +65,29 @@ def reference_jump_points(g1, gi, m):
         if rho - merged[-1] > 1e-12:
             merged.append(rho)
     return merged
+
+
+def reference_share_radius(g1s, gis, m):
+    """Scalar loop over each line's raw jump points, ascending, in plain
+    floats: the smallest (gap - 1e-12 - 64 eps max(1 + |rho|) / min |gi|) /
+    (2 (1 + |rho_a|) / |gi[k_a]| + 2 (1 + |rho_b|) / |gi[k_b]|) over two
+    consecutive ones of a line, capped at min |gi| / 2 and min |gi| - 1e-12
+    over the stack, and at least 0; 0 with no division when a coordinate
+    is below 1e-12."""
+    least = min(abs(float(d)) for gi in gis for d in gi)
+    cap = min(least / 2, least - 1e-12)
+    if cap <= 0:
+        return 0.0
+    radius = cap
+    for g1, gi in zip(g1s, gis):
+        mags = [abs(float(d)) for d in gi]
+        points = sorted(((c - float(a)) / float(d), mag) for a, d, mag in zip(g1, gi, mags)
+                        for c in half_integer_grid(m))
+        for (x, dx), (y, dy) in zip(points, points[1:]):
+            slack = 64 * sys.float_info.epsilon * max(1 + abs(x), 1 + abs(y)) / min(mags)
+            move = 2 * (1 + abs(x)) / dx + 2 * (1 + abs(y)) / dy
+            radius = min(radius, (y - x - 1e-12 - slack) / move)
+    return max(0.0, radius)
 
 
 def reference_line_candidates(g1, gi, m):

@@ -75,6 +75,7 @@ def pins_of(kind, l):
         ch = ChannelRealization(h=CHANNELS[kind](l), power=power(snr))
         cfg = SearchConfig(BOUND_M, l - 1)
         vecs = sym_eigen(compute_q(ch).q[None])[0].vectors
+        # each line walked alone: its rows are the whole of its pass's rows
         lines = [line_candidates(vecs[None, :, 0], vecs[None, :, i], BOUND_M)[0]
                  for i in range(1, l)]
         out[str(snr)] = {
@@ -109,7 +110,8 @@ def test_a_draw_stacked_over_snr_points_matches_the_pins(monkeypatch, pins, kind
     bases = sym_eigen(np.array([q.q for q in forms]))
     g1 = np.array([b.vectors[:, 0] for b in bases for _ in range(1, l)])
     gi = np.array([b.vectors[:, i] for b in bases for i in range(1, l)])
-    lines = line_candidates(g1, gi, BOUND_M)
+    cands, line, _ = line_candidates(g1, gi, BOUND_M)
+    lines = [cands[line == k] for k in range(len(g1))]
     for k, snr in enumerate(SNR_DB):
         pin = pins[f"{kind}/{l}"][str(snr)]
         ch = draw[snr]

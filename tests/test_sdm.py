@@ -8,7 +8,7 @@ from ifrx.errors import DegenerateDirectionError, InstanceTooLargeError, Invalid
 from ifrx.harness import ExperimentConfig, draw_trial
 from ifrx.ifcore import compute_q
 from ifrx.linalg import sym_eigen
-from ifrx.sdm import (SearchConfig, _share_radius, candidate_set, line_candidates, prepare_lines,
+from ifrx.sdm import (SearchConfig, _jumps, candidate_set, line_candidates, prepare_lines,
                       rank_candidates)
 from oracles import (
     as_tuples,
@@ -18,7 +18,17 @@ from oracles import (
     reference_candidate_set,
     reference_jump_points,
     reference_line_candidates,
+    reference_share_radius,
 )
+
+
+def per_line(g1, gi, m):
+    """The rows ``line_candidates`` gives each line of a stack, split on
+    the line each row comes from."""
+    rows, line, _ = line_candidates(g1, gi, m)
+    # every row comes from one line of the stack, in line order
+    assert (np.diff(line) >= 0).all() and 0 <= line.min(initial=0) <= line.max(initial=0) < len(g1)
+    return [rows[line == k] for k in range(len(g1))]
 
 
 def test_line_candidates_degenerate_direction():
@@ -59,8 +69,8 @@ def test_line_pass_reads_integer_bounds_only():
     for m in (1.5, 2.0, "2", None):
         with pytest.raises(InvalidInputError, match="m must be an integer"):
             line_candidates(g1, gi, m)
-    got = line_candidates(g1, gi, np.int64(1))
-    assert [c.tolist() for c in got] == [[[1, 1], [1, 0], [0, -1], [-1, -1]]]
+    rows, line, _ = line_candidates(g1, gi, np.int64(1))
+    assert rows.tolist() == [[1, 1], [1, 0], [0, -1], [-1, -1]] and line.tolist() == [0] * 4
     q = make_qform([[2.0, 0.5], [0.5, 1.0]])
     for lines_j, bound_m, name in ((1.5, 2, "lines_j"), (1, 1.5, "bound_m"), (1, 2.0, "bound_m")):
         with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
@@ -84,14 +94,15 @@ def test_search_config_reads_integer_fields():
 
 
 def test_line_candidates_examples():
-    got = line_candidates([[1.0, 0.0], [0.6, 0.0]], [[0.0, 1.0], [0.0, 1.0]], 1)
-    assert [c.tolist() for c in got] == [[[1, -1], [1, 0], [1, 1]]] * 2
+    rows, line, _ = line_candidates([[1.0, 0.0], [0.6, 0.0]], [[0.0, 1.0], [0.0, 1.0]], 1)
+    assert rows.tolist() == [[1, -1], [1, 0], [1, 1]] * 2
+    assert line.tolist() == [0, 0, 0, 1, 1, 1]
 
 
 def test_line_candidates_bound_clearing():
     # a line far from the box in its second coordinate gets intervals cleared
-    pts = line_candidates([[0.3, 5.0]], [[1.0, 0.0]], 1)[0]
-    assert pts.shape == (0, 2)
+    rows, line, _ = line_candidates([[0.3, 5.0]], [[1.0, 0.0]], 1)
+    assert rows.shape == (0, 2) and line.shape == (0,)
 
 
 def brute_closest_nonzero_in_box(point, m):
@@ -236,8 +247,10 @@ def test_line_pass_refuses_a_line_past_the_point_limit(monkeypatch):
     # L * (2M+2) jump points per line: M = 2 fits at L = 4, M = 3 does not
     monkeypatch.setattr(ifrx.sdm, "LINE_POINT_LIMIT", 4 * (2 * 2 + 2))
     g1, gi = np.random.RandomState(3).standard_normal((2, 5, 4))
-    # the limit holds per line, whatever the height of the stack
-    assert len(line_candidates(g1, gi, 2)) == 5
+    # the limit holds per line, whatever the height of the stack: five
+    # lines are walked in five stacks, each as it is walked alone
+    assert [c.tobytes() for c in per_line(g1, gi, 2)] \
+        == [line_candidates(g1[k:k + 1], gi[k:k + 1], 2)[0].tobytes() for k in range(5)]
     for height in (1, 5):
         with pytest.raises(InstanceTooLargeError, match="jump points"):
             line_candidates(g1[:height], gi[:height], 3)
@@ -254,8 +267,8 @@ def test_line_pass_walks_its_lines_in_stacks_under_the_point_limit(monkeypatch):
     # four lines' worth of jump points at L = 6, M = 2, and a few to spare
     monkeypatch.setattr(ifrx.sdm, "LINE_POINT_LIMIT", 4 * 6 * (2 * 2 + 2) + 5)
     heights = []
-    inner = ifrx.sdm.line_candidates
-    monkeypatch.setattr(ifrx.sdm, "line_candidates",
+    inner = ifrx.sdm._jumps
+    monkeypatch.setattr(ifrx.sdm, "_jumps",
                         lambda g1, gi, m: heights.append(len(g1)) or inner(g1, gi, m))
     forms = [make_qform(q) for q in qs]
     prepare_lines(forms, 5, 2)
@@ -303,7 +316,8 @@ def own_lines(vectors, j, m):
     """Each line 2 .. J+1 of an eigenbasis as its own ``line_candidates``
     pass gives it, and the lines' share radius."""
     g1, gi = np.repeat(vectors[None, :, 0], j, axis=0), vectors[:, 1:j + 1].T
-    return [c.tobytes() for c in line_candidates(g1, gi, m)], _share_radius(g1, gi, m)
+    rows, line, radius = line_candidates(g1, gi, m)
+    return [rows[line == k].tobytes() for k in range(j)], radius
 
 
 @pytest.mark.parametrize("l, j", [(4, 3), (8, 4)])
@@ -340,6 +354,68 @@ def test_forms_share_a_line_pass_only_within_the_radius(monkeypatch, l, j, m):
                 assert any(i < k and bases[i][:, 0].tobytes() in walked for i in near)
     # most of the 24 later forms share
     assert shared >= 12
+
+
+def radius_stacks():
+    """Seeded (g1, gi, m) stacks: eigenbasis lines at L = 4 and 8, random
+    lines, lines with a small coordinate, and a line whose radius is the
+    cap min |gi| - COORD_EPS."""
+    rng = np.random.RandomState(35)
+    stacks = []
+    for l in (4, 8):
+        for m in (1, 2, 200):
+            for _ in range(6):
+                ch = ChannelRealization(h=rng.standard_normal((l, l)), power=10.0 ** rng.uniform(0, 6))
+                vecs = sym_eigen(compute_q(ch).q[None])[0].vectors
+                j = rng.randint(1, l)
+                stacks.append((np.repeat(vecs[None, :, 0], j, axis=0), vecs[:, 1:j + 1].T, m))
+                p = rng.randint(1, 6)
+                stacks.append((rng.uniform(-2, 2, (p, l)),
+                               rng.standard_normal((p, l)) * 10.0 ** rng.uniform(-3, 1, (p, l)), m))
+    stacks.append((np.array([[0.1, 0.3]]), np.array([[1.2e-12, 1.0]]), 1))
+    return stacks
+
+
+def test_the_share_radius_equals_the_scalar_loop(monkeypatch):
+    import ifrx.sdm
+
+    radii = []
+    for g1, gi, m in radius_stacks():
+        radius = line_candidates(g1, gi, m)[2]
+        assert type(radius) is float
+        assert radius.hex() == reference_share_radius(g1, gi, m).hex()
+        least = np.abs(gi).min()
+        radii.append((radius, min(least / 2, least - 1e-12)))
+    # most radii are set by a gap, below the cap; the last one is the cap
+    assert sum(0 < r < cap for r, cap in radii) >= len(radii) // 2
+    assert radii[-1][0] == radii[-1][1] > 0
+    # walked one line per stack, the lines' radius is the smallest of the stacks'
+    monkeypatch.setattr(ifrx.sdm, "LINE_POINT_LIMIT", 8 * (2 * 200 + 2))
+    for (g1, gi, m), (radius, _) in zip(radius_stacks(), radii):
+        assert line_candidates(g1, gi, m)[2].hex() == radius.hex()
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_share_radius_is_zero_on_zero_coordinates_and_merged_jumps():
+    signed = np.zeros((4, 4))
+    signed[np.arange(4), [1, 3, 0, 2]] = [1.0, -1.0, 1.0, -1.0]
+    stacks = []
+    for basis in (np.eye(4), signed):
+        stacks.append((np.repeat(basis[None, :, 0], 3, axis=0), basis[:, 1:].T))
+    # two coordinates that cross each half-integer within RHO_MERGE_TOL
+    stacks.append((np.array([[0.3, 0.3 + 0.5e-12, 0.1]]), np.array([[1.0, 1.0, 0.7]])))
+    for g1, gi in stacks:
+        assert line_candidates(g1, gi, 2)[2] == 0.0
+        assert reference_share_radius(g1, gi, 2) == 0.0
+    # each of the pair's six crossings is one jump point
+    assert len(_jumps(*stacks[-1], 2)[0]) == 2 * 6
+
+
+def test_an_empty_stack_gives_no_rows():
+    rows, line, radius = line_candidates(np.empty((0, 3)), np.empty((0, 3)), 2)
+    assert rows.shape == (0, 3) and rows.dtype == np.int64
+    assert line.shape == (0,) and line.dtype.kind == "i"
+    assert radius == np.inf
 
 
 @pytest.mark.parametrize("master_seed", [74, 83, 90, 115, 172, 192])
@@ -385,7 +461,7 @@ def test_line_candidates_bit_identical_to_scalar_loop():
         group = [line for line in lines if len(line[0]) == l]
         g1s, gis = np.array([g for g, _ in group]), np.array([d for _, d in group])
         for m in (1, 2, 3):
-            for (g1, gi), cands in zip(group, line_candidates(g1s, gis, m)):
+            for (g1, gi), cands in zip(group, per_line(g1s, gis, m)):
                 expected = reference_line_candidates(g1, gi, m)
                 assert as_tuples(cands) == expected
                 assert as_tuples(line_candidates(g1[None], gi[None], m)[0]) == expected
@@ -396,9 +472,10 @@ def test_candidate_set_checks_its_invariants(monkeypatch, bad):
     # a zero row, and rows outside the M=2 box in the first and in a later coordinate
     import ifrx.sdm
 
-    # the line pass gives one array per line of its stack
+    # the line pass gives both rows to each line of its stack
     monkeypatch.setattr(ifrx.sdm, "line_candidates",
-                        lambda g1, gi, m: [np.array([(1, 0), bad]) for _ in g1])
+                        lambda g1, gi, m: (np.array([(1, 0), bad] * len(g1)),
+                                           np.repeat(np.arange(len(g1)), 2), 0.0))
     with pytest.raises(RuntimeError):
         candidate_set(make_qform(np.diag([0.2, 0.5])), SearchConfig(bound_m=2, lines_j=1))
 
@@ -461,7 +538,7 @@ def test_stacked_line_pass_equals_the_scalar_oracles(l):
     gi = np.array([d for _, d in lines])
     chains = 0
     for m in (1, 2, 3):
-        got = line_candidates(g1, gi, m)
+        got = per_line(g1, gi, m)
         assert len(got) == len(lines)
         for (a, d), cands in zip(lines, got):
             rhos = reference_jump_points(a, d, m)
@@ -472,3 +549,25 @@ def test_stacked_line_pass_equals_the_scalar_oracles(l):
                          for mj in half_integer_grid(m))
             chains += sum(1 for x, y in zip(raw, raw[1:]) if y - x <= 1e-12) > len(raw) - len(rhos)
     assert chains >= 9
+
+
+def hadamard(l):
+    h = np.ones((1, 1))
+    while len(h) < l:
+        h = np.block([[h, h], [h, -h]])
+    return h / np.sqrt(l)
+
+
+@pytest.mark.parametrize("m", [2, 8])
+def test_a_hadamard_line_merges_its_long_chains(m):
+    # at L = 1024, 512 coordinates cross each half-integer at one rho, so
+    # each jump point is a chain of 512; a merge that walked back over the
+    # chain for each member took O(512^2) steps per jump point
+    h = hadamard(1024)
+    # offsets of 0.45e-12 in rho (|gi[k]| = 1/32) chain each jump point's
+    # copies into runs that the merge thins to every other run
+    jitter = 0.45e-12 / 32 * np.random.RandomState(m).randint(-2, 3, 1024)
+    for g1, gi in ((h[:, 0], h[:, 1]), (h[:, 0] + jitter, h[:, 5])):
+        rho, line, _ = _jumps(g1[None], gi[None], m)
+        assert rho.tolist() == reference_jump_points(g1, gi, m)
+        assert not line.any()
