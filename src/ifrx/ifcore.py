@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import InvalidInputError, SingularMatrixError
-from .linalg import as_real_matrix, as_square_matrix, solve_inverse
+from .linalg import _finite_array, as_real_matrix, as_square_matrix, solve_inverse
 
 
 def left_sum(values) -> float:
@@ -33,16 +33,16 @@ def left_sum(values) -> float:
 class QForm:
     """Symmetric quadratic form of a channel at one transmit power.
 
-    ``q`` is a read-only copy of the input, a finite real square matrix
-    (``linalg.as_square_matrix``), so quantities derived from it
-    can be kept in ``memo`` for the life of the form: the eigenbasis;
-    per bound M, one union of line candidates in (f, lex) order, which
+    ``q`` is a read-only copy of the input, a finite real nonempty square
+    matrix (``linalg.as_square_matrix``), so quantities derived from it
+    can be kept in ``memo`` for the life of the form: the eigenvector
+    matrix, whose columns 1 .. J+1 give the search lines; per bound M,
+    one union of line candidates in (f, lex) order, which
     ``sdm.prepare_lines`` fills for several forms at once, from one line
     pass for the forms whose eigenvectors agree within its share radius,
-    and ranks by each form's own f; and
-    the last SDM design's greedy scan, which ``select.greedy_full_rank``
-    replays. The form holds no reference back to its channel, whose memo
-    holds the form.
+    and ranks by each form's own f; and the last SDM design's greedy
+    scan, which ``select.greedy_full_rank`` replays. The form holds no
+    reference back to its channel, whose memo holds the form.
     """
 
     q: np.ndarray
@@ -164,8 +164,10 @@ def kept_rates(a: np.ndarray, q: QForm) -> list[float]:
 
 
 def total_rate(per_stream) -> RateReport:
-    """Min-form total max(0, L * min_m R_m); per-stream values kept raw."""
-    rates = tuple(float(r) for r in per_stream)
+    """Min-form total max(0, L * min_m R_m); per-stream values kept raw.
+    ``per_stream``, a nonempty list, tuple or 1-D array of finite reals, is
+    read as one array by ``linalg.as_real_matrix``'s entry rule."""
+    rates = tuple(_finite_array(per_stream, "per-stream rates", 1).tolist())
     if not rates:
         raise InvalidInputError("per-stream rate list is empty")
     return RateReport(per_stream=rates, total=max(0.0, len(rates) * min(rates)))
@@ -186,11 +188,11 @@ def zf_rates(ch: ChannelRealization) -> RateReport:
     norms = _read(ch, "zf_row_norms", whiteners=False, zf=True)
     if norms is None:
         return RateReport(per_stream=(0.0,) * ch.l, total=0.0, singular=True)
-    return total_rate(_zf_rate(ch.power, norm) for norm in norms)
+    return total_rate([_zf_rate(ch.power, norm) for norm in norms])
 
 
 def mmse_rates(ch: ChannelRealization) -> RateReport:
     """MMSE rates R_m = (1/2) log2(1 / Q_mm): the identity-coefficient
     design under the optimal projection."""
     q = compute_q(ch).q
-    return total_rate(_rate_from_energy(float(q[m, m])) for m in range(ch.l))
+    return total_rate([_rate_from_energy(float(q[m, m])) for m in range(ch.l)])

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,61 +45,59 @@ def _real_array(m, name: str) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def as_real_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Validate and return a finite 2-D float array of real entries, each
-    read by the rule of ``real_value``: a string, ``None``, complex or
-    non-finite entry, or a ragged matrix, raises InvalidInputError."""
+def _finite_array(m, name: str, ndim: int) -> np.ndarray:
+    """``m`` read by ``_real_array``, of ``ndim`` dimensions and finite."""
     arr = _real_array(m, name)
-    if arr.ndim != 2:
-        raise InvalidInputError(f"{name} must be a 2-D array, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise InvalidInputError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
 
 
+def as_real_matrix(m, name: str = "matrix") -> np.ndarray:
+    """Validate and return a finite 2-D float array of real entries, each
+    read by the rule of ``real_value``: a string, ``None``, complex or
+    non-finite entry, or a ragged matrix, raises InvalidInputError."""
+    return _finite_array(m, name, 2)
+
+
 def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
-    """``as_real_matrix``, square."""
+    """``as_real_matrix``, square and nonempty."""
     arr = as_real_matrix(m, name)
     if arr.shape[0] != arr.shape[1]:
         raise InvalidInputError(f"{name} must be square, got shape {arr.shape}")
+    if not len(arr):
+        raise InvalidInputError(f"{name} must be nonempty, got shape {arr.shape}")
     return arr
 
 
-@dataclass(frozen=True)
-class EigenBasis:
-    """Eigenvalues in ascending order with matching orthonormal columns.
-
-    Each column's largest-magnitude coordinate is made positive (ties go
-    to the lowest index) so repeated runs produce identical bases.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def _stack(m, name: str) -> np.ndarray:
-    """``m``, ``name`` in errors, read as a finite float (S, n, n) stack
-    (by ``_real_array``): a fresh array a kernel may work in place."""
+    """``m``, ``name`` in errors, read as a finite float (S, n, n) stack,
+    n >= 1 (by ``_real_array``): a fresh array a kernel may work in place."""
     try:
         stack = _real_array(m, name)
     except InvalidInputError:
         raise InvalidInputError(f"{name} must be an (S, n, n) stack of reals") from None
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise InvalidInputError(f"{name} must be an (S, n, n) stack, got shape {stack.shape}")
+    if not stack.shape[1]:
+        raise InvalidInputError(f"{name} must be nonempty, got shape {stack.shape}")
     if not np.isfinite(stack).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return stack
 
 
 def sym_eigen(q) -> list:
-    """Eigendecompose a stack of symmetric matrices with LAPACK
-    (``np.linalg.eigh``).
+    """Eigenvectors of a stack of symmetric matrices, by LAPACK
+    (``np.linalg.eigh``): each slice's orthonormal eigenvector matrix, its
+    columns in ascending eigenvalue order, each column's largest-magnitude
+    coordinate made positive (ties go to the lowest index).
 
     Each slice must be symmetric within ``SYMMETRY_RTOL`` relative to its
-    Frobenius norm; its symmetric part is decomposed, and LAPACK returns
-    the eigenvalues in ascending order. Deterministic: the same slice
-    always yields the same basis, in any stack. An asymmetric slice or a
-    LAPACK failure raises for the whole stack.
+    Frobenius norm; its symmetric part is decomposed. Deterministic: the
+    same slice always yields the same matrix, in any stack. An asymmetric
+    slice or a LAPACK failure raises for the whole stack.
     """
     q = _stack(q, "q")
     count, n = q.shape[:2]
@@ -110,14 +107,14 @@ def sym_eigen(q) -> list:
             if np.linalg.norm(s - s.T) > SYMMETRY_RTOL * np.linalg.norm(s):
                 raise InvalidInputError("q is not symmetric within tolerance")
     try:
-        values, vectors = np.linalg.eigh(0.5 * (q + q.swapaxes(1, 2)))
+        _, vectors = np.linalg.eigh(0.5 * (q + q.swapaxes(1, 2)))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh did not converge: {exc}") from exc
     # sign rule: largest-|coord| entry positive, argmax takes the lowest index on ties
     peak = np.abs(vectors).argmax(axis=1)
     top = vectors[np.arange(count)[:, None], peak, np.arange(n)]
     vectors *= np.where(top < 0, -1.0, 1.0)[:, None, :]
-    return [EigenBasis(values=v, vectors=w) for v, w in zip(values, vectors)]
+    return list(vectors)
 
 
 def _swap_pivot(a: np.ndarray, col: int) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateDirectionError, InstanceTooLargeError, InvalidInputError
 from .ifcore import QForm
-from .linalg import as_real_matrix, int_value, sym_eigen
+from .linalg import _finite_array, as_real_matrix, int_value, sym_eigen
 
 COORD_EPS = 1e-12
 RHO_MERGE_TOL = 1e-12
@@ -50,7 +50,8 @@ def leading(arr: np.ndarray) -> np.ndarray:
 
 
 def _jumps(g1: np.ndarray, gi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Merged jump points of a (P, L) stack of lines, the rhos ascending
+    """Merged jump points of the lines g1 + rho * gi through one g1 (of
+    length L) along a (P, L) stack of directions gi, the rhos ascending
     within each line, the line each belongs to, and the stack's share
     radius r.
 
@@ -60,7 +61,7 @@ def _jumps(g1: np.ndarray, gi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarr
     last kept rho of its line, as a sequential merge keeps it, chains of
     near-duplicates included.
 
-    Lines whose g1 and gi lie within r of these entrywise give, line for
+    A g1 and directions gi within r of these entrywise give, line for
     line, the rows ``line_candidates`` gives for these. Moving g1[k] and
     gi[k] by at most r <= |gi[k]| / 2 moves the raw jump point
     rho = (c - g1[k]) / gi[k] by at most r * 2 (1 + |rho|) / |gi[k]|. So
@@ -78,7 +79,7 @@ def _jumps(g1: np.ndarray, gi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarr
     # the half-integers -M-1/2 .. M+1/2, where the rounding of a coordinate can jump
     grid = np.arange(2 * m + 2) - (m + 0.5)
     line, coord = np.nonzero(active)
-    rho = ((grid - g1[line, coord][:, None]) / gi[line, coord][:, None]).ravel()
+    rho = ((grid - g1[coord][:, None]) / gi[line, coord][:, None]).ravel()
     line = np.repeat(line, len(grid))
     order = np.lexsort((rho, line))
     rho, line = rho[order], line[order]
@@ -122,30 +123,32 @@ def line_candidates(g1, gi, m: int) -> tuple[np.ndarray, np.ndarray, float]:
     and the lines' share radius (``_jumps``), the smallest over the stacks
     they are walked in (inf for P = 0).
 
-    ``g1`` and ``gi`` are (P, L) stacks of P lines (``as_real_matrix``),
-    walked in stacks of at most LINE_POINT_LIMIT jump points in all, so the
-    pass's working memory does not grow with P. A stack's jump points
-    share one sort and its midpoints one rounding. A direction below
-    COORD_EPS in every coordinate raises DegenerateDirectionError for the
-    whole pass; a unit eigenvector never is one. A line with more than
-    LINE_POINT_LIMIT jump points raises InstanceTooLargeError before any
-    array is built. The bound ``m`` is an integer (``linalg.int_value``).
+    Every line starts at one point ``g1``, a vector of length L, and runs
+    along a row of ``gi``, a (P, L) stack of directions; both are read by
+    ``as_real_matrix``'s entry rule. The lines are walked in stacks of at
+    most LINE_POINT_LIMIT jump points in all, so the pass's working memory
+    does not grow with P. A stack's jump points share one sort and its
+    midpoints one rounding. A direction below COORD_EPS in every
+    coordinate raises DegenerateDirectionError for the whole pass; a unit
+    eigenvector never is one. A line with more than LINE_POINT_LIMIT jump
+    points raises InstanceTooLargeError before any array is built. The
+    bound ``m`` is an integer (``linalg.int_value``).
     """
     m = int_value(m, "m")
-    g1 = as_real_matrix(g1, "g1 of the (P, L) stacks")
-    gi = as_real_matrix(gi, "gi of the (P, L) stacks")
-    if g1.shape != gi.shape:
-        raise InvalidInputError("g1 and gi must be (P, L) stacks of equal shape")
+    g1 = _finite_array(g1, "g1", 1)
+    gi = as_real_matrix(gi, "gi of the (P, L) stack")
+    if g1.shape != gi.shape[1:]:
+        raise InvalidInputError(f"g1 must be of length L = {gi.shape[1]}, got shape {g1.shape}")
     if m < 1:
         raise InvalidInputError("m must be >= 1")
-    points = g1.shape[1] * (2 * m + 2)
+    points = len(g1) * (2 * m + 2)
     if points > LINE_POINT_LIMIT:
-        raise InstanceTooLargeError(f"a search line at L = {g1.shape[1]}, M = {m} has {points} "
+        raise InstanceTooLargeError(f"a search line at L = {len(g1)}, M = {m} has {points} "
                                     f"jump points, over the limit {LINE_POINT_LIMIT}")
     step = max(1, LINE_POINT_LIMIT // max(points, 1))
-    rows, lines, radius = [np.empty((0, g1.shape[1]), np.int64)], [np.empty(0, np.intp)], np.inf
-    for start in range(0, len(g1), step):
-        rho, line, r = _jumps(g1[start:start + step], gi[start:start + step], m)
+    rows, lines, radius = [np.empty((0, len(g1)), np.int64)], [np.empty(0, np.intp)], np.inf
+    for start in range(0, len(gi), step):
+        rho, line, r = _jumps(g1, gi[start:start + step], m)
         # consecutive jump points of one line bound one of its intervals
         inner = line[1:] == line[:-1]
         mids = (0.5 * (rho[:-1] + rho[1:]))[inner]
@@ -155,7 +158,7 @@ def line_candidates(g1, gi, m: int) -> tuple[np.ndarray, np.ndarray, float]:
         # all its midpoints at once
         x = gi[owner]
         x *= mids[:, None]
-        x += g1[owner]
+        x += g1
         x += np.copysign(0.5, x)
         np.trunc(x, out=x)
         keep = (np.abs(x) <= m).all(axis=1) & x.any(axis=1)
@@ -183,14 +186,16 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> list[np.ndarray]:
     each row (numbered from 0 for line 2, so J's set holds the rows
     numbered below J), and the J covered.
 
-    Forms that lack an eigenbasis get one from one ``sym_eigen`` stack.
-    Then the first form whose union covers fewer than J lines walks lines
-    2 .. J+1 in one ``line_candidates`` call, and its rows are made
-    sign-canonical, deduplicated in lexicographic order and checked. Every
-    such form whose eigenvectors 1 .. J+1 lie within the share radius of
-    that call entrywise, the first form included, would walk the same rows,
-    and takes this union; the rest start the next group. Q's eigenvectors do not
-    depend on the transmit power, so a draw's SNR points mostly form one
+    Forms that lack an eigenbasis get one from one ``sym_eigen`` stack and
+    keep its eigenvector matrix as ``memo["basis"]``. Then the first form
+    whose union covers fewer than J lines walks lines 2 .. J+1 in one
+    ``line_candidates`` call, from its first column g1 along its next J
+    columns, and its rows are made sign-canonical, deduplicated in
+    lexicographic order and checked. Every such form whose columns
+    1 .. J+1 lie within the share radius of that call entrywise, the first
+    form included, would walk the same rows, and takes this union; the
+    rest start the next group. Q's eigenvectors do not depend on the
+    transmit power, so a draw's SNR points mostly form one
     group per bound M. Each form's union is ranked once, after the last
     group's pass, by one stable sort of its own f over the group's
     lexicographic rows. f over it has, row for row, the bits of f over
@@ -214,10 +219,9 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> list[np.ndarray]:
     todo = [q for q in forms if q.memo.get(("union", bound_m), (None, None, 0))[2] < lines_j]
     groups = []  # a lexicographic union, its rows' first lines, and the forms taking it
     while todo:
-        lead = todo[0].memo["basis"].vectors[:, :lines_j + 1]
-        g1 = np.repeat(lead[None, :, 0], lines_j, axis=0)
+        lead = todo[0].memo["basis"][:, :lines_j + 1]
         gi = np.ascontiguousarray(lead[:, 1:].T)  # row-major: the pass gathers its rows
-        arr, first, radius = line_candidates(g1, gi, bound_m)
+        arr, first, radius = line_candidates(lead[:, 0], gi, bound_m)
         arr *= np.where(leading(arr) < 0, -1, 1)[:, None]
         # the sort is stable, so the copies of a row keep line order and the
         # one kept comes from the earliest line
@@ -232,7 +236,7 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> list[np.ndarray]:
         if below_zero or np.abs(arr).max(initial=0) > bound_m:
             raise RuntimeError("candidate set holds a zero, out-of-box or non-canonical vector")
         # the lead form itself lies within any radius
-        near = [np.abs(q.memo["basis"].vectors[:, :lines_j + 1] - lead).max() <= radius
+        near = [np.abs(q.memo["basis"][:, :lines_j + 1] - lead).max() <= radius
                 for q in todo]
         groups.append((arr, first, [q for q, shares in zip(todo, near) if shares]))
         todo = [q for q, shares in zip(todo, near) if not shares]

@@ -57,7 +57,8 @@ class IfDesign:
 
 def greedy_full_rank(ranked: np.ndarray, memo: dict | None = None) -> np.ndarray | None:
     """Earliest exactly-independent L rows of an f-ranked integer array, as
-    an (L, L) array, or None when the rows cannot reach full rank.
+    an (L, L) array, or None when the rows cannot reach full rank. Any
+    input but a 2-D numpy integer array raises InvalidInputError.
 
     Rows are read as Python ints in blocks of GREEDY_BLOCK, as the scan
     reaches them. The scan keeps in ``memo`` (a form's, when given) the
@@ -68,8 +69,8 @@ def greedy_full_rank(ranked: np.ndarray, memo: dict | None = None) -> np.ndarray
     kept scan picked it. The first row that differs or lies past them ends
     the replay.
     """
-    if ranked.dtype.kind not in "iu":
-        raise InvalidInputError(f"candidate rows must be integers, got dtype {ranked.dtype}")
+    if not (isinstance(ranked, np.ndarray) and ranked.ndim == 2 and ranked.dtype.kind in "iu"):
+        raise InvalidInputError("candidate rows must be integers in a 2-D numpy array")
     count, l = ranked.shape
     memo = {} if memo is None else memo
     seen, picks, kept = memo.get("greedy", ((), (), ()))

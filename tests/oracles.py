@@ -44,6 +44,12 @@ def rate_from_ab(a_m, b_m, ch: ChannelRealization) -> float:
     return 0.5 * math.log2(ch.power / den)
 
 
+def rayleigh(q, vectors):
+    """v^T Q v of each column v of ``vectors``: the eigenvalues that go
+    with a matrix of eigenvectors of Q."""
+    return np.einsum("ji,jk,ki->i", vectors, q, vectors)
+
+
 def half_integer_grid(m):
     """The half-integers -M-1/2, ..., M+1/2, where rounding a coordinate
     of a moving point can jump."""
@@ -67,9 +73,10 @@ def reference_jump_points(g1, gi, m):
     return merged
 
 
-def reference_share_radius(g1s, gis, m):
-    """Scalar loop over each line's raw jump points, ascending, in plain
-    floats: the smallest (gap - 1e-12 - 64 eps max(1 + |rho|) / min |gi|) /
+def reference_share_radius(g1, gis, m):
+    """Scalar loop over the raw jump points of each line through ``g1``
+    along a row of ``gis``, ascending, in plain floats: the smallest
+    (gap - 1e-12 - 64 eps max(1 + |rho|) / min |gi|) /
     (2 (1 + |rho_a|) / |gi[k_a]| + 2 (1 + |rho_b|) / |gi[k_b]|) over two
     consecutive ones of a line, capped at min |gi| / 2 and min |gi| - 1e-12
     over the stack, and at least 0; 0 with no division when a coordinate
@@ -79,7 +86,7 @@ def reference_share_radius(g1s, gis, m):
     if cap <= 0:
         return 0.0
     radius = cap
-    for g1, gi in zip(g1s, gis):
+    for gi in gis:
         mags = [abs(float(d)) for d in gi]
         points = sorted(((c - float(a)) / float(d), mag) for a, d, mag in zip(g1, gi, mags)
                         for c in half_integer_grid(m))
@@ -108,7 +115,7 @@ def reference_candidate_set(q, lines_j, bound_m):
     """Candidate set of lines 2 .. J+1 built on its own, from the scalar
     per-midpoint loop on ``sym_eigen``'s vectors: every line's points made
     sign-canonical, as a sorted set, in a read-only (n, L) int64 array."""
-    vecs = sym_eigen(np.asarray(q, dtype=float)[None])[0].vectors
+    vecs = sym_eigen(np.asarray(q, dtype=float)[None])[0]
     points = set()
     for i in range(1, lines_j + 1):
         for cand in reference_line_candidates(vecs[:, 0], vecs[:, i], bound_m):

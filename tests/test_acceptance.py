@@ -18,7 +18,7 @@ from ifrx.ifcore import compute_q, optimal_projection, rates_from_q
 from ifrx.linalg import sym_eigen
 from ifrx.sdm import SearchConfig, candidate_set
 from ifrx.select import design_if
-from oracles import bareiss_det, canonical_sign, rate_from_ab, reference_jump_points
+from oracles import bareiss_det, canonical_sign, rate_from_ab, rayleigh, reference_jump_points
 
 L8_CFG = dict(l=8, bound_m=2, snr_db=20.0)
 
@@ -69,12 +69,13 @@ def test_03_eigensolver_bounds():
         n = rng.randint(1, 9)
         a = rng.standard_normal((n, n))
         q = 0.5 * (a + a.T)
-        basis = sym_eigen(q[None])[0]
+        vectors = sym_eigen(q[None])[0]
+        values = rayleigh(q, vectors)
         norm = np.linalg.norm(q)
         for i in range(n):
-            resid = np.linalg.norm(q @ basis.vectors[:, i] - basis.values[i] * basis.vectors[:, i])
+            resid = np.linalg.norm(q @ vectors[:, i] - values[i] * vectors[:, i])
             worst_resid = max(worst_resid, resid / max(norm, 1e-300))
-        gram_err = np.max(np.abs(basis.vectors.T @ basis.vectors - np.eye(n)))
+        gram_err = np.max(np.abs(vectors.T @ vectors - np.eye(n)))
         worst_orth = max(worst_orth, gram_err)
     ok = worst_resid <= 1e-10 and worst_orth <= 1e-10
     report(3, "eigensolver bounds", ok,
@@ -84,14 +85,14 @@ def test_03_eigensolver_bounds():
 def brute_closest_set(q, m, lines_j):
     """Independent candidate oracle: per interval midpoint, the brute-force
     closest nonzero in-box integer point over all (2M+1)^L candidates."""
-    basis = sym_eigen(q[None])[0]
-    g1 = basis.vectors[:, 0]
+    vectors = sym_eigen(q[None])[0]
+    g1 = vectors[:, 0]
     l = q.shape[0]
     box = [c for c in itertools.product(range(-m, m + 1), repeat=l) if any(c)]
     box_arr = np.array(box)
     oracle = set()
     for i in range(2, lines_j + 2):
-        gi = basis.vectors[:, i - 1]
+        gi = vectors[:, i - 1]
         rhos = reference_jump_points(g1, gi, m)
         for t in range(len(rhos) - 1):
             point = g1 + 0.5 * (rhos[t] + rhos[t + 1]) * gi

@@ -14,12 +14,18 @@ drawn from valid, bad, huge, non-finite and empty values returns 0, 1 or
 writes no ``inf`` or ``nan``. A huge value is one the program refuses or
 finishes at once: an ``--l`` past the channel limit, say, not a
 ``--trials`` it would honour for hours.
+
+Every library entry point that reads an array or a list of rates, given
+each malformed input of a fixed table (lists, arrays of the wrong rank,
+empty matrices, ragged rows, and ``None``, NaN, string and complex
+entries), returns finite values or raises an ``IfrxError``.
 """
 
 import math
 import random
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -27,9 +33,10 @@ from ifrx import cli
 from ifrx.channel import ChannelRealization, capacity
 from ifrx.errors import IfrxError
 from ifrx.harness import METHODS, ExperimentConfig, run_trial
-from ifrx.ifcore import mmse_rates, zf_rates
-from ifrx.sdm import SearchConfig
-from ifrx.select import design_if
+from ifrx.ifcore import QForm, RateReport, mmse_rates, total_rate, zf_rates
+from ifrx.linalg import det, solve_inverse, sym_eigen
+from ifrx.sdm import SearchConfig, line_candidates
+from ifrx.select import design_if, greedy_full_rank
 
 CHANNELS = 800
 SHAPES = ("full", "rank-deficient", "zero", "thin column")
@@ -187,3 +194,70 @@ def test_every_cli_argv_list_exits_0_1_or_2_and_writes_finite_rates(tmp_path, ca
     # both commands both succeed and fail
     assert all(codes.get(key, 0) > 20 for key in (("simulate", 0), ("simulate", 1),
                                                   ("design", 0), ("design", 1))), codes
+
+
+BAD_ENTRIES = {"None": None, "NaN": math.nan, "string": "1", "complex": 1j}
+MALFORMED = {
+    "list": [[2, 1], [1, 2]],
+    "1-D": np.array([2, 1]),
+    "3-D": np.array([[[2, 1], [1, 2]]]),
+    "(0, 0)": np.zeros((0, 0), dtype=np.int64),
+    "(1, 0, 0)": np.zeros((1, 0, 0), dtype=np.int64),
+    "ragged": [[2, 1], [1]],
+    **{f"{name} in a list": [bad, 1] for name, bad in BAD_ENTRIES.items()},
+    **{f"{name} in an object array": np.array([[bad, 1], [1, 2]], dtype=object)
+       for name, bad in BAD_ENTRIES.items()},
+    "NaN array": np.array([[math.nan, 1.0], [1.0, 2.0]]),
+    "string array": np.array([["2", "1"], ["1", "2"]]),
+    "complex array": np.array([[2j, 1], [1, 2]]),
+}
+ENTRY_POINTS = {
+    "ChannelRealization": lambda x: ChannelRealization(h=x, power=1.0),
+    "QForm": lambda x: QForm(q=x),
+    "sym_eigen": sym_eigen,
+    "solve_inverse": solve_inverse,
+    "det": det,
+    "line_candidates g1": lambda x: line_candidates(x, [[0.6, 0.8], [0.8, -0.6]], 2),
+    "line_candidates gi": lambda x: line_candidates([0.3, 0.1], x, 2),
+    "greedy_full_rank": greedy_full_rank,
+    "total_rate": total_rate,
+}
+
+
+def numbers(result):
+    """Every number a call returns; an error listed in place of a slice is
+    raised."""
+    if isinstance(result, IfrxError):
+        raise result
+    if isinstance(result, (list, tuple)):
+        return [v for part in result for v in numbers(part)]
+    if isinstance(result, ChannelRealization):
+        return numbers(result.h)
+    if isinstance(result, QForm):
+        return numbers(result.q)
+    if isinstance(result, RateReport):
+        return [*result.per_stream, result.total]
+    if result is None:  # greedy's rows that cannot reach full rank
+        return []
+    return np.asarray(result, dtype=float).ravel().tolist()
+
+
+def test_every_entry_point_on_malformed_input_is_finite_or_a_typed_error():
+    broken, outcomes = [], Counter()
+    for entry, call in ENTRY_POINTS.items():
+        for name, x in MALFORMED.items():
+            try:
+                got = numbers(call(x))
+            except IfrxError:
+                outcomes["raised"] += 1
+                continue
+            except Exception as exc:  # any other escape breaks the contract
+                broken.append((entry, name, repr(exc)))
+                continue
+            if all(math.isfinite(v) for v in got):
+                outcomes["finite"] += 1
+            else:
+                broken.append((entry, name, got))
+    assert broken == []
+    # the well-formed rows of the table (a list matrix, a vector, a stack) go through
+    assert outcomes["finite"] >= 8 and outcomes["raised"] > 100, outcomes

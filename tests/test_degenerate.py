@@ -74,9 +74,9 @@ def pins_of(kind, l):
     for snr in SNR_DB:
         ch = ChannelRealization(h=CHANNELS[kind](l), power=power(snr))
         cfg = SearchConfig(BOUND_M, l - 1)
-        vecs = sym_eigen(compute_q(ch).q[None])[0].vectors
+        vecs = sym_eigen(compute_q(ch).q[None])[0]
         # each line walked alone: its rows are the whole of its pass's rows
-        lines = [line_candidates(vecs[None, :, 0], vecs[None, :, i], BOUND_M)[0]
+        lines = [line_candidates(vecs[:, 0], vecs[None, :, i], BOUND_M)[0]
                  for i in range(1, l)]
         out[str(snr)] = {
             "a": rows(design_if(ch, cfg, "sdm").a),
@@ -106,12 +106,12 @@ def test_a_draw_stacked_over_snr_points_matches_the_pins(monkeypatch, pins, kind
                            master_seed=1, methods=("if-sdm", "mmse"))
     draw = draw_trial(cfg, 0)
     forms = [compute_q(draw[snr]) for snr in SNR_DB]
-    # one line pass over every (SNR point, line) pair, as the draw makes it
-    bases = sym_eigen(np.array([q.q for q in forms]))
-    g1 = np.array([b.vectors[:, 0] for b in bases for _ in range(1, l)])
-    gi = np.array([b.vectors[:, i] for b in bases for i in range(1, l)])
-    cands, line, _ = line_candidates(g1, gi, BOUND_M)
-    lines = [cands[line == k] for k in range(len(g1))]
+    # the eigenbases of one sym_eigen stack, as the draw makes them, and one
+    # line pass over each form's lines
+    lines = []
+    for vecs in sym_eigen(np.array([q.q for q in forms])):
+        cands, line, _ = line_candidates(vecs[:, 0], vecs[:, 1:].T, BOUND_M)
+        lines += [cands[line == k] for k in range(l - 1)]
     for k, snr in enumerate(SNR_DB):
         pin = pins[f"{kind}/{l}"][str(snr)]
         ch = draw[snr]

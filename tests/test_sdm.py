@@ -27,25 +27,37 @@ def per_line(g1, gi, m):
     the line each row comes from."""
     rows, line, _ = line_candidates(g1, gi, m)
     # every row comes from one line of the stack, in line order
-    assert (np.diff(line) >= 0).all() and 0 <= line.min(initial=0) <= line.max(initial=0) < len(g1)
-    return [rows[line == k] for k in range(len(g1))]
+    assert (np.diff(line) >= 0).all() and 0 <= line.min(initial=0) <= line.max(initial=0) < len(gi)
+    return [rows[line == k] for k in range(len(gi))]
+
+
+def by_start(lines):
+    """(g1, gi) lines grouped by their start g1, in first-seen order: one
+    (g1, (P, L) stack of directions) pair per start."""
+    groups = {}
+    for g1, gi in lines:
+        groups.setdefault(g1.tobytes(), (g1, []))[1].append(gi)
+    return [(g1, np.array(gis)) for g1, gis in groups.values()]
 
 
 def test_line_candidates_degenerate_direction():
     # one degenerate line fails the whole pass
     with pytest.raises(DegenerateDirectionError):
-        line_candidates([[0.5, 0.5], [1.0, 0.0]], [[0.5, -0.5], [0.0, 1e-13]], 1)
+        line_candidates([0.5, 0.5], [[0.5, -0.5], [0.0, 1e-13]], 1)
 
 
 def test_line_candidates_takes_only_stacks():
-    with pytest.raises(InvalidInputError, match="stacks"):
+    # the directions are a (P, L) stack; g1, where every line starts, one vector
+    with pytest.raises(InvalidInputError, match=r"^gi of the \(P, L\) stack must be a 2-D array"):
         line_candidates([1.0, 0.0], [0.0, 1.0], 1)
-    with pytest.raises(InvalidInputError, match="stacks"):
-        line_candidates([[1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]], 1)
+    with pytest.raises(InvalidInputError, match="^g1 must be a 1-D array"):
+        line_candidates([[1.0, 0.0]], [[0.0, 1.0]], 1)
+    with pytest.raises(InvalidInputError, match="^g1 must be of length L = 2, got shape"):
+        line_candidates([1.0, 0.0, 0.0], [[0.0, 1.0], [1.0, 0.0]], 1)
     with pytest.raises(InvalidInputError, match="m must be"):
-        line_candidates([[1.0, 0.0]], [[0.0, 1.0]], 0)
+        line_candidates([1.0, 0.0], [[0.0, 1.0]], 0)
     # a NaN coordinate silently gave no candidates, a string a raw ValueError
-    for g1, what in (([[np.nan, 0.2]], "non-finite"), ([["1", "0"]], "real numbers")):
+    for g1, what in (([np.nan, 0.2], "non-finite"), (["1", "0"], "real numbers")):
         with pytest.raises(InvalidInputError, match=f"^g1 .*{what}"):
             line_candidates(g1, [[1.0, 0.0]], 1)
 
@@ -65,7 +77,7 @@ def test_the_line_pass_checks_j_against_l():
 def test_line_pass_reads_integer_bounds_only():
     # an m of 1.5 made the jump grid integers instead of half-integers, 2.0
     # ran and "2" raised a raw TypeError; so did a J or M of 1.5 in the pass
-    g1, gi = [[-0.8, -0.8]], [[-0.8, -0.6]]
+    g1, gi = [-0.8, -0.8], [[-0.8, -0.6]]
     for m in (1.5, 2.0, "2", None):
         with pytest.raises(InvalidInputError, match="m must be an integer"):
             line_candidates(g1, gi, m)
@@ -94,14 +106,16 @@ def test_search_config_reads_integer_fields():
 
 
 def test_line_candidates_examples():
-    rows, line, _ = line_candidates([[1.0, 0.0], [0.6, 0.0]], [[0.0, 1.0], [0.0, 1.0]], 1)
-    assert rows.tolist() == [[1, -1], [1, 0], [1, 1]] * 2
+    rows, line, _ = line_candidates([1.0, 0.0], [[0.0, 1.0], [0.0, -1.0]], 1)
+    assert rows.tolist() == [[1, -1], [1, 0], [1, 1], [1, 1], [1, 0], [1, -1]]
     assert line.tolist() == [0, 0, 0, 1, 1, 1]
+    rows, line, _ = line_candidates([0.6, 0.0], [[0.0, 1.0]], 1)
+    assert rows.tolist() == [[1, -1], [1, 0], [1, 1]] and line.tolist() == [0, 0, 0]
 
 
 def test_line_candidates_bound_clearing():
     # a line far from the box in its second coordinate gets intervals cleared
-    rows, line, _ = line_candidates([[0.3, 5.0]], [[1.0, 0.0]], 1)
+    rows, line, _ = line_candidates([0.3, 5.0], [[1.0, 0.0]], 1)
     assert rows.shape == (0, 2) and line.shape == (0,)
 
 
@@ -125,11 +139,11 @@ def round_half_away(x):
 def closest_point_oracle(q, m, j):
     """Re-derive the candidate set with brute-force closest points per
     interval midpoint; asserts rounding optimality along the way."""
-    basis = sym_eigen(q[None])[0]
-    g1 = basis.vectors[:, 0]
+    vectors = sym_eigen(q[None])[0]
+    g1 = vectors[:, 0]
     oracle = set()
     for i in range(2, j + 2):
-        gi = basis.vectors[:, i - 1]
+        gi = vectors[:, i - 1]
         rhos = reference_jump_points(g1, gi, m)
         for t in range(len(rhos) - 1):
             rho = 0.5 * (rhos[t] + rhos[t + 1])
@@ -246,14 +260,15 @@ def test_line_pass_refuses_a_line_past_the_point_limit(monkeypatch):
 
     # L * (2M+2) jump points per line: M = 2 fits at L = 4, M = 3 does not
     monkeypatch.setattr(ifrx.sdm, "LINE_POINT_LIMIT", 4 * (2 * 2 + 2))
-    g1, gi = np.random.RandomState(3).standard_normal((2, 5, 4))
+    rng = np.random.RandomState(3)
+    g1, gi = rng.standard_normal(4), rng.standard_normal((5, 4))
     # the limit holds per line, whatever the height of the stack: five
     # lines are walked in five stacks, each as it is walked alone
     assert [c.tobytes() for c in per_line(g1, gi, 2)] \
-        == [line_candidates(g1[k:k + 1], gi[k:k + 1], 2)[0].tobytes() for k in range(5)]
+        == [line_candidates(g1, gi[k:k + 1], 2)[0].tobytes() for k in range(5)]
     for height in (1, 5):
         with pytest.raises(InstanceTooLargeError, match="jump points"):
-            line_candidates(g1[:height], gi[:height], 3)
+            line_candidates(g1, gi[:height], 3)
 
 
 def test_line_pass_walks_its_lines_in_stacks_under_the_point_limit(monkeypatch):
@@ -269,7 +284,7 @@ def test_line_pass_walks_its_lines_in_stacks_under_the_point_limit(monkeypatch):
     heights = []
     inner = ifrx.sdm._jumps
     monkeypatch.setattr(ifrx.sdm, "_jumps",
-                        lambda g1, gi, m: heights.append(len(g1)) or inner(g1, gi, m))
+                        lambda g1, gi, m: heights.append(len(gi)) or inner(g1, gi, m))
     forms = [make_qform(q) for q in qs]
     prepare_lines(forms, 5, 2)
     # 3 forms of distinct channels x 5 lines: each form walks its own lines
@@ -291,7 +306,7 @@ def test_a_draw_walks_one_line_pass_per_bound(monkeypatch):
     passes = []
     inner = ifrx.sdm.line_candidates
     monkeypatch.setattr(ifrx.sdm, "line_candidates",
-                        lambda g1, gi, m: passes.append((m, len(g1))) or inner(g1, gi, m))
+                        lambda g1, gi, m: passes.append((m, len(gi))) or inner(g1, gi, m))
     cfg = ExperimentConfig(l=8, snr_db_grid=(0.0, 10.0, 20.0, 30.0), trials=1, bound_m=2,
                            lines_j=4, master_seed=5, methods=("if-sdm",))
     cells = [(snr, cfg.search(**change)) for change in ({}, {"bound_m": 5, "lines_j": 3})
@@ -315,8 +330,7 @@ def test_a_draw_walks_one_line_pass_per_bound(monkeypatch):
 def own_lines(vectors, j, m):
     """Each line 2 .. J+1 of an eigenbasis as its own ``line_candidates``
     pass gives it, and the lines' share radius."""
-    g1, gi = np.repeat(vectors[None, :, 0], j, axis=0), vectors[:, 1:j + 1].T
-    rows, line, radius = line_candidates(g1, gi, m)
+    rows, line, radius = line_candidates(vectors[:, 0], vectors[:, 1:j + 1].T, m)
     return [rows[line == k].tobytes() for k in range(j)], radius
 
 
@@ -328,7 +342,7 @@ def test_forms_share_a_line_pass_only_within_the_radius(monkeypatch, l, j, m):
     walked = []
     inner = ifrx.sdm.line_candidates
     monkeypatch.setattr(ifrx.sdm, "line_candidates",
-                        lambda g1, gi, bound: walked.append(g1[0].tobytes()) or inner(g1, gi, bound))
+                        lambda g1, gi, bound: walked.append(g1.tobytes()) or inner(g1, gi, bound))
     rng = np.random.RandomState(34 * l + m)
     shared = 0
     for _ in range(8):
@@ -336,7 +350,7 @@ def test_forms_share_a_line_pass_only_within_the_radius(monkeypatch, l, j, m):
         forms = [compute_q(ChannelRealization(h=h, power=10.0 ** (snr / 10))) for snr in (0, 20, 40, 60)]
         walked.clear()
         prepare_lines(forms, j, m)
-        bases = [f.memo["basis"].vectors[:, :j + 1] for f in forms]
+        bases = [f.memo["basis"][:, :j + 1] for f in forms]
         lines, radii = zip(*(own_lines(b, j, m) for b in bases))
         for b, r, rows in zip(bases, radii, lines):
             # a basis anywhere within the radius walks the same rows
@@ -358,21 +372,21 @@ def test_forms_share_a_line_pass_only_within_the_radius(monkeypatch, l, j, m):
 
 def radius_stacks():
     """Seeded (g1, gi, m) stacks: eigenbasis lines at L = 4 and 8, random
-    lines, lines with a small coordinate, and a line whose radius is the
-    cap min |gi| - COORD_EPS."""
+    lines through one random g1, lines with a small coordinate, and a line
+    whose radius is the cap min |gi| - COORD_EPS."""
     rng = np.random.RandomState(35)
     stacks = []
     for l in (4, 8):
         for m in (1, 2, 200):
             for _ in range(6):
                 ch = ChannelRealization(h=rng.standard_normal((l, l)), power=10.0 ** rng.uniform(0, 6))
-                vecs = sym_eigen(compute_q(ch).q[None])[0].vectors
+                vecs = sym_eigen(compute_q(ch).q[None])[0]
                 j = rng.randint(1, l)
-                stacks.append((np.repeat(vecs[None, :, 0], j, axis=0), vecs[:, 1:j + 1].T, m))
+                stacks.append((vecs[:, 0], vecs[:, 1:j + 1].T, m))
                 p = rng.randint(1, 6)
-                stacks.append((rng.uniform(-2, 2, (p, l)),
+                stacks.append((rng.uniform(-2, 2, l),
                                rng.standard_normal((p, l)) * 10.0 ** rng.uniform(-3, 1, (p, l)), m))
-    stacks.append((np.array([[0.1, 0.3]]), np.array([[1.2e-12, 1.0]]), 1))
+    stacks.append((np.array([0.1, 0.3]), np.array([[1.2e-12, 1.0]]), 1))
     return stacks
 
 
@@ -401,9 +415,9 @@ def test_the_share_radius_is_zero_on_zero_coordinates_and_merged_jumps():
     signed[np.arange(4), [1, 3, 0, 2]] = [1.0, -1.0, 1.0, -1.0]
     stacks = []
     for basis in (np.eye(4), signed):
-        stacks.append((np.repeat(basis[None, :, 0], 3, axis=0), basis[:, 1:].T))
+        stacks.append((basis[:, 0], basis[:, 1:].T))
     # two coordinates that cross each half-integer within RHO_MERGE_TOL
-    stacks.append((np.array([[0.3, 0.3 + 0.5e-12, 0.1]]), np.array([[1.0, 1.0, 0.7]])))
+    stacks.append((np.array([0.3, 0.3 + 0.5e-12, 0.1]), np.array([[1.0, 1.0, 0.7]])))
     for g1, gi in stacks:
         assert line_candidates(g1, gi, 2)[2] == 0.0
         assert reference_share_radius(g1, gi, 2) == 0.0
@@ -412,7 +426,7 @@ def test_the_share_radius_is_zero_on_zero_coordinates_and_merged_jumps():
 
 
 def test_an_empty_stack_gives_no_rows():
-    rows, line, radius = line_candidates(np.empty((0, 3)), np.empty((0, 3)), 2)
+    rows, line, radius = line_candidates(np.zeros(3), np.empty((0, 3)), 2)
     assert rows.shape == (0, 3) and rows.dtype == np.int64
     assert line.shape == (0,) and line.dtype.kind == "i"
     assert radius == np.inf
@@ -448,7 +462,7 @@ def test_line_candidates_bit_identical_to_scalar_loop():
     for _ in range(60):
         l = int(rng.choice([2, 3, 4, 8]))
         ch = ChannelRealization(h=rng.standard_normal((l, l)), power=10.0 ** rng.uniform(0, 4))
-        vecs = sym_eigen(compute_q(ch).q[None])[0].vectors
+        vecs = sym_eigen(compute_q(ch).q[None])[0]
         lines += [(vecs[:, 0], vecs[:, i]) for i in range(1, l)]
         # off-lattice starts, sparse directions and far-away lines
         gi = rng.standard_normal(l) * (rng.rand(l) < 0.6)
@@ -456,15 +470,13 @@ def test_line_candidates_bit_identical_to_scalar_loop():
         lines.append((rng.uniform(-3, 3, l), gi))
         lines.append((np.round(rng.uniform(-2, 2, l)) + 0.5, rng.standard_normal(l)))
     lines.append((np.array([0.3, 5.0]), np.array([1.0, 0.0])))
-    # one pass per line length and bound, each line checked in the pass and alone
-    for l in {len(g1) for g1, _ in lines}:
-        group = [line for line in lines if len(line[0]) == l]
-        g1s, gis = np.array([g for g, _ in group]), np.array([d for _, d in group])
+    # one pass per start and bound, each line checked in the pass and alone
+    for g1, gis in by_start(lines):
         for m in (1, 2, 3):
-            for (g1, gi), cands in zip(group, per_line(g1s, gis, m)):
+            for gi, cands in zip(gis, per_line(g1, gis, m)):
                 expected = reference_line_candidates(g1, gi, m)
                 assert as_tuples(cands) == expected
-                assert as_tuples(line_candidates(g1[None], gi[None], m)[0]) == expected
+                assert as_tuples(line_candidates(g1, gi[None], m)[0]) == expected
 
 
 @pytest.mark.parametrize("bad", [(0, 0), (3, 0), (1, -3)])
@@ -474,8 +486,8 @@ def test_candidate_set_checks_its_invariants(monkeypatch, bad):
 
     # the line pass gives both rows to each line of its stack
     monkeypatch.setattr(ifrx.sdm, "line_candidates",
-                        lambda g1, gi, m: (np.array([(1, 0), bad] * len(g1)),
-                                           np.repeat(np.arange(len(g1)), 2), 0.0))
+                        lambda g1, gi, m: (np.array([(1, 0), bad] * len(gi)),
+                                           np.repeat(np.arange(len(gi)), 2), 0.0))
     with pytest.raises(RuntimeError):
         candidate_set(make_qform(np.diag([0.2, 0.5])), SearchConfig(bound_m=2, lines_j=1))
 
@@ -523,7 +535,7 @@ def degenerate_lines(l):
     lines = []
     for h in (np.eye(l), 2.5 * dct):
         for p in (1.0, 10.0, 100.0, 1000.0):
-            vecs = sym_eigen(compute_q(ChannelRealization(h=h, power=p)).q[None])[0].vectors
+            vecs = sym_eigen(compute_q(ChannelRealization(h=h, power=p)).q[None])[0]
             lines += [(vecs[:, 0], vecs[:, i]) for i in range(1, l)]
     return lines
 
@@ -534,13 +546,13 @@ def test_stacked_line_pass_equals_the_scalar_oracles(l):
     lines = chain_lines(l) + degenerate_lines(l)
     lines += [(rng.uniform(-2, 2, l), rng.standard_normal(l) * (rng.rand(l) < 0.7) + 1e-3)
               for _ in range(20)]
-    g1 = np.array([g for g, _ in lines])
-    gi = np.array([d for _, d in lines])
     chains = 0
     for m in (1, 2, 3):
-        got = per_line(g1, gi, m)
+        # one pass per start
+        got = [(a, d, cands) for a, gi in by_start(lines)
+               for d, cands in zip(gi, per_line(a, gi, m))]
         assert len(got) == len(lines)
-        for (a, d), cands in zip(lines, got):
+        for a, d, cands in got:
             rhos = reference_jump_points(a, d, m)
             assert as_tuples(cands) == reference_line_candidates(a, d, m)
             assert cands.dtype == np.int64 and cands.shape[1] == l
@@ -568,6 +580,6 @@ def test_a_hadamard_line_merges_its_long_chains(m):
     # copies into runs that the merge thins to every other run
     jitter = 0.45e-12 / 32 * np.random.RandomState(m).randint(-2, 3, 1024)
     for g1, gi in ((h[:, 0], h[:, 1]), (h[:, 0] + jitter, h[:, 5])):
-        rho, line, _ = _jumps(g1[None], gi[None], m)
+        rho, line, _ = _jumps(g1, gi[None], m)
         assert rho.tolist() == reference_jump_points(g1, gi, m)
         assert not line.any()
