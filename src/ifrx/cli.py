@@ -11,6 +11,7 @@ import csv
 import decimal
 import functools
 import math
+import re
 import sys
 
 from .channel import ChannelRealization, load_matrix
@@ -27,6 +28,13 @@ MAX_GRID_POINTS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token that starts with "-" and a digit, or "-." and a digit, is a
+        # value ("--snr-db -10:5:30", "--power -1e3"), where argparse reads
+        # only plain negative numbers so; no ifrx option looks like a number
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits 2 on bad usage; the CLI contract reserves 2 for
     # design fallback, so remap usage errors to 1
     def error(self, message):

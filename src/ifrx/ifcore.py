@@ -40,9 +40,11 @@ class QForm:
     one union of line candidates in (f, lex) order, which
     ``sdm.prepare_lines`` fills for several forms at once, from one line
     pass for the forms whose eigenvectors agree within its share radius,
-    and ranks by each form's own f; and the last SDM design's greedy
-    scan, which ``select.greedy_full_rank`` replays. The form holds no
-    reference back to its channel, whose memo holds the form.
+    and ranks by each form's own f; the last SDM design's greedy scan,
+    which ``select.greedy_full_rank`` replays; and the last successful
+    SDM design's A bytes, rates and det, which ``select.design_if`` hands
+    to a later design of the same A. The form holds no reference back to
+    its channel, whose memo holds the form.
     """
 
     q: np.ndarray
@@ -81,9 +83,10 @@ def prepare_inverses(chs, whiteners: bool = True, zf: bool = False) -> None:
     singular whitener slice raises its listed error before anything is
     kept. With ``zf``, the stack ends with one slice H^T H per distinct H,
     whose inverse gives the squared row norms ||b_m||^2 of the ZF
-    projection (H^T H)^-1 H^T, or None when ``solve_inverse`` lists H^T H
-    as singular. They do not depend on P, so every realization of that H
-    shares them.
+    projection (H^T H)^-1 H^T, all L from one stacked product with the
+    bits of each row's own b_m @ b_m, or None when ``solve_inverse`` lists
+    H^T H as singular. They do not depend on P, so every realization of
+    that H shares them.
     """
     todo = [ch for ch in chs if "whitener" not in ch.memo] if whiteners else []
     grams = {}  # H's bytes -> the realizations of H that lack ZF row norms
@@ -105,7 +108,7 @@ def prepare_inverses(chs, whiteners: bool = True, zf: bool = False) -> None:
             norms = None
         else:
             b = inv @ h.T
-            norms = tuple(float(b[m] @ b[m]) for m in range(len(h)))
+            norms = tuple((b[:, None, :] @ b[:, :, None]).ravel().tolist())
         for ch in same:
             ch.memo["zf_row_norms"] = norms
     for ch, w in zip(todo, ws):
@@ -159,8 +162,15 @@ def rates_from_q(a, q: QForm) -> list[float]:
 def kept_rates(a: np.ndarray, q: QForm) -> list[float]:
     """Rate (1/2) log2(1 / (a_m^T Q a_m)) of each row a_m of an (n, L)
     array, with the optimal projection baked in. The rows are nonzero and
-    of length L, as in greedy's A, and are not read by the input reader."""
-    return [_rate_from_energy(float(a_m @ q.q @ a_m)) for a_m in a.astype(float)]
+    of length L, as in greedy's A, and are not read by the input reader.
+
+    All n values a_m^T Q a_m come from one stacked product, (1, L) @ Q
+    then (1, L) @ (L, 1) per row; matmul runs each slice through the inner
+    loop a 1-D ``a_m @ q @ a_m`` runs, so every value keeps that one's bits.
+    """
+    af = a.astype(float)
+    energies = (af[:, None, :] @ q.q @ af[:, :, None]).ravel().tolist()
+    return [_rate_from_energy(e) for e in energies]
 
 
 def total_rate(per_stream) -> RateReport:
@@ -193,6 +203,5 @@ def zf_rates(ch: ChannelRealization) -> RateReport:
 
 def mmse_rates(ch: ChannelRealization) -> RateReport:
     """MMSE rates R_m = (1/2) log2(1 / Q_mm): the identity-coefficient
-    design under the optimal projection."""
-    q = compute_q(ch).q
-    return total_rate([_rate_from_energy(float(q[m, m])) for m in range(ch.l)])
+    design under the optimal projection, read off Q's diagonal at once."""
+    return total_rate([_rate_from_energy(e) for e in compute_q(ch).q.diagonal().tolist()])

@@ -49,11 +49,12 @@ def leading(arr: np.ndarray) -> np.ndarray:
     return arr[np.arange(len(arr)), (arr != 0).argmax(axis=1)]
 
 
-def _jumps(g1: np.ndarray, gi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _jumps(g1: np.ndarray, gi: np.ndarray, m: int, *,
+           radius: bool = True) -> tuple[np.ndarray, np.ndarray, float]:
     """Merged jump points of the lines g1 + rho * gi through one g1 (of
     length L) along a (P, L) stack of directions gi, the rhos ascending
     within each line, the line each belongs to, and the stack's share
-    radius r.
+    radius r: with ``radius`` false, 0.0, and none of r's arrays is built.
 
     All rhos go through one stable sort keyed by (line, rho); built
     coordinate-major within each line, like a loop over k, ties keep that
@@ -83,8 +84,8 @@ def _jumps(g1: np.ndarray, gi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarr
     line = np.repeat(line, len(grid))
     order = np.lexsort((rho, line))
     rho, line = rho[order], line[order]
-    cap = min(mags.min() / 2, mags.min() - COORD_EPS)
-    radius = 0.0
+    cap = min(mags.min() / 2, mags.min() - COORD_EPS) if radius else 0.0
+    r = 0.0
     if cap > 0:
         # every coordinate is active, so row p holds line p's L (2M+2) raw
         # rhos, the one at j from gi.flat[order[j] // (2M+2)]; each array is
@@ -101,7 +102,7 @@ def _jumps(g1: np.ndarray, gi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarr
         ratio = raw[:, 1:] - raw[:, :-1] - RHO_MERGE_TOL - slack
         del slack
         ratio /= move[:, :-1] + move[:, 1:]
-        radius = max(0.0, min(float(cap), float(ratio.min())))
+        r = max(0.0, min(float(cap), float(ratio.min())))
         del move, ratio
     keep = np.ones(len(rho), dtype=bool)
     keep[1:] = (line[1:] != line[:-1]) | (rho[1:] - rho[:-1] > RHO_MERGE_TOL)
@@ -113,15 +114,18 @@ def _jumps(g1: np.ndarray, gi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarr
         if keep[i - 1]:
             last = i - 1
         keep[i] = rho[i] - rho[last] > RHO_MERGE_TOL
-    return rho[keep], line[keep], radius
+    return rho[keep], line[keep], r
 
 
-def line_candidates(g1, gi, m: int) -> tuple[np.ndarray, np.ndarray, float]:
+def line_candidates(g1, gi, m: int, *,
+                    radius: bool = True) -> tuple[np.ndarray, np.ndarray, float]:
     """Nearest in-box nonzero integer point for every interval midpoint of
     each search line g1 + rho * gi: the int64 rows of all P lines, in line
     then interval order (duplicates kept), the line each row comes from,
     and the lines' share radius (``_jumps``), the smallest over the stacks
-    they are walked in (inf for P = 0).
+    they are walked in (inf for P = 0). With ``radius`` false no stack
+    computes one and a pass over P > 0 lines reports 0.0, the radius that
+    certifies only bit-equal lines.
 
     Every line starts at one point ``g1``, a vector of length L, and runs
     along a row of ``gi``, a (P, L) stack of directions; both are read by
@@ -146,9 +150,9 @@ def line_candidates(g1, gi, m: int) -> tuple[np.ndarray, np.ndarray, float]:
         raise InstanceTooLargeError(f"a search line at L = {len(g1)}, M = {m} has {points} "
                                     f"jump points, over the limit {LINE_POINT_LIMIT}")
     step = max(1, LINE_POINT_LIMIT // max(points, 1))
-    rows, lines, radius = [np.empty((0, len(g1)), np.int64)], [np.empty(0, np.intp)], np.inf
+    rows, lines, least = [np.empty((0, len(g1)), np.int64)], [np.empty(0, np.intp)], np.inf
     for start in range(0, len(gi), step):
-        rho, line, r = _jumps(g1, gi[start:start + step], m)
+        rho, line, r = _jumps(g1, gi[start:start + step], m, radius=radius)
         # consecutive jump points of one line bound one of its intervals
         inner = line[1:] == line[:-1]
         mids = (0.5 * (rho[:-1] + rho[1:]))[inner]
@@ -164,9 +168,9 @@ def line_candidates(g1, gi, m: int) -> tuple[np.ndarray, np.ndarray, float]:
         keep = (np.abs(x) <= m).all(axis=1) & x.any(axis=1)
         rows.append(x[keep].astype(np.int64))
         lines.append(owner[keep])
-        radius = min(radius, r)
+        least = min(least, r)
         del x  # released before the next stack's pass
-    return np.concatenate(rows), np.concatenate(lines), radius
+    return np.concatenate(rows), np.concatenate(lines), least
 
 
 def _row_f(a: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -194,14 +198,16 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> list[np.ndarray]:
     lexicographic order and checked. Every such form whose columns
     1 .. J+1 lie within the share radius of that call entrywise, the first
     form included, would walk the same rows, and takes this union; the
-    rest start the next group. Q's eigenvectors do not depend on the
-    transmit power, so a draw's SNR points mostly form one
-    group per bound M. Each form's union is ranked once, after the last
-    group's pass, by one stable sort of its own f over the group's
-    lexicographic rows. f over it has, row for row, the bits of f over
-    J's rows alone (at two rows or more), so J's rows masked out of it are
-    ranked as ``rank_candidates`` ranks them. A failed eigensolve raises
-    for every form of the stack. J, in [1, L - 1], and M are integers.
+    rest start the next group. A form left alone asks for no radius, as no
+    other form reads it: its call reports 0.0, within which the form itself
+    still lies. Q's eigenvectors do not depend on the transmit power, so a
+    draw's SNR points mostly form one group per bound M. Each form's union
+    is ranked once, after the last group's pass, by one stable sort of its
+    own f over the group's lexicographic rows. f over it has, row for row,
+    the bits of f over J's rows alone (at two rows or more), so J's rows
+    masked out of it are ranked as ``rank_candidates`` ranks them. A failed
+    eigensolve raises for every form of the stack. J, in [1, L - 1], and M
+    are integers.
 
     Returns J's rows of each form in (f, lex) order: the union itself when
     it covers exactly J lines, else a fresh array of its rows numbered
@@ -221,7 +227,7 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> list[np.ndarray]:
     while todo:
         lead = todo[0].memo["basis"][:, :lines_j + 1]
         gi = np.ascontiguousarray(lead[:, 1:].T)  # row-major: the pass gathers its rows
-        arr, first, radius = line_candidates(lead[:, 0], gi, bound_m)
+        arr, first, radius = line_candidates(lead[:, 0], gi, bound_m, radius=len(todo) > 1)
         arr *= np.where(leading(arr) < 0, -1, 1)[:, None]
         # the sort is stable, so the copies of a row keep line order and the
         # one kept comes from the earliest line

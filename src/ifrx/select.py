@@ -181,7 +181,14 @@ def _exhaustive_rows(q: np.ndarray, m: int, memo: dict) -> np.ndarray | None:
 def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesign:
     """End-to-end design: pick greedily from the ranked candidates (the SDM
     design takes J's rows in (f, lex) order from ``prepare_lines``), fall
-    back to the identity matrix when greedy cannot reach full rank."""
+    back to the identity matrix when greedy cannot reach full rank.
+
+    The rates and det A are functions of A and Q alone, so the form's memo
+    keeps its last successful SDM design as ``memo["design"]``, A's bytes
+    with its report and det, and an SDM design that picks the same A (as
+    consecutive J or M of a sweep often do) takes them instead of
+    computing them again.
+    """
     if method not in (METHOD_SDM, METHOD_EXHAUSTIVE):
         raise InvalidInputError(f"unknown method {method!r}")
     qform = compute_q(ch)
@@ -192,7 +199,11 @@ def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesig
         memo = {}
         a = _exhaustive_rows(qform.q, cfg.bound_m, memo)
     if a is None:
-        a, tag, ok, det = np.eye(ch.l, dtype=np.int64), METHOD_FALLBACK, False, 1
-    else:
-        tag, ok, det = method, True, echelon_det(memo["greedy"][2])
-    return IfDesign(a=a, report=total_rate(kept_rates(a, qform)), success=ok, method=tag, det=det)
+        a = np.eye(ch.l, dtype=np.int64)
+        return IfDesign(a=a, report=total_rate(kept_rates(a, qform)), success=False,
+                        method=METHOD_FALLBACK, det=1)
+    key, (last, report, det) = a.tobytes(), memo.get("design", (None, None, None))
+    if key != last:
+        report, det = total_rate(kept_rates(a, qform)), echelon_det(memo["greedy"][2])
+        memo["design"] = key, report, det
+    return IfDesign(a=a, report=report, success=True, method=method, det=det)

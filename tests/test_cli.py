@@ -113,6 +113,33 @@ def test_design_negative_power_exits_1(identity_channel, capsys):
     capsys.readouterr()
 
 
+def test_design_reads_a_negative_power_in_exponent_form(identity_channel, capsys):
+    # argparse took "-1e3" for an option and reported --power without its value
+    assert main(["design", "--channel", identity_channel, "--power", "-1e3"]) == 1
+    assert capsys.readouterr().err == "ifrx: error: power must be positive and finite\n"
+
+
+@pytest.mark.parametrize("flags", [["--snr-db", "-10:5:30"], ["--snr-db", "-10,0"],
+                                   ["--snr-db", "-1e3"], ["--snr-db", "-.5"],
+                                   ["--sweep", "snr", "--sweep-values", "-5,5"]],
+                         ids=["grid", "list", "exponent", "point", "sweep-values"])
+def test_a_value_with_a_leading_minus_reads_as_its_equals_spelling(tmp_path, capsys, flags):
+    base = ["simulate", "--l", "2", "--trials", "2", "--methods", "if-sdm,mmse,zf,capacity"]
+    spellings = [flags, [*flags[:-2], f"{flags[-2]}={flags[-1]}"]]
+    outputs = []
+    for k, spelling in enumerate(spellings):
+        out_csv = tmp_path / f"{k}.csv"
+        assert main([*base, *spelling, "--out", str(out_csv)]) == 0
+        outputs.append((out_csv.read_bytes(), capsys.readouterr().out.replace(str(out_csv), "OUT")))
+    assert outputs[0] == outputs[1]
+
+
+def test_a_token_that_starts_with_a_minus_and_a_letter_is_still_an_option(tmp_path, capsys):
+    code = main(["simulate", "--l", "2", "--snr-db", "-x", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "argument --snr-db: expected one argument" in capsys.readouterr().err
+
+
 def test_design_infinite_power_exits_1(identity_channel, capsys):
     code = main(["design", "--channel", identity_channel, "--power", "inf"])
     assert code == 1

@@ -482,9 +482,9 @@ def test_lines_sweep_draws_and_decomposes_each_channel_once(monkeypatch):
     def counting(module, name):
         inner = getattr(module, name)
 
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             counts[name] += 1
-            return inner(*args)
+            return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapped)
 
     counting(ifrx.harness, "sample_channel")

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,9 @@ from ifrx.ifcore import (
 from ifrx.sdm import SearchConfig, candidate_set
 from ifrx.select import design_if
 from oracles import rate_from_ab
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def random_channel(rng, l, power):
@@ -180,6 +187,72 @@ def test_rate_forms_agree():
         b = optimal_projection(a, ch)
         for m, rate in enumerate(rates_from_q(a, q)):
             assert abs(rate_from_ab(a[m], b[m], ch) - rate) <= 1e-9
+
+
+def stacked_product_mismatches():
+    """Inputs on which a rate product of the package differs in any bit
+    from the per-row product: ``kept_rates`` (through ``rates_from_q``)
+    against ``a_m @ q @ a_m`` of each row of ``a.astype(float)``, the ZF
+    row norms against ``b[m] @ b[m]``, and the MMSE rates against
+    ``q[m, m]``. Run with ``ifcore._rate_from_energy`` read as ``float``,
+    so each rate is the product itself."""
+    import ifrx.ifcore
+    from ifrx.linalg import solve_inverse
+
+    assert ifrx.ifcore._rate_from_energy is float
+    bad = []
+
+    def check(tag, got, want):
+        if [v.hex() for v in got] != [float(v).hex() for v in want]:
+            bad.append(tag)
+
+    rng = np.random.RandomState(37)
+    for l in (4, 8, 16):
+        for snr in (0, 20, 40):
+            for t in range(6):
+                ch = ChannelRealization(h=sample_channel(37, t, l), power=10.0 ** (snr / 10))
+                q = compute_q(ch)
+                a = design_if(ch, SearchConfig(2, -(-l // 2)), "sdm").a
+                check(("design", l, snr, t), rates_from_q(a, q),
+                      [a_m @ q.q @ a_m for a_m in a.astype(float)])
+                prepare_inverses([ch], zf=True)
+                b = solve_inverse([ch.h.T @ ch.h])[0] @ ch.h.T
+                check(("zf", l, snr, t), ch.memo["zf_row_norms"], [b[m] @ b[m] for m in range(l)])
+                check(("mmse", l, snr, t), mmse_rates(ch).per_stream,
+                      [q.q[m, m] for m in range(l)])
+    for k in range(400):
+        l = rng.randint(2, 17)
+        q = compute_q(random_channel(rng, l, 10.0 ** rng.uniform(-1, 4)))
+        a = rng.randint(-4, 5, size=(2 * l + 1, l + 2))
+        a[:, 0] = rng.randint(1, 5, size=len(a))
+        # C-ordered, F-ordered, strided and non-integer rows of length L
+        a = {0: a[:, :l].copy(), 1: np.asfortranarray(a[:, :l]), 2: a[::2, ::-1][:, 2:],
+             3: a[:, :l] + rng.standard_normal((len(a), l))}[k % 4]
+        check(("rows", k), rates_from_q(a, q), [a_m @ q.q @ a_m for a_m in a.astype(float)])
+    return bad
+
+
+def test_stacked_rate_products_keep_the_per_row_bits(monkeypatch):
+    import ifrx.ifcore
+
+    monkeypatch.setattr(ifrx.ifcore, "_rate_from_energy", float)
+    assert stacked_product_mismatches() == []
+
+
+def test_stacked_rate_products_keep_the_per_row_bits_under_an_avx2_kernel():
+    # OPENBLAS_CORETYPE picks the kernel of the child process alone
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_VERBOSE": "2",
+           "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS), os.environ.get("PYTHONPATH", "")])}
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True,
+                           text=True)
+    if probe.returncode != 0 or "Core: Haswell" not in probe.stderr:
+        pytest.skip(f"OpenBLAS cannot load its Haswell kernel here: {probe.stderr.strip()!r}")
+    script = ("import ifrx.ifcore, test_ifcore\n"
+              "ifrx.ifcore._rate_from_energy = float\n"
+              "print(test_ifcore.stacked_product_mismatches())")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_total_rate():

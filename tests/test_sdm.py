@@ -284,7 +284,7 @@ def test_line_pass_walks_its_lines_in_stacks_under_the_point_limit(monkeypatch):
     heights = []
     inner = ifrx.sdm._jumps
     monkeypatch.setattr(ifrx.sdm, "_jumps",
-                        lambda g1, gi, m: heights.append(len(gi)) or inner(g1, gi, m))
+                        lambda g1, gi, m, **kw: heights.append(len(gi)) or inner(g1, gi, m, **kw))
     forms = [make_qform(q) for q in qs]
     prepare_lines(forms, 5, 2)
     # 3 forms of distinct channels x 5 lines: each form walks its own lines
@@ -306,7 +306,8 @@ def test_a_draw_walks_one_line_pass_per_bound(monkeypatch):
     passes = []
     inner = ifrx.sdm.line_candidates
     monkeypatch.setattr(ifrx.sdm, "line_candidates",
-                        lambda g1, gi, m: passes.append((m, len(gi))) or inner(g1, gi, m))
+                        lambda g1, gi, m, **kw: passes.append((m, len(gi)))
+                        or inner(g1, gi, m, **kw))
     cfg = ExperimentConfig(l=8, snr_db_grid=(0.0, 10.0, 20.0, 30.0), trials=1, bound_m=2,
                            lines_j=4, master_seed=5, methods=("if-sdm",))
     cells = [(snr, cfg.search(**change)) for change in ({}, {"bound_m": 5, "lines_j": 3})
@@ -342,7 +343,8 @@ def test_forms_share_a_line_pass_only_within_the_radius(monkeypatch, l, j, m):
     walked = []
     inner = ifrx.sdm.line_candidates
     monkeypatch.setattr(ifrx.sdm, "line_candidates",
-                        lambda g1, gi, bound: walked.append(g1.tobytes()) or inner(g1, gi, bound))
+                        lambda g1, gi, bound, **kw: walked.append(g1.tobytes())
+                        or inner(g1, gi, bound, **kw))
     rng = np.random.RandomState(34 * l + m)
     shared = 0
     for _ in range(8):
@@ -368,6 +370,61 @@ def test_forms_share_a_line_pass_only_within_the_radius(monkeypatch, l, j, m):
                 assert any(i < k and bases[i][:, 0].tobytes() in walked for i in near)
     # most of the 24 later forms share
     assert shared >= 12
+
+
+def test_a_lone_forms_pass_computes_no_radius(monkeypatch):
+    import ifrx.sdm
+
+    asked, reported = [], []
+    inner_jumps, inner_lines = ifrx.sdm._jumps, ifrx.sdm.line_candidates
+    monkeypatch.setattr(ifrx.sdm, "_jumps",
+                        lambda g1, gi, m, **kw: asked.append(kw) or inner_jumps(g1, gi, m, **kw))
+
+    def lines(g1, gi, m, **kw):
+        out = inner_lines(g1, gi, m, **kw)
+        reported.append(out[2])
+        return out
+
+    monkeypatch.setattr(ifrx.sdm, "line_candidates", lines)
+    rng = np.random.RandomState(36)
+    for l, j, m in ((4, 3, 2), (8, 4, 2), (6, 5, 200)):
+        form = compute_q(ChannelRealization(h=rng.standard_normal((l, l)), power=100.0))
+        asked.clear(), reported.clear()
+        prepare_lines([form], j, m)
+        # one pass, of stacks that build none of the radius' arrays
+        assert asked and all(kw == {"radius": False} for kw in asked)
+        assert reported == [0.0]
+        alone = make_qform(form.q)
+        prepare_lines([alone], j, m)
+        got, want = form.memo[("union", m)], alone.memo[("union", m)]
+        assert [got[0].tobytes(), got[1].tobytes()] == [want[0].tobytes(), want[1].tobytes()]
+
+
+@pytest.mark.parametrize("master_seed", [1, 74, 83, 90, 115, 172, 192])
+def test_a_draw_shares_as_when_every_pass_computes_its_radius(monkeypatch, master_seed):
+    # the six M = 200 draws split into groups, the later ones of a lone
+    # form; which forms walk, and every union, stay those of a pass that
+    # always computes its radius
+    import ifrx.sdm
+
+    inner = ifrx.sdm.line_candidates
+    cfg = ExperimentConfig(l=4, snr_db_grid=(0.0, 20.0, 40.0, 60.0), trials=1, bound_m=200,
+                           lines_j=3, master_seed=master_seed, methods=("if-sdm",))
+    runs = []
+    for always in (False, True):
+        walked = []
+
+        def lines(g1, gi, m, **kw):
+            walked.append((g1.tobytes(), kw.get("radius", True)))
+            return inner(g1, gi, m, **({"radius": True} if always else kw))
+
+        monkeypatch.setattr(ifrx.sdm, "line_candidates", lines)
+        draw = draw_trial(cfg, 0)
+        unions = [compute_q(draw[snr]).memo[("union", 200)] for snr in cfg.snr_db_grid]
+        runs.append(([g1 for g1, _ in walked], [(a.tobytes(), f.tobytes(), c) for a, f, c in unions]))
+        # only a pass with a second form to read its radius asks for one
+        assert [asked for _, asked in walked][:1] == [True]
+    assert runs[0] == runs[1]
 
 
 def radius_stacks():
@@ -423,6 +480,16 @@ def test_the_share_radius_is_zero_on_zero_coordinates_and_merged_jumps():
         assert reference_share_radius(g1, gi, 2) == 0.0
     # each of the pair's six crossings is one jump point
     assert len(_jumps(*stacks[-1], 2)[0]) == 2 * 6
+
+
+def test_a_pass_without_its_radius_walks_the_same_rows():
+    for g1, gi, m in radius_stacks():
+        rows, line, radius = line_candidates(g1, gi, m)
+        assert radius.hex() == reference_share_radius(g1, gi, m).hex()
+        assert line_candidates(g1, gi, m, radius=True)[2].hex() == radius.hex()
+        bare = line_candidates(g1, gi, m, radius=False)
+        assert [bare[0].tobytes(), bare[1].tobytes(), bare[2]] \
+            == [rows.tobytes(), line.tobytes(), 0.0]
 
 
 def test_an_empty_stack_gives_no_rows():
@@ -486,7 +553,7 @@ def test_candidate_set_checks_its_invariants(monkeypatch, bad):
 
     # the line pass gives both rows to each line of its stack
     monkeypatch.setattr(ifrx.sdm, "line_candidates",
-                        lambda g1, gi, m: (np.array([(1, 0), bad] * len(gi)),
+                        lambda g1, gi, m, **kw: (np.array([(1, 0), bad] * len(gi)),
                                            np.repeat(np.arange(len(gi)), 2), 0.0))
     with pytest.raises(RuntimeError):
         candidate_set(make_qform(np.diag([0.2, 0.5])), SearchConfig(bound_m=2, lines_j=1))

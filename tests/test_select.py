@@ -424,6 +424,63 @@ def test_design_sdm_identity_channel():
     assert design.report.total == 0.0
 
 
+@pytest.mark.parametrize("cfg, sweep, values", [
+    # the jsweep_l8 pin's flags, and a bound sweep beside the exhaustive design
+    (ExperimentConfig(l=8, snr_db_grid=(20.0,), trials=3, bound_m=2, lines_j=4, master_seed=15,
+                      methods=("if-sdm",), prime_p=257), "lines_j", range(1, 8)),
+    (ExperimentConfig(l=4, snr_db_grid=(5.0, 20.0), trials=4, bound_m=2, lines_j=2,
+                      master_seed=13, methods=("if-sdm", "if-exhaustive")), "bound_m", range(1, 4)),
+], ids=["lines", "bound"])
+def test_a_design_of_the_last_designs_a_takes_its_rates_and_det(monkeypatch, cfg, sweep, values):
+    import ifrx.harness
+    import ifrx.select
+
+    rated = []
+    inner_rates = ifrx.select.kept_rates
+    monkeypatch.setattr(ifrx.select, "kept_rates", lambda a, q: rated.append(1) or inner_rates(a, q))
+    designs = []  # (form, method, design, kept_rates calls)
+    inner = ifrx.harness.design_if
+
+    def checked(ch, search, method):
+        before = len(rated)
+        got = inner(ch, search, method)
+        designs.append((compute_q(ch), method, got, len(rated) - before))
+        want = inner(ChannelRealization(h=ch.h, power=ch.power), search, method)
+        assert (got.a.dtype, got.a.tobytes()) == (want.a.dtype, want.a.tobytes())
+        assert (got.det, got.success, got.method) == (want.det, want.success, want.method)
+        assert [r.hex() for r in got.report.per_stream] == [r.hex() for r in want.report.per_stream]
+        assert got.report.total.hex() == want.report.total.hex()
+        return got
+
+    monkeypatch.setattr(ifrx.harness, "design_if", checked)
+    run_sweep(cfg, sweep, values)
+    last, reused = {}, 0  # form id -> A bytes of its last successful SDM design
+    for form, method, design, calls in designs:
+        same = method == "sdm" and design.success and last.get(id(form)) == design.a.tobytes()
+        # a design of the form's last successful SDM design's A computes no rate
+        assert calls == (0 if same else 1)
+        reused += same
+        if method == "sdm" and design.success:
+            last[id(form)] = design.a.tobytes()
+    # consecutive J or M often pick the same A
+    assert reused >= cfg.trials
+
+
+def test_a_fallback_is_never_handed_a_kept_success():
+    # J = 2 gives the identity as a full-rank design; one line cannot reach
+    # full rank, so J = 1 falls back to the identity, of the same bytes
+    h = [[2.591, -0.622, -0.358], [-0.205, 2.511, 0.32], [-0.124, 0.065, 1.93]]
+    ch = ChannelRealization(h=h, power=2.5)
+    got = [design_if(ch, SearchConfig(bound_m=2, lines_j=j), "sdm") for j in (2, 1, 2)]
+    want = [design_if(ChannelRealization(h=h, power=2.5), SearchConfig(bound_m=2, lines_j=j), "sdm")
+            for j in (2, 1, 2)]
+    assert [(d.success, d.method, d.det, d.a.tolist()) for d in got] \
+        == [(d.success, d.method, d.det, d.a.tolist()) for d in want] \
+        == [(True, "sdm", 1, np.eye(3).tolist()), (False, "mmse-identity-fallback", 1, np.eye(3).tolist()),
+            (True, "sdm", 1, np.eye(3).tolist())]
+    assert [d.report for d in got] == [d.report for d in want]
+
+
 def test_design_rejects_unknown_method():
     ch = ChannelRealization(h=np.eye(2), power=1.0)
     with pytest.raises(InvalidInputError):
