@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import InvalidInputError, SingularMatrixError
-from .linalg import _finite_array, as_real_matrix, as_square_matrix, solve_inverse
+from .linalg import _finite_array, as_square_matrix, solve_inverse
 
 
 def left_sum(values) -> float:
@@ -149,20 +149,10 @@ def _rate_from_energy(e: float) -> float:
     return -0.5 * math.log2(e) + 0.0
 
 
-def rates_from_q(a, q: QForm) -> list[float]:
-    """``kept_rates`` of an (n, L) array of finite reals
-    (``linalg.as_real_matrix``), its rows checked first to be nonzero and
-    of length L."""
-    arr = as_real_matrix(a, "a")
-    if arr.shape[1] != q.q.shape[0] or not arr.any(axis=1).all():
-        raise InvalidInputError(f"each a_m must be a nonzero vector of length {q.q.shape[0]}")
-    return kept_rates(arr, q)
-
-
 def kept_rates(a: np.ndarray, q: QForm) -> list[float]:
     """Rate (1/2) log2(1 / (a_m^T Q a_m)) of each row a_m of an (n, L)
     array, with the optimal projection baked in. The rows are nonzero and
-    of length L, as in greedy's A, and are not read by the input reader.
+    of length L, as in greedy's A, and are not read by an input reader.
 
     All n values a_m^T Q a_m come from one stacked product, (1, L) @ Q
     then (1, L) @ (L, 1) per row; matmul runs each slice through the inner

@@ -9,8 +9,9 @@ step on plain lists for rank decisions that must not hinge on float
 thresholds, with the exact determinant a full echelon yields.
 
 The three float kernels take a finite (S, n, n) stack of independent
-slices, run it in one pass and give a list of per-slice results; every
-slice gets the bytes it would get in a stack of one. ``solve_inverse``
+slices, read by the rule and with the messages of ``as_square_matrix``,
+run it in one pass and give a list of per-slice results; every slice
+gets the bytes it would get in a stack of one. ``solve_inverse``
 lists a singular slice's SingularMatrixError in its place; ``det`` and
 ``sym_eigen`` raise for the whole stack.
 """
@@ -62,30 +63,20 @@ def as_real_matrix(m, name: str = "matrix") -> np.ndarray:
     return _finite_array(m, name, 2)
 
 
-def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
-    """``as_real_matrix``, square and nonempty."""
-    arr = as_real_matrix(m, name)
-    if arr.shape[0] != arr.shape[1]:
+def _square_array(m, name: str, ndim: int) -> np.ndarray:
+    """``m`` read by ``_finite_array``, its last two dimensions square and
+    nonempty: a fresh array a kernel may work in place."""
+    arr = _finite_array(m, name, ndim)
+    if arr.shape[-2] != arr.shape[-1]:
         raise InvalidInputError(f"{name} must be square, got shape {arr.shape}")
-    if not len(arr):
+    if not arr.shape[-1]:
         raise InvalidInputError(f"{name} must be nonempty, got shape {arr.shape}")
     return arr
 
 
-def _stack(m, name: str) -> np.ndarray:
-    """``m``, ``name`` in errors, read as a finite float (S, n, n) stack,
-    n >= 1 (by ``_real_array``): a fresh array a kernel may work in place."""
-    try:
-        stack = _real_array(m, name)
-    except InvalidInputError:
-        raise InvalidInputError(f"{name} must be an (S, n, n) stack of reals") from None
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise InvalidInputError(f"{name} must be an (S, n, n) stack, got shape {stack.shape}")
-    if not stack.shape[1]:
-        raise InvalidInputError(f"{name} must be nonempty, got shape {stack.shape}")
-    if not np.isfinite(stack).all():
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    return stack
+def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
+    """``as_real_matrix``, square and nonempty."""
+    return _square_array(m, name, 2)
 
 
 def sym_eigen(q) -> list:
@@ -95,19 +86,23 @@ def sym_eigen(q) -> list:
     coordinate made positive (ties go to the lowest index).
 
     Each slice must be symmetric within ``SYMMETRY_RTOL`` relative to its
-    Frobenius norm; its symmetric part is decomposed. Deterministic: the
-    same slice always yields the same matrix, in any stack. An asymmetric
-    slice or a LAPACK failure raises for the whole stack.
+    Frobenius norm; an exactly symmetric one is decomposed as given, any
+    other by its symmetric part. Deterministic: the same slice always
+    yields the same matrix, in any stack. An asymmetric slice or a LAPACK
+    failure raises for the whole stack.
     """
-    q = _stack(q, "q")
+    q = _square_array(q, "q", 3)
     count, n = q.shape[:2]
-    if (q != q.swapaxes(1, 2)).any():
-        # an exactly symmetric slice passes; the others are measured one by one
-        for s in q:
-            if np.linalg.norm(s - s.T) > SYMMETRY_RTOL * np.linalg.norm(s):
-                raise InvalidInputError("q is not symmetric within tolerance")
+    # an exactly symmetric slice is decomposed as given; another is measured
+    # scaled by a power of two to entries below 1, so that no norm overflows,
+    # and halved before the sum, which then cannot overflow either
+    for k in np.flatnonzero((q != q.swapaxes(1, 2)).any(axis=(1, 2))).tolist():
+        s = np.ldexp(q[k], -np.frexp(np.abs(q[k]).max())[1])
+        if np.linalg.norm(s - s.T) > SYMMETRY_RTOL * np.linalg.norm(s):
+            raise InvalidInputError("q is not symmetric within tolerance")
+        q[k] = 0.5 * q[k] + 0.5 * q[k].T
     try:
-        _, vectors = np.linalg.eigh(0.5 * (q + q.swapaxes(1, 2)))
+        _, vectors = np.linalg.eigh(q)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh did not converge: {exc}") from exc
     # sign rule: largest-|coord| entry positive, argmax takes the lowest index on ties
@@ -135,7 +130,7 @@ def solve_inverse(m) -> list:
     (the first such column named) or one whose inverse leaves the float
     range gets a SingularMatrixError in its place; its remaining steps
     run on, discarded, with numpy's warnings off."""
-    m = _stack(m, "m")
+    m = _square_array(m, "m", 3)
     n = m.shape[1]
     scale = np.abs(m).max(axis=(1, 2), initial=0.0)
     failed = [None if s else SingularMatrixError("matrix is zero") for s in scale.tolist()]
@@ -163,7 +158,7 @@ def det(m) -> list:
     """Determinant of each matrix of a stack via elimination with partial
     pivoting, the product of its pivots kept as a mantissa and a power of
     two; one whose elimination overflows comes out infinite or NaN."""
-    a = _stack(m, "m")
+    a = _square_array(m, "m", 3)
     count, n = a.shape[:2]
     mantissa, exponent = np.ones(count), np.zeros(count, dtype=np.int32)
     flip = np.zeros(count, dtype=bool)

@@ -268,6 +268,24 @@ def test_sym_eigen_maps_lapack_failure_to_convergence_error(monkeypatch):
         alone(sym_eigen)(np.eye(3))
 
 
+@pytest.mark.filterwarnings("error")
+def test_sym_eigen_near_the_float_limit():
+    # the symmetric part 0.5 * (q + q^T) overflowed, with "overflow
+    # encountered in add", and the identity came back; the symmetry check's
+    # norms overflowed too, and let an antisymmetric slice through
+    exact = np.array([[1e308, 1e307], [1e307, 1e308]])
+    near = exact.copy()
+    near[0, 1] *= 1.0 + 1e-14
+    s = 1.0 / np.sqrt(2.0)
+    for q in (exact, near):
+        assert np.allclose(alone(sym_eigen)(q), [[s, s], [-s, s]], rtol=0, atol=1e-15)
+    got = sym_eigen(np.array([exact, near]))
+    assert [v.tobytes() for v in got] == [alone(sym_eigen)(q).tobytes() for q in (exact, near)]
+    for bad in ([[0.0, 1e308], [-1e308, 0.0]], [[1e308, 1e308], [0.0, 1e308]]):
+        with pytest.raises(InvalidInputError, match="^q is not symmetric within tolerance$"):
+            alone(sym_eigen)(bad)
+
+
 def test_sym_eigen_on_100db_q():
     # 16 of these 40 forms made the earlier Jacobi solver exhaust its sweeps
     for t in range(40):
@@ -434,10 +452,21 @@ def test_every_stacked_slice_is_byte_identical_to_its_single_call():
 
 
 def test_a_kernel_takes_only_a_stack():
-    for kernel in (solve_inverse, det, sym_eigen):
-        for bad in (np.eye(2), np.ones(3), np.ones((2, 2, 3)), np.ones((1, 1, 2, 2)),
-                    [np.eye(2), np.eye(3)], [[[1j]]], [[["1", "2"], ["2", "4"]]]):
-            with pytest.raises(InvalidInputError, match=r"\(S, n, n\) stack"):
+    # a malformed stack gets the messages a malformed square matrix gets
+    cases = [
+        (np.eye(2), r"must be a 3-D array, got shape \(2, 2\)"),
+        (np.ones(3), r"must be a 3-D array, got shape \(3,\)"),
+        (np.ones((2, 2, 3)), r"must be square, got shape \(2, 2, 3\)"),
+        (np.ones((1, 1, 2, 2)), r"must be a 3-D array, got shape \(1, 1, 2, 2\)"),
+        ([np.eye(2), np.eye(3)], "must be a rectangular array"),
+        ([[[1j]]], "must hold real numbers, got dtype complex128"),
+        ([[["1", "2"], ["2", "4"]]], "must hold real numbers, got dtype <U1"),
+        ([[[None]]], "entry must be a real number, got None"),
+        ([[[np.inf]]], "contains non-finite entries"),
+    ]
+    for kernel, name in ((solve_inverse, "m"), (det, "m"), (sym_eigen, "q")):
+        for bad, message in cases:
+            with pytest.raises(InvalidInputError, match=f"^{name} {message}$"):
                 kernel(bad)
 
 

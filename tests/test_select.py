@@ -12,8 +12,8 @@ from ifrx.errors import InstanceTooLargeError, InvalidInputError, SingularMatrix
 from ifrx.harness import ExperimentConfig, run_sweep
 from ifrx.ifcore import (
     compute_q,
+    kept_rates,
     mmse_rates,
-    rates_from_q,
     total_rate,
 )
 from ifrx.linalg import echelon_det, int_rank_independent
@@ -495,7 +495,7 @@ def test_design_invariants():
         qform = compute_q(ch)
         if design.success:
             assert int_rank_independent([tuple(r) for r in design.a.tolist()])
-        per = rates_from_q(design.a, qform)
+        per = kept_rates(np.asarray(design.a), qform)
         assert design.report.total == pytest.approx(max(0.0, len(per) * min(per)))
 
 
@@ -762,7 +762,7 @@ def test_the_ranked_union_and_kept_rates_keep_the_per_j_bits(l, monkeypatch):
                         assert whole.tobytes() == _row_f(own, form.q).tobytes()
                     masked += len(got) < len(union)
                     fresh = compute_q(ChannelRealization(h=h, power=power))
-                    assert design.report == total_rate(rates_from_q(design.a, fresh))
+                    assert design.report == total_rate(kept_rates(np.asarray(design.a), fresh))
     assert masked and not handed
 
 
@@ -777,6 +777,6 @@ def test_a_design_holds_the_rates_and_det_of_its_a():
                     design = design_if(ch, cfg, method)
                     # a fresh realization at the same power holds no memo
                     fresh = ChannelRealization(h=h, power=ch.power)
-                    assert design.report == total_rate(rates_from_q(design.a, compute_q(fresh)))
+                    assert design.report == total_rate(kept_rates(np.asarray(design.a), compute_q(fresh)))
                     assert design.det == bareiss_det(design.a)
                     assert design.method == (method if design.success else select.METHOD_FALLBACK)
