@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InstanceTooLargeError, InvalidInputError, ParseError, SingularMatrixError
-from .linalg import as_square_matrix, det, int_value, real_value
+from .linalg import _real_array, as_square_matrix, det, int_value, real_value
 
 MASK64 = (1 << 64) - 1
 # entries L^2 of one channel draw (L = 1024), few enough to build at once
@@ -65,6 +65,25 @@ def sample_channel(master_seed: int, trial_index: int, l: int) -> np.ndarray:
     return np.array(h[:n]).reshape(l, l)
 
 
+def _power(power, hht: np.ndarray) -> float:
+    """``power`` read by ``real_value`` and held to the rule of a
+    realization whose H H^T is ``hht``: positive and finite, with 1/P
+    finite, H H^T finite in its trace, and H H^T + I/P finite."""
+    power = real_value(power, "power")
+    if not 0 < power < math.inf:
+        raise InvalidInputError("power must be positive and finite")
+    if 1 / power == math.inf:
+        raise InvalidInputError(f"power {power:g} is too small: 1/P overflows a float")
+    with np.errstate(over="ignore"):
+        if not math.isfinite(hht.trace()):
+            raise InvalidInputError("h is too large: H H^T overflows a float")
+        # the whitener slice adds 1/P to the diagonal alone
+        if max(hht.diagonal().tolist()) + 1 / power == math.inf:
+            raise InvalidInputError(f"h is too large at power {power:g}: "
+                                    "H H^T + I/P overflows a float")
+    return power
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """Real channel matrix plus transmit power (noise variance is 1).
@@ -87,25 +106,27 @@ class ChannelRealization:
         h = as_square_matrix(self.h, "h")
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "power", real_value(self.power, "power"))
-        if not 0 < self.power < math.inf:
-            raise InvalidInputError("power must be positive and finite")
-        if 1 / self.power == math.inf:
-            raise InvalidInputError(f"power {self.power:g} is too small: 1/P overflows a float")
         with np.errstate(over="ignore"):
             hht = h @ h.T
-            if not math.isfinite(hht.trace()):
-                raise InvalidInputError("h is too large: H H^T overflows a float")
-            # the whitener slice adds 1/P to the diagonal alone
-            if max(hht.diagonal().tolist()) + 1 / self.power == math.inf:
-                raise InvalidInputError(f"h is too large at power {self.power:g}: "
-                                        "H H^T + I/P overflows a float")
+        object.__setattr__(self, "power", _power(self.power, hht))
         hht.setflags(write=False)
         self.memo["hht"] = hht
 
     @property
     def l(self) -> int:
         return self.h.shape[0]
+
+
+def _at_power(ch: ChannelRealization, power) -> ChannelRealization:
+    """A realization of ``ch``'s H at ``power``, held to the same power
+    rule, that shares ch's read-only h and H H^T instead of reading H and
+    forming H H^T again: what a realization of that H at that power holds."""
+    hht = ch.memo["hht"]
+    other = object.__new__(ChannelRealization)
+    object.__setattr__(other, "h", ch.h)
+    object.__setattr__(other, "power", _power(power, hht))
+    object.__setattr__(other, "memo", {"hht": hht})
+    return other
 
 
 def prepare_capacity(chs) -> None:
@@ -118,11 +139,15 @@ def prepare_capacity(chs) -> None:
     todo = [ch for ch in chs if "capacity" not in ch.memo]
     if not todo:
         return
+    # one broadcast, entry for entry the slice each would get alone;
+    # realizations of two sizes get the reader's error
+    hht = _real_array([ch.memo["hht"] for ch in todo], "m")
+    power = np.array([ch.power for ch in todo])
     with np.errstate(over="ignore"):
-        slices = [np.eye(ch.l) + ch.power * ch.memo["hht"] for ch in todo]
-    finite = [bool(np.isfinite(s).all()) for s in slices]
-    dets = iter(det([s for s, ok in zip(slices, finite) if ok]) if any(finite) else ())
-    for ch, ok in zip(todo, finite):
+        slices = np.eye(hht.shape[-1]) + power[:, None, None] * hht
+    finite = np.isfinite(slices).all(axis=(1, 2))
+    dets = iter(det(slices[finite]) if finite.any() else ())
+    for ch, ok in zip(todo, finite.tolist()):
         d = next(dets) if ok else math.inf
         if math.isfinite(d):
             # det >= 1 holds exactly; guard against rounding below it

@@ -20,11 +20,13 @@ runs and no messages are drawn.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, capacity, prepare_capacity, sample_channel
+from .channel import (ChannelRealization, _at_power, capacity, prepare_capacity,
+                      sample_channel)
 from .errors import InvalidInputError
 # combine_messages and recover_messages stay bound here although the harness
 # no longer calls them: benchmarks/spans.py wraps these bindings, and a zero
@@ -137,13 +139,12 @@ class Aggregate:
     master_seed: int
 
 
-def _realization(h: np.ndarray, snr_db: float) -> ChannelRealization:
-    """``h`` at ``snr_db``; an SNR point whose power overflows or underflows raises."""
+def _transmit_power(snr_db: float) -> float:
+    """The power of ``snr_db``; an SNR point whose power overflows raises."""
     try:
-        power = 10.0 ** (snr_db / 10.0)
+        return 10.0 ** (snr_db / 10.0)
     except OverflowError:
         raise InvalidInputError(f"SNR {snr_db:g} dB overflows the transmit power") from None
-    return ChannelRealization(h=h, power=power)
 
 
 def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> dict:
@@ -153,22 +154,29 @@ def draw_trial(cfg: ExperimentConfig, trial_index: int, cells=None) -> dict:
     config is read for its bound M and line count J only. By default the
     cells are ``cfg``'s search config at each SNR point of its grid.
 
-    What the configured methods read is computed here for all SNR points
-    at once: one ``solve_inverse`` stack for the whiteners, the forms Q and
-    the ZF Gram matrix, one ``det`` stack for capacity, and one eigensolve
-    stack and, per bound M, one line pass per group of SNR points whose
-    eigenvectors agree within ``sdm.line_candidates``' share radius
-    (typically one group) for the SDM design. An SNR point
-    whose power overflows or underflows raises here, and so does a failing
-    stack: the first singular whitener slice with its own error, and a
-    failed eigensolve for every point.
+    The points' realizations share one read-only H and one H H^T, each
+    point's power held to a realization's own rule. What the configured
+    methods read is computed here for all SNR points at once: one
+    ``solve_inverse`` stack for the whiteners, the forms Q and the ZF Gram
+    matrix, one ``det`` stack for capacity, and one eigensolve stack and,
+    per bound M, one line pass per group of SNR points whose eigenvectors
+    agree within ``sdm.line_candidates``' share radius (typically one
+    group) for the SDM design. An SNR point whose power overflows or
+    underflows, or whose whitener slice H H^T + I/P overflows, raises here
+    with the error it raises alone, and so does a failing stack: the first
+    singular whitener slice with its own error, and a failed eigensolve
+    for every point.
     """
     h = sample_channel(cfg.master_seed, trial_index, cfg.l)
     if cells is None:
         cells = [(snr, cfg.search()) for snr in cfg.snr_db_grid]
     cells = list(cells)
     points = dict.fromkeys(real_value(snr, "snr_db") for snr, _ in cells)
-    draw = {snr_db: _realization(h, snr_db) for snr_db in points}
+    draw, ch = {}, None
+    for snr_db in points:
+        power = _transmit_power(snr_db)
+        ch = ChannelRealization(h=h, power=power) if ch is None else _at_power(ch, power)
+        draw[snr_db] = ch
     methods = set(cfg.methods)
     prepare_inverses(draw.values(), whiteners=bool(methods & {"if-sdm", "if-exhaustive", "mmse"}),
                      zf="zf" in methods)
@@ -307,15 +315,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# the value types csv.writer itself writes as _fmt does: str as given, an
+# int by str, a float by repr, None as the empty field
+_PLAIN = frozenset((str, int, float, type(None)))
+
+
 def write_csv(rows, path) -> None:
     """Write aggregates or trial records with a stable schema; identical
-    inputs produce byte-identical files."""
+    inputs produce byte-identical files. A row of plain values goes to
+    csv.writer as it is, any other through ``_fmt``, with the same text."""
     rows = list(rows)
     if rows and isinstance(rows[0], TrialRecord):
         header, fields = RECORD_COLUMNS, _RECORD_FIELDS
     else:
         header = fields = AGGREGATE_COLUMNS
+    values = map(operator.attrgetter(*fields), rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_fmt(getattr(r, f)) for f in fields] for r in rows)
+        writer.writerows(row if _PLAIN.issuperset(map(type, row)) else map(_fmt, row)
+                         for row in values)

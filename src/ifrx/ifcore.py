@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import InvalidInputError, SingularMatrixError
-from .linalg import _finite_array, as_square_matrix, solve_inverse
+from .linalg import _finite_array, _real_array, as_square_matrix, solve_inverse
 
 
 def left_sum(values) -> float:
@@ -61,27 +61,29 @@ class RateReport:
     """Per-stream rates (raw, may be negative) and the clamped total.
 
     ``total`` is the min-form L * min_m R_m clamped at zero; ``sum_form``
-    adds the individually clamped per-stream rates instead.
+    adds the individually clamped per-stream rates instead, once, when the
+    report is made.
     """
 
     per_stream: tuple[float, ...]
     total: float
     singular: bool = False
+    sum_form: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def sum_form(self) -> float:
-        return left_sum(max(0.0, r) for r in self.per_stream)
+    def __post_init__(self):
+        object.__setattr__(self, "sum_form", left_sum(max(0.0, r) for r in self.per_stream))
 
 
 def prepare_inverses(chs, whiteners: bool = True, zf: bool = False) -> None:
     """Keep in ``memo`` what realizations (of one size L) lack, from one
     ``solve_inverse`` stack.
 
-    With ``whiteners``, a realization's slice is H H^T + I/P, of its own H;
-    its inverse, the whitener, is kept read-only with the form
-    Q = I - H^T (H H^T + I/P)^-1 H, symmetrized after the fact. The first
-    singular whitener slice raises its listed error before anything is
-    kept. With ``zf``, the stack ends with one slice H^T H per distinct H,
+    With ``whiteners``, a realization's slice is H H^T + I/P, of its own H,
+    all of them from one broadcast; its inverse, the whitener, is kept
+    read-only with the form Q = I - H^T (H H^T + I/P)^-1 H, every Q from
+    one batched product and symmetrized after the fact at once, each slice
+    with the bytes it gets alone. The first singular whitener slice raises
+    its listed error before anything is kept. With ``zf``, the stack ends with one slice H^T H per distinct H,
     whose inverse gives the squared row norms ||b_m||^2 of the ZF
     projection (H^T H)^-1 H^T, all L from one stacked product with the
     bits of each row's own b_m @ b_m, or None when ``solve_inverse`` lists
@@ -95,7 +97,13 @@ def prepare_inverses(chs, whiteners: bool = True, zf: bool = False) -> None:
             grams.setdefault(ch.h.tobytes(), []).append(ch)
     if not todo and not grams:
         return
-    slices = [ch.memo["hht"] + np.eye(ch.l) / ch.power for ch in todo]
+    slices = []
+    if todo:
+        # one broadcast, entry for entry the sum each slice would get alone;
+        # realizations of two sizes get the reader's error
+        hht = _real_array([ch.memo["hht"] for ch in todo], "m")
+        power = np.array([ch.power for ch in todo])
+        slices += list(hht + np.eye(hht.shape[-1]) / power[:, None, None])
     slices += [same[0].h.T @ same[0].h for same in grams.values()]
     inverses = solve_inverse(slices)
     ws = inverses[:len(todo)]
@@ -111,11 +119,17 @@ def prepare_inverses(chs, whiteners: bool = True, zf: bool = False) -> None:
             norms = tuple((b[:, None, :] @ b[:, :, None]).ravel().tolist())
         for ch in same:
             ch.memo["zf_row_norms"] = norms
-    for ch, w in zip(todo, ws):
+    if not todo:
+        return
+    # every Q from one batched product, each slice through the product it
+    # would take alone, then symmetrized at once
+    h = np.array([ch.h for ch in todo])
+    q = np.eye(h.shape[-1]) - h.transpose(0, 2, 1) @ np.array(ws) @ h
+    q = 0.5 * (q + q.transpose(0, 2, 1))
+    for ch, w, form in zip(todo, ws, q):
         w.setflags(write=False)
-        q = np.eye(ch.l) - ch.h.T @ w @ ch.h
         ch.memo["whitener"] = w
-        ch.memo["q"] = QForm(q=0.5 * (q + q.T))
+        ch.memo["q"] = QForm(q=form)
 
 
 def _read(ch: ChannelRealization, key: str, **prepare):

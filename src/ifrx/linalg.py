@@ -112,14 +112,15 @@ def sym_eigen(q) -> list:
     return list(vectors)
 
 
-def _swap_pivot(a: np.ndarray, col: int) -> np.ndarray:
-    """Partial pivoting at ``col``, in place; returns each slice's pivot row."""
-    at = np.arange(len(a))
+def _swap_pivot(a: np.ndarray, col: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Partial pivoting at ``col``, ``at`` the slice numbers: moves each
+    slice's row ``col`` to its pivot row's place and returns the pivot rows
+    (a copy) and their numbers. Row ``col`` itself is left as it was, for
+    the caller to write or to drop."""
     piv = col + np.abs(a[:, col:, col]).argmax(axis=1)
-    top = a[:, col].copy()
-    a[:, col] = a[at, piv]
-    a[at, piv] = top
-    return piv
+    rows = a[at, piv]
+    a[at, piv] = a[:, col]
+    return rows, piv
 
 
 def solve_inverse(m) -> list:
@@ -129,54 +130,84 @@ def solve_inverse(m) -> list:
     loop leaves them. A zero slice, one with a pivot below its threshold
     (the first such column named) or one whose inverse leaves the float
     range gets a SingularMatrixError in its place; its remaining steps
-    run on, discarded, with numpy's warnings off."""
+    run on, discarded, with numpy's warnings off.
+
+    A column step swaps, divides the pivot row and eliminates the column
+    from every other row; the pivots are stored and held against the
+    floor after the loop. Where no factor is zero the update runs on every
+    row, and the pivot row is written back after it."""
     m = _square_array(m, "m", 3)
-    n = m.shape[1]
+    count, n = m.shape[:2]
+    at = np.arange(count)
     scale = np.abs(m).max(axis=(1, 2), initial=0.0)
-    failed = [None if s else SingularMatrixError("matrix is zero") for s in scale.tolist()]
-    floor = PIVOT_RTOL * scale
     aug = np.concatenate([m, np.broadcast_to(np.eye(n), m.shape)], axis=2)
+    pivots = np.empty((count, n))
     with np.errstate(all="ignore"):
         for col in range(n):
-            _swap_pivot(aug, col)
-            for s in np.flatnonzero(np.abs(aug[:, col, col]) < floor).tolist():
-                failed[s] = failed[s] or SingularMatrixError(f"pivot below threshold at column {col}")
-            np.divide(aug[:, col], aug[:, col, col, None], out=aug[:, col])
-            # eliminate the column from every other row with a nonzero entry
-            # there; skipping zero factors keeps signed zeros as a row loop would
-            factors = aug[:, :, col].copy()
-            factors[:, col] = 0.0
-            update = factors[:, :, None] * aug[:, col, None, :]
-            np.subtract(aug, update, out=aug, where=(factors != 0.0)[:, :, None])
+            row, _ = _swap_pivot(aug, col, at)
+            pivots[:, col] = row[:, col]
+            row /= row[:, col, None]
+            # row col's place still holds the row swapped out of it, whose
+            # update is discarded when the pivot row is written there
+            factors = aug[:, :, col, None]
+            if factors.all():
+                aug -= factors * row[:, None, :]
+            else:
+                # skipping zero factors keeps signed zeros as a row loop would
+                np.subtract(aug, factors * row[:, None, :], out=aug, where=factors != 0.0)
+            aug[:, col] = row
+    # each slice's first pivot below its floor, or -1
+    low = np.abs(pivots) < PIVOT_RTOL * scale[:, None]
+    first = np.where(low.any(axis=1), low.argmax(axis=1), -1).tolist()
     inverses = aug[:, :, n:]
     finite = np.isfinite(inverses).all(axis=(1, 2)).tolist()
-    return [err or (inv if ok else SingularMatrixError("inverse leaves the float range"))
-            for err, inv, ok in zip(failed, inverses, finite)]
+    found = []
+    for s, col, inv, ok in zip(scale.tolist(), first, inverses, finite):
+        if not s:
+            found.append(SingularMatrixError("matrix is zero"))
+        elif col >= 0:
+            found.append(SingularMatrixError(f"pivot below threshold at column {col}"))
+        else:
+            found.append(inv if ok else SingularMatrixError("inverse leaves the float range"))
+    return found
 
 
 def det(m) -> list:
     """Determinant of each matrix of a stack via elimination with partial
     pivoting, the product of its pivots kept as a mantissa and a power of
-    two; one whose elimination overflows comes out infinite or NaN."""
+    two; one whose elimination overflows comes out infinite or NaN.
+
+    The column loop eliminates alone and stores each pivot and each pivot
+    row's number; the sign, the zero flag and the product are read off
+    them after it. An exact zero pivot makes the determinant 0, a result
+    and not an error; that slice's later steps divide by zero and are
+    discarded."""
     a = _square_array(m, "m", 3)
     count, n = a.shape[:2]
-    mantissa, exponent = np.ones(count), np.zeros(count, dtype=np.int32)
-    flip = np.zeros(count, dtype=bool)
-    zero = np.zeros(count, dtype=bool)
-    # an exact zero pivot makes the determinant 0, a result and not an
-    # error; that slice's later steps divide by zero and are discarded
+    at = np.arange(count)
+    pivots = np.empty((count, n))
+    pivot_rows = np.empty((count, n), dtype=np.intp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for col in range(n):
-            # each swap flips the sign
-            flip ^= _swap_pivot(a, col) != col
-            zero |= a[:, col, col] == 0.0
-            mantissa, step = np.frexp(mantissa * a[:, col, col])
-            exponent += step
+            row, pivot_rows[:, col] = _swap_pivot(a, col, at)
+            pivots[:, col] = row[:, col]
             if col + 1 < n:
-                factors = a[:, col + 1:, col] / a[:, col, col, None]
-                a[:, col + 1:] -= factors[:, :, None] * a[:, col, None, :]
-        values = np.ldexp(np.where(flip, -mantissa, mantissa), exponent)
-    values[zero] = 0.0
+                factors = a[:, col + 1:, col] / row[:, col, None]
+                a[:, col + 1:] -= factors[:, :, None] * row[:, None, :]
+    mantissas, exponents = [], []
+    for slice_pivots in pivots.tolist():
+        mantissa, exponent = 1.0, 0
+        for p in slice_pivots:
+            mantissa, step = math.frexp(mantissa * p)
+            exponent += step
+        mantissas.append(mantissa)
+        exponents.append(exponent)
+    # each swap flips the sign
+    mantissa = np.array(mantissas)
+    np.negative(mantissa, out=mantissa, where=(pivot_rows != np.arange(n)).sum(axis=1) % 2 == 1)
+    with np.errstate(over="ignore"):
+        values = np.ldexp(mantissa, np.array(exponents, dtype=np.int32))
+    values[(pivots == 0.0).any(axis=1)] = 0.0
     return list(values)
 
 

@@ -8,8 +8,9 @@ import numpy as np
 from ifrx.channel import ChannelRealization
 from ifrx.errors import InvalidInputError, NotInvertibleModPError
 from ifrx.fieldrec import combine_messages, recover_messages
+from ifrx.errors import SingularMatrixError
 from ifrx.ifcore import QForm
-from ifrx.linalg import sym_eigen
+from ifrx.linalg import PIVOT_RTOL, _square_array, sym_eigen
 
 
 def make_qform(q):
@@ -162,3 +163,74 @@ def bareiss_det(rows):
             m[i][k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+# The stacked elimination kernels as a column loop that keeps its
+# bookkeeping inside the loop: each column swaps, tests its pivot against
+# the floor and updates the rows whose factor is nonzero, and det folds
+# each pivot into its mantissa, sign and zero flag as it goes. The bodies
+# are those of ``linalg.solve_inverse`` and ``linalg.det`` before their
+# bookkeeping moved out of the loop, the reference the kernels must match
+# slice for slice, in bytes and in errors.
+
+
+def column_loop_swap_pivot(a: np.ndarray, col: int) -> np.ndarray:
+    """Partial pivoting at ``col``, in place; returns each slice's pivot row."""
+    at = np.arange(len(a))
+    piv = col + np.abs(a[:, col:, col]).argmax(axis=1)
+    top = a[:, col].copy()
+    a[:, col] = a[at, piv]
+    a[at, piv] = top
+    return piv
+
+
+def column_loop_solve_inverse(m) -> list:
+    """``linalg.solve_inverse``, the floor tested and the masked update run
+    in every column step."""
+    m = _square_array(m, "m", 3)
+    n = m.shape[1]
+    scale = np.abs(m).max(axis=(1, 2), initial=0.0)
+    failed = [None if s else SingularMatrixError("matrix is zero") for s in scale.tolist()]
+    floor = PIVOT_RTOL * scale
+    aug = np.concatenate([m, np.broadcast_to(np.eye(n), m.shape)], axis=2)
+    with np.errstate(all="ignore"):
+        for col in range(n):
+            column_loop_swap_pivot(aug, col)
+            for s in np.flatnonzero(np.abs(aug[:, col, col]) < floor).tolist():
+                failed[s] = failed[s] or SingularMatrixError(f"pivot below threshold at column {col}")
+            np.divide(aug[:, col], aug[:, col, col, None], out=aug[:, col])
+            # eliminate the column from every other row with a nonzero entry
+            # there; skipping zero factors keeps signed zeros as a row loop would
+            factors = aug[:, :, col].copy()
+            factors[:, col] = 0.0
+            update = factors[:, :, None] * aug[:, col, None, :]
+            np.subtract(aug, update, out=aug, where=(factors != 0.0)[:, :, None])
+    inverses = aug[:, :, n:]
+    finite = np.isfinite(inverses).all(axis=(1, 2)).tolist()
+    return [err or (inv if ok else SingularMatrixError("inverse leaves the float range"))
+            for err, inv, ok in zip(failed, inverses, finite)]
+
+
+def column_loop_det(m) -> list:
+    """``linalg.det``, the sign, zero flag, mantissa and exponent updated in
+    every column step."""
+    a = _square_array(m, "m", 3)
+    count, n = a.shape[:2]
+    mantissa, exponent = np.ones(count), np.zeros(count, dtype=np.int32)
+    flip = np.zeros(count, dtype=bool)
+    zero = np.zeros(count, dtype=bool)
+    # an exact zero pivot makes the determinant 0, a result and not an
+    # error; that slice's later steps divide by zero and are discarded
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for col in range(n):
+            # each swap flips the sign
+            flip ^= column_loop_swap_pivot(a, col) != col
+            zero |= a[:, col, col] == 0.0
+            mantissa, step = np.frexp(mantissa * a[:, col, col])
+            exponent += step
+            if col + 1 < n:
+                factors = a[:, col + 1:, col] / a[:, col, col, None]
+                a[:, col + 1:] -= factors[:, :, None] * a[:, col, None, :]
+        values = np.ldexp(np.where(flip, -mantissa, mantissa), exponent)
+    values[zero] = 0.0
+    return list(values)

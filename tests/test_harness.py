@@ -8,7 +8,7 @@ import pytest
 import ifrx.harness
 import ifrx.ifcore
 import ifrx.sdm
-from ifrx.channel import ChannelRealization, sample_channel
+from ifrx.channel import ChannelRealization, prepare_capacity, sample_channel
 from ifrx.errors import ConvergenceError, IfrxError, InvalidInputError, SingularMatrixError
 from ifrx.fieldrec import PrimeField
 from ifrx.harness import (
@@ -20,7 +20,7 @@ from ifrx.harness import (
     run_trial,
     write_csv,
 )
-from ifrx.ifcore import mmse_rates, zf_rates
+from ifrx.ifcore import compute_q, mmse_rates, prepare_inverses, zf_rates
 from ifrx.linalg import echelon_det, int_rank_independent
 from ifrx.select import (
     METHOD_EXHAUSTIVE,
@@ -29,7 +29,7 @@ from ifrx.select import (
     design_if,
     greedy_full_rank,
 )
-from ifrx.sdm import SearchConfig
+from ifrx.sdm import SearchConfig, prepare_lines
 from oracles import bareiss_det, round_trip_invertible
 
 
@@ -296,6 +296,29 @@ def test_write_csv_empty_and_single(tmp_path):
     assert lines[1] == "mmse,snr,10.0,10.0,1.5,2.0,1.5,1.0,4,42"
 
 
+def test_write_csv_writes_every_value_type_as_before(tmp_path):
+    # a row of str, int, float and None goes to csv.writer as it is, any
+    # other through _fmt; both must give the text _fmt gives
+    path = tmp_path / "aggregates.csv"
+    rows = [
+        Aggregate("mmse", "snr", 10.0, -0.0, 0.1 + 0.2, float("inf"), 1e300, 5e-324, 4, 2**64 - 1),
+        Aggregate("zf", "snr", np.float64(10.0), np.float32(0.1), np.int64(3), None, True, False,
+                  np.int64(4), 42),
+        Aggregate("if-sdm", "bound_m", 2, None, 1.5, 2.0, 1.5, 1.0, 4, 42),
+    ]
+    write_csv(rows, path)
+    assert path.read_text().splitlines()[1:] == [
+        "mmse,snr,10.0,-0.0,0.30000000000000004,inf,1e+300,5e-324,4,18446744073709551615",
+        "zf,snr,10.0,0.1,3,,1,0,4,42",
+        "if-sdm,bound_m,2,,1.5,2.0,1.5,1.0,4,42",
+    ]
+    records = [TrialRecord(0, np.float64(20.0), "if-sdm", 1.5, 2.5, True, False, None),
+               TrialRecord(1, 20.0, "zf", 0.0, 0.0, False, False, np.bool_(True))]
+    write_csv(records, path)
+    assert path.read_text().splitlines()[1:] == ["0,if-sdm,20.0,1.5,2.5,1,0,",
+                                                 "1,zf,20.0,0.0,0.0,0,0,True"]
+
+
 def test_write_csv_records_schema(tmp_path):
     cfg = small_cfg(trials=2)
     records = [r for t in range(2) for r in run_trial(cfg, 10.0, t)]
@@ -547,6 +570,70 @@ def test_a_draw_holds_one_realization_per_snr_point_shared_by_its_cells(monkeypa
     for snr, ch in draw.items():
         assert ch.power == 10.0 ** (snr / 10) and ifrx.ifcore.compute_q(ch) is forms[snr]
         assert "greedy" in forms[snr].memo
+
+
+def prepared(ch, lines_j, bound_m):
+    """What a realization's memo and its form's memo hold for every method,
+    as bytes: H H^T, the whitener, Q, the ZF row norms, the capacity, the
+    eigenvector matrix, and the union's ranked rows, first lines and J."""
+    form = ch.memo["q"]
+    ranked, first, covered = form.memo[("union", bound_m)]
+    return (ch.memo["hht"].tobytes(), ch.memo["whitener"].tobytes(), form.q.tobytes(),
+            repr(ch.memo["zf_row_norms"]), repr(ch.memo["capacity"]),
+            form.memo["basis"].tobytes(), ranked.tobytes(), first.tobytes(), covered)
+
+
+def prepared_alone(h, power, lines_j, bound_m):
+    ch = ChannelRealization(h=h, power=power)
+    prepare_inverses([ch], zf=True)
+    prepare_capacity([ch])
+    prepare_lines([compute_q(ch)], lines_j, bound_m)
+    return prepared(ch, lines_j, bound_m)
+
+
+@pytest.mark.parametrize("l", [4, 8])
+def test_a_stacked_draw_holds_what_each_point_holds_alone(l):
+    # a draw reads H once and runs each step as one stack over its points;
+    # every point must hold the bytes a fresh realization of its (H, P)
+    # gets from a stack of one
+    grid = (0.0, 10.0, 20.0, 30.0)
+    cfg = small_cfg(l=l, snr_db_grid=grid, trials=1, bound_m=2, lines_j=l // 2,
+                    methods=("if-sdm", "mmse", "zf", "capacity"))
+    for t in range(6):
+        draw = draw_trial(cfg, t)
+        h = sample_channel(cfg.master_seed, t, l)
+        assert list(draw) == list(grid)
+        for snr, ch in draw.items():
+            assert ch.h is draw[0.0].h and ch.memo["hht"] is draw[0.0].memo["hht"]
+            assert prepared(ch, cfg.lines_j, 2) == prepared_alone(h, ch.power, cfg.lines_j, 2)
+        # a stack that repeats a power gives each copy its own slice
+        powers = [10.0 ** (snr / 10) for snr in (*grid, 20.0)]
+        chs = [ChannelRealization(h=h, power=p) for p in powers]
+        prepare_inverses(chs, zf=True)
+        prepare_capacity(chs)
+        prepare_lines([compute_q(ch) for ch in chs], cfg.lines_j, 2)
+        for ch, p in zip(chs, powers):
+            assert prepared(ch, cfg.lines_j, 2) == prepared_alone(h, p, cfg.lines_j, 2)
+
+
+def test_a_draw_with_one_bad_point_raises_that_points_error(monkeypatch):
+    def error_of(make):
+        with pytest.raises(InvalidInputError) as info:
+            make()
+        return type(info.value), str(info.value)
+
+    cfg = small_cfg(l=4, snr_db_grid=(0.0,), trials=1)
+    search = cfg.search()
+    for snr, channel in ((-3100.0, None), (-3080.0, np.diag([1.3e154, 1.0, 1.0, 1.0]))):
+        if channel is not None:
+            # H H^T + I/P overflows at 1e-308, where 1/P is finite
+            monkeypatch.setattr(ifrx.harness, "sample_channel", lambda seed, t, l: channel)
+        h = ifrx.harness.sample_channel(cfg.master_seed, 0, 4)
+        alone = error_of(lambda: ChannelRealization(h=h, power=10.0 ** (snr / 10)))
+        assert alone[1].startswith(("power 1e-310 is too small", "h is too large at power 1e-308"))
+        assert error_of(lambda: draw_trial(cfg, 0, [(snr, search)])) == alone
+        cells = [(0.0, search), (snr, search), (20.0, search)]
+        assert error_of(lambda: draw_trial(cfg, 0, cells)) == alone
 
 
 def test_zf_row_norms_are_computed_once_per_trial_draw(monkeypatch):

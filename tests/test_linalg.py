@@ -10,7 +10,7 @@ from ifrx.errors import ConvergenceError, InvalidInputError, SingularMatrixError
 from ifrx.ifcore import compute_q
 from ifrx.linalg import (PIVOT_RTOL, det, int_rank_independent, int_rows, real_value,
                           solve_inverse, sym_eigen)
-from oracles import rayleigh
+from oracles import column_loop_det, column_loop_solve_inverse, rayleigh
 
 
 def random_symmetric(rng, n):
@@ -535,3 +535,53 @@ def test_a_kept_error_holds_no_other_slice_and_no_frames(monkeypatch):
             with pytest.raises(kind, match=message):
                 kernel(stack)
             assert np.array_equal(stack, before, equal_nan=True)
+
+
+def oracle_slices(rng, n):
+    """One seeded n x n slice of a kind the column loop must be matched on."""
+    kind = rng.randint(9)
+    a = rng.standard_normal((n, n))
+    if kind == 1:  # sparse integers with signed zeros: zero factors, masked updates
+        a = rng.randint(-2, 3, size=(n, n)) * (rng.rand(n, n) < 0.4) * rng.choice([1.0, -1.0], (n, n))
+    elif kind == 2:  # ties in |pivot|
+        a = rng.choice([-2.0, -1.0, 1.0, 2.0], size=(n, n))
+    elif kind == 3 and n > 1:  # an exact zero pivot: two equal rows
+        a[-1] = a[0]
+    elif kind == 4 and n > 1:  # a pivot below the floor, above it at n - 1
+        u = rng.standard_normal((n, n))
+        a = u @ np.diag(np.logspace(0, -14 + 3 * rng.randint(2), n)) @ u.T
+    elif kind == 5:  # 1e+-300 as a whole
+        a *= 10.0 ** rng.choice([-300, 300])
+    elif kind == 6:  # entries 1e-300 .. 1e300: overflowing updates and inverses
+        a *= 10.0 ** rng.randint(-300, 301, size=(n, n))
+    elif kind == 7:
+        a = np.zeros((n, n)) * rng.choice([1.0, -1.0], (n, n))
+    elif kind == 8:  # a subnormal slice: the floor underflows, the inverse overflows
+        a = 1e-320 * np.eye(n)
+    return a
+
+
+def test_kernels_match_the_column_loop_oracle():
+    # the kernels store pivots and swaps in the column loop and read the
+    # floor, the sign and the product off them after it; every slice must
+    # get the bytes, or the error type and message, of the loop that kept
+    # that bookkeeping in each column step
+    rng = np.random.RandomState(39)
+    seen = set()
+    for _ in range(400):
+        size, n = rng.randint(1, 7), rng.randint(1, 9)
+        stack = np.array([oracle_slices(rng, n) for _ in range(size)])
+        for kernel, oracle in ((solve_inverse, column_loop_solve_inverse),
+                               (det, column_loop_det)):
+            got, want = kernel(stack.copy()), oracle(stack.copy())
+            assert len(got) == len(want) == size
+            for g, w in zip(got, want):
+                assert stacked_outcome(g) == stacked_outcome(w)
+                if isinstance(g, Exception):
+                    seen.add(str(g).rstrip("0123456789"))
+                elif np.ndim(g) == 0:
+                    seen.add("det " + ("0" if g == 0 else "not finite" if not np.isfinite(g)
+                                       else "negative" if g < 0 else "positive"))
+    assert seen == {"matrix is zero", "pivot below threshold at column ",
+                    "inverse leaves the float range",
+                    "det 0", "det not finite", "det negative", "det positive"}
