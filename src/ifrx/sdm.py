@@ -242,8 +242,8 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> list[np.ndarray]:
         if below_zero or np.abs(arr).max(initial=0) > bound_m:
             raise RuntimeError("candidate set holds a zero, out-of-box or non-canonical vector")
         # the lead form itself lies within any radius
-        bases = np.array([q.memo["basis"][:, :lines_j + 1] for q in todo])
-        near = (np.abs(bases - lead).max(axis=(1, 2)) <= radius).tolist()
+        near = [np.abs(q.memo["basis"][:, :lines_j + 1] - lead).max() <= radius
+                for q in todo]
         groups.append((arr, first, [q for q, shares in zip(todo, near) if shares]))
         todo = [q for q, shares in zip(todo, near) if not shares]
     # ranked after every pass, so no pass runs beside ranked copies, and each
