@@ -168,10 +168,9 @@ def bareiss_det(rows):
 # The stacked elimination kernels as a column loop that keeps its
 # bookkeeping inside the loop: each column swaps, tests its pivot against
 # the floor and updates the rows whose factor is nonzero, and det folds
-# each pivot into its mantissa, sign and zero flag as it goes. The bodies
-# are those of ``linalg.solve_inverse`` and ``linalg.det`` before their
-# bookkeeping moved out of the loop, the reference the kernels must match
-# slice for slice, in bytes and in errors.
+# each pivot into its mantissa, sign and zero flag as it goes: the
+# reference ``linalg.solve_inverse`` and ``linalg.det`` must match slice
+# for slice, in bytes and in errors.
 
 
 def column_loop_swap_pivot(a: np.ndarray, col: int) -> np.ndarray:
