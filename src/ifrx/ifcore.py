@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import InvalidInputError, SingularMatrixError
-from .linalg import _finite_array, _real_array, as_square_matrix, solve_inverse
+from .linalg import _real_array, as_square_matrix, solve_inverse
 
 
 def left_sum(values) -> float:
@@ -58,20 +58,22 @@ class QForm:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-stream rates (raw, may be negative) and the clamped total.
+    """Per-stream rates (raw, may be negative, a nonempty tuple of Python
+    floats) and the totals derived from them when the report is made.
 
-    ``total`` is the min-form L * min_m R_m clamped at zero; ``sum_form``
-    adds the individually clamped per-stream rates instead, once, when the
-    report is made.
+    ``total`` is the min-form max(0, L * min_m R_m); ``sum_form`` adds the
+    individually clamped per-stream rates instead.
     """
 
     per_stream: tuple[float, ...]
-    total: float
+    total: float = field(init=False)
     singular: bool = False
     sum_form: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sum_form", left_sum(max(0.0, r) for r in self.per_stream))
+        rates = self.per_stream
+        object.__setattr__(self, "total", max(0.0, len(rates) * min(rates)))
+        object.__setattr__(self, "sum_form", left_sum(max(0.0, r) for r in rates))
 
 
 def prepare_inverses(chs, whiteners: bool = True, zf: bool = False) -> None:
@@ -177,16 +179,6 @@ def kept_rates(a: np.ndarray, q: QForm) -> list[float]:
     return [_rate_from_energy(e) for e in energies]
 
 
-def total_rate(per_stream) -> RateReport:
-    """Min-form total max(0, L * min_m R_m); per-stream values kept raw.
-    ``per_stream``, a nonempty list, tuple or 1-D array of finite reals, is
-    read as one array by ``linalg.as_real_matrix``'s entry rule."""
-    rates = tuple(_finite_array(per_stream, "per-stream rates", 1).tolist())
-    if not rates:
-        raise InvalidInputError("per-stream rate list is empty")
-    return RateReport(per_stream=rates, total=max(0.0, len(rates) * min(rates)))
-
-
 def _zf_rate(power: float, norm: float) -> float:
     """(1/2) log2(P / ||b_m||^2), as a difference of logs where the ratio
     leaves the float range."""
@@ -201,11 +193,11 @@ def zf_rates(ch: ChannelRealization) -> RateReport:
     R_m = (1/2) log2(P / ||b_m||^2). Singular H^T H is flagged, not inverted."""
     norms = _read(ch, "zf_row_norms", whiteners=False, zf=True)
     if norms is None:
-        return RateReport(per_stream=(0.0,) * ch.l, total=0.0, singular=True)
-    return total_rate([_zf_rate(ch.power, norm) for norm in norms])
+        return RateReport((0.0,) * ch.l, singular=True)
+    return RateReport(tuple(_zf_rate(ch.power, norm) for norm in norms))
 
 
 def mmse_rates(ch: ChannelRealization) -> RateReport:
     """MMSE rates R_m = (1/2) log2(1 / Q_mm): the identity-coefficient
     design under the optimal projection, read off Q's diagonal at once."""
-    return total_rate([_rate_from_energy(e) for e in compute_q(ch).q.diagonal().tolist()])
+    return RateReport(tuple(_rate_from_energy(e) for e in compute_q(ch).q.diagonal().tolist()))

@@ -26,7 +26,7 @@ from .errors import InstanceTooLargeError, InvalidInputError, SingularMatrixErro
 # optimal_projection, int_rank_independent and candidate_set stay bound
 # here although no design calls them: benchmarks/spans.py wraps these
 # bindings, and a zero count beats a missing one
-from .ifcore import RateReport, compute_q, kept_rates, optimal_projection, total_rate  # noqa: F401
+from .ifcore import RateReport, compute_q, kept_rates, mmse_rates, optimal_projection  # noqa: F401
 from .linalg import echelon_add, echelon_det, int_rank_independent, int_value  # noqa: F401
 from .sdm import (SearchConfig, _row_f, candidate_set, leading, prepare_lines,  # noqa: F401
                   rank_candidates)
@@ -181,7 +181,8 @@ def _exhaustive_rows(q: np.ndarray, m: int, memo: dict) -> np.ndarray | None:
 def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesign:
     """End-to-end design: pick greedily from the ranked candidates (the SDM
     design takes J's rows in (f, lex) order from ``prepare_lines``), fall
-    back to the identity matrix when greedy cannot reach full rank.
+    back to the identity matrix, the MMSE design, with ``mmse_rates``'
+    report, when greedy cannot reach full rank.
 
     The rates and det A are functions of A and Q alone, so the form's memo
     keeps its last successful SDM design as ``memo["design"]``, A's bytes
@@ -199,11 +200,10 @@ def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesig
         memo = {}
         a = _exhaustive_rows(qform.q, cfg.bound_m, memo)
     if a is None:
-        a = np.eye(ch.l, dtype=np.int64)
-        return IfDesign(a=a, report=total_rate(kept_rates(a, qform)), success=False,
+        return IfDesign(a=np.eye(ch.l, dtype=np.int64), report=mmse_rates(ch), success=False,
                         method=METHOD_FALLBACK, det=1)
     key, (last, report, det) = a.tobytes(), memo.get("design", (None, None, None))
     if key != last:
-        report, det = total_rate(kept_rates(a, qform)), echelon_det(memo["greedy"][2])
+        report, det = RateReport(tuple(kept_rates(a, qform))), echelon_det(memo["greedy"][2])
         memo["design"] = key, report, det
     return IfDesign(a=a, report=report, success=True, method=method, det=det)

@@ -33,7 +33,7 @@ from ifrx import cli
 from ifrx.channel import ChannelRealization, capacity
 from ifrx.errors import IfrxError
 from ifrx.harness import METHODS, ExperimentConfig, run_trial
-from ifrx.ifcore import QForm, RateReport, mmse_rates, total_rate, zf_rates
+from ifrx.ifcore import QForm, RateReport, mmse_rates, zf_rates
 from ifrx.linalg import det, solve_inverse, sym_eigen
 from ifrx.sdm import SearchConfig, line_candidates
 from ifrx.select import design_if, greedy_full_rank
@@ -220,7 +220,6 @@ ENTRY_POINTS = {
     "line_candidates g1": lambda x: line_candidates(x, [[0.6, 0.8], [0.8, -0.6]], 2),
     "line_candidates gi": lambda x: line_candidates([0.3, 0.1], x, 2),
     "greedy_full_rank": greedy_full_rank,
-    "total_rate": total_rate,
 }
 
 

