@@ -37,14 +37,13 @@ class QForm:
     matrix (``linalg.as_square_matrix``), so quantities derived from it
     can be kept in ``memo`` for the life of the form: the eigenvector
     matrix, whose columns 1 .. J+1 give the search lines; per bound M,
-    one union of line candidates in (f, lex) order, which
-    ``sdm.prepare_lines`` fills for several forms at once, from one line
-    pass for the forms whose eigenvectors agree within its share radius,
-    and ranks by each form's own f; the last SDM design's greedy scan,
-    which ``select.greedy_full_rank`` replays; and the last successful
-    SDM design's A bytes, rates and det, which ``select.design_if`` hands
-    to a later design of the same A. The form holds no reference back to
-    its channel, whose memo holds the form.
+    one lexicographic union of line candidates, which ``sdm.prepare_lines``
+    fills from one line pass for the forms whose eigenvectors agree within
+    its share radius, with each form's own (f, lex) order of its rows; the
+    last SDM design's greedy scan, which ``select.greedy_full_rank``
+    replays; and the last successful SDM design's A bytes, rates and det,
+    which ``select.design_if`` hands to a later design of the same A. The
+    form holds no reference back to its channel, whose memo holds the form.
     """
 
     q: np.ndarray

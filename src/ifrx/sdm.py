@@ -183,12 +183,13 @@ def rank_candidates(arr: np.ndarray, q: np.ndarray) -> np.ndarray:
     return arr[np.argsort(_row_f(arr, q), kind="stable")]
 
 
-def prepare_lines(forms, lines_j: int, bound_m: int) -> list[np.ndarray]:
+def prepare_lines(forms, lines_j: int, bound_m: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Keep in each form's ``memo`` (forms all of one size L) its union for
     bound M, ``memo[("union", M)]``: the distinct sign-canonical rows of
-    lines 2 .. J+1 in (f, lex) order, read-only, the first line holding
-    each row (numbered from 0 for line 2, so J's set holds the rows
-    numbered below J), and the J covered.
+    lines 2 .. J+1 in lexicographic order and the first line holding each
+    (numbered from 0 for line 2, so J's set holds the rows numbered below
+    J), both shared by the forms taking them, the form's own (f, lex)
+    order of the rows, all three read-only, and the J covered.
 
     Forms that lack an eigenbasis get one from one ``sym_eigen`` stack and
     keep its eigenvector matrix as ``memo["basis"]``. Then the first form
@@ -197,21 +198,20 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> list[np.ndarray]:
     columns, and its rows are made sign-canonical, deduplicated in
     lexicographic order and checked. Every such form whose columns
     1 .. J+1 lie within the share radius of that call entrywise, the first
-    form included, would walk the same rows, and takes this union; the
-    rest start the next group. A form left alone asks for no radius, as no
-    other form reads it: its call reports 0.0, within which the form itself
-    still lies. Q's eigenvectors do not depend on the transmit power, so a
-    draw's SNR points mostly form one group per bound M. Each form's union
-    is ranked once, after the last group's pass, by one stable sort of its
-    own f over the group's lexicographic rows. f over it has, row for row,
-    the bits of f over J's rows alone (at two rows or more), so J's rows
-    masked out of it are ranked as ``rank_candidates`` ranks them. A failed
-    eigensolve raises for every form of the stack. J, in [1, L - 1], and M
-    are integers.
+    form included, would walk the same rows, and takes this union, ranked
+    at once by one stable sort of its own f; the rest start the next
+    group. A form left alone asks for no radius, as no other form reads
+    it: its call reports 0.0, within which the form itself still lies. Q's
+    eigenvectors do not depend on the transmit power, so a draw's SNR
+    points mostly form one group per bound M. f over the union has, row
+    for row, the bits of f over J's rows alone (at two rows or more), so
+    J's entries of the order rank J's rows as ``rank_candidates`` does. A
+    failed eigensolve raises for every form of the stack. J, in
+    [1, L - 1], and M are integers.
 
-    Returns J's rows of each form in (f, lex) order: the union itself when
-    it covers exactly J lines, else a fresh array of its rows numbered
-    below J. This is the one place J's mask is written.
+    Returns each form's union and J's order: the form's own order when the
+    union covers exactly J lines, else a fresh array of its entries whose
+    rows are numbered below J. This is the one place J's mask is written.
     """
     lines_j = int_value(lines_j, "lines_j")
     bound_m = int_value(bound_m, "bound_m")
@@ -222,8 +222,7 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> list[np.ndarray]:
     if bare:
         for q, basis in zip(bare, sym_eigen([q.q for q in bare])):
             q.memo["basis"] = basis
-    todo = [q for q in forms if q.memo.get(("union", bound_m), (None, None, 0))[2] < lines_j]
-    groups = []  # a lexicographic union, its rows' first lines, and the forms taking it
+    todo = [q for q in forms if q.memo.get(("union", bound_m), (0,) * 4)[3] < lines_j]
     while todo:
         lead = todo[0].memo["basis"][:, :lines_j + 1]
         gi = np.ascontiguousarray(lead[:, 1:].T)  # row-major: the pass gathers its rows
@@ -241,29 +240,26 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> list[np.ndarray]:
         below_zero = len(arr) and arr[0].tolist() <= [0] * arr.shape[1]
         if below_zero or np.abs(arr).max(initial=0) > bound_m:
             raise RuntimeError("candidate set holds a zero, out-of-box or non-canonical vector")
+        arr.setflags(write=False)
+        first.setflags(write=False)
         # the lead form itself lies within any radius
-        near = [np.abs(q.memo["basis"][:, :lines_j + 1] - lead).max() <= radius
-                for q in todo]
-        groups.append((arr, first, [q for q, shares in zip(todo, near) if shares]))
-        todo = [q for q, shares in zip(todo, near) if not shares]
-    # ranked after every pass, so no pass runs beside ranked copies, and each
-    # group's lexicographic union is released once its forms are ranked
-    while groups:
-        arr, first, share = groups.pop()
-        for q in share:
+        near = [np.abs(q.memo["basis"][:, :lines_j + 1] - lead).max() <= radius for q in todo]
+        for q in [q for q, shares in zip(todo, near) if shares]:
             order = np.argsort(_row_f(arr, q.q), kind="stable")
-            ranked = arr[order]
-            ranked.setflags(write=False)
-            q.memo[("union", bound_m)] = ranked, first[order], lines_j
+            order.setflags(write=False)
+            q.memo[("union", bound_m)] = arr, first, order, lines_j
+        todo = [q for q, shares in zip(todo, near) if not shares]
     unions = [q.memo[("union", bound_m)] for q in forms]
-    return [arr if covered == lines_j else arr[first < lines_j] for arr, first, covered in unions]
+    return [(arr, order if covered == lines_j else order[first[order] < lines_j])
+            for arr, first, order, covered in unions]
 
 
 def candidate_set(q: QForm, cfg: SearchConfig) -> np.ndarray:
     """Union of the sign-canonical candidates of the J slowest-ascent
-    lines, distinct int64 rows in lexicographic order: the rows
-    ``prepare_lines`` returns for J, lexsorted into a fresh read-only array."""
-    arr = prepare_lines([q], cfg.lines_j, cfg.bound_m)[0]
-    arr = arr[np.lexsort(arr.T[::-1])]
+    lines, distinct int64 rows in lexicographic order: the union rows
+    ``prepare_lines`` orders for J, taken in the union's own order into a
+    fresh read-only array."""
+    arr, order = prepare_lines([q], cfg.lines_j, cfg.bound_m)[0]
+    arr = arr[np.sort(order)]
     arr.setflags(write=False)
     return arr

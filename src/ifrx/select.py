@@ -180,7 +180,7 @@ def _exhaustive_rows(q: np.ndarray, m: int, memo: dict) -> np.ndarray | None:
 
 def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesign:
     """End-to-end design: pick greedily from the ranked candidates (the SDM
-    design takes J's rows in (f, lex) order from ``prepare_lines``), fall
+    design gathers J's rows by the (f, lex) order of ``prepare_lines``), fall
     back to the identity matrix, the MMSE design, with ``mmse_rates``'
     report, when greedy cannot reach full rank.
 
@@ -195,7 +195,8 @@ def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesig
     qform = compute_q(ch)
     if method == METHOD_SDM:
         memo = qform.memo
-        a = greedy_full_rank(prepare_lines([qform], cfg.lines_j, cfg.bound_m)[0], memo)
+        union, order = prepare_lines([qform], cfg.lines_j, cfg.bound_m)[0]
+        a = greedy_full_rank(union[order], memo)
     else:
         memo = {}
         a = _exhaustive_rows(qform.q, cfg.bound_m, memo)

@@ -530,7 +530,7 @@ def test_a_draw_keeps_one_union_per_bound_covering_its_largest_j():
     for snr in cfg.snr_db_grid:
         memo = ifrx.ifcore.compute_q(draw[snr]).memo
         assert set(memo) == {"basis", ("union", 1), ("union", 3)}
-        assert memo[("union", 1)][2] == memo[("union", 3)][2] == 5
+        assert memo[("union", 1)][3] == memo[("union", 3)][3] == 5
     # the J sweep's designs read those unions and keep no second copy
     for snr, search in cells:
         run_trial(cfg, snr, 0, draw, search)
@@ -577,10 +577,11 @@ def prepared(ch, lines_j, bound_m):
     as bytes: H H^T, the whitener, Q, the ZF row norms, the capacity, the
     eigenvector matrix, and the union's ranked rows, first lines and J."""
     form = ch.memo["q"]
-    ranked, first, covered = form.memo[("union", bound_m)]
+    union, first, order, covered = form.memo[("union", bound_m)]
     return (ch.memo["hht"].tobytes(), ch.memo["whitener"].tobytes(), form.q.tobytes(),
             repr(ch.memo["zf_row_norms"]), repr(ch.memo["capacity"]),
-            form.memo["basis"].tobytes(), ranked.tobytes(), first.tobytes(), covered)
+            form.memo["basis"].tobytes(), union[order].tobytes(), first[order].tobytes(),
+            covered)
 
 
 def prepared_alone(h, power, lines_j, bound_m):

@@ -5,7 +5,7 @@ import pytest
 
 from ifrx.channel import ChannelRealization
 from ifrx.errors import DegenerateDirectionError, InstanceTooLargeError, InvalidInputError
-from ifrx.harness import ExperimentConfig, draw_trial
+from ifrx.harness import ExperimentConfig, draw_trial, run_trial
 from ifrx.ifcore import compute_q
 from ifrx.linalg import sym_eigen
 from ifrx.sdm import (SearchConfig, _jumps, candidate_set, line_candidates, prepare_lines,
@@ -90,7 +90,7 @@ def test_line_pass_reads_integer_bounds_only():
     # an integer of any type reads as its value, which keys the union
     prepare_lines([q], np.int64(1), np.uint8(2))
     assert [k for k in q.memo if k != "basis"] == [("union", 2)]
-    assert type(q.memo[("union", 2)][2]) is int
+    assert type(q.memo[("union", 2)][3]) is int
 
 
 def test_search_config_reads_integer_fields():
@@ -224,13 +224,14 @@ def test_candidate_set_equals_the_per_call_reference_in_any_j_order():
                     prepare_lines([form], max(1, order[0] - 1), m)
                     for j in order:
                         # J's rows in rank order, walked here when J is past the kept union
-                        rows = prepare_lines([form], int(j), m)[0]
-                        union, _, covered = form.memo[("union", m)]
-                        assert rows.tobytes() == rank_candidates(expected[j], q).tobytes()
+                        union, rows = prepare_lines([form], int(j), m)[0]
+                        held, _, order, covered = form.memo[("union", m)]
+                        assert union is held
+                        assert union[rows].tobytes() == rank_candidates(expected[j], q).tobytes()
                         if covered == j:
-                            assert rows is union and not rows.flags.writeable
+                            assert rows is order and not rows.flags.writeable
                         else:
-                            assert not np.shares_memory(rows, union)
+                            assert not np.shares_memory(rows, order)
                         got = candidate_set(form, SearchConfig(bound_m=m, lines_j=int(j)))
                         want = expected[j]
                         assert got.dtype == want.dtype == np.int64
@@ -244,15 +245,16 @@ def test_candidate_set_past_the_held_union_walks_the_lines_again():
     q = compute_q(ch).q
     form = make_qform(q)
     prepare_lines([form], 2, 2)
-    assert form.memo[("union", 2)][2] == 2
+    assert form.memo[("union", 2)][3] == 2
     for j, covered in ((5, 5), (3, 5)):
         got = candidate_set(form, SearchConfig(bound_m=2, lines_j=j))
         assert got.tobytes() == reference_candidate_set(q, j, 2).tobytes()
         assert set(form.memo) == {"basis", ("union", 2)}
-        assert form.memo[("union", 2)][2] == covered
+        union, _, order, held = form.memo[("union", 2)]
+        assert held == covered
         # a grown union is ranked again, as it is built
         ranked = rank_candidates(reference_candidate_set(q, covered, 2), q)
-        assert form.memo[("union", 2)][0].tobytes() == ranked.tobytes()
+        assert union[order].tobytes() == ranked.tobytes()
 
 
 def test_line_pass_refuses_a_line_past_the_point_limit(monkeypatch):
@@ -291,13 +293,15 @@ def test_line_pass_walks_its_lines_in_stacks_under_the_point_limit(monkeypatch):
     # in stacks of at most four, and releases them before the next pass
     assert heights == [4, 1] * 3
     for q, form, ref in zip(qs, forms, whole):
-        arr, first, covered = form.memo[("union", 2)]
-        ref_arr, ref_first, _ = ref.memo[("union", 2)]
+        union, first, order, covered = form.memo[("union", 2)]
+        ref_union, ref_first, ref_order, _ = ref.memo[("union", 2)]
         assert covered == 5
-        assert arr.tobytes() == ref_arr.tobytes() and first.tolist() == ref_first.tolist()
-        # the union is kept in rank order
+        arr, ref_arr = union[order], ref_union[ref_order]
+        assert arr.tobytes() == ref_arr.tobytes()
+        assert first[order].tolist() == ref_first[ref_order].tolist()
+        # the union is kept with its rank order
         assert arr.tobytes() == rank_candidates(reference_candidate_set(q, 5, 2), q).tobytes()
-        assert not arr.flags.writeable
+        assert not (union.flags.writeable or order.flags.writeable)
 
 
 def test_a_draw_walks_one_line_pass_per_bound(monkeypatch):
@@ -324,8 +328,44 @@ def test_a_draw_walks_one_line_pass_per_bound(monkeypatch):
                 alone = make_qform(form.q)
                 prepare_lines([alone], j, m)
                 got, want = form.memo[("union", m)], alone.memo[("union", m)]
-                assert [got[0].tobytes(), got[1].tobytes(), got[2]] \
-                    == [want[0].tobytes(), want[1].tobytes(), want[2]]
+                assert [got[0][got[2]].tobytes(), got[1][got[2]].tobytes(), got[3]] \
+                    == [want[0][want[2]].tobytes(), want[1][want[2]].tobytes(), want[3]]
+
+
+
+def arrays_in(value):
+    """The numpy arrays a memo value holds, inside tuples and lists too."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in arrays_in(v)]
+    return []
+
+
+def test_a_draws_forms_hold_their_one_union_once():
+    # sdm_snr_l8's shape: the four points share one line pass, and hold its
+    # rows and first lines as one read-only pair, each point with only its
+    # own read-only (f, lex) order beside them, before and after its designs
+    for master_seed in (1, 2, 3):
+        cfg = ExperimentConfig(l=8, snr_db_grid=(0.0, 10.0, 20.0, 30.0), trials=4, bound_m=2,
+                               lines_j=4, master_seed=master_seed, methods=("if-sdm",))
+        for trial in range(cfg.trials):
+            draw = draw_trial(cfg, trial)
+            forms = [compute_q(draw[snr]) for snr in cfg.snr_db_grid]
+            union, first = forms[0].memo[("union", 2)][:2]
+            for _ in range(2):
+                for form in forms:
+                    held, held_first, order, covered = form.memo[("union", 2)]
+                    assert held is union and held_first is first and covered == 4
+                    assert [a.ndim for a in (union, first, order)] == [2, 1, 1]
+                    assert len(order) == len(first) == len(union)
+                    assert not any(a.flags.writeable for a in (union, first, order))
+                    # the eigenvector matrix is the one other 2-D array a form holds
+                    others = [a for v in form.memo.values() for a in arrays_in(v)
+                              if a.ndim == 2 and a is not union]
+                    assert len(others) == 1 and others[0] is form.memo["basis"]
+                for snr in cfg.snr_db_grid:
+                    run_trial(cfg, snr, trial, draw)
 
 
 def own_lines(vectors, j, m):
@@ -397,7 +437,8 @@ def test_a_lone_forms_pass_computes_no_radius(monkeypatch):
         alone = make_qform(form.q)
         prepare_lines([alone], j, m)
         got, want = form.memo[("union", m)], alone.memo[("union", m)]
-        assert [got[0].tobytes(), got[1].tobytes()] == [want[0].tobytes(), want[1].tobytes()]
+        assert [got[0][got[2]].tobytes(), got[1][got[2]].tobytes()] \
+            == [want[0][want[2]].tobytes(), want[1][want[2]].tobytes()]
 
 
 @pytest.mark.parametrize("master_seed", [1, 74, 83, 90, 115, 172, 192])
@@ -421,7 +462,8 @@ def test_a_draw_shares_as_when_every_pass_computes_its_radius(monkeypatch, maste
         monkeypatch.setattr(ifrx.sdm, "line_candidates", lines)
         draw = draw_trial(cfg, 0)
         unions = [compute_q(draw[snr]).memo[("union", 200)] for snr in cfg.snr_db_grid]
-        runs.append(([g1 for g1, _ in walked], [(a.tobytes(), f.tobytes(), c) for a, f, c in unions]))
+        runs.append(([g1 for g1, _ in walked],
+                     [(a[o].tobytes(), f[o].tobytes(), c) for a, f, o, c in unions]))
         # only a pass with a second form to read its radius asks for one
         assert [asked for _, asked in walked][:1] == [True]
     assert runs[0] == runs[1]

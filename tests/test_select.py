@@ -791,9 +791,8 @@ def test_the_ranked_union_and_kept_rates_keep_the_per_j_bits(l, monkeypatch):
                 form = compute_q(ch)
                 # one union for all J, as a sweep's draw holds it
                 prepare_lines([form], l - 1, m)
-                union, first, _ = form.memo[("union", m)]
                 # the lexicographic union, whose f the line pass sorted
-                lex = np.lexsort(union.T[::-1])
+                union, first, _, _ = form.memo[("union", m)]
                 for j in range(1, l):
                     cfg = SearchConfig(bound_m=m, lines_j=j)
                     design = design_if(ch, cfg, "sdm")
@@ -802,7 +801,7 @@ def test_the_ranked_union_and_kept_rates_keep_the_per_j_bits(l, monkeypatch):
                     want = rank_candidates(own, form.q)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
                     if len(own) > 1:
-                        whole = _row_f(union[lex], form.q)[first[lex] < j]
+                        whole = _row_f(union, form.q)[first < j]
                         assert whole.tobytes() == _row_f(own, form.q).tobytes()
                     masked += len(got) < len(union)
                     fresh = compute_q(ChannelRealization(h=h, power=power))
