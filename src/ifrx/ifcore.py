@@ -34,13 +34,13 @@ class QForm:
     """Symmetric quadratic form of a channel at one transmit power.
 
     ``q`` is a read-only copy of the input, a finite real nonempty square
-    matrix (``linalg.as_square_matrix``), so quantities derived from it
-    can be kept in ``memo`` for the life of the form: the eigenvector
-    matrix, whose columns 1 .. J+1 give the search lines; per bound M,
-    one lexicographic union of line candidates, which ``sdm.prepare_lines``
-    fills from one line pass for the forms whose eigenvectors agree within
-    its share radius, with each form's own (f, lex) order of its rows; the
-    last SDM design's greedy scan, which ``select.greedy_full_rank``
+    matrix (``linalg.as_square_matrix``), so quantities derived from it can
+    be kept in ``memo`` for the life of the form: the eigenvector matrix,
+    whose columns 1 .. J+1 give the search lines; per bound M, one
+    lexicographic union of line candidates, which ``sdm.prepare_lines`` fills
+    from one line pass for the forms whose eigenvectors agree within its
+    share radius, and each form's own (f, lex) order, which greedy reads them
+    by; the last SDM design's greedy scan, which ``select.greedy_full_rank``
     replays; and the last successful SDM design's A bytes, rates and det,
     which ``select.design_if`` hands to a later design of the same A. The
     form holds no reference back to its channel, whose memo holds the form.

@@ -177,10 +177,10 @@ def _row_f(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     return ((a @ q) * a).sum(axis=1)
 
 
-def rank_candidates(arr: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Rows of a lexicographically sorted candidate array ascending by
-    f(t) = t^T Q t. The sort is stable, so equal-f ties stay lexicographic."""
-    return arr[np.argsort(_row_f(arr, q), kind="stable")]
+def f_order(arr: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The (f, lex) order of a lexicographic candidate array: its row
+    indices ascending by f(t) = t^T Q t, equal-f ties kept in row order."""
+    return np.argsort(_row_f(arr, q), kind="stable")
 
 
 def prepare_lines(forms, lines_j: int, bound_m: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -199,13 +199,13 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> list[tuple[np.ndarray, n
     lexicographic order and checked. Every such form whose columns
     1 .. J+1 lie within the share radius of that call entrywise, the first
     form included, would walk the same rows, and takes this union, ranked
-    at once by one stable sort of its own f; the rest start the next
+    at once by ``f_order`` under its own Q; the rest start the next
     group. A form left alone asks for no radius, as no other form reads
     it: its call reports 0.0, within which the form itself still lies. Q's
     eigenvectors do not depend on the transmit power, so a draw's SNR
     points mostly form one group per bound M. f over the union has, row
     for row, the bits of f over J's rows alone (at two rows or more), so
-    J's entries of the order rank J's rows as ``rank_candidates`` does. A
+    J's entries of the order rank J's rows as their own ``f_order`` does. A
     failed eigensolve raises for every form of the stack. J, in
     [1, L - 1], and M are integers.
 
@@ -245,7 +245,7 @@ def prepare_lines(forms, lines_j: int, bound_m: int) -> list[tuple[np.ndarray, n
         # the lead form itself lies within any radius
         near = [np.abs(q.memo["basis"][:, :lines_j + 1] - lead).max() <= radius for q in todo]
         for q in [q for q, shares in zip(todo, near) if shares]:
-            order = np.argsort(_row_f(arr, q.q), kind="stable")
+            order = f_order(arr, q.q)
             order.setflags(write=False)
             q.memo[("union", bound_m)] = arr, first, order, lines_j
         todo = [q for q, shares in zip(todo, near) if not shares]

@@ -27,9 +27,8 @@ from .errors import InstanceTooLargeError, InvalidInputError, SingularMatrixErro
 # here although no design calls them: benchmarks/spans.py wraps these
 # bindings, and a zero count beats a missing one
 from .ifcore import RateReport, compute_q, kept_rates, mmse_rates, optimal_projection  # noqa: F401
-from .linalg import echelon_add, echelon_det, int_rank_independent, int_value  # noqa: F401
-from .sdm import (SearchConfig, _row_f, candidate_set, leading, prepare_lines,  # noqa: F401
-                  rank_candidates)
+from .linalg import echelon_add, echelon_det, int_rank_independent, int_value, real_value  # noqa: F401
+from .sdm import SearchConfig, _row_f, candidate_set, f_order, leading, prepare_lines  # noqa: F401
 
 METHOD_SDM = "sdm"
 METHOD_EXHAUSTIVE = "exhaustive"
@@ -39,7 +38,7 @@ METHOD_FALLBACK = "mmse-identity-fallback"
 SPHERE_ROW_LIMIT = 2**20
 # sphere size, in canonical points, that the exhaustive design starts from
 SPHERE_START_POINTS = 256
-# ranked rows greedy converts to Python ints at a time; a scan reads few
+# rows greedy converts to Python ints at a time, in their f-order; a scan reads few
 GREEDY_BLOCK = 32
 
 
@@ -55,43 +54,47 @@ class IfDesign:
     det: int
 
 
-def greedy_full_rank(ranked: np.ndarray, memo: dict | None = None) -> np.ndarray | None:
-    """Earliest exactly-independent L rows of an f-ranked integer array, as
-    an (L, L) array, or None when the rows cannot reach full rank. Any
-    input but a 2-D numpy integer array raises InvalidInputError.
-
-    Rows are read as Python ints in blocks of GREEDY_BLOCK, as the scan
-    reaches them. The scan keeps in ``memo`` (a form's, when given) the
-    rows it read, its picks and its echelon, from which ``echelon_det``
-    reads det A. The next scan replays the kept one while its rows equal
-    the kept rows, as greedy's state after a prefix depends on that prefix
-    alone: such a row is picked, with its kept echelon entry, only if the
-    kept scan picked it. The first row that differs or lies past them ends
-    the replay.
+def greedy_full_rank(rows: np.ndarray, order: np.ndarray, memo: dict | None = None) -> np.ndarray | None:
+    """Earliest exactly-independent L rows of a 2-D numpy integer array,
+    read in the f-order ``order``, a 1-D numpy integer array of in-range
+    row indices, none negative (numpy would wrap it), as the (L, L) array
+    ``rows[order[picks]]``, or None when they cannot reach full rank; other
+    input raises InvalidInputError. The scan reads the rows
+    ``order[i:i + GREEDY_BLOCK]`` as Python ints as it reaches them, and
+    copies no others. It keeps in ``memo`` (a form's, when given) the rows
+    it read, its picks (positions in ``order``) and its echelon, from which
+    ``echelon_det`` reads det A. The next scan replays the kept one while
+    its rows equal the kept rows, as greedy's state after a prefix depends
+    on that prefix alone: such a row is picked, with its kept echelon
+    entry, only if the kept scan picked it. The first row that differs or
+    lies past them ends the replay.
     """
-    if not (isinstance(ranked, np.ndarray) and ranked.ndim == 2 and ranked.dtype.kind in "iu"):
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iu"):
         raise InvalidInputError("candidate rows must be integers in a 2-D numpy array")
-    count, l = ranked.shape
+    if not (isinstance(order, np.ndarray) and order.ndim == 1 and order.dtype.kind in "iu"
+            and (len(order) == 0 or 0 <= order.min() <= order.max() < len(rows))):
+        raise InvalidInputError(f"the order must be a 1-D numpy integer array indexing {len(rows)} rows")
+    l = rows.shape[1]
     memo = {} if memo is None else memo
     seen, picks, kept = memo.get("greedy", ((), (), ()))
-    rows, chosen, echelon = [], [], []
-    for i in range(count):
-        if i == len(rows):
-            rows += ranked[i:i + GREEDY_BLOCK].tolist()
-        if i < len(seen) and rows[i] == seen[i]:
+    read, chosen, echelon = [], [], []
+    for i in range(len(order)):
+        if i == len(read):
+            read += rows[order[i:i + GREEDY_BLOCK]].tolist()
+        if i < len(seen) and read[i] == seen[i]:
             k = len(chosen)
             if k == len(picks) or picks[k] != i:
                 continue
             echelon.append(kept[k])
         else:
             seen = ()  # the replay ends here
-            if not echelon_add(echelon, rows[i]):
+            if not echelon_add(echelon, read[i]):
                 continue
         chosen.append(i)
         if len(chosen) == l:
-            memo["greedy"] = rows[:i + 1], chosen, echelon
-            return ranked[chosen]
-    memo["greedy"] = rows, chosen, echelon
+            memo["greedy"] = read[:i + 1], chosen, echelon
+            return rows[order[chosen]]
+    memo["greedy"] = read, chosen, echelon
     return None
 
 
@@ -107,14 +110,17 @@ def _lower_factor(q: np.ndarray) -> np.ndarray:
 def sphere_candidates(q: np.ndarray, g: np.ndarray, m: int, radius: float) -> np.ndarray:
     """Every sign-canonical nonzero integer vector a in [-M, M]^L with
     a^T Q a <= radius, as lexicographic int64 rows, enumerated over Q's
-    lower factor ``g`` (``_lower_factor(q)``). The bound carries a
-    rounding slack, so a few rows just past the radius may come too. The
-    bound ``m`` is an integer (``linalg.int_value``).
+    lower factor ``g`` (``_lower_factor(q)``); a rounding slack lets a few
+    rows past the radius come too, and a negative radius gives none. ``m``
+    and ``radius`` are read by ``linalg.int_value`` and ``real_value``.
 
-    Raises InstanceTooLargeError when a level would test more than
-    SPHERE_ROW_LIMIT rows.
+    Raises InvalidInputError on a NaN radius, and InstanceTooLargeError
+    when a level would test more than SPHERE_ROW_LIMIT rows.
     """
     m = int_value(m, "m")
+    radius = real_value(radius, "radius")
+    if math.isnan(radius):
+        raise InvalidInputError("radius must not be NaN")
     l = q.shape[0]
     # level 0 expands one empty row into 2M+1, checked before the values or
     # the radius slack, which grows with M^2, are built
@@ -171,7 +177,8 @@ def _exhaustive_rows(q: np.ndarray, m: int, memo: dict) -> np.ndarray | None:
                      + np.log(g.diagonal()).sum()) - math.log(math.pi)
     radius = min(cap, math.exp(log_r))
     while True:
-        a = greedy_full_rank(rank_candidates(sphere_candidates(q, g, m, radius), q), memo)
+        sphere = sphere_candidates(q, g, m, radius)
+        a = greedy_full_rank(sphere, f_order(sphere, q), memo)
         if radius >= cap or (a is not None and _row_f(a, q).max() <= radius):
             return a
         # about twice the points per step
@@ -179,10 +186,10 @@ def _exhaustive_rows(q: np.ndarray, m: int, memo: dict) -> np.ndarray | None:
 
 
 def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesign:
-    """End-to-end design: pick greedily from the ranked candidates (the SDM
-    design gathers J's rows by the (f, lex) order of ``prepare_lines``), fall
-    back to the identity matrix, the MMSE design, with ``mmse_rates``'
-    report, when greedy cannot reach full rank.
+    """End-to-end design: pick greedily from the candidates in (f, lex)
+    order (the SDM design reads its union through ``prepare_lines``' order
+    for J), fall back to the identity matrix, the MMSE design, with
+    ``mmse_rates``' report, when greedy cannot reach full rank.
 
     The rates and det A are functions of A and Q alone, so the form's memo
     keeps its last successful SDM design as ``memo["design"]``, A's bytes
@@ -196,7 +203,7 @@ def design_if(ch: ChannelRealization, cfg: SearchConfig, method: str) -> IfDesig
     if method == METHOD_SDM:
         memo = qform.memo
         union, order = prepare_lines([qform], cfg.lines_j, cfg.bound_m)[0]
-        a = greedy_full_rank(union[order], memo)
+        a = greedy_full_rank(union, order, memo)
     else:
         memo = {}
         a = _exhaustive_rows(qform.q, cfg.bound_m, memo)

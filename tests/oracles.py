@@ -10,7 +10,8 @@ from ifrx.errors import InvalidInputError, NotInvertibleModPError
 from ifrx.fieldrec import combine_messages, recover_messages
 from ifrx.errors import SingularMatrixError
 from ifrx.ifcore import QForm
-from ifrx.linalg import PIVOT_RTOL, _square_array, sym_eigen
+from ifrx.linalg import PIVOT_RTOL, _square_array, echelon_add, sym_eigen
+from ifrx.select import GREEDY_BLOCK
 
 
 def make_qform(q):
@@ -163,6 +164,35 @@ def bareiss_det(rows):
             m[i][k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def ranked_copy_greedy(ranked: np.ndarray, memo: dict | None = None):
+    """Greedy over a ranked copy of the candidate rows, with the kept-scan
+    replay: the reference ``select.greedy_full_rank`` must match, in its
+    rows, picks, echelon and ``memo["greedy"]``, when it reads the same
+    rows through an order instead of a copy."""
+    count, l = ranked.shape
+    memo = {} if memo is None else memo
+    seen, picks, kept = memo.get("greedy", ((), (), ()))
+    rows, chosen, echelon = [], [], []
+    for i in range(count):
+        if i == len(rows):
+            rows += ranked[i:i + GREEDY_BLOCK].tolist()
+        if i < len(seen) and rows[i] == seen[i]:
+            k = len(chosen)
+            if k == len(picks) or picks[k] != i:
+                continue
+            echelon.append(kept[k])
+        else:
+            seen = ()  # the replay ends here
+            if not echelon_add(echelon, rows[i]):
+                continue
+        chosen.append(i)
+        if len(chosen) == l:
+            memo["greedy"] = rows[:i + 1], chosen, echelon
+            return ranked[chosen]
+    memo["greedy"] = rows, chosen, echelon
+    return None
 
 
 # The stacked elimination kernels as a column loop that keeps its

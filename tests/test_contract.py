@@ -219,7 +219,7 @@ ENTRY_POINTS = {
     "det": det,
     "line_candidates g1": lambda x: line_candidates(x, [[0.6, 0.8], [0.8, -0.6]], 2),
     "line_candidates gi": lambda x: line_candidates([0.3, 0.1], x, 2),
-    "greedy_full_rank": greedy_full_rank,
+    "greedy_full_rank": lambda x: greedy_full_rank(x, np.arange(len(x))),
 }
 
 

@@ -476,11 +476,11 @@ def test_the_mod_p_flag_matches_a_round_trip_and_the_determinant(p):
                 a[:2, :2] = [[2**32, 1], [2**64 - p, 2**32]]
                 a[:2, 2:] = a[2:, :2] = 0
             # rationally singular A is covered by test_fieldrec
-            if greedy_full_rank(a) is not None:
+            if greedy_full_rank(a, np.arange(l)) is not None:
                 break
         # greedy over A's own rows of full rank picks them all, in order
         memo = {}
-        assert greedy_full_rank(a, memo).tolist() == a.tolist()
+        assert greedy_full_rank(a, np.arange(l), memo).tolist() == a.tolist()
         det = echelon_det(memo["greedy"][2])
         assert det == bareiss_det(a.tolist())
         flag = det % p != 0
@@ -494,7 +494,7 @@ def test_the_mod_p_flag_rejects_a_non_integer_matrix():
     # a truncating cast read [[0.5, 0], [0, 1]] as singular
     bad = [[0.5, 0], [0, 1]]
     with pytest.raises(InvalidInputError, match="must be integers"):
-        greedy_full_rank(np.array(bad))
+        greedy_full_rank(np.array(bad), np.arange(2))
     with pytest.raises(InvalidInputError, match="must hold integers"):
         int_rank_independent(bad)
 

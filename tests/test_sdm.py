@@ -8,8 +8,7 @@ from ifrx.errors import DegenerateDirectionError, InstanceTooLargeError, Invalid
 from ifrx.harness import ExperimentConfig, draw_trial, run_trial
 from ifrx.ifcore import compute_q
 from ifrx.linalg import sym_eigen
-from ifrx.sdm import (SearchConfig, _jumps, candidate_set, line_candidates, prepare_lines,
-                      rank_candidates)
+from ifrx.sdm import SearchConfig, _jumps, candidate_set, f_order, line_candidates, prepare_lines
 from oracles import (
     as_tuples,
     canonical_sign,
@@ -227,7 +226,8 @@ def test_candidate_set_equals_the_per_call_reference_in_any_j_order():
                         union, rows = prepare_lines([form], int(j), m)[0]
                         held, _, order, covered = form.memo[("union", m)]
                         assert union is held
-                        assert union[rows].tobytes() == rank_candidates(expected[j], q).tobytes()
+                        want = expected[j][f_order(expected[j], q)]
+                        assert union[rows].tobytes() == want.tobytes()
                         if covered == j:
                             assert rows is order and not rows.flags.writeable
                         else:
@@ -253,7 +253,8 @@ def test_candidate_set_past_the_held_union_walks_the_lines_again():
         union, _, order, held = form.memo[("union", 2)]
         assert held == covered
         # a grown union is ranked again, as it is built
-        ranked = rank_candidates(reference_candidate_set(q, covered, 2), q)
+        ref = reference_candidate_set(q, covered, 2)
+        ranked = ref[f_order(ref, q)]
         assert union[order].tobytes() == ranked.tobytes()
 
 
@@ -300,7 +301,8 @@ def test_line_pass_walks_its_lines_in_stacks_under_the_point_limit(monkeypatch):
         assert arr.tobytes() == ref_arr.tobytes()
         assert first[order].tolist() == ref_first[ref_order].tolist()
         # the union is kept with its rank order
-        assert arr.tobytes() == rank_candidates(reference_candidate_set(q, 5, 2), q).tobytes()
+        ref = reference_candidate_set(q, 5, 2)
+        assert arr.tobytes() == ref[f_order(ref, q)].tobytes()
         assert not (union.flags.writeable or order.flags.writeable)
 
 

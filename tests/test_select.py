@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -9,7 +10,7 @@ import pytest
 from ifrx import select
 from ifrx.channel import ChannelRealization, sample_channel
 from ifrx.errors import InstanceTooLargeError, InvalidInputError, SingularMatrixError
-from ifrx.harness import ExperimentConfig, run_sweep
+from ifrx.harness import ExperimentConfig, draw_trial, run_sweep
 from ifrx.ifcore import (
     RateReport,
     compute_q,
@@ -17,9 +18,9 @@ from ifrx.ifcore import (
     mmse_rates,
 )
 from ifrx.linalg import echelon_det, int_rank_independent
-from ifrx.sdm import SearchConfig, _row_f, candidate_set, leading, prepare_lines
-from ifrx.select import design_if, greedy_full_rank, rank_candidates, sphere_candidates
-from oracles import as_tuples, bareiss_det, make_qform
+from ifrx.sdm import SearchConfig, _row_f, candidate_set, f_order, leading, prepare_lines
+from ifrx.select import design_if, greedy_full_rank, sphere_candidates
+from oracles import as_tuples, bareiss_det, make_qform, ranked_copy_greedy
 
 BOX_GUARD = 10**7
 
@@ -54,7 +55,7 @@ def exhaustive_candidates(l, m):
 
 
 def reference_sorted_order(arr, q):
-    """(f, lex) order by one lexsort, the order rank_candidates must equal."""
+    """(f, lex) order by one lexsort, the order f_order must equal."""
     f = ((arr @ q) * arr).sum(axis=1)
     keys = tuple(arr[:, k] for k in reversed(range(arr.shape[1]))) + (f,)
     return np.lexsort(keys)
@@ -90,12 +91,14 @@ def test_exhaustive_candidates_equal_the_tuple_loop():
 
 
 def test_sort_candidates_with_tie_break():
-    ranked = rank_candidates(np.array([[1, -1], [1, 0], [1, 1]]), np.diag([0.2, 0.5]))
+    arr = np.array([[1, -1], [1, 0], [1, 1]])
+    ranked = arr[f_order(arr, np.diag([0.2, 0.5]))]
     assert ranked.tolist() == [[1, 0], [1, -1], [1, 1]]
 
 
 def test_sort_candidates_equal_f_lexicographic():
-    assert rank_candidates(np.array([[0, 1], [1, 0]]), 0.5 * np.eye(2)).tolist() == [[0, 1], [1, 0]]
+    arr = np.array([[0, 1], [1, 0]])
+    assert arr[f_order(arr, 0.5 * np.eye(2))].tolist() == [[0, 1], [1, 0]]
 
 
 def test_rank_candidates_equals_the_lexsort_reference():
@@ -112,33 +115,33 @@ def test_rank_candidates_equals_the_lexsort_reference():
         vectors = {tuple(int(x) for x in rng.randint(-m, m + 1, size=l)) for _ in range(rng.randint(1, 40))}
         arr = np.array(sorted(vectors), dtype=np.int64)
         f = ((arr @ q) * arr).sum(axis=1)
-        ranked = rank_candidates(arr, q)
-        assert ranked.tolist() == arr[reference_sorted_order(arr, q)].tolist()
+        assert f_order(arr, q).tolist() == reference_sorted_order(arr, q).tolist()
         tied += len(set(f.tolist())) < len(arr)
     assert tied >= 100
     # the shuffled lexsort reference agrees too: ranking depends on the rows only
     arr = exhaustive_candidates(4, 2)
     q = 0.5 * np.eye(4)
     shuffled = arr[rng.permutation(len(arr))]
-    assert rank_candidates(arr, q).tolist() == shuffled[reference_sorted_order(shuffled, q)].tolist()
+    assert arr[f_order(arr, q)].tolist() == shuffled[reference_sorted_order(shuffled, q)].tolist()
 
 
 def test_greedy_picks_earliest_independent():
-    got = greedy_full_rank(np.array([(1, 0), (1, -1), (1, 1)]))
+    got = greedy_full_rank(np.array([(1, 0), (1, -1), (1, 1)]), np.arange(3))
     assert got.dtype == np.int64 and got.tolist() == [[1, 0], [1, -1]]
 
 
 def test_greedy_fails_on_collinear_set():
-    assert greedy_full_rank(np.array([(1, 0), (2, 0)])) is None
-    assert greedy_full_rank(np.zeros((0, 3), dtype=np.int64)) is None
+    assert greedy_full_rank(np.array([(1, 0), (2, 0)]), np.arange(2)) is None
+    assert greedy_full_rank(np.zeros((0, 3), dtype=np.int64), np.arange(0)) is None
 
 
 def test_greedy_rejects_non_integer_rows():
     # a truncating cast would pick the row [1, 0], which the input does not hold
     for ranked in (np.array([[1.5, 0], [0, 1]]), np.array([[1.0, 0], [0, 1]]), np.eye(2, dtype=bool)):
         with pytest.raises(InvalidInputError, match="must be integers"):
-            greedy_full_rank(ranked)
-    assert greedy_full_rank(np.array([[0, 3], [2, 0]], dtype=np.uint8)).tolist() == [[0, 3], [2, 0]]
+            greedy_full_rank(ranked, np.arange(2))
+    rows = np.array([[0, 3], [2, 0]], dtype=np.uint8)
+    assert greedy_full_rank(rows, np.arange(2)).tolist() == [[0, 3], [2, 0]]
 
 
 def reference_greedy(sorted_vectors):
@@ -180,9 +183,9 @@ def test_greedy_matches_gram_bareiss_reference(monkeypatch):
     # and 20 dB, over J = 1..7; J = 1 yields fallbacks
     designed, real = [], select.greedy_full_rank
 
-    def capture(ranked, memo=None):
-        designed.append(ranked)
-        return real(ranked, memo)
+    def capture(rows, order, memo=None):
+        designed.append(rows[order])
+        return real(rows, order, memo)
 
     monkeypatch.setattr(select, "greedy_full_rank", capture)
     for t in range(6):
@@ -208,7 +211,7 @@ def test_greedy_matches_gram_bareiss_reference(monkeypatch):
     for ranked_sets in (small, designed, big):
         outcomes = set()
         for ranked in ranked_sets:
-            got = greedy_full_rank(ranked)
+            got = greedy_full_rank(ranked, np.arange(len(ranked)))
             expected = reference_greedy(ranked)
             assert (got is None and expected is None) or as_tuples(got) == expected
             outcomes.add(got is None)
@@ -229,14 +232,15 @@ def test_resumed_greedy_equals_a_fresh_scan(l):
             ch = ChannelRealization(h=sample_channel(63, t, l), power=power)
             qform = compute_q(ch)
             for cfg in sweep:
-                ranked = rank_candidates(candidate_set(qform, cfg), qform.q)
+                omega = candidate_set(qform, cfg)
+                order = f_order(omega, qform.q)
                 fresh_memo = {}
-                fresh = greedy_full_rank(ranked, fresh_memo)
+                fresh = greedy_full_rank(omega, order, fresh_memo)
                 kept = qform.memo.get("greedy")
                 if kept is not None:
                     seen, picks, echelon = kept
                     assert len(picks) == len(echelon)
-                    prefix = ranked.tolist()[:len(seen)] == seen
+                    prefix = omega[order].tolist()[:len(seen)] == seen
                     restores_full_rank += prefix and len(picks) == l
                     resumes_after_fallback += len(picks) < l
                 design = design_if(ch, cfg, "sdm")
@@ -257,12 +261,12 @@ def resume(first, second, monkeypatch):
     resumed scan's rows and its ``echelon_add`` calls."""
     first, second = np.array(first, dtype=np.int64), np.array(second, dtype=np.int64)
     fresh_memo, memo = {}, {}
-    fresh = greedy_full_rank(second, fresh_memo)
-    greedy_full_rank(first, memo)
+    fresh = greedy_full_rank(second, np.arange(len(second)), fresh_memo)
+    greedy_full_rank(first, np.arange(len(first)), memo)
     calls = []
     real = select.echelon_add
     monkeypatch.setattr(select, "echelon_add", lambda e, v: calls.append(v) or real(e, v))
-    got = greedy_full_rank(second, memo)
+    got = greedy_full_rank(second, np.arange(len(second)), memo)
     monkeypatch.undo()
     assert (got is None and fresh is None) or got.tolist() == fresh.tolist()
     assert memo["greedy"] == fresh_memo["greedy"]
@@ -319,10 +323,11 @@ def test_greedy_reads_only_the_rows_it_scans():
     l = 8
     ranked = np.random.RandomState(5).randint(-3, 4, size=(200_000, l)).astype(np.int64)
     ranked[:l] = np.eye(l, dtype=np.int64)[::-1] + np.tri(l, k=-1, dtype=np.int64)
+    order = np.arange(len(ranked))
     memo = {}
     tracemalloc.start()
     try:
-        got = greedy_full_rank(ranked, memo)
+        got = greedy_full_rank(ranked, order, memo)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -332,11 +337,93 @@ def test_greedy_reads_only_the_rows_it_scans():
     # a resumed scan reads no further than the kept rows it compares
     tracemalloc.start()
     try:
-        assert greedy_full_rank(ranked, memo).tolist() == got.tolist()
+        assert greedy_full_rank(ranked, order, memo).tolist() == got.tolist()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
+
+
+def test_greedy_refuses_a_malformed_order():
+    rows = np.array([[1, 0], [0, 1], [1, 1]])
+    for order in (np.array([[0, 1]]), np.array([0.0, 1.0]), np.array([True, False]), [0, 1],
+                  np.array([0, 3]), np.array([0, -1])):
+        with pytest.raises(InvalidInputError, match="order must be a 1-D numpy integer array"):
+            greedy_full_rank(rows, order)
+    # -1 would wrap to the last row, with which the first is full rank
+    assert greedy_full_rank(rows, np.array([0, 2])).tolist() == [[1, 0], [1, 1]]
+    assert greedy_full_rank(rows, np.array([1, 0], dtype=np.uint8)).tolist() == [[0, 1], [1, 0]]
+
+
+def in_place_and_copy(rows, order, memo, ref_memo):
+    """Greedy through ``order`` against the reference over the ranked copy
+    ``rows[order]``, each resuming its own memo: the same A, picks and
+    kept scan. Returns the A."""
+    want = ranked_copy_greedy(rows[order], ref_memo)
+    got = greedy_full_rank(rows, order, memo)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert memo["greedy"] == ref_memo["greedy"]
+    return got
+
+
+def test_greedy_through_an_order_equals_greedy_over_the_ranked_copy():
+    # seeded unions at L = 4..8, M = 2..200: each form's whole f-order, and
+    # J's masked orders below the union's coverage, in a sweep's order with
+    # one memo per form, as design_if chains them; then the exhaustive
+    # design's sphere rounds, chained as _exhaustive_rows chains them
+    seen = {"masked": 0, "replayed": 0, "none": 0, "full rank": 0, "sphere": 0}
+    for l in (4, 6, 8):
+        for t in range(3):
+            h = sample_channel(44, 10 * l + t, l)
+            for snr in (0.0, 20.0, 40.0):
+                form = compute_q(ChannelRealization(h=h, power=10.0 ** (snr / 10)))
+                memo, ref_memo = {}, {}
+                for m in (2, 20, 200):
+                    prepare_lines([form], l - 1, m)
+                    union, _, order, _ = form.memo[("union", m)]
+                    for rows, order in [(union, order)] + [prepare_lines([form], j, m)[0]
+                                                           for j in (1, l // 2, l - 2, 2)]:
+                        kept = memo.get("greedy", ((),))[0]
+                        seen["replayed"] += bool(kept) and kept[0] == rows[order[0]].tolist()
+                        seen["masked"] += len(order) < len(rows)
+                        a = in_place_and_copy(rows, order, memo, ref_memo)
+                        seen["none" if a is None else "full rank"] += 1
+                q, memo, ref_memo = form.q, {}, {}
+                g, cap = select._lower_factor(q), q.diagonal().max()
+                for radius in (cap / 16, cap / 4, cap):
+                    sphere = sphere_candidates(q, g, 2, radius)
+                    in_place_and_copy(sphere, f_order(sphere, q), memo, ref_memo)
+                    seen["sphere"] += 1
+    assert min(seen.values()) >= 5, seen
+    # arbitrary orders, none a permutation, over random rows
+    rng = np.random.RandomState(44)
+    for _ in range(200):
+        rows = rng.randint(-2, 3, size=(rng.randint(1, 40), rng.randint(2, 6)))
+        memo, ref_memo = {}, {}
+        for _ in range(3):
+            order = rng.randint(len(rows), size=rng.randint(0, 2 * len(rows)))
+            in_place_and_copy(rows, order, memo, ref_memo)
+
+
+def test_a_design_copies_no_candidate_rows():
+    # a design reads its form's union through J's order, so the union's
+    # own order (J = 7) and a masked one (J = 4) cost far less memory than
+    # the rows (a copy of them read 1.01 of the union's bytes)
+    for seed in (1, 2, 3):
+        cfg = ExperimentConfig(l=8, snr_db_grid=(20.0,), trials=1, bound_m=200, lines_j=7,
+                               master_seed=seed, methods=("if-sdm",))
+        ch = draw_trial(cfg, 0)[20.0]
+        union = compute_q(ch).memo[("union", 200)][0]
+        tracemalloc.start()
+        try:
+            for j in (7, 4):
+                design_if(ch, SearchConfig(bound_m=200, lines_j=j), "sdm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < union.nbytes / 2, (seed, peak, union.nbytes)
 
 
 def fraction_det(a) -> int:
@@ -388,7 +475,8 @@ def test_design_det_equals_a_rational_determinant():
 
 def test_greedy_on_exhaustive_identity_q():
     q = make_qform(0.5 * np.eye(2))
-    got = greedy_full_rank(rank_candidates(exhaustive_candidates(2, 1), q.q))
+    box = exhaustive_candidates(2, 1)
+    got = greedy_full_rank(box, f_order(box, q.q))
     assert got.tolist() == [[0, 1], [1, 0]]
     for row in got:
         assert float(row @ q.q @ row) == pytest.approx(0.5)
@@ -548,10 +636,10 @@ def test_greedy_rows_come_from_list_with_nondecreasing_f():
     for _ in range(30):
         ch = ChannelRealization(h=rng.standard_normal((4, 4)), power=10.0)
         qform = compute_q(ch)
-        ranked = rank_candidates(exhaustive_candidates(4, 1), qform.q)
-        got = greedy_full_rank(ranked)
+        box = exhaustive_candidates(4, 1)
+        got = greedy_full_rank(box, f_order(box, qform.q))
         assert got is not None
-        assert set(as_tuples(got)) <= set(as_tuples(ranked))
+        assert set(as_tuples(got)) <= set(as_tuples(box))
         f = [float(r @ qform.q @ r) for r in got]
         assert all(f[i] <= f[i + 1] + 1e-12 for i in range(len(f) - 1))
 
@@ -595,8 +683,8 @@ def check_sphere_against_box(ch, cfg):
     design = design_if(ch, cfg, "exhaustive")
     assert design.success and design.method == "exhaustive"
     f_box = row_f(box, q)
-    # rank_candidates' order, with the box scored once
-    assert np.array_equal(design.a, greedy_full_rank(box[np.argsort(f_box, kind="stable")]))
+    # f_order, with the box scored once
+    assert np.array_equal(design.a, greedy_full_rank(box, np.argsort(f_box, kind="stable")))
     radius = row_f(design.a, q).max()
     sphere = sphere_candidates(q, select._lower_factor(q), m, radius)
     assert sphere.dtype == np.int64 and sphere.shape[1] == ch.l
@@ -723,6 +811,22 @@ def test_sphere_reads_an_integer_bound_only():
     assert sphere_candidates(q, g, np.int64(2), 3.0).tolist() == sphere_candidates(q, g, 2, 3.0).tolist()
 
 
+def test_sphere_reads_a_real_radius_and_refuses_nan():
+    # a NaN radius compared false everywhere and gave no rows, silently
+    q = np.array([[2.0, 0.5], [0.5, 1.0]])
+    g = select._lower_factor(q)
+    for radius in (math.nan, np.float64("nan")):
+        with pytest.raises(InvalidInputError, match="radius must not be NaN"):
+            sphere_candidates(q, g, 2, radius)
+    for radius in ("3", None, 1j):
+        with pytest.raises(InvalidInputError, match="radius must be a real number"):
+            sphere_candidates(q, g, 2, radius)
+    for radius in (-1.0, -math.inf):
+        assert sphere_candidates(q, g, 2, radius).shape == (0, 2)
+    want = sphere_candidates(q, g, 2, 3.0).tolist()
+    assert len(want) > 2 and sphere_candidates(q, g, 2, np.float32(3.0)).tolist() == want
+
+
 def test_sphere_row_limit(monkeypatch):
     q = compute_q(ChannelRealization(h=sample_channel(3, 0, 6), power=100.0)).q
     g = select._lower_factor(q)
@@ -744,7 +848,8 @@ def test_exhaustive_design_at_l12():
         radius = row_f(exhaustive.a, q).max()
         assert radius <= row_f(sdm.a, q).max()
         g = select._lower_factor(q)
-        wider = greedy_full_rank(rank_candidates(sphere_candidates(q, g, 2, 2 * radius), q))
+        sphere = sphere_candidates(q, g, 2, 2 * radius)
+        wider = greedy_full_rank(sphere, f_order(sphere, q))
         assert np.array_equal(exhaustive.a, wider)
 
 
@@ -780,7 +885,8 @@ def test_the_ranked_union_and_kept_rates_keep_the_per_j_bits(l, monkeypatch):
     # each design's rates are those of its own A on a fresh realization
     handed, real = [], select.greedy_full_rank
     monkeypatch.setattr(select, "greedy_full_rank",
-                        lambda ranked, memo=None: handed.append(ranked) or real(ranked, memo))
+                        lambda rows, order, memo=None: handed.append(rows[order])
+                        or real(rows, order, memo))
     masked = 0
     for t in range(5):
         h = sample_channel(71, t, l)
@@ -798,7 +904,7 @@ def test_the_ranked_union_and_kept_rates_keep_the_per_j_bits(l, monkeypatch):
                     design = design_if(ch, cfg, "sdm")
                     got = handed.pop()
                     own = candidate_set(form, cfg)
-                    want = rank_candidates(own, form.q)
+                    want = own[f_order(own, form.q)]
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
                     if len(own) > 1:
                         whole = _row_f(union, form.q)[first < j]
